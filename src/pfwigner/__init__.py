@@ -42,16 +42,9 @@ from .minkowski import (
     wrap_angle,
 )
 from .polarisation import (
-    Absorbed,
-    FrameMismatch,
-    LinearPolState,
-    Polariser,
     anomalous_malus_curve,
-    apply_polariser,
-    make_linear_state,
     malus_probability,
     monte_carlo_malus,
-    transform_state,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .closed_form import (
 from .induction import (
     StabilityError,
     bench_pair,
-    euclidean_element,
     pf_wigner,
     phase_difference,
     standard_wigner,
@@ -39,12 +38,13 @@ from .minkowski import (
     FrameVelocity,
     LorentzTransform,
     PhotonKinematics,
+    apply,
     boost_from_velocity,
     compose,
     rotation_about,
     wrap_angle,
 )
-from .polarisation import malus_probability
+from .polarisation import anomalous_malus_curve, malus_probability, monte_carlo_malus
 
 DEFAULTS = {
     "pf_speed": 1.2336e-3,  # CMB dipole speed, 369.8 km/s in units of c
@@ -64,6 +64,9 @@ DEFAULTS = {
     "output": None,
     "tol_scale": 1.0,
 }
+
+# cap on the rows one sweep may emit, checked before any row is built
+MAX_ROWS = 1_000_000
 
 _INT_KEYS = {"chi_steps", "samples", "seed"}
 _STR_KEYS = {"format", "output"}
@@ -93,6 +96,10 @@ class RunConfig:
     tol_scale: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name.replace('_', '-')} must be finite")
         if not 0.0 <= self.pf_speed < 1.0:
             raise ConfigError("pf-speed must lie in [0, 1)")
         if not 0.0 <= self.chi <= math.pi:
@@ -105,6 +112,8 @@ class RunConfig:
             raise ConfigError("chi-steps must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.tol_scale <= 0.0:
@@ -155,7 +164,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    n = int(round((hi - lo) / step))
+    span = (hi - lo) / step
+    if span > MAX_ROWS - 1:
+        raise ConfigError(f"grid exceeds {MAX_ROWS} rows; use a larger step")
+    n = int(round(span))
     if n < 0:
         raise ConfigError("empty grid: max < min")
     vals = [lo + i * step for i in range(n + 1)]
@@ -171,6 +183,10 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[list[float]]) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+    _write(cfg, text)
+
+
+def _write(cfg: RunConfig, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -200,7 +216,9 @@ def _parse_transform(specs: list[str] | None, kin: PhotonKinematics) -> LorentzT
         try:
             val = float(value)
         except ValueError:
-            raise ConfigError(f"bad numeric value in transform spec {spec!r}") from None
+            val = math.nan
+        if not math.isfinite(val):
+            raise ConfigError(f"bad numeric value in transform spec {spec!r}")
         axis = _axis_vector(axis_token, kin)
         if kind == "boost":
             if not -1.0 < val < 1.0:
@@ -226,9 +244,13 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
 
 
 def cmd_rotation_scan(cfg: RunConfig) -> int:
+    deltas = _grid(cfg.delta_min, cfg.delta_max, cfg.delta_step)
+    if len(deltas) * (cfg.chi_steps + 1) > MAX_ROWS:
+        raise ConfigError(f"scan exceeds {MAX_ROWS} rows; use a larger delta-step "
+                          "or fewer chi-steps")
     chis = [i * math.pi / cfg.chi_steps for i in range(cfg.chi_steps + 1)]
     rows = []
-    for d in _grid(cfg.delta_min, cfg.delta_max, cfg.delta_step):
+    for d in deltas:
         for chi in chis:
             s = RotationScenario(d, cfg.pf_speed, chi)
             phi_ex = rotation_phase(s)
@@ -254,27 +276,18 @@ def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
         "stabiliser_pf": w_pf.stabiliser,
         "stabiliser_std": w_std.stabiliser,
     }
-    text = json.dumps(record, indent=2) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, json.dumps(record, indent=2) + "\n")
     return 0
 
 
 def cmd_malus(cfg: RunConfig) -> int:
     kin = bench_pair(cfg.pf_speed, cfg.chi)
-    ks = kin.k.spatial
-    axis = ks / np.linalg.norm(ks)
-    theta, big_theta = cfg.state_angle, cfg.pol_angle
-    p_classical = malus_probability(theta, big_theta)
+    deltas = _grid(cfg.delta_min, cfg.delta_max, cfg.delta_step)
+    curve = anomalous_malus_curve(kin, cfg.state_angle, cfg.pol_angle, deltas)
+    p_classical = malus_probability(cfg.state_angle, cfg.pol_angle)
     rows = []
-    for i, d in enumerate(_grid(cfg.delta_min, cfg.delta_max, cfg.delta_step)):
-        phi = pf_wigner(kin, rotation_about(axis, d)).phi
-        p_pf = math.cos(big_theta + d - theta - phi) ** 2
-        rng = np.random.default_rng(cfg.seed + i)
-        freq = float((rng.random(cfg.samples) < p_pf).mean())
+    for i, (d, p_pf) in enumerate(curve):
+        freq = monte_carlo_malus(p_pf, cfg.samples, cfg.seed + i)
         err = math.sqrt(p_pf * (1.0 - p_pf) / cfg.samples)
         rows.append([d, p_classical, p_pf, freq, err])
     _emit(cfg, ["delta", "p_classical", "p_pf", "mc_freq", "mc_err"], rows)
@@ -371,8 +384,7 @@ def check_composition_law_standard(state: dict) -> tuple[float, float]:
         k = _random_null(rng)
         l1, l2 = _random_transform(rng), _random_transform(rng)
         w1 = standard_wigner(k, l1)
-        k1 = FourVector.from_array(l1.m @ k.vec)
-        w2 = standard_wigner(k1, l2)
+        w2 = standard_wigner(apply(l1, k), l2)
         w12 = standard_wigner(k, compose(l2, l1))
         worst = max(worst, abs(wrap_angle(w12.phi - w1.phi - w2.phi)))
     return worst, 1e-9
@@ -444,8 +456,6 @@ def check_chi_extremum(state: dict) -> tuple[float, float]:
 
 
 def check_malus_monte_carlo(state: dict) -> tuple[float, float]:
-    from .polarisation import monte_carlo_malus
-
     rng = np.random.default_rng(2028)
     n = 1_000_000
     hits = 0
@@ -453,7 +463,7 @@ def check_malus_monte_carlo(state: dict) -> tuple[float, float]:
         theta = rng.uniform(0.0, math.pi)
         big = rng.uniform(0.0, math.pi)
         p = malus_probability(theta, big)
-        freq = monte_carlo_malus(theta, big, n, seed=3000 + i)
+        freq = monte_carlo_malus(p, n, seed=3000 + i)
         sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
         if abs(freq - p) <= 4.0 * sigma:
             hits += 1

@@ -27,6 +27,7 @@ from .minkowski import (
     FrameVelocity,
     LorentzTransform,
     PhotonKinematics,
+    apply,
     boost_to,
     minkowski_dot,
     rotation_about,
@@ -168,10 +169,7 @@ def pf_standard_element(kin: PhotonKinematics) -> LorentzTransform:
 
 def transform_pair(kin: PhotonKinematics, L: LorentzTransform) -> PhotonKinematics:
     """The pair (Lk, Lu) as a validated PhotonKinematics."""
-    return PhotonKinematics(
-        FourVector.from_array(L.m @ kin.k.vec),
-        FrameVelocity(FourVector.from_array(L.m @ kin.u.u.vec)),
-    )
+    return PhotonKinematics(apply(L, kin.k), FrameVelocity(apply(L, kin.u.u)))
 
 
 def pf_wigner(kin: PhotonKinematics, L: LorentzTransform) -> WignerAngle:
@@ -237,7 +235,7 @@ def standard_wigner(k: FourVector, L: LorentzTransform) -> WignerAngle:
     scale = max(1.0, k.t * k.t)
     if abs(k.norm2()) > 1e-12 * scale or k.t <= 0.0:
         raise ValueError("k must be null with positive energy")
-    k2 = FourVector.from_array(L.m @ k.vec)
+    k2 = apply(L, k)
     e = METRIC @ _massless_standard(k2).T @ METRIC @ L.m @ _massless_standard(k)
 
     q = np.array([1.0, 0.0, 0.0, 1.0])

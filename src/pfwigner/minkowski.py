@@ -15,9 +15,8 @@ import numpy as np
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 METRIC.setflags(write=False)
 
-# Construction-time validation; propagated arithmetic gets 1e-10.
+# Construction-time validation.
 CONSTRUCTION_TOL = 1e-12
-PROPAGATED_TOL = 1e-10
 
 
 def wrap_angle(angle: float) -> float:

@@ -1,104 +1,23 @@
-"""Linear polarisation states, ideal polarisers, and Malus statistics."""
+"""Malus transmission of a co-rotated polariser experiment, and its statistics."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .induction import pf_wigner, transform_pair
-from .minkowski import FrameVelocity, LorentzTransform, PhotonKinematics, rotation_about
-
-
-class FrameMismatch(ValueError):
-    """Polariser and state are defined in different frames."""
-
-
-@dataclass(frozen=True)
-class Absorbed:
-    """Outcome of a polariser absorbing the photon (or not accepting its momentum)."""
-
-
-@dataclass(frozen=True)
-class LinearPolState:
-    """Linearly polarised single-photon state.
-
-    theta is the polarisation angle (mod pi for observables); the
-    helicity decomposition is amplitude * (e^{i theta}, e^{-i theta}) / sqrt(2).
-    """
-
-    theta: float
-    kin: PhotonKinematics
-    amplitude: complex = 1.0
-
-    def __post_init__(self):
-        if abs(self.amplitude) > 1.0 + 1e-12:
-            raise ValueError("amplitude norm must be <= 1")
-
-    @property
-    def helicity_amplitudes(self) -> tuple[complex, complex]:
-        a = self.amplitude / math.sqrt(2.0)
-        return (a * complex(math.cos(self.theta), math.sin(self.theta)),
-                a * complex(math.cos(self.theta), -math.sin(self.theta)))
-
-
-def make_linear_state(theta: float, kin: PhotonKinematics) -> LinearPolState:
-    return LinearPolState(theta=theta, kin=kin, amplitude=1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class Polariser:
-    """Ideal linear polariser: transmission axis angle Theta, acceptance
-    cone of half-opening half_angle about axis, defined in frame u."""
-
-    Theta: float
-    axis: np.ndarray
-    half_angle: float
-    u: FrameVelocity
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-            raise ValueError("axis must be a unit vector")
-        if not 0.0 < self.half_angle <= math.pi:
-            raise ValueError("half_angle must lie in (0, pi]")
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
-
-
-def transform_state(L: LorentzTransform, s: LinearPolState) -> LinearPolState:
-    """Lorentz-transformed state: theta advances by the pair Wigner angle."""
-    w = pf_wigner(s.kin, L)
-    return LinearPolState(theta=s.theta + w.phi, kin=transform_pair(s.kin, L),
-                          amplitude=s.amplitude)
-
-
-def apply_polariser(p: Polariser, s: LinearPolState) -> LinearPolState | Absorbed:
-    """Project the state onto the polariser's transmission axis.
-
-    The amplitude picks up cos(Theta - theta) when the momentum lies in
-    the acceptance cone; otherwise the photon is absorbed.
-    """
-    if np.abs(p.u.u.vec - s.kin.u.u.vec).max() > 1e-12:
-        raise FrameMismatch("polariser and state frames differ")
-    ks = s.kin.k.spatial
-    ang = math.atan2(float(np.linalg.norm(np.cross(p.axis, ks))), float(p.axis @ ks))
-    if ang > p.half_angle:
-        return Absorbed()
-    return LinearPolState(theta=p.Theta, kin=s.kin,
-                          amplitude=s.amplitude * math.cos(p.Theta - s.theta))
+from .induction import pf_wigner
+from .minkowski import PhotonKinematics, rotation_about
 
 
 def malus_probability(theta: float, Theta: float) -> float:
     return math.cos(Theta - theta) ** 2
 
 
-def monte_carlo_malus(theta: float, Theta: float, n_samples: int, seed: int) -> float:
-    """Empirical pass fraction of n_samples Bernoulli trials at the Malus probability."""
+def monte_carlo_malus(p: float, n_samples: int, seed: int) -> float:
+    """Empirical pass fraction of n_samples seeded Bernoulli trials at probability p."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    p = malus_probability(theta, Theta)
     rng = np.random.default_rng(seed)
     return float((rng.random(n_samples) < p).mean())
 

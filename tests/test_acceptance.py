@@ -230,12 +230,12 @@ def test_criterion_09_malus_monte_carlo():
     freqs = []
     for i, (theta, big) in enumerate(settings):
         p = malus_probability(theta, big)
-        freq = monte_carlo_malus(theta, big, n, seed=500 + i)
+        freq = monte_carlo_malus(p, n, seed=500 + i)
         freqs.append(freq)
         sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
         if abs(freq - p) <= 4.0 * sigma:
             hits += 1
-    again = [monte_carlo_malus(th, big, n, seed=500 + i)
+    again = [monte_carlo_malus(malus_probability(th, big), n, seed=500 + i)
              for i, (th, big) in enumerate(settings)]
     identical = all(format(a, ".17g") == format(b, ".17g") for a, b in zip(freqs, again))
     report("09 malus monte carlo", float(20 - hits), 1.0, f"reproducible={identical}")

@@ -169,6 +169,14 @@ def test_missing_config_file_exits_2(tmp_path):
         ("wigner", "--transform", "rotation:q:1.0"),
         ("wigner", "--transform", "rotation:z"),
         ("wigner", "--transform", "twist:z:1.0"),
+        ("boost-scan", "--v-step", "nan"),
+        ("rotation-scan", "--delta-max", "inf"),
+        ("malus", "--state-angle", "inf"),
+        ("malus", "--seed", -1),
+        ("wigner", "--transform", "rotation:z:inf"),
+        ("validate", "--tol-scale", "nan"),
+        ("malus", "--pol-angle", "nan"),
+        ("boost-scan", "--v-step", 1e-12),
     ],
 )
 def test_invalid_values_exit_2(args):
