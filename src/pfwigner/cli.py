@@ -28,6 +28,7 @@ from .closed_form import (
 from .induction import (
     StabilityError,
     bench_pair,
+    clear_standard_elements,
     pf_wigner,
     phase_difference,
     standard_wigner,
@@ -345,10 +346,10 @@ def check_rotation_oracle_equivalence(state: dict) -> tuple[float, float]:
     stab = state.get("stabiliser", 0.0)
     sign_ok = True
     for d in GRID_DELTA:
+        L = rotation_about(np.array([0.0, 0.0, 1.0]), d)
         for th in GRID_THETA:
             for chi in GRID_CHI:
                 kin = bench_pair(th, chi)
-                L = rotation_about(np.array([0.0, 0.0, 1.0]), d)
                 w = pf_wigner(kin, L)
                 want = wrap_angle(rotation_phase(RotationScenario(d, th, chi)))
                 worst = max(worst, abs(abs(w.phi) - abs(want)))
@@ -546,6 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # each command starts with an empty memo, as in a fresh interpreter
+    clear_standard_elements()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -16,6 +16,9 @@ pair bundle. See `alignment_angle` for how h is pinned.
 from __future__ import annotations
 
 import math
+import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,12 @@ from .minkowski import (
 
 STABILISER_TOL = 1e-9
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# pair standard elements kept by `pf_standard_element`; one entry holds a
+# 4x4 matrix and its 64-byte key, so the memo stays well under 1 MB
+STANDARD_ELEMENT_MEMO_SIZE = 256
+_standard_elements: OrderedDict[bytes, LorentzTransform] = OrderedDict()
+_standard_elements_lock = threading.Lock()
 
 
 class StabilityError(RuntimeError):
@@ -81,10 +90,14 @@ class WignerAngle:
     stabiliser: float = 0.0
 
 
+def _direction_after(boost: LorentzTransform, k: FourVector) -> np.ndarray:
+    kp = METRIC @ boost.m.T @ METRIC @ k.vec
+    return kp[1:] / np.linalg.norm(kp[1:])
+
+
 def direction_in_pf(kin: PhotonKinematics) -> np.ndarray:
     """Unit photon direction seen from the distinguished frame's rest coordinates."""
-    kp = METRIC @ boost_to(kin.u).m.T @ METRIC @ kin.k.vec
-    return kp[1:] / np.linalg.norm(kp[1:])
+    return _direction_after(boost_to(kin.u), kin.k)
 
 
 def _pair_angles(kin: PhotonKinematics) -> tuple[float, float, float]:
@@ -160,11 +173,35 @@ def bench_pair(theta_pf: float, chi: float) -> PhotonKinematics:
     return PhotonKinematics(k, FrameVelocity.from_velocity(v))
 
 
+def clear_standard_elements() -> None:
+    """Empty the memo of `pf_standard_element`."""
+    with _standard_elements_lock:
+        _standard_elements.clear()
+
+
 def pf_standard_element(kin: PhotonKinematics) -> LorentzTransform:
-    """The transform carrying (q, u_rest) to (k, u), with the pinned gauge."""
-    n = direction_in_pf(kin)
-    m = boost_to(kin.u).m @ rotation_z_to(n).m @ rotation_about(Z_AXIS, alignment_angle(kin)).m
-    return LorentzTransform(m)
+    """The transform carrying (q, u_rest) to (k, u), with the pinned gauge.
+
+    Memoised per exact pair: the key is the bit pattern of k and u, so
+    0.0 and -0.0, which can put `_pair_angles`' atan2 on other branches,
+    are separate entries. Code that patches the gauge functions must call
+    `clear_standard_elements` first.
+    """
+    k, u = kin.k, kin.u.u
+    key = struct.pack("8d", k.t, k.x, k.y, k.z, u.t, u.x, u.y, u.z)
+    with _standard_elements_lock:
+        s = _standard_elements.get(key)
+        if s is not None:
+            _standard_elements.move_to_end(key)
+            return s
+    b = boost_to(kin.u)
+    n = _direction_after(b, k)
+    s = LorentzTransform(b.m @ rotation_z_to(n).m @ rotation_about(Z_AXIS, alignment_angle(kin)).m)
+    with _standard_elements_lock:
+        _standard_elements[key] = s
+        if len(_standard_elements) > STANDARD_ELEMENT_MEMO_SIZE:
+            _standard_elements.popitem(last=False)
+    return s
 
 
 def transform_pair(kin: PhotonKinematics, L: LorentzTransform) -> PhotonKinematics:

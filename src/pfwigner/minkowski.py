@@ -80,13 +80,18 @@ class LorentzTransform:
         m = np.array(self.m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()) ** 2)
+        # an inf entry also makes the tolerances below inf, so it is caught
+        # here; each test is written `not (x <= tol)` so that NaN fails it
+        peak = float(np.abs(m).max())
+        if not math.isfinite(peak):
+            raise ValueError("matrix has non-finite entries")
+        scale = max(1.0, peak ** 2)
         err = np.abs(m.T @ METRIC @ m - METRIC).max()
-        if err > CONSTRUCTION_TOL * scale:
+        if not (err <= CONSTRUCTION_TOL * scale):
             raise ValueError(f"matrix does not preserve the metric (err={err:.3e})")
-        if abs(np.linalg.det(m) - 1.0) > CONSTRUCTION_TOL * scale:
+        if not (abs(np.linalg.det(m) - 1.0) <= CONSTRUCTION_TOL * scale):
             raise ValueError("matrix is not proper (det != +1)")
-        if m[0, 0] < 1.0 - CONSTRUCTION_TOL:
+        if not (m[0, 0] >= 1.0 - CONSTRUCTION_TOL):
             raise ValueError("matrix is not orthochronous (m[0][0] < 1)")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
@@ -107,9 +112,9 @@ class FrameVelocity:
 
     def __post_init__(self):
         scale = max(1.0, self.u.t * self.u.t)
-        if abs(self.u.norm2() - 1.0) > CONSTRUCTION_TOL * scale:
+        if not (abs(self.u.norm2() - 1.0) <= CONSTRUCTION_TOL * scale):
             raise ValueError("u is not unit timelike")
-        if self.u.t < 1.0 - CONSTRUCTION_TOL:
+        if not (self.u.t >= 1.0 - CONSTRUCTION_TOL):
             raise ValueError("u is not future-pointing (u.t < 1)")
 
     @classmethod
@@ -120,7 +125,7 @@ class FrameVelocity:
     def from_velocity(cls, v) -> "FrameVelocity":
         v = np.asarray(v, dtype=float)
         v2 = float(v @ v)
-        if v2 >= 1.0:
+        if not (v2 < 1.0):
             raise ValueError("speed must be < 1")
         g = 1.0 / math.sqrt(1.0 - v2)
         return cls(FourVector(g, *(g * v)))
@@ -143,11 +148,11 @@ class PhotonKinematics:
 
     def __post_init__(self):
         scale = max(1.0, self.k.t * self.k.t)
-        if abs(self.k.norm2()) > CONSTRUCTION_TOL * scale:
+        if not (abs(self.k.norm2()) <= CONSTRUCTION_TOL * scale):
             raise ValueError("k is not null")
-        if self.k.t <= 0.0:
+        if not (self.k.t > 0.0):
             raise ValueError("k must have positive energy")
-        if self.kappa <= 0.0:
+        if not (self.kappa > 0.0):
             raise ValueError("kappa = eta(u, k) must be positive")
 
     @property
@@ -174,7 +179,7 @@ def boost_from_velocity(v) -> LorentzTransform:
 def rotation_about(axis, delta: float) -> LorentzTransform:
     """Spatial rotation by delta about a unit axis (Rodrigues form)."""
     axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > CONSTRUCTION_TOL:
+    if not (abs(np.linalg.norm(axis) - 1.0) <= CONSTRUCTION_TOL):
         raise ValueError("axis must be a unit vector")
     kx = np.array([
         [0.0, -axis[2], axis[1]],
@@ -194,7 +199,7 @@ def rotation_z_to(n) -> LorentzTransform:
     rotation by pi about x-hat (tie-break, documented).
     """
     n = np.asarray(n, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > CONSTRUCTION_TOL:
+    if not (abs(np.linalg.norm(n) - 1.0) <= CONSTRUCTION_TOL):
         raise ValueError("n must be a unit vector")
     c = n[2]
     s = math.hypot(n[0], n[1])

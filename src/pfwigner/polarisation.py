@@ -9,6 +9,9 @@ import numpy as np
 from .induction import pf_wigner
 from .minkowski import PhotonKinematics, rotation_about
 
+# uniform draws made and counted at a time, which bounds the memory of a draw
+MC_BLOCK = 1 << 16
+
 
 def malus_probability(theta: float, Theta: float) -> float:
     return math.cos(Theta - theta) ** 2
@@ -19,7 +22,10 @@ def monte_carlo_malus(p: float, n_samples: int, seed: int) -> float:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    return float((rng.random(n_samples) < p).mean())
+    hits = 0
+    for start in range(0, n_samples, MC_BLOCK):
+        hits += int(np.count_nonzero(rng.random(min(MC_BLOCK, n_samples - start)) < p))
+    return hits / n_samples
 
 
 def anomalous_malus_curve(kin: PhotonKinematics, theta: float, Theta0: float,

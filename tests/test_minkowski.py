@@ -115,6 +115,24 @@ def test_rejects_non_orthochronous():
         LorentzTransform(np.diag([-1.0, -1.0, 1.0, 1.0]))
 
 
+def _identity_with_inf():
+    m = np.eye(4)
+    m[1, 2] = np.inf
+    return m
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LorentzTransform(np.full((4, 4), np.nan)),
+    lambda: LorentzTransform(_identity_with_inf()),
+    lambda: FrameVelocity.from_velocity([np.nan, 0.0, 0.0]),
+    lambda: FrameVelocity(FourVector(np.nan, 0.0, 0.0, 0.0)),
+    lambda: PhotonKinematics(FourVector(np.nan, 0.0, 0.0, 1.0), FrameVelocity.rest()),
+], ids=["nan_matrix", "inf_entry", "nan_velocity", "nan_four_velocity", "nan_momentum"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_matrix_is_frozen_after_construction():
     L = rotation_about([0.0, 0.0, 1.0], 0.3)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from pfwigner import (
     malus_probability,
     monte_carlo_malus,
 )
+from pfwigner.polarisation import MC_BLOCK
 
 TH_CMB = 1.2336e-3
 
@@ -41,6 +42,13 @@ def test_monte_carlo_is_deterministic():
     a = monte_carlo_malus(p, 100_000, seed=42)
     b = monte_carlo_malus(p, 100_000, seed=42)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [1000, 3 * MC_BLOCK + 17])
+def test_monte_carlo_blocks_match_one_shot_draw(n):
+    p = malus_probability(0.3, 1.1)
+    one_shot = float((np.random.default_rng(7).random(n) < p).mean())
+    assert monte_carlo_malus(p, n, seed=7) == one_shot
 
 
 def test_monte_carlo_rejects_empty_sample():
