@@ -54,6 +54,13 @@ def test_golden_output(args, golden, tmp_path):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_default_boost_scan_is_byte_exact(tmp_path):
+    out = tmp_path / "boost_scan_default.csv"
+    res = run_cli("boost-scan", "--output", out)
+    assert res.returncode == 0, res.stderr
+    assert out.read_bytes() == (GOLDEN / "boost_scan_default.csv").read_bytes()
+
+
 def test_stdout_matches_file_output(tmp_path):
     out = tmp_path / "scan.csv"
     res_file = run_cli_bytes(*BOOST_ARGS, "--output", out)
@@ -213,6 +220,17 @@ def test_validate_passes_and_reports_named_checks():
     names = {ln.split()[1] for ln in checks}
     assert len(names) == len(checks)
     assert lines[-1].endswith("checks passed")
+
+
+def test_validate_values_are_bit_exact():
+    # the exact value of every check and the stabiliser they accumulate,
+    # beyond the three digits that `validate` prints
+    from pfwigner import cli
+
+    state = {}
+    got = {name: repr(func(state)[0]) for name, func in cli.CHECKS}
+    got["stabiliser"] = repr(state["stabiliser"])
+    assert got == json.loads((GOLDEN / "validate_values.json").read_text())
 
 
 def test_validate_detects_tampered_tolerances():
