@@ -30,11 +30,13 @@ from .minkowski import (
     FourVector,
     FrameVelocity,
     LorentzTransform,
+    PairStack,
     PhotonKinematics,
     apply,
     boost_from_velocity,
     boost_to,
     compose,
+    four_velocity,
     inverse,
     minkowski_dot,
     rotation_about,

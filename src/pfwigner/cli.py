@@ -28,21 +28,22 @@ from .closed_form import (
 from .induction import (
     StabilityError,
     bench_pair,
-    clear_standard_elements,
     pf_wigner,
     phase_difference,
     standard_wigner,
     transform_pair,
 )
 from .minkowski import (
-    FourVector,
-    FrameVelocity,
     LorentzTransform,
+    PairStack,
     PhotonKinematics,
     apply,
     boost_from_velocity,
     compose,
+    four_velocity,
     rotation_about,
+    row_blocks,
+    row_dot,
     wrap_angle,
 )
 from .polarisation import anomalous_malus_curve, malus_probability, monte_carlo_malus
@@ -68,6 +69,8 @@ DEFAULTS = {
 
 # cap on the rows one sweep may emit, checked before any row is built
 MAX_ROWS = 1_000_000
+# cap on the Monte Carlo draws of one malus row, checked before any draw
+MAX_SAMPLES = 100_000_000
 
 _INT_KEYS = {"chi_steps", "samples", "seed"}
 _STR_KEYS = {"format", "output"}
@@ -111,8 +114,8 @@ class RunConfig:
             raise ConfigError("v range must satisfy -1 < v_min <= v_max < 1")
         if self.chi_steps < 1:
             raise ConfigError("chi-steps must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.format not in ("csv", "json"):
@@ -233,13 +236,21 @@ def _parse_transform(specs: list[str] | None, kin: PhotonKinematics) -> LorentzT
     return L
 
 
+def _along_z(speeds) -> np.ndarray:
+    v = np.zeros((len(speeds), 3))
+    v[:, 2] = speeds
+    return v
+
+
 def cmd_boost_scan(cfg: RunConfig) -> int:
     kin = bench_pair(cfg.pf_speed, cfg.chi)
+    grid = _grid(cfg.v_min, cfg.v_max, cfg.v_step)
     rows = []
-    for v in _grid(cfg.v_min, cfg.v_max, cfg.v_step):
-        phi_cf = boost_phase(BoostScenario(v, cfg.pf_speed, cfg.chi))
-        phi_mx = pf_wigner(kin, boost_from_velocity([0.0, 0.0, v])).phi
-        rows.append([v, phi_cf, phi_mx, abs(phi_cf - phi_mx)])
+    for block in row_blocks(len(grid)):
+        phi = pf_wigner(kin, boost_from_velocity(_along_z(grid[block]))).phi
+        for v, phi_mx in zip(grid[block], phi.tolist()):
+            phi_cf = boost_phase(BoostScenario(v, cfg.pf_speed, cfg.chi))
+            rows.append([v, phi_cf, phi_mx, abs(phi_cf - phi_mx)])
     _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], rows)
     return 0
 
@@ -303,40 +314,42 @@ GRID_CHI = tuple(i * math.pi / 6.0 for i in range(7))
 GRID_DELTA = tuple(i * math.pi / 24.0 for i in range(1, 48))
 
 
-def _random_null(rng) -> FourVector:
+def _random_direction(rng) -> np.ndarray:
     d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
+    return d / np.linalg.norm(d)
+
+
+def _random_null(rng) -> np.ndarray:
+    d = _random_direction(rng)
     e = rng.uniform(0.2, 5.0)
-    return FourVector(e, *(e * d))
+    return np.concatenate(([e], e * d))
 
 
-def _random_frame(rng) -> FrameVelocity:
-    d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
-    return FrameVelocity.from_velocity(d * rng.uniform(0.0, 0.99))
+def _random_velocity(rng) -> np.ndarray:
+    return _random_direction(rng) * rng.uniform(0.0, 0.99)
 
 
-def _random_transform(rng) -> LorentzTransform:
-    d = rng.normal(size=3)
-    d /= np.linalg.norm(d)
-    rot = rotation_about(d, rng.uniform(-math.pi, math.pi))
-    b = rng.normal(size=3)
-    b /= np.linalg.norm(b)
-    boost = boost_from_velocity(b * rng.uniform(0.0, 0.99))
-    return compose(boost, rot)
+def _random_transform(rng) -> tuple:
+    """Rotation axis and angle, then boost velocity, of a random transform."""
+    axis = _random_direction(rng)
+    return axis, rng.uniform(-math.pi, math.pi), _random_velocity(rng)
+
+
+def _random_transforms(draws: list) -> LorentzTransform:
+    axes, angles, velocities = (np.array(col) for col in zip(*draws))
+    return compose(boost_from_velocity(velocities), rotation_about(axes, angles))
 
 
 def check_boost_oracle_equivalence(state: dict) -> tuple[float, float]:
     worst = 0.0
     stab = state.get("stabiliser", 0.0)
-    for v in BOOST_GRID_V:
-        L = boost_from_velocity([0.0, 0.0, v])
-        for th in GRID_THETA:
-            for chi in GRID_CHI:
-                kin = bench_pair(th, chi)
-                w = pf_wigner(kin, L)
-                worst = max(worst, abs(w.phi - boost_phase(BoostScenario(v, th, chi))))
-                stab = max(stab, w.stabiliser)
+    boosts = boost_from_velocity(_along_z(BOOST_GRID_V))
+    for th in GRID_THETA:
+        for chi in GRID_CHI:
+            w = pf_wigner(bench_pair(th, chi), boosts)
+            for v, phi in zip(BOOST_GRID_V, w.phi.tolist()):
+                worst = max(worst, abs(phi - boost_phase(BoostScenario(v, th, chi))))
+            stab = max(stab, float(w.stabiliser.max()))
     state["stabiliser"] = stab
     return worst, 1e-9
 
@@ -345,50 +358,53 @@ def check_rotation_oracle_equivalence(state: dict) -> tuple[float, float]:
     worst = 0.0
     stab = state.get("stabiliser", 0.0)
     sign_ok = True
-    for d in GRID_DELTA:
-        L = rotation_about(np.array([0.0, 0.0, 1.0]), d)
-        for th in GRID_THETA:
-            for chi in GRID_CHI:
-                kin = bench_pair(th, chi)
-                w = pf_wigner(kin, L)
+    rotations = rotation_about(np.array([0.0, 0.0, 1.0]), np.array(GRID_DELTA))
+    for th in GRID_THETA:
+        for chi in GRID_CHI:
+            w = pf_wigner(bench_pair(th, chi), rotations)
+            for d, phi in zip(GRID_DELTA, w.phi.tolist()):
                 want = wrap_angle(rotation_phase(RotationScenario(d, th, chi)))
-                worst = max(worst, abs(abs(w.phi) - abs(want)))
-                if w.phi * want < 0.0 and abs(want) > 1e-12:
+                worst = max(worst, abs(abs(phi) - abs(want)))
+                if phi * want < 0.0 and abs(want) > 1e-12:
                     sign_ok = False
-                stab = max(stab, w.stabiliser)
+            stab = max(stab, float(w.stabiliser.max()))
     state["stabiliser"] = stab
     if not sign_ok:
         return math.inf, 1e-9
     return worst, 1e-9
 
 
+def _composition_defect(w1, w2, w12) -> float:
+    return max(abs(wrap_angle(c - a - b))
+               for a, b, c in zip(w1.phi.tolist(), w2.phi.tolist(), w12.phi.tolist()))
+
+
 def check_composition_law_pair(state: dict) -> tuple[float, float]:
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    stab = state.get("stabiliser", 0.0)
-    for _ in range(1000):
-        kin = PhotonKinematics(_random_null(rng), _random_frame(rng))
-        l1, l2 = _random_transform(rng), _random_transform(rng)
-        w1 = pf_wigner(kin, l1)
-        w2 = pf_wigner(transform_pair(kin, l1), l2)
-        w12 = pf_wigner(kin, compose(l2, l1))
-        worst = max(worst, abs(wrap_angle(w12.phi - w1.phi - w2.phi)))
-        stab = max(stab, w1.stabiliser, w2.stabiliser, w12.stabiliser)
-    state["stabiliser"] = stab
-    return worst, 1e-9
+    draws = [(_random_null(rng), _random_velocity(rng), _random_transform(rng),
+              _random_transform(rng)) for _ in range(1000)]
+    k, v, t1, t2 = zip(*draws)
+    kin = PairStack(np.array(k), four_velocity(np.array(v)))
+    l1, l2 = _random_transforms(t1), _random_transforms(t2)
+    w1 = pf_wigner(kin, l1)
+    w2 = pf_wigner(transform_pair(kin, l1), l2)
+    w12 = pf_wigner(kin, compose(l2, l1))
+    state["stabiliser"] = max(state.get("stabiliser", 0.0), float(w1.stabiliser.max()),
+                              float(w2.stabiliser.max()), float(w12.stabiliser.max()))
+    return _composition_defect(w1, w2, w12), 1e-9
 
 
 def check_composition_law_standard(state: dict) -> tuple[float, float]:
     rng = np.random.default_rng(2025)
-    worst = 0.0
-    for _ in range(1000):
-        k = _random_null(rng)
-        l1, l2 = _random_transform(rng), _random_transform(rng)
-        w1 = standard_wigner(k, l1)
-        w2 = standard_wigner(apply(l1, k), l2)
-        w12 = standard_wigner(k, compose(l2, l1))
-        worst = max(worst, abs(wrap_angle(w12.phi - w1.phi - w2.phi)))
-    return worst, 1e-9
+    draws = [(_random_null(rng), _random_transform(rng), _random_transform(rng))
+             for _ in range(1000)]
+    k, t1, t2 = zip(*draws)
+    k = np.array(k)
+    l1, l2 = _random_transforms(t1), _random_transforms(t2)
+    w1 = standard_wigner(k, l1)
+    w2 = standard_wigner(apply(l1, k), l2)
+    w12 = standard_wigner(k, compose(l2, l1))
+    return _composition_defect(w1, w2, w12), 1e-9
 
 
 def check_stabiliser_residuals(state: dict) -> tuple[float, float]:
@@ -398,33 +414,29 @@ def check_stabiliser_residuals(state: dict) -> tuple[float, float]:
 
 def check_standard_anchors(state: dict) -> tuple[float, float]:
     rng = np.random.default_rng(2026)
-    worst = 0.0
-    for _ in range(100):
-        k = _random_null(rng)
-        kh = k.spatial / np.linalg.norm(k.spatial)
-        v = rng.uniform(-0.99, 0.99)
-        worst = max(worst, abs(standard_wigner(k, boost_from_velocity(kh * v)).phi))
-        d = rng.uniform(-math.pi, math.pi)
-        worst = max(worst, abs(wrap_angle(standard_wigner(k, rotation_about(kh, d)).phi - d)))
-    return worst, 1e-10
+    draws = [(_random_null(rng), rng.uniform(-0.99, 0.99), rng.uniform(-math.pi, math.pi))
+             for _ in range(100)]
+    k, v, d = (np.array(col) for col in zip(*draws))
+    kh = k[:, 1:] / np.sqrt(row_dot(k[:, 1:], k[:, 1:]))[:, None]
+    boosted = standard_wigner(k, boost_from_velocity(kh * v[:, None])).phi
+    rotated = standard_wigner(k, rotation_about(kh, d)).phi
+    return max(float(np.abs(boosted).max()), float(np.abs(wrap_angle(rotated - d)).max())), 1e-10
 
 
 def check_reduction_zero_theta(state: dict) -> tuple[float, float]:
     # transform classes under which both constructions' conventions agree:
     # rotations about any axis, boosts along the photon, and their products
     rng = np.random.default_rng(2027)
-    worst = 0.0
-    for i in range(500):
-        k = _random_null(rng)
-        kin = PhotonKinematics(k, FrameVelocity.rest())
-        kh = k.spatial / np.linalg.norm(k.spatial)
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        rot = rotation_about(d, rng.uniform(-math.pi, math.pi))
-        kboost = boost_from_velocity(kh * rng.uniform(-0.99, 0.99))
-        L = (rot, kboost, compose(rot, kboost))[i % 3]
-        worst = max(worst, abs(phase_difference(kin, L)))
-    return worst, 1e-9
+    draws = [(_random_null(rng), _random_direction(rng), rng.uniform(-math.pi, math.pi),
+              rng.uniform(-0.99, 0.99)) for _ in range(500)]
+    k, axes, angles, v = (np.array(col) for col in zip(*draws))
+    kh = k[:, 1:] / np.sqrt(row_dot(k[:, 1:], k[:, 1:]))[:, None]
+    rot = rotation_about(axes, angles)
+    kboost = boost_from_velocity(kh * v[:, None])
+    choices = np.stack([rot.m, kboost.m, compose(rot, kboost).m])
+    L = LorentzTransform(choices[np.arange(len(k)) % 3, np.arange(len(k))])
+    rest = np.tile([1.0, 0.0, 0.0, 0.0], (len(k), 1))
+    return float(np.abs(phase_difference(PairStack(k, rest), L)).max()), 1e-9
 
 
 def check_approximation_order(state: dict) -> tuple[float, float]:
@@ -547,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # each command starts with an empty memo, as in a fresh interpreter
-    clear_standard_elements()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -11,14 +11,15 @@ The pair standard element is L_u R_n Rz(h): the boost taking the frame to
 rest, the minimal rotation aligning the photon direction seen from that
 frame, and an SO(2) alignment h(k, u) fixing the residual gauge of the
 pair bundle. See `alignment_angle` for how h is pinned.
+
+Both constructions run over stacks: one pair or N pairs against one
+transform or N transforms, processed STACK_BLOCK rows at a time. A
+single pair against a single transform is the N=1 case of the same code.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,30 +30,33 @@ from .minkowski import (
     FourVector,
     FrameVelocity,
     LorentzTransform,
+    PairStack,
     PhotonKinematics,
     apply,
     boost_to,
-    minkowski_dot,
+    format_row,
     rotation_about,
     rotation_z_to,
+    row_blocks,
+    row_dot,
+    row_minkowski_dot,
     wrap_angle,
 )
 
 STABILISER_TOL = 1e-9
 Z_AXIS = np.array([0.0, 0.0, 1.0])
-
-# pair standard elements kept by `pf_standard_element`; one entry holds a
-# 4x4 matrix and its 64-byte key, so the memo stays well under 1 MB
-STANDARD_ELEMENT_MEMO_SIZE = 256
-_standard_elements: OrderedDict[bytes, LorentzTransform] = OrderedDict()
-_standard_elements_lock = threading.Lock()
+_U_REST = np.array([1.0, 0.0, 0.0, 0.0])
+_Q_UNIT = np.array([1.0, 0.0, 0.0, 1.0])
+_E_X = np.array([0.0, 1.0, 0.0, 0.0])
+_E_Y = np.array([0.0, 0.0, 1.0, 0.0])
 
 
 class StabilityError(RuntimeError):
     """The little-group element moved a vector it must fix.
 
     Signals a construction bug (or a numerically hostile transform),
-    not bad user input.
+    not bad user input. The message names the row, the pair and the
+    gamma of the transform.
     """
 
 
@@ -77,7 +81,8 @@ class StandardPair:
 
 @dataclass(frozen=True)
 class WignerAngle:
-    """Extracted little-group angle.
+    """Extracted little-group angle: floats for one pair under one
+    transform, else arrays with one entry per row.
 
     residual: max deviation of the element from the exact form implied
     by the angle (a z-rotation for the pair construction, a null
@@ -85,39 +90,82 @@ class WignerAngle:
     stabiliser: max deviation of the element on the vectors it must fix.
     """
 
-    phi: float
-    residual: float
-    stabiliser: float = 0.0
+    phi: float | np.ndarray
+    residual: float | np.ndarray
+    stabiliser: float | np.ndarray = 0.0
 
 
-def _direction_after(boost: LorentzTransform, k: FourVector) -> np.ndarray:
-    kp = METRIC @ boost.m.T @ METRIC @ k.vec
-    return kp[1:] / np.linalg.norm(kp[1:])
+def _unit(x: np.ndarray) -> np.ndarray:
+    return x / np.sqrt(row_dot(x, x))[:, None]
 
 
-def direction_in_pf(kin: PhotonKinematics) -> np.ndarray:
-    """Unit photon direction seen from the distinguished frame's rest coordinates."""
-    return _direction_after(boost_to(kin.u), kin.k)
+def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
+    kp = (METRIC @ np.swapaxes(boost, 1, 2) @ METRIC @ k[:, :, None])[:, :, 0]
+    return _unit(kp[:, 1:])
 
 
-def _pair_angles(kin: PhotonKinematics) -> tuple[float, float, float]:
-    """(theta, chi, alpha) of a pair: frame speed, polar angle of the frame
-    velocity from the photon direction, and its azimuth in the transverse
-    frame carried over from z-hat by the minimal rotation.
+def _single(kin, L: LorentzTransform) -> bool:
+    return isinstance(kin, (PhotonKinematics, FourVector)) and L.m.ndim == 2
+
+
+def _stack_rows(*lengths: int) -> int:
+    n = max(lengths)
+    if any(m not in (1, n) for m in lengths):
+        raise ValueError(f"stacks of {lengths} rows do not match")
+    return n
+
+
+def _rows(x, rows: slice):
+    return x if len(x) == 1 else x[rows]
+
+
+def _angles(parts: list, single: bool) -> WignerAngle:
+    phi, residual, stab = (np.concatenate(col) for col in zip(*parts))
+    if single:
+        return WignerAngle(float(phi[0]), float(residual[0]), float(stab[0]))
+    return WignerAngle(phi, residual, stab)
+
+
+def _row(x, i: int):
+    return x[0 if len(x) == 1 else i]
+
+
+def _gamma(L: LorentzTransform, i: int) -> str:
+    return f"transform gamma={_row(L.stack, i)[0, 0]:.10g}"
+
+
+def _atan2_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # math.atan2 per row: np.arctan2 can differ from it in the last bit
+    return np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
+
+
+def direction_in_pf(kin):
+    """Unit photon direction seen from the distinguished frame's rest
+    coordinates; (N,3) for a PairStack."""
+    pairs = PairStack.of(kin)
+    n = _direction_after(boost_to(pairs.u).stack, pairs.k)
+    return n if isinstance(kin, PairStack) else n[0]
+
+
+def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, chi, alpha) of each pair: frame speed, polar angle of the
+    frame velocity from the photon direction, and its azimuth in the
+    transverse frame carried over from z-hat by the minimal rotation;
+    all three are 0 for a frame at rest.
 
     chi comes from atan2 of cross and dot: arccos of a near-unit dot
     turns 1e-16 of rounding into 1e-8 of angle, which the alignment would
     then amplify.
     """
-    th_vec = kin.u.theta_vector
-    th = float(np.linalg.norm(th_vec))
-    if th == 0.0:
-        return 0.0, 0.0, 0.0
-    kh = kin.k.spatial / np.linalg.norm(kin.k.spatial)
-    chi = math.atan2(float(np.linalg.norm(np.cross(kh, th_vec))), float(kh @ th_vec))
-    tv = rotation_z_to(kh).m[1:, 1:].T @ th_vec
-    alpha = math.atan2(tv[1], tv[0])
-    return th, chi, alpha
+    th_vec = pairs.u[:, 1:] / pairs.u[:, :1]
+    th = np.sqrt(row_dot(th_vec, th_vec))
+    kh = _unit(pairs.k[:, 1:])
+    cross = np.cross(kh, th_vec)
+    chi = _atan2_rows(np.sqrt(row_dot(cross, cross)), row_dot(kh, th_vec))
+    tv = (np.swapaxes(rotation_z_to(kh).stack[:, 1:, 1:], 1, 2) @ th_vec[:, :, None])[:, :, 0]
+    alpha = _atan2_rows(tv[:, 1], tv[:, 0])
+    rest = th == 0.0
+    return th, np.where(rest, 0.0, chi), np.where(rest, 0.0, alpha)
 
 
 def _rotation_phase_continued(alpha: float, th: float, chi: float) -> float:
@@ -128,8 +176,19 @@ def _rotation_phase_continued(alpha: float, th: float, chi: float) -> float:
     return rotation_phase(RotationScenario(alpha + math.tau, th, chi)) - math.tau
 
 
-def alignment_angle(kin: PhotonKinematics) -> float:
-    """SO(2) gauge h(k, u) of the pair standard element.
+def _alignment(gamma: float, th: float, chi: float, alpha: float) -> float:
+    if th == 0.0:
+        return 0.0
+    u_perp = gamma * th * math.sin(chi)
+    th_apex = u_perp / math.sqrt(1.0 + u_perp * u_perp)
+    v_star = th * math.cos(chi)
+    h = -boost_phase(BoostScenario(v_star, th_apex, 0.5 * math.pi))
+    return h + (alpha - _rotation_phase_continued(alpha, th, chi))
+
+
+def alignment_angle(kin):
+    """SO(2) gauge h(k, u) of the pair standard element; an array of one
+    entry per row for a PairStack.
 
     The stabiliser of the pair is SO(2), so after L_u R_n the standard
     element is fixed only up to a z-rotation. That residual gauge decides
@@ -153,14 +212,10 @@ def alignment_angle(kin: PhotonKinematics) -> float:
     photon, and the construction stays an exact cocycle for any h, so
     composition and stabiliser properties are unaffected by the choice.
     """
-    th, chi, alpha = _pair_angles(kin)
-    if th == 0.0:
-        return 0.0
-    u_perp = kin.u.u.t * th * math.sin(chi)
-    th_apex = u_perp / math.sqrt(1.0 + u_perp * u_perp)
-    v_star = th * math.cos(chi)
-    h = -boost_phase(BoostScenario(v_star, th_apex, 0.5 * math.pi))
-    return h + (alpha - _rotation_phase_continued(alpha, th, chi))
+    pairs = PairStack.of(kin)
+    h = [_alignment(*row) for row in zip(pairs.u[:, 0].tolist(),
+                                         *(a.tolist() for a in _pair_angles(pairs)))]
+    return np.array(h) if isinstance(kin, PairStack) else h[0]
 
 
 def bench_pair(theta_pf: float, chi: float) -> PhotonKinematics:
@@ -173,125 +228,145 @@ def bench_pair(theta_pf: float, chi: float) -> PhotonKinematics:
     return PhotonKinematics(k, FrameVelocity.from_velocity(v))
 
 
-def clear_standard_elements() -> None:
-    """Empty the memo of `pf_standard_element`."""
-    with _standard_elements_lock:
-        _standard_elements.clear()
+def pf_standard_element(kin) -> LorentzTransform:
+    """The transform carrying (q, u_rest) to (k, u), with the pinned gauge;
+    for a PairStack, the (N,4,4) stack of each row's element."""
+    pairs = PairStack.of(kin)
+    b = boost_to(pairs.u).stack
+    n = _direction_after(b, pairs.k)
+    s = b @ rotation_z_to(n).stack @ rotation_about(Z_AXIS, alignment_angle(pairs)).stack
+    return LorentzTransform(s if isinstance(kin, PairStack) else s[0])
 
 
-def pf_standard_element(kin: PhotonKinematics) -> LorentzTransform:
-    """The transform carrying (q, u_rest) to (k, u), with the pinned gauge.
-
-    Memoised per exact pair: the key is the bit pattern of k and u, so
-    0.0 and -0.0, which can put `_pair_angles`' atan2 on other branches,
-    are separate entries. Code that patches the gauge functions must call
-    `clear_standard_elements` first.
-    """
-    k, u = kin.k, kin.u.u
-    key = struct.pack("8d", k.t, k.x, k.y, k.z, u.t, u.x, u.y, u.z)
-    with _standard_elements_lock:
-        s = _standard_elements.get(key)
-        if s is not None:
-            _standard_elements.move_to_end(key)
-            return s
-    b = boost_to(kin.u)
-    n = _direction_after(b, k)
-    s = LorentzTransform(b.m @ rotation_z_to(n).m @ rotation_about(Z_AXIS, alignment_angle(kin)).m)
-    with _standard_elements_lock:
-        _standard_elements[key] = s
-        if len(_standard_elements) > STANDARD_ELEMENT_MEMO_SIZE:
-            _standard_elements.popitem(last=False)
-    return s
+def transform_pair(kin, L: LorentzTransform):
+    """The pair (Lk, Lu), validated: a PhotonKinematics for one pair under
+    one transform, else a PairStack with a row per pair or per transform."""
+    pairs = PairStack.of(kin)
+    moved = PairStack(apply(L, pairs.k), apply(L, pairs.u))
+    return moved.pair(0) if _single(kin, L) else moved
 
 
-def transform_pair(kin: PhotonKinematics, L: LorentzTransform) -> PhotonKinematics:
-    """The pair (Lk, Lu) as a validated PhotonKinematics."""
-    return PhotonKinematics(apply(L, kin.k), FrameVelocity(apply(L, kin.u.u)))
-
-
-def pf_wigner(kin: PhotonKinematics, L: LorentzTransform) -> WignerAngle:
+def pf_wigner(kin, L: LorentzTransform) -> WignerAngle:
     """Little-group angle of L at the pair (k, u).
 
     Conjugates L by the pair standard elements, checks the result fixes
     both q and the rest four-velocity, and reads the z-rotation angle
     from the (y,x), (x,x) entries.
+
+    kin is a PhotonKinematics or a PairStack, L a transform or a stack;
+    each has 1 or N rows, and row i is pair i (or the one pair) under
+    transform i (or the one transform). The element of each given pair
+    is built once.
     """
-    kin2 = transform_pair(kin, L)
-    s1 = pf_standard_element(kin)
-    s2 = pf_standard_element(kin2)
-    w = METRIC @ s2.m.T @ METRIC @ L.m @ s1.m
-
-    pair = StandardPair(kin.kappa)
-    stab = max(
-        float(np.abs(w @ pair.q.vec - pair.q.vec).max()),
-        float(np.abs(w @ pair.u_pf.vec - pair.u_pf.vec).max()),
-    )
-    if stab > STABILISER_TOL:
-        raise StabilityError(f"pair moved by {stab:.3e}")
-
-    phi = math.atan2(w[2, 1], w[1, 1])
-    residual = float(np.abs(w - rotation_about(Z_AXIS, phi).m).max())
-    return WignerAngle(phi=phi, residual=residual, stabiliser=stab)
+    pairs = PairStack.of(kin)
+    n = _stack_rows(len(pairs), len(L))
+    s1 = pf_standard_element(pairs).stack if len(pairs) == 1 else None
+    parts = []
+    for rows in row_blocks(n):
+        p = _rows(pairs, rows)
+        parts.append(_pf_wigner_rows(p, pf_standard_element(p).stack if s1 is None else s1,
+                                     _rows(L, rows), rows.start))
+    return _angles(parts, _single(kin, L))
 
 
-def _massless_standard(k: FourVector) -> np.ndarray:
+def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform, first: int):
+    s2 = pf_standard_element(transform_pair(pairs, L)).stack
+    w = METRIC @ np.swapaxes(s2, 1, 2) @ METRIC @ L.stack @ s1
+
+    q = np.zeros((len(pairs), 4))
+    q[:, 0] = q[:, 3] = pairs.kappa
+    stab = np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
+                      np.abs(w @ _U_REST - _U_REST).max(axis=1))
+    bad = ~(stab <= STABILISER_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        k, u = _row(pairs.k, i), _row(pairs.u, i)
+        raise StabilityError(f"pair moved by {stab[i]:.3e} at row {first + i}: "
+                             f"k={format_row(k)}, u={format_row(u)}, " + _gamma(L, i))
+
+    phi = _atan2_rows(w[:, 2, 1], w[:, 1, 1])
+    residual = np.abs(w - rotation_about(Z_AXIS, phi).stack).max(axis=(1, 2))
+    return phi, residual, stab
+
+
+def _massless_standard(k: np.ndarray) -> np.ndarray:
     # L_k = R_khat B_z(|k|/kappa_ref), kappa_ref = 1; B_z rescales the
     # reference null vector (1;0,0,1) by r along the light cone
-    r = k.t
+    r = k[:, 0]
     c = 0.5 * (r + 1.0 / r)
     s = 0.5 * (r - 1.0 / r)
-    bz = np.array([
-        [c, 0.0, 0.0, s],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [s, 0.0, 0.0, c],
-    ])
-    kh = k.spatial / np.linalg.norm(k.spatial)
-    return rotation_z_to(kh).m @ bz
+    bz = np.tile(np.eye(4), (len(k), 1, 1))
+    bz[:, 0, 0] = bz[:, 3, 3] = c
+    bz[:, 0, 3] = bz[:, 3, 0] = s
+    return rotation_z_to(_unit(k[:, 1:])).stack @ bz
 
 
-def euclidean_element(alpha: float, beta: float) -> LorentzTransform:
-    """Null translation T(alpha, beta): the E(2) part that is not a rotation."""
-    z = 0.5 * (alpha * alpha + beta * beta)
-    return LorentzTransform(np.array([
-        [1.0 + z, alpha, beta, -z],
-        [alpha, 1.0, 0.0, -alpha],
-        [beta, 0.0, 1.0, -beta],
-        [z, alpha, beta, 1.0 - z],
-    ]))
+def euclidean_element(alpha, beta) -> LorentzTransform:
+    """Null translation T(alpha, beta): the E(2) part that is not a rotation;
+    the (N,4,4) stack for arrays of N."""
+    stacked = np.ndim(alpha) == 1 or np.ndim(beta) == 1
+    a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float).reshape(-1),
+                               np.asarray(beta, dtype=float).reshape(-1))
+    z = 0.5 * (a * a + b * b)
+    m = np.tile(np.eye(4), (len(z), 1, 1))
+    m[:, 0] = np.stack([1.0 + z, a, b, -z], axis=1)
+    m[:, 1, 0], m[:, 1, 3] = a, -a
+    m[:, 2, 0], m[:, 2, 3] = b, -b
+    m[:, 3] = np.stack([z, a, b, 1.0 - z], axis=1)
+    return LorentzTransform(m if stacked else m[0])
 
 
-def standard_wigner(k: FourVector, L: LorentzTransform) -> WignerAngle:
+def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
     """Little-group angle of L at k for the pairless (E(2)) construction.
 
     The conjugated element is a null translation times a z-rotation.
     Null translations shift e_x by multiples of q, which are
     eta-orthogonal to e_x and e_y, so the rotation angle survives in
     cos phi = -eta(E e_x, e_x), sin phi = -eta(E e_x, e_y).
+
+    k is a FourVector or an (N,4) array of momenta; rows pair up with the
+    transforms as in `pf_wigner`.
     """
-    scale = max(1.0, k.t * k.t)
-    if abs(k.norm2()) > 1e-12 * scale or k.t <= 0.0:
-        raise ValueError("k must be null with positive energy")
-    k2 = apply(L, k)
-    e = METRIC @ _massless_standard(k2).T @ METRIC @ L.m @ _massless_standard(k)
+    ks = k.vec[None] if isinstance(k, FourVector) else np.asarray(k, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = ((np.abs(row_minkowski_dot(ks, ks)) <= 1e-12 * np.maximum(1.0, ks[:, 0] * ks[:, 0]))
+              & (ks[:, 0] > 0.0))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        where = "" if isinstance(k, FourVector) else f" (row {i}: k={format_row(ks[i])})"
+        raise ValueError("k must be null with positive energy" + where)
+    n = _stack_rows(len(ks), len(L))
+    e1 = _massless_standard(ks) if len(ks) == 1 else None
+    parts = []
+    for rows in row_blocks(n):
+        kr = _rows(ks, rows)
+        parts.append(_standard_wigner_rows(kr, _massless_standard(kr) if e1 is None else e1,
+                                           _rows(L, rows), rows.start))
+    return _angles(parts, _single(k, L))
 
-    q = np.array([1.0, 0.0, 0.0, 1.0])
-    stab = float(np.abs(e @ q - q).max())
-    if stab > STABILISER_TOL:
-        raise StabilityError(f"reference null vector moved by {stab:.3e}")
 
-    ex = FourVector(0.0, 1.0, 0.0, 0.0)
-    ey = FourVector(0.0, 0.0, 1.0, 0.0)
-    eex = FourVector.from_array(e @ ex.vec)
-    phi = math.atan2(-minkowski_dot(eex, ey), -minkowski_dot(eex, ex))
+def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform, first: int):
+    e = METRIC @ np.swapaxes(_massless_standard(apply(L, k)), 1, 2) @ METRIC @ L.stack @ e1
+
+    stab = np.abs(e @ _Q_UNIT - _Q_UNIT).max(axis=1)
+    bad = ~(stab <= STABILISER_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise StabilityError(f"reference null vector moved by {stab[i]:.3e} at row "
+                             f"{first + i}: k={format_row(_row(k, i))}, " + _gamma(L, i))
+
+    eex = e @ _E_X
+    phi = _atan2_rows(-row_minkowski_dot(eex, _E_Y), -row_minkowski_dot(eex, _E_X))
 
     # reconstruct T(alpha, beta) Rz(phi) and measure the leftover
-    t = e @ rotation_about(Z_AXIS, -phi).m
-    rebuilt = euclidean_element(float(t[1, 0]), float(t[2, 0])).m @ rotation_about(Z_AXIS, phi).m
-    residual = float(np.abs(e - rebuilt).max())
-    return WignerAngle(phi=phi, residual=residual, stabiliser=stab)
+    t = e @ rotation_about(Z_AXIS, -phi).stack
+    rebuilt = euclidean_element(t[:, 1, 0], t[:, 2, 0]).stack @ rotation_about(Z_AXIS, phi).stack
+    residual = np.abs(e - rebuilt).max(axis=(1, 2))
+    return phi, residual, stab
 
 
-def phase_difference(kin: PhotonKinematics, L: LorentzTransform) -> float:
-    """Wrapped difference between the pair angle and the pairless angle of L."""
-    return wrap_angle(pf_wigner(kin, L).phi - standard_wigner(kin.k, L).phi)
+def phase_difference(kin, L: LorentzTransform):
+    """Wrapped difference between the pair angle and the pairless angle of
+    L; an array of one entry per row for stacked input."""
+    d = pf_wigner(kin, L).phi - standard_wigner(kin.k, L).phi
+    return wrap_angle(d)

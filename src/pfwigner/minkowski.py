@@ -3,6 +3,13 @@
 Signature (+,-,-,-), units c = 1. Transformations are plain 4x4 real
 matrices wrapped in a validating container; boosts are the unique pure
 (rotation-free) ones, rotations act on the spatial block only.
+
+Every transform builder also takes N rows of input and returns an
+(N,4,4) stack, each matrix validated as a single one would be; a single
+input is the N=1 case of the same code. Row-wise products use `row_dot`,
+which is bit-identical to `a @ b` on each row (a row-wise
+`np.linalg.norm` is not), and per-row angles use `math`, not the numpy
+ufuncs, so a stacked row equals its single call bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +25,53 @@ METRIC.setflags(write=False)
 # Construction-time validation.
 CONSTRUCTION_TOL = 1e-12
 
+# rows of a stack handled at a time: bounds the working arrays of a
+# stacked call whatever the length of the stack
+STACK_BLOCK = 512
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most STACK_BLOCK rows covering range(n)."""
+    return [slice(i, min(i + STACK_BLOCK, n)) for i in range(0, n, STACK_BLOCK)]
+
+
+def row_dot(a, b) -> np.ndarray:
+    """Euclidean product of each row of a with the row of b, as `a[i] @ b[i]`."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_minkowski_dot(a, b) -> np.ndarray:
+    """Minkowski product of (...,4) rows, in the order of `minkowski_dot`."""
+    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+
+
+def format_row(v) -> str:
+    return "(" + ", ".join(format(x, ".10g") for x in np.asarray(v).tolist()) + ")"
+
+
+def _check_rows(tests, stacked: bool, culprit=None, first: int = 0) -> None:
+    """Raise ValueError for the first row failing one of `tests`.
+
+    Each test is (ok, message): a boolean row mask and a function of the
+    row giving the message. The message of a stack names the row (counted
+    from `first`) and, through `culprit(row)`, what the row holds.
+    """
+    ok = np.logical_and.reduce([passed for passed, _ in tests])
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    message = next(message(i) for passed, message in tests if not passed[i])
+    if stacked:
+        message = f"row {first + i}: {message}" + ("" if culprit is None else f" ({culprit(i)})")
+    raise ValueError(message)
+
+
+def wrap_angle(angle):
+    """Wrap an angle to (-pi, pi]; an array of angles element by element."""
+    if np.ndim(angle):
+        return np.array([wrap_angle(a) for a in np.asarray(angle).tolist()])
     r = math.remainder(angle, math.tau)
     if r <= -math.pi:
         r = math.pi
@@ -65,36 +116,70 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
 
 
+def _matrix_tests(b: np.ndarray) -> list:
+    # an inf entry, or one whose square overflows, would make the
+    # tolerances inf, so those are caught first; each test is written
+    # `x <= tol` so that NaN fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.abs(b).max(axis=(1, 2))
+        tol = CONSTRUCTION_TOL * np.maximum(1.0, peak ** 2)
+        err = np.abs(np.swapaxes(b, 1, 2) @ METRIC @ b - METRIC).max(axis=(1, 2))
+        det = np.linalg.det(b)
+    return [
+        (np.isfinite(peak), lambda i: "matrix has non-finite entries"),
+        (np.isfinite(tol), lambda i: "matrix entries are too large to validate"),
+        (err <= tol, lambda i: f"matrix does not preserve the metric (err={err[i]:.3e})"),
+        (np.abs(det - 1.0) <= tol, lambda i: "matrix is not proper (det != +1)"),
+        (b[:, 0, 0] >= 1.0 - CONSTRUCTION_TOL,
+         lambda i: "matrix is not orthochronous (m[0][0] < 1)"),
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class LorentzTransform:
-    """Proper orthochronous Lorentz matrix, validated on construction.
+    """Proper orthochronous Lorentz matrix, or an (N,4,4) stack of them,
+    validated on construction.
 
     Metric preservation is checked with a scale-aware tolerance
     (1e-12 for unit-scale entries, relaxed quadratically for large
-    boosts, whose entries grow like gamma).
+    boosts, whose entries grow like gamma). Each matrix of a stack gets
+    the tests and its own scale as a single matrix would, STACK_BLOCK
+    rows at a time, and the error names the first failing row and its
+    gamma, m[0][0].
     """
 
     m: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-        # an inf entry also makes the tolerances below inf, so it is caught
-        # here; each test is written `not (x <= tol)` so that NaN fails it
-        peak = float(np.abs(m).max())
-        if not math.isfinite(peak):
-            raise ValueError("matrix has non-finite entries")
-        scale = max(1.0, peak ** 2)
-        err = np.abs(m.T @ METRIC @ m - METRIC).max()
-        if not (err <= CONSTRUCTION_TOL * scale):
-            raise ValueError(f"matrix does not preserve the metric (err={err:.3e})")
-        if not (abs(np.linalg.det(m) - 1.0) <= CONSTRUCTION_TOL * scale):
-            raise ValueError("matrix is not proper (det != +1)")
-        if not (m[0, 0] >= 1.0 - CONSTRUCTION_TOL):
-            raise ValueError("matrix is not orthochronous (m[0][0] < 1)")
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
+        stack = m.reshape(-1, 4, 4)
+        for rows in row_blocks(len(stack)):
+            block = stack[rows]
+            _check_rows(_matrix_tests(block), m.ndim == 3,
+                        lambda i: f"gamma={block[i, 0, 0]:.10g}", rows.start)
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The matrices as an (N,4,4) array; N = 1 for a single transform."""
+        return self.m.reshape(-1, 4, 4)
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def __getitem__(self, index) -> "LorentzTransform":
+        """Row i of the stack as a single transform, or a slice as a stack;
+        the rows were validated when the stack was built."""
+        out = object.__new__(LorentzTransform)
+        object.__setattr__(out, "m", self.stack[index])
+        return out
+
+
+def _transform(m: np.ndarray, stacked: bool) -> LorentzTransform:
+    return LorentzTransform(m if stacked else m[0])
 
 
 IDENTITY = LorentzTransform(np.eye(4))
@@ -111,11 +196,7 @@ class FrameVelocity:
     u: FourVector
 
     def __post_init__(self):
-        scale = max(1.0, self.u.t * self.u.t)
-        if not (abs(self.u.norm2() - 1.0) <= CONSTRUCTION_TOL * scale):
-            raise ValueError("u is not unit timelike")
-        if not (self.u.t >= 1.0 - CONSTRUCTION_TOL):
-            raise ValueError("u is not future-pointing (u.t < 1)")
+        _check_rows(_frame_tests(self.u.vec[None]), stacked=False)
 
     @classmethod
     def rest(cls) -> "FrameVelocity":
@@ -123,12 +204,7 @@ class FrameVelocity:
 
     @classmethod
     def from_velocity(cls, v) -> "FrameVelocity":
-        v = np.asarray(v, dtype=float)
-        v2 = float(v @ v)
-        if not (v2 < 1.0):
-            raise ValueError("speed must be < 1")
-        g = 1.0 / math.sqrt(1.0 - v2)
-        return cls(FourVector(g, *(g * v)))
+        return cls(FourVector.from_array(four_velocity(np.asarray(v, dtype=float).reshape(3))))
 
     @property
     def theta_vector(self) -> np.ndarray:
@@ -147,72 +223,196 @@ class PhotonKinematics:
     u: FrameVelocity
 
     def __post_init__(self):
-        scale = max(1.0, self.k.t * self.k.t)
-        if not (abs(self.k.norm2()) <= CONSTRUCTION_TOL * scale):
-            raise ValueError("k is not null")
-        if not (self.k.t > 0.0):
-            raise ValueError("k must have positive energy")
-        if not (self.kappa > 0.0):
-            raise ValueError("kappa = eta(u, k) must be positive")
+        _check_rows(_pair_tests(self.k.vec[None], self.u.u.vec[None]), stacked=False)
 
     @property
     def kappa(self) -> float:
         return minkowski_dot(self.u.u, self.k)
 
 
-def boost_to(u: FrameVelocity) -> LorentzTransform:
-    """The unique pure boost taking (1;0,0,0) to u."""
-    g = u.u.t
-    w = u.u.spatial
-    m = np.eye(4)
-    m[0, 0] = g
-    m[0, 1:] = w
-    m[1:, 0] = w
-    m[1:, 1:] += np.outer(w, w) / (1.0 + g)
-    return LorentzTransform(m)
+@dataclass(frozen=True, eq=False)
+class PairStack:
+    """N photon momenta k and frame four-velocities u as (N,4) arrays.
+
+    Each row is validated as `FrameVelocity` and `PhotonKinematics`
+    validate one pair, and the error names the first failing row.
+    """
+
+    k: np.ndarray
+    u: np.ndarray
+
+    def __post_init__(self):
+        k = np.array(self.k, dtype=float)
+        u = np.array(self.u, dtype=float)
+        if k.ndim != 2 or k.shape[1] != 4 or u.shape != k.shape:
+            raise ValueError(f"expected two (N,4) arrays, got shapes {k.shape} and {u.shape}")
+        _check_rows(_frame_tests(u) + _pair_tests(k, u), True,
+                    lambda i: f"k={format_row(k[i])}, u={format_row(u[i])}")
+        k.setflags(write=False)
+        u.setflags(write=False)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "u", u)
+
+    @classmethod
+    def of(cls, pairs) -> "PairStack":
+        """A PairStack itself, or one PhotonKinematics or a sequence of them, as a stack."""
+        if isinstance(pairs, PairStack):
+            return pairs
+        if isinstance(pairs, PhotonKinematics):
+            pairs = (pairs,)
+        return cls(np.array([p.k.vec for p in pairs]).reshape(-1, 4),
+                   np.array([p.u.u.vec for p in pairs]).reshape(-1, 4))
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, rows: slice) -> "PairStack":
+        out = object.__new__(PairStack)
+        object.__setattr__(out, "k", self.k[rows])
+        object.__setattr__(out, "u", self.u[rows])
+        return out
+
+    def pair(self, i: int) -> PhotonKinematics:
+        return PhotonKinematics(FourVector.from_array(self.k[i]),
+                                FrameVelocity(FourVector.from_array(self.u[i])))
+
+    @property
+    def kappa(self) -> np.ndarray:
+        return row_minkowski_dot(self.u, self.k)
+
+
+def _frame_tests(u: np.ndarray) -> list:
+    # the tests of FrameVelocity on each row of an (N,4) array
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, u[:, 0] * u[:, 0])
+        timelike = np.abs(row_minkowski_dot(u, u) - 1.0) <= CONSTRUCTION_TOL * scale
+    return [
+        (timelike, lambda i: "u is not unit timelike"),
+        (u[:, 0] >= 1.0 - CONSTRUCTION_TOL, lambda i: "u is not future-pointing (u.t < 1)"),
+    ]
+
+
+def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
+    # the tests of PhotonKinematics on each row, for frames that pass _frame_tests
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, k[:, 0] * k[:, 0])
+        null = np.abs(row_minkowski_dot(k, k)) <= CONSTRUCTION_TOL * scale
+        kappa = row_minkowski_dot(u, k)
+    return [
+        (null, lambda i: "k is not null"),
+        (k[:, 0] > 0.0, lambda i: "k must have positive energy"),
+        (kappa > 0.0, lambda i: "kappa = eta(u, k) must be positive"),
+    ]
+
+
+def _unit_rows(n, what: str) -> np.ndarray:
+    rows = np.asarray(n, dtype=float).reshape(-1, 3)
+    with np.errstate(invalid="ignore"):
+        off = np.abs(np.sqrt(row_dot(rows, rows)) - 1.0)
+    _check_rows([(off <= CONSTRUCTION_TOL, lambda i: f"{what} must be a unit vector")],
+                np.ndim(n) == 2)
+    return rows
+
+
+def four_velocity(v) -> np.ndarray:
+    """(gamma; gamma v) of a velocity (3,), or of each row of an (N,3) stack."""
+    v = np.asarray(v, dtype=float)
+    v2 = row_dot(v, v)
+    _check_rows([(np.atleast_1d(v2 < 1.0), lambda i: "speed must be < 1")], v.ndim == 2)
+    g = (1.0 / np.sqrt(1.0 - v2))[..., None]
+    return np.concatenate([g, g * v], axis=-1)
+
+
+def boost_to(u) -> LorentzTransform:
+    """The unique pure boost taking (1;0,0,0) to u.
+
+    u is a FrameVelocity, or an (N,4) array of four-velocities, each
+    validated as FrameVelocity validates one, for an (N,4,4) stack.
+    """
+    stacked = not isinstance(u, FrameVelocity)
+    if stacked:
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != 4:
+            raise ValueError(f"expected an (N,4) array of four-velocities, got shape {u.shape}")
+        _check_rows(_frame_tests(u), True, lambda i: f"u={format_row(u[i])}")
+    else:
+        u = u.u.vec[None]
+    g = u[:, 0]
+    w = u[:, 1:]
+    m = np.tile(np.eye(4), (len(u), 1, 1))
+    m[:, 0, 0] = g
+    m[:, 0, 1:] = w
+    m[:, 1:, 0] = w
+    m[:, 1:, 1:] += w[:, :, None] * w[:, None, :] / (1.0 + g)[:, None, None]
+    return _transform(m, stacked)
 
 
 def boost_from_velocity(v) -> LorentzTransform:
-    return boost_to(FrameVelocity.from_velocity(v))
+    """Pure boost to velocity v (3,), or the stack of boosts of an (N,3) array."""
+    v = np.asarray(v, dtype=float)
+    boosts = boost_to(four_velocity(v.reshape(-1, 3)))
+    return boosts if v.ndim == 2 else boosts[0]
 
 
-def rotation_about(axis, delta: float) -> LorentzTransform:
-    """Spatial rotation by delta about a unit axis (Rodrigues form)."""
-    axis = np.asarray(axis, dtype=float)
-    if not (abs(np.linalg.norm(axis) - 1.0) <= CONSTRUCTION_TOL):
-        raise ValueError("axis must be a unit vector")
-    kx = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    r = np.eye(3) + math.sin(delta) * kx + (1.0 - math.cos(delta)) * (kx @ kx)
-    m = np.eye(4)
-    m[1:, 1:] = r
-    return LorentzTransform(m)
+def rotation_about(axis, delta) -> LorentzTransform:
+    """Spatial rotation by delta about a unit axis (Rodrigues form).
+
+    An (N,3) array of axes or an (N,) array of angles, the other one
+    shared or also of N rows, gives the (N,4,4) stack of rotations.
+    """
+    axes = _unit_rows(axis, "axis")
+    delta = np.asarray(delta, dtype=float)
+    stacked = np.ndim(axis) == 2 or delta.ndim == 1
+    n = max(len(axes), delta.size)
+    axes = np.broadcast_to(axes, (n, 3))
+    angles = np.broadcast_to(delta.reshape(-1), (n,)).tolist()
+    kx = np.zeros((n, 3, 3))
+    kx[:, 0, 1] = -axes[:, 2]
+    kx[:, 0, 2] = axes[:, 1]
+    kx[:, 1, 0] = axes[:, 2]
+    kx[:, 1, 2] = -axes[:, 0]
+    kx[:, 2, 0] = -axes[:, 1]
+    kx[:, 2, 1] = axes[:, 0]
+    sin = np.array([math.sin(d) for d in angles])[:, None, None]
+    versin = np.array([1.0 - math.cos(d) for d in angles])[:, None, None]
+    m = np.tile(np.eye(4), (n, 1, 1))
+    m[:, 1:, 1:] = np.eye(3) + sin * kx + versin * (kx @ kx)
+    return _transform(m, stacked)
 
 
 def rotation_z_to(n) -> LorentzTransform:
-    """Minimal rotation taking z-hat to the unit vector n.
+    """Minimal rotation taking z-hat to the unit vector n, or the stack of
+    them for an (N,3) array.
 
     For n != -z the axis is z x n; at n = -z the convention is a
     rotation by pi about x-hat (tie-break, documented).
     """
-    n = np.asarray(n, dtype=float)
-    if not (abs(np.linalg.norm(n) - 1.0) <= CONSTRUCTION_TOL):
-        raise ValueError("n must be a unit vector")
-    c = n[2]
-    s = math.hypot(n[0], n[1])
-    if s < 1e-300:
-        if c > 0.0:
-            return IDENTITY
-        return rotation_about([1.0, 0.0, 0.0], math.pi)
-    axis = np.array([-n[1], n[0], 0.0]) / s
-    return rotation_about(axis, math.atan2(s, c))
+    rows = _unit_rows(n, "n")
+    stacked = np.ndim(n) == 2
+    c = rows[:, 2]
+    s = np.array([math.hypot(x, y) for x, y in rows[:, :2].tolist()])
+    pole = s < 1e-300
+    if not stacked and pole[0] and c[0] > 0.0:
+        return IDENTITY
+    axis = np.zeros_like(rows)
+    axis[:, 0] = -rows[:, 1]
+    axis[:, 1] = rows[:, 0]
+    axis /= np.where(pole, 1.0, s)[:, None]
+    angle = np.array([math.atan2(y, x) for y, x in zip(s.tolist(), c.tolist())])
+    # at +z the identity, at -z the half turn about x
+    axis[pole] = (1.0, 0.0, 0.0)
+    angle[pole] = np.where(c[pole] > 0.0, 0.0, math.pi)
+    if stacked:
+        return rotation_about(axis, angle)
+    return rotation_about(axis[0], angle[0])
 
 
-def apply(L: LorentzTransform, v: FourVector) -> FourVector:
-    return FourVector.from_array(L.m @ v.vec)
+def apply(L: LorentzTransform, v):
+    """L v for a FourVector; for an (N,4) array, each row by its transform
+    of a stack, or all rows by a single transform."""
+    if isinstance(v, FourVector):
+        return FourVector.from_array(apply(L, v.vec[None])[0])
+    return (L.stack @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def compose(L2: LorentzTransform, L1: LorentzTransform) -> LorentzTransform:
@@ -221,4 +421,4 @@ def compose(L2: LorentzTransform, L1: LorentzTransform) -> LorentzTransform:
 
 def inverse(L: LorentzTransform) -> LorentzTransform:
     # eta-orthogonality gives the inverse without numerical inversion
-    return LorentzTransform(METRIC @ L.m.T @ METRIC)
+    return LorentzTransform(METRIC @ np.swapaxes(L.m, -1, -2) @ METRIC)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .induction import pf_wigner
-from .minkowski import PhotonKinematics, rotation_about
+from .minkowski import PhotonKinematics, rotation_about, row_blocks
 
 # uniform draws made and counted at a time, which bounds the memory of a draw
 MC_BLOCK = 1 << 16
@@ -40,8 +40,10 @@ def anomalous_malus_curve(kin: PhotonKinematics, theta: float, Theta0: float,
     """
     ks = kin.k.spatial
     axis = ks / np.linalg.norm(ks)
+    deltas = [float(d) for d in deltas]
     out = []
-    for d in deltas:
-        phi = pf_wigner(kin, rotation_about(axis, float(d))).phi
-        out.append((float(d), math.cos(Theta0 + float(d) - theta - phi) ** 2))
+    for block in row_blocks(len(deltas)):
+        phi = pf_wigner(kin, rotation_about(axis, np.array(deltas[block]))).phi
+        out.extend((d, math.cos(Theta0 + d - theta - p) ** 2)
+                   for d, p in zip(deltas[block], phi.tolist()))
     return out

@@ -184,6 +184,7 @@ def test_missing_config_file_exits_2(tmp_path):
         ("validate", "--tol-scale", "nan"),
         ("malus", "--pol-angle", "nan"),
         ("boost-scan", "--v-step", 1e-12),
+        ("malus", "--samples", 100_000_001),
     ],
 )
 def test_invalid_values_exit_2(args):
@@ -205,6 +206,14 @@ def test_numerical_degeneracy_exits_3():
                   "boost:z:0.999999999999")
     assert res.returncode == 3
     assert "internal numerical error" in res.stderr
+
+
+def test_numerical_error_names_row_pair_and_gamma():
+    res = run_cli("malus", "--pf-speed", 0.999999999)
+    assert res.returncode == 3
+    assert res.stderr.startswith("internal numerical error: pair moved by ")
+    assert " at row 0: k=(1, 0, 0, 1), u=(22360.68009, 22360.68007, 0, " in res.stderr
+    assert res.stderr.endswith(", transform gamma=1\n")
 
 
 # --- validation suite ------------------------------------------------------

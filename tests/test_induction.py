@@ -30,8 +30,8 @@ from pfwigner import (
     transform_pair,
     wrap_angle,
 )
-from pfwigner import cli, induction
-from pfwigner.induction import STANDARD_ELEMENT_MEMO_SIZE, clear_standard_elements
+from pfwigner import PairStack
+from pfwigner.minkowski import STACK_BLOCK
 
 from helpers import (
     photon_direction,
@@ -117,59 +117,20 @@ def test_carrier_maps_standard_pair_to_target():
         np.testing.assert_allclose(S.m @ [1.0, 0.0, 0.0, 0.0], kin.u.u.vec, atol=1e-10)
 
 
-# --- the per-pair memo of standard elements ------------------------------
+# --- stacked standard elements ------------------------------------------
 
 
-def test_memoised_standard_element_is_bit_exact():
-    # reference: the element built straight from its factors, with no memo
+def test_standard_element_stack_is_its_factors_bit_exact():
+    # reference: each element built straight from its factors, one pair at a time
     rng = np.random.default_rng(33)
-    pairs = [random_pair(rng) for _ in range(STANDARD_ELEMENT_MEMO_SIZE + 1)]
-    clear_standard_elements()
-    cold = [pf_standard_element(kin) for kin in pairs]
-    for kin, s in zip(pairs[-20:], cold[-20:]):
-        warm = pf_standard_element(kin)
-        assert warm is s
+    pairs = [random_pair(rng) for _ in range(STACK_BLOCK + 1)]
+    stack = pf_standard_element(PairStack.of(pairs))
+    assert stack.m.shape == (len(pairs), 4, 4)
+    for kin, s in zip(pairs, stack.m):
         direct = (boost_to(kin.u).m @ rotation_z_to(direction_in_pf(kin)).m
                   @ rotation_about(Z, alignment_angle(kin)).m)
-        np.testing.assert_array_equal(warm.m, direct)
-    # the oldest entry was evicted, and its rebuild is bit-identical
-    rebuilt = pf_standard_element(pairs[0])
-    assert rebuilt is not cold[0]
-    np.testing.assert_array_equal(rebuilt.m, cold[0].m)
-
-
-def test_memo_keeps_signed_zeros_apart():
-    # equal as values, but atan2 sends the frame azimuth to +pi or -pi
-    k = FourVector(1.0, 0.0, 0.0, 1.0)
-    g = 1.0 / math.sqrt(1.0 - 0.05)
-    pos = PhotonKinematics(k, FrameVelocity(FourVector(g, -0.2 * g, 0.0, 0.1 * g)))
-    neg = PhotonKinematics(k, FrameVelocity(FourVector(g, -0.2 * g, -0.0, 0.1 * g)))
-    assert pos == neg
-    clear_standard_elements()
-    s_pos = pf_standard_element(pos)
-    s_neg = pf_standard_element(neg)
-    assert s_neg is not s_pos
-    assert pf_standard_element(pos) is s_pos
-    assert pf_standard_element(neg) is s_neg
-
-
-def test_each_command_starts_with_an_empty_memo(monkeypatch, tmp_path):
-    built = []
-    original = induction.alignment_angle
-
-    def counting(kin):
-        built.append(kin)
-        return original(kin)
-
-    monkeypatch.setattr(induction, "alignment_angle", counting)
-    argv = ["boost-scan", "--v-min", "-0.5", "--v-max", "0.5", "--v-step", "0.25",
-            "--output", str(tmp_path / "scan.csv")]
-    counts = []
-    for _ in range(2):
-        built.clear()
-        assert cli.main(argv) == 0
-        counts.append(len(built))
-    assert counts[0] == counts[1] > 0
+        np.testing.assert_array_equal(s, direct)
+        np.testing.assert_array_equal(pf_standard_element(kin).m, direct)
 
 
 def test_transform_pair_moves_both_members():
