@@ -329,15 +329,21 @@ def _random_velocity(rng) -> np.ndarray:
     return _random_direction(rng) * rng.uniform(0.0, 0.99)
 
 
-def _random_transform(rng) -> tuple:
+def _random_transform(rng) -> np.ndarray:
     """Rotation axis and angle, then boost velocity, of a random transform."""
     axis = _random_direction(rng)
-    return axis, rng.uniform(-math.pi, math.pi), _random_velocity(rng)
+    return np.concatenate((axis, [rng.uniform(-math.pi, math.pi)], _random_velocity(rng)))
 
 
-def _random_transforms(draws: list) -> LorentzTransform:
-    axes, angles, velocities = (np.array(col) for col in zip(*draws))
-    return compose(boost_from_velocity(velocities), rotation_about(axes, angles))
+def _random_transforms(t: np.ndarray) -> LorentzTransform:
+    """The stack of transforms drawn as the rows of t by `_random_transform`."""
+    return compose(boost_from_velocity(t[:, 4:]), rotation_about(t[:, :3], t[:, 3]))
+
+
+def _draw_rows(n: int, draw) -> np.ndarray:
+    # one row of numbers per call of draw(), in order, so that each check
+    # takes the same values from its generator as a loop over rows would
+    return np.array([np.concatenate(draw()) for _ in range(n)])
 
 
 def check_boost_oracle_equivalence(state: dict) -> tuple[float, float]:
@@ -381,11 +387,10 @@ def _composition_defect(w1, w2, w12) -> float:
 
 def check_composition_law_pair(state: dict) -> tuple[float, float]:
     rng = np.random.default_rng(2024)
-    draws = [(_random_null(rng), _random_velocity(rng), _random_transform(rng),
-              _random_transform(rng)) for _ in range(1000)]
-    k, v, t1, t2 = zip(*draws)
-    kin = PairStack(np.array(k), four_velocity(np.array(v)))
-    l1, l2 = _random_transforms(t1), _random_transforms(t2)
+    rows = _draw_rows(1000, lambda: (_random_null(rng), _random_velocity(rng),
+                                     _random_transform(rng), _random_transform(rng)))
+    kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
+    l1, l2 = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
     w1 = pf_wigner(kin, l1)
     w2 = pf_wigner(transform_pair(kin, l1), l2)
     w12 = pf_wigner(kin, compose(l2, l1))
@@ -396,11 +401,10 @@ def check_composition_law_pair(state: dict) -> tuple[float, float]:
 
 def check_composition_law_standard(state: dict) -> tuple[float, float]:
     rng = np.random.default_rng(2025)
-    draws = [(_random_null(rng), _random_transform(rng), _random_transform(rng))
-             for _ in range(1000)]
-    k, t1, t2 = zip(*draws)
-    k = np.array(k)
-    l1, l2 = _random_transforms(t1), _random_transforms(t2)
+    rows = _draw_rows(1000, lambda: (_random_null(rng), _random_transform(rng),
+                                     _random_transform(rng)))
+    k = rows[:, :4]
+    l1, l2 = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
     w1 = standard_wigner(k, l1)
     w2 = standard_wigner(apply(l1, k), l2)
     w12 = standard_wigner(k, compose(l2, l1))
@@ -414,9 +418,9 @@ def check_stabiliser_residuals(state: dict) -> tuple[float, float]:
 
 def check_standard_anchors(state: dict) -> tuple[float, float]:
     rng = np.random.default_rng(2026)
-    draws = [(_random_null(rng), rng.uniform(-0.99, 0.99), rng.uniform(-math.pi, math.pi))
-             for _ in range(100)]
-    k, v, d = (np.array(col) for col in zip(*draws))
+    rows = _draw_rows(100, lambda: (_random_null(rng), [rng.uniform(-0.99, 0.99)],
+                                    [rng.uniform(-math.pi, math.pi)]))
+    k, v, d = rows[:, :4], rows[:, 4], rows[:, 5]
     kh = k[:, 1:] / np.sqrt(row_dot(k[:, 1:], k[:, 1:]))[:, None]
     boosted = standard_wigner(k, boost_from_velocity(kh * v[:, None])).phi
     rotated = standard_wigner(k, rotation_about(kh, d)).phi
@@ -427,9 +431,9 @@ def check_reduction_zero_theta(state: dict) -> tuple[float, float]:
     # transform classes under which both constructions' conventions agree:
     # rotations about any axis, boosts along the photon, and their products
     rng = np.random.default_rng(2027)
-    draws = [(_random_null(rng), _random_direction(rng), rng.uniform(-math.pi, math.pi),
-              rng.uniform(-0.99, 0.99)) for _ in range(500)]
-    k, axes, angles, v = (np.array(col) for col in zip(*draws))
+    rows = _draw_rows(500, lambda: (_random_null(rng), _random_direction(rng),
+                                    [rng.uniform(-math.pi, math.pi)], [rng.uniform(-0.99, 0.99)]))
+    k, axes, angles, v = rows[:, :4], rows[:, 4:7], rows[:, 7], rows[:, 8]
     kh = k[:, 1:] / np.sqrt(row_dot(k[:, 1:], k[:, 1:]))[:, None]
     rot = rotation_about(axes, angles)
     kboost = boost_from_velocity(kh * v[:, None])

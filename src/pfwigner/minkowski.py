@@ -27,7 +27,7 @@ CONSTRUCTION_TOL = 1e-12
 
 # rows of a stack handled at a time: bounds the working arrays of a
 # stacked call whatever the length of the stack
-STACK_BLOCK = 512
+STACK_BLOCK = 256
 
 
 def row_blocks(n: int) -> list[slice]:
