@@ -40,6 +40,7 @@ from .minkowski import (
     row_blocks,
     row_dot,
     row_minkowski_dot,
+    unit_rows,
     wrap_angle,
 )
 
@@ -95,13 +96,9 @@ class WignerAngle:
     stabiliser: float | np.ndarray = 0.0
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt(row_dot(x, x))[:, None]
-
-
 def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
     kp = (METRIC @ np.swapaxes(boost, 1, 2) @ METRIC @ k[:, :, None])[:, :, 0]
-    return _unit(kp[:, 1:])
+    return unit_rows(kp[:, 1:])
 
 
 def _single(kin, L: LorentzTransform) -> bool:
@@ -159,7 +156,7 @@ def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     th_vec = pairs.u[:, 1:] / pairs.u[:, :1]
     th = np.sqrt(row_dot(th_vec, th_vec))
-    kh = _unit(pairs.k[:, 1:])
+    kh = unit_rows(pairs.k[:, 1:])
     cross = np.cross(kh, th_vec)
     chi = _atan2_rows(np.sqrt(row_dot(cross, cross)), row_dot(kh, th_vec))
     tv = (np.swapaxes(rotation_z_to(kh).stack[:, 1:, 1:], 1, 2) @ th_vec[:, :, None])[:, :, 0]
@@ -298,7 +295,7 @@ def _massless_standard(k: np.ndarray) -> np.ndarray:
     bz = np.tile(np.eye(4), (len(k), 1, 1))
     bz[:, 0, 0] = bz[:, 3, 3] = c
     bz[:, 0, 3] = bz[:, 3, 0] = s
-    return rotation_z_to(_unit(k[:, 1:])).stack @ bz
+    return rotation_z_to(unit_rows(k[:, 1:])).stack @ bz
 
 
 def euclidean_element(alpha, beta) -> LorentzTransform:
@@ -369,4 +366,4 @@ def phase_difference(kin, L: LorentzTransform):
     """Wrapped difference between the pair angle and the pairless angle of
     L; an array of one entry per row for stacked input."""
     d = pf_wigner(kin, L).phi - standard_wigner(kin.k, L).phi
-    return wrap_angle(d)
+    return wrap_angle(d) if np.ndim(d) == 0 else np.array([wrap_angle(x) for x in d.tolist()])

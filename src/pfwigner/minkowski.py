@@ -41,6 +41,11 @@ def row_dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def unit_rows(x) -> np.ndarray:
+    """Each row of x divided by its norm, as `x[i] / np.linalg.norm(x[i])`."""
+    return x / np.sqrt(row_dot(x, x))[..., None]
+
+
 def row_minkowski_dot(a, b) -> np.ndarray:
     """Minkowski product of (...,4) rows, in the order of `minkowski_dot`."""
     return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
@@ -68,10 +73,8 @@ def _check_rows(tests, stacked: bool, culprit=None, first: int = 0) -> None:
     raise ValueError(message)
 
 
-def wrap_angle(angle):
-    """Wrap an angle to (-pi, pi]; an array of angles element by element."""
-    if np.ndim(angle):
-        return np.array([wrap_angle(a) for a in np.asarray(angle).tolist()])
+def wrap_angle(angle: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
     r = math.remainder(angle, math.tau)
     if r <= -math.pi:
         r = math.pi
@@ -305,7 +308,7 @@ def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
     ]
 
 
-def _unit_rows(n, what: str) -> np.ndarray:
+def _checked_unit_rows(n, what: str) -> np.ndarray:
     rows = np.asarray(n, dtype=float).reshape(-1, 3)
     with np.errstate(invalid="ignore"):
         off = np.abs(np.sqrt(row_dot(rows, rows)) - 1.0)
@@ -360,7 +363,7 @@ def rotation_about(axis, delta) -> LorentzTransform:
     An (N,3) array of axes or an (N,) array of angles, the other one
     shared or also of N rows, gives the (N,4,4) stack of rotations.
     """
-    axes = _unit_rows(axis, "axis")
+    axes = _checked_unit_rows(axis, "axis")
     delta = np.asarray(delta, dtype=float)
     stacked = np.ndim(axis) == 2 or delta.ndim == 1
     n = max(len(axes), delta.size)
@@ -387,7 +390,7 @@ def rotation_z_to(n) -> LorentzTransform:
     For n != -z the axis is z x n; at n = -z the convention is a
     rotation by pi about x-hat (tie-break, documented).
     """
-    rows = _unit_rows(n, "n")
+    rows = _checked_unit_rows(n, "n")
     stacked = np.ndim(n) == 2
     c = rows[:, 2]
     s = np.array([math.hypot(x, y) for x, y in rows[:, :2].tolist()])
