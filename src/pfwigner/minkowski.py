@@ -63,10 +63,9 @@ def _check_rows(tests, stacked: bool, culprit=None, first: int = 0) -> None:
     row giving the message. The message of a stack names the row (counted
     from `first`) and, through `culprit(row)`, what the row holds.
     """
-    ok = np.logical_and.reduce([passed for passed, _ in tests])
-    if ok.all():
+    if all(passed.all() for passed, _ in tests):
         return
-    i = int(np.argmin(ok))
+    i = int(np.argmin(np.logical_and.reduce([passed for passed, _ in tests])))
     message = next(message(i) for passed, message in tests if not passed[i])
     if stacked:
         message = f"row {first + i}: {message}" + ("" if culprit is None else f" ({culprit(i)})")
@@ -125,8 +124,8 @@ def _matrix_tests(b: np.ndarray) -> list:
     # `x <= tol` so that NaN fails it
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.abs(b).max(axis=(1, 2))
-        tol = CONSTRUCTION_TOL * np.maximum(1.0, peak ** 2)
-        err = np.abs(np.swapaxes(b, 1, 2) @ METRIC @ b - METRIC).max(axis=(1, 2))
+        tol = CONSTRUCTION_TOL * np.maximum(1.0, peak * peak)
+        err = np.abs(b.transpose(0, 2, 1) @ METRIC @ b - METRIC).max(axis=(1, 2))
         det = np.linalg.det(b)
     return [
         (np.isfinite(peak), lambda i: "matrix has non-finite entries"),
@@ -199,7 +198,11 @@ class FrameVelocity:
     u: FourVector
 
     def __post_init__(self):
-        _check_rows(_frame_tests(self.u.vec[None]), stacked=False)
+        scale = max(1.0, self.u.t * self.u.t)
+        if not (abs(self.u.norm2() - 1.0) <= CONSTRUCTION_TOL * scale):
+            raise ValueError("u is not unit timelike")
+        if not (self.u.t >= 1.0 - CONSTRUCTION_TOL):
+            raise ValueError("u is not future-pointing (u.t < 1)")
 
     @classmethod
     def rest(cls) -> "FrameVelocity":
@@ -226,7 +229,13 @@ class PhotonKinematics:
     u: FrameVelocity
 
     def __post_init__(self):
-        _check_rows(_pair_tests(self.k.vec[None], self.u.u.vec[None]), stacked=False)
+        scale = max(1.0, self.k.t * self.k.t)
+        if not (abs(self.k.norm2()) <= CONSTRUCTION_TOL * scale):
+            raise ValueError("k is not null")
+        if not (self.k.t > 0.0):
+            raise ValueError("k must have positive energy")
+        if not (self.kappa > 0.0):
+            raise ValueError("kappa = eta(u, k) must be positive")
 
     @property
     def kappa(self) -> float:
@@ -285,7 +294,7 @@ class PairStack:
 
 
 def _frame_tests(u: np.ndarray) -> list:
-    # the tests of FrameVelocity on each row of an (N,4) array
+    # the tests of FrameVelocity.__post_init__ on each row of an (N,4) array
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, u[:, 0] * u[:, 0])
         timelike = np.abs(row_minkowski_dot(u, u) - 1.0) <= CONSTRUCTION_TOL * scale
@@ -296,7 +305,7 @@ def _frame_tests(u: np.ndarray) -> list:
 
 
 def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
-    # the tests of PhotonKinematics on each row, for frames that pass _frame_tests
+    # the tests of PhotonKinematics.__post_init__ on each row
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, k[:, 0] * k[:, 0])
         null = np.abs(row_minkowski_dot(k, k)) <= CONSTRUCTION_TOL * scale
@@ -310,8 +319,7 @@ def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
 
 def _checked_unit_rows(n, what: str) -> np.ndarray:
     rows = np.asarray(n, dtype=float).reshape(-1, 3)
-    with np.errstate(invalid="ignore"):
-        off = np.abs(np.sqrt(row_dot(rows, rows)) - 1.0)
+    off = np.abs(np.sqrt(row_dot(rows, rows)) - 1.0)
     _check_rows([(off <= CONSTRUCTION_TOL, lambda i: f"{what} must be a unit vector")],
                 np.ndim(n) == 2)
     return rows
@@ -342,11 +350,11 @@ def boost_to(u) -> LorentzTransform:
         u = u.u.vec[None]
     g = u[:, 0]
     w = u[:, 1:]
-    m = np.tile(np.eye(4), (len(u), 1, 1))
+    m = np.empty((len(u), 4, 4))
     m[:, 0, 0] = g
     m[:, 0, 1:] = w
     m[:, 1:, 0] = w
-    m[:, 1:, 1:] += w[:, :, None] * w[:, None, :] / (1.0 + g)[:, None, None]
+    m[:, 1:, 1:] = np.eye(3) + w[:, :, None] * w[:, None, :] / (1.0 + g)[:, None, None]
     return _transform(m, stacked)
 
 
@@ -367,8 +375,11 @@ def rotation_about(axis, delta) -> LorentzTransform:
     delta = np.asarray(delta, dtype=float)
     stacked = np.ndim(axis) == 2 or delta.ndim == 1
     n = max(len(axes), delta.size)
-    axes = np.broadcast_to(axes, (n, 3))
-    angles = np.broadcast_to(delta.reshape(-1), (n,)).tolist()
+    if len(axes) != n:
+        axes = np.broadcast_to(axes, (n, 3))
+    angles = delta.reshape(-1).tolist()
+    if len(angles) != n:
+        angles = np.broadcast_to(angles, (n,)).tolist()
     kx = np.zeros((n, 3, 3))
     kx[:, 0, 1] = -axes[:, 2]
     kx[:, 0, 2] = axes[:, 1]
@@ -378,7 +389,8 @@ def rotation_about(axis, delta) -> LorentzTransform:
     kx[:, 2, 1] = axes[:, 0]
     sin = np.array([math.sin(d) for d in angles])[:, None, None]
     versin = np.array([1.0 - math.cos(d) for d in angles])[:, None, None]
-    m = np.tile(np.eye(4), (n, 1, 1))
+    m = np.zeros((n, 4, 4))
+    m[:, 0, 0] = 1.0
     m[:, 1:, 1:] = np.eye(3) + sin * kx + versin * (kx @ kx)
     return _transform(m, stacked)
 
@@ -402,9 +414,10 @@ def rotation_z_to(n) -> LorentzTransform:
     axis[:, 1] = rows[:, 0]
     axis /= np.where(pole, 1.0, s)[:, None]
     angle = np.array([math.atan2(y, x) for y, x in zip(s.tolist(), c.tolist())])
-    # at +z the identity, at -z the half turn about x
-    axis[pole] = (1.0, 0.0, 0.0)
-    angle[pole] = np.where(c[pole] > 0.0, 0.0, math.pi)
+    if pole.any():
+        # at +z the identity, at -z the half turn about x
+        axis[pole] = (1.0, 0.0, 0.0)
+        angle[pole] = np.where(c[pole] > 0.0, 0.0, math.pi)
     if stacked:
         return rotation_about(axis, angle)
     return rotation_about(axis[0], angle[0])
