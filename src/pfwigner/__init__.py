@@ -32,6 +32,7 @@ from .minkowski import (
     LorentzTransform,
     PairStack,
     PhotonKinematics,
+    RowError,
     apply,
     boost_from_velocity,
     boost_to,
@@ -41,6 +42,7 @@ from .minkowski import (
     minkowski_dot,
     rotation_about,
     rotation_z_to,
+    rows_from,
     wrap_angle,
 )
 from .polarisation import (

@@ -43,6 +43,7 @@ from .minkowski import (
     four_velocity,
     rotation_about,
     row_blocks,
+    rows_from,
     unit_rows,
     wrap_angle,
 )
@@ -69,8 +70,9 @@ DEFAULTS = {
 
 # cap on the rows one sweep may emit, checked before any row is built
 MAX_ROWS = 1_000_000
-# cap on the Monte Carlo draws of one malus row, checked before any draw
-MAX_SAMPLES = 100_000_000
+# cap on the Monte Carlo draws of one malus sweep, rows times samples,
+# checked before any row is built
+MAX_DRAWS = 1_000_000_000
 
 _INT_KEYS = {"chi_steps", "samples", "seed"}
 _STR_KEYS = {"format", "output"}
@@ -114,8 +116,8 @@ class RunConfig:
             raise ConfigError("v range must satisfy -1 < v_min <= v_max < 1")
         if self.chi_steps < 1:
             raise ConfigError("chi-steps must be >= 1")
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}]")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.format not in ("csv", "json"):
@@ -245,9 +247,13 @@ def _along_z(speeds) -> np.ndarray:
 def cmd_boost_scan(cfg: RunConfig) -> int:
     kin = bench_pair(cfg.pf_speed, cfg.chi)
     grid = _grid(cfg.v_min, cfg.v_max, cfg.v_step)
+    if grid[-1] >= 1.0:
+        raise ConfigError(f"the v grid ends at V = {grid[-1]:.17g}, not below 1; "
+                          "use a v-step that divides v-max - v-min")
     rows = []
     for block in row_blocks(len(grid)):
-        phi = pf_wigner(kin, boost_from_velocity(_along_z(grid[block]))).phi
+        with rows_from(block.start):
+            phi = pf_wigner(kin, boost_from_velocity(_along_z(grid[block]))).phi
         for v, phi_mx in zip(grid[block], phi.tolist()):
             phi_cf = boost_phase(BoostScenario(v, cfg.pf_speed, cfg.chi))
             rows.append([v, phi_cf, phi_mx, abs(phi_cf - phi_mx)])
@@ -295,6 +301,9 @@ def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
 def cmd_malus(cfg: RunConfig) -> int:
     kin = bench_pair(cfg.pf_speed, cfg.chi)
     deltas = _grid(cfg.delta_min, cfg.delta_max, cfg.delta_step)
+    if len(deltas) * cfg.samples > MAX_DRAWS:
+        raise ConfigError(f"malus exceeds {MAX_DRAWS} draws (rows times samples); "
+                          "use fewer samples or a larger delta-step")
     curve = anomalous_malus_curve(kin, cfg.state_angle, cfg.pol_angle, deltas)
     p_classical = malus_probability(cfg.state_angle, cfg.pol_angle)
     rows = []

@@ -32,27 +32,29 @@ from .minkowski import (
     LorentzTransform,
     PairStack,
     PhotonKinematics,
+    RowError,
+    _check_rows,
+    _photon_tests,
     apply,
     boost_to,
     format_row,
+    minkowski_dot,
     rotation_about,
     rotation_z_to,
     row_blocks,
     row_dot,
-    row_minkowski_dot,
+    rows_from,
     unit_rows,
     wrap_angle,
 )
 
 STABILISER_TOL = 1e-9
 Z_AXIS = np.array([0.0, 0.0, 1.0])
-_U_REST = np.array([1.0, 0.0, 0.0, 0.0])
-_Q_UNIT = np.array([1.0, 0.0, 0.0, 1.0])
 _E_X = np.array([0.0, 1.0, 0.0, 0.0])
 _E_Y = np.array([0.0, 0.0, 1.0, 0.0])
 
 
-class StabilityError(RuntimeError):
+class StabilityError(RowError, RuntimeError):
     """The little-group element moved a vector it must fix.
 
     Signals a construction bug (or a numerically hostile transform),
@@ -78,6 +80,12 @@ class StandardPair:
     @property
     def u_pf(self) -> FourVector:
         return FourVector(1.0, 0.0, 0.0, 0.0)
+
+
+# the vectors the little-group elements must fix: q at kappa = 1, which
+# scales with the kappa of each pair, and the rest four-velocity
+_Q_UNIT = StandardPair().q.vec
+_U_REST = StandardPair().u_pf.vec
 
 
 @dataclass(frozen=True)
@@ -239,8 +247,11 @@ def transform_pair(kin, L: LorentzTransform):
     """The pair (Lk, Lu), validated: a PhotonKinematics for one pair under
     one transform, else a PairStack with a row per pair or per transform."""
     pairs = PairStack.of(kin)
-    moved = PairStack(apply(L, pairs.k), apply(L, pairs.u))
-    return moved.pair(0) if _single(kin, L) else moved
+    k, u = apply(L, pairs.k), apply(L, pairs.u)
+    if _single(kin, L):
+        return PhotonKinematics(FourVector.from_array(k[0]),
+                                FrameVelocity(FourVector.from_array(u[0])))
+    return PairStack(k, u)
 
 
 def pf_wigner(kin, L: LorentzTransform) -> WignerAngle:
@@ -261,25 +272,25 @@ def pf_wigner(kin, L: LorentzTransform) -> WignerAngle:
     parts = []
     for rows in row_blocks(n):
         p = _rows(pairs, rows)
-        parts.append(_pf_wigner_rows(p, pf_standard_element(p).stack if s1 is None else s1,
-                                     _rows(L, rows), rows.start))
+        with rows_from(rows.start):
+            parts.append(_pf_wigner_rows(p, pf_standard_element(p).stack if s1 is None else s1,
+                                         _rows(L, rows)))
     return _angles(parts, _single(kin, L))
 
 
-def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform, first: int):
+def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform):
     s2 = pf_standard_element(transform_pair(pairs, L)).stack
     w = METRIC @ np.swapaxes(s2, 1, 2) @ METRIC @ L.stack @ s1
 
-    q = np.zeros((len(pairs), 4))
-    q[:, 0] = q[:, 3] = pairs.kappa
+    q = pairs.kappa[:, None] * _Q_UNIT
     stab = np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
                       np.abs(w @ _U_REST - _U_REST).max(axis=1))
     bad = ~(stab <= STABILISER_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         k, u = _row(pairs.k, i), _row(pairs.u, i)
-        raise StabilityError(f"pair moved by {stab[i]:.3e} at row {first + i}: "
-                             f"k={format_row(k)}, u={format_row(u)}, " + _gamma(L, i))
+        raise StabilityError(i, f"pair moved by {stab[i]:.3e} "
+                                f"(k={format_row(k)}, u={format_row(u)}, {_gamma(L, i)})")
 
     phi = _atan2_rows(w[:, 2, 1], w[:, 1, 1])
     residual = np.abs(w - rotation_about(Z_AXIS, phi).stack).max(axis=(1, 2))
@@ -324,36 +335,32 @@ def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
     k is a FourVector or an (N,4) array of momenta; rows pair up with the
     transforms as in `pf_wigner`.
     """
-    ks = k.vec[None] if isinstance(k, FourVector) else np.asarray(k, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = ((np.abs(row_minkowski_dot(ks, ks)) <= 1e-12 * np.maximum(1.0, ks[:, 0] * ks[:, 0]))
-              & (ks[:, 0] > 0.0))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        where = "" if isinstance(k, FourVector) else f" (row {i}: k={format_row(ks[i])})"
-        raise ValueError("k must be null with positive energy" + where)
+    single = isinstance(k, FourVector)
+    ks = k.vec[None] if single else np.asarray(k, dtype=float)
+    _check_rows(_photon_tests(ks), not single, lambda i: f"k={format_row(ks[i])}")
     n = _stack_rows(len(ks), len(L))
     e1 = _massless_standard(ks) if len(ks) == 1 else None
     parts = []
     for rows in row_blocks(n):
         kr = _rows(ks, rows)
-        parts.append(_standard_wigner_rows(kr, _massless_standard(kr) if e1 is None else e1,
-                                           _rows(L, rows), rows.start))
+        with rows_from(rows.start):
+            parts.append(_standard_wigner_rows(kr, _massless_standard(kr) if e1 is None else e1,
+                                               _rows(L, rows)))
     return _angles(parts, _single(k, L))
 
 
-def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform, first: int):
+def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform):
     e = METRIC @ np.swapaxes(_massless_standard(apply(L, k)), 1, 2) @ METRIC @ L.stack @ e1
 
     stab = np.abs(e @ _Q_UNIT - _Q_UNIT).max(axis=1)
     bad = ~(stab <= STABILISER_TOL)
     if bad.any():
         i = int(np.argmax(bad))
-        raise StabilityError(f"reference null vector moved by {stab[i]:.3e} at row "
-                             f"{first + i}: k={format_row(_row(k, i))}, " + _gamma(L, i))
+        raise StabilityError(i, f"reference null vector moved by {stab[i]:.3e} "
+                                f"(k={format_row(_row(k, i))}, {_gamma(L, i)})")
 
     eex = e @ _E_X
-    phi = _atan2_rows(-row_minkowski_dot(eex, _E_Y), -row_minkowski_dot(eex, _E_X))
+    phi = _atan2_rows(-minkowski_dot(eex, _E_Y), -minkowski_dot(eex, _E_X))
 
     # reconstruct T(alpha, beta) Rz(phi) and measure the leftover
     t = e @ rotation_about(Z_AXIS, -phi).stack

@@ -46,29 +46,60 @@ def unit_rows(x) -> np.ndarray:
     return x / np.sqrt(row_dot(x, x))[..., None]
 
 
-def row_minkowski_dot(a, b) -> np.ndarray:
-    """Minkowski product of (...,4) rows, in the order of `minkowski_dot`."""
-    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
-
-
 def format_row(v) -> str:
     return "(" + ", ".join(format(x, ".10g") for x in np.asarray(v).tolist()) + ")"
 
 
-def _check_rows(tests, stacked: bool, culprit=None, first: int = 0) -> None:
+class RowError(Exception):
+    """Base of the errors raised for one row of a stack.
+
+    `row` counts from the first row of the stack and `reason` says what
+    is wrong with it; the message reads "row {row}: {reason}".
+    """
+
+    def __init__(self, row: int, reason: str):
+        super().__init__()
+        self.reason = reason
+        self.at_row(row)
+
+    def at_row(self, row: int) -> None:
+        self.row = row
+        self.args = (f"row {row}: {self.reason}",)
+
+
+class RowValueError(RowError, ValueError):
+    """A row of a stack failed validation."""
+
+
+class rows_from:
+    """Context for a stack that is rows `first`, `first` + 1, ... of a
+    longer one: a RowError raised inside names the row of the longer one."""
+
+    def __init__(self, first: int):
+        self.first = first
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if self.first and isinstance(exc, RowError):
+            exc.at_row(exc.row + self.first)
+        return False
+
+
+def _check_rows(tests, stacked: bool, culprit=None) -> None:
     """Raise ValueError for the first row failing one of `tests`.
 
     Each test is (ok, message): a boolean row mask and a function of the
-    row giving the message. The message of a stack names the row (counted
-    from `first`) and, through `culprit(row)`, what the row holds.
+    row giving the message. For a stack it is a RowValueError, whose
+    message also says, through `culprit(row)`, what the row holds.
     """
     if all(passed.all() for passed, _ in tests):
         return
     i = int(np.argmin(np.logical_and.reduce([passed for passed, _ in tests])))
     message = next(message(i) for passed, message in tests if not passed[i])
     if stacked:
-        message = f"row {first + i}: {message}" + ("" if culprit is None else f" ({culprit(i)})")
+        raise RowValueError(i, message + ("" if culprit is None else f" ({culprit(i)})"))
     raise ValueError(message)
 
 
@@ -106,16 +137,30 @@ class FourVector:
         return minkowski_dot(self, self)
 
     def is_null(self, tol: float = CONSTRUCTION_TOL) -> bool:
-        scale = max(1.0, self.t * self.t)
-        return abs(self.norm2()) <= tol * scale
+        return bool(_on_shell(self.norm2(), self.t, tol))
 
     def is_unit_timelike(self, tol: float = CONSTRUCTION_TOL) -> bool:
-        scale = max(1.0, self.t * self.t)
-        return abs(self.norm2() - 1.0) <= tol * scale
+        return bool(_on_shell(self.norm2() - 1.0, self.t, tol))
 
 
-def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
+def _components(a):
+    if isinstance(a, FourVector):
+        return a.t, a.x, a.y, a.z
+    return a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+
+
+def minkowski_dot(a, b):
+    """eta(a, b) of two FourVectors, or of each row of two (...,4) arrays."""
+    (at, ax, ay, az), (bt, bx, by, bz) = _components(a), _components(b)
+    return at * bt - ax * bx - ay * by - az * bz
+
+
+def _on_shell(off, t, tol: float = CONSTRUCTION_TOL):
+    # |off| <= tol * max(1, t^2): the departure `off` of a Minkowski square
+    # from its shell, against a tolerance that grows with the energy t;
+    # written so that NaN fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(off) <= tol * np.maximum(1.0, t * t)
 
 
 def _matrix_tests(b: np.ndarray) -> list:
@@ -159,8 +204,9 @@ class LorentzTransform:
         stack = m.reshape(-1, 4, 4)
         for rows in row_blocks(len(stack)):
             block = stack[rows]
-            _check_rows(_matrix_tests(block), m.ndim == 3,
-                        lambda i: f"gamma={block[i, 0, 0]:.10g}", rows.start)
+            with rows_from(rows.start):
+                _check_rows(_matrix_tests(block), m.ndim == 3,
+                            lambda i: f"gamma={block[i, 0, 0]:.10g}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
@@ -175,9 +221,15 @@ class LorentzTransform:
     def __getitem__(self, index) -> "LorentzTransform":
         """Row i of the stack as a single transform, or a slice as a stack;
         the rows were validated when the stack was built."""
-        out = object.__new__(LorentzTransform)
-        object.__setattr__(out, "m", self.stack[index])
-        return out
+        return _trusted(LorentzTransform, m=self.stack[index])
+
+
+def _trusted(cls, **values):
+    # an instance of cls holding values that were validated already
+    out = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _transform(m: np.ndarray, stacked: bool) -> LorentzTransform:
@@ -198,11 +250,7 @@ class FrameVelocity:
     u: FourVector
 
     def __post_init__(self):
-        scale = max(1.0, self.u.t * self.u.t)
-        if not (abs(self.u.norm2() - 1.0) <= CONSTRUCTION_TOL * scale):
-            raise ValueError("u is not unit timelike")
-        if not (self.u.t >= 1.0 - CONSTRUCTION_TOL):
-            raise ValueError("u is not future-pointing (u.t < 1)")
+        _check_rows(_frame_tests(self.u.vec[None]), False)
 
     @classmethod
     def rest(cls) -> "FrameVelocity":
@@ -229,13 +277,7 @@ class PhotonKinematics:
     u: FrameVelocity
 
     def __post_init__(self):
-        scale = max(1.0, self.k.t * self.k.t)
-        if not (abs(self.k.norm2()) <= CONSTRUCTION_TOL * scale):
-            raise ValueError("k is not null")
-        if not (self.k.t > 0.0):
-            raise ValueError("k must have positive energy")
-        if not (self.kappa > 0.0):
-            raise ValueError("kappa = eta(u, k) must be positive")
+        _check_rows(_pair_tests(self.k.vec[None], self.u.u.vec[None]), False)
 
     @property
     def kappa(self) -> float:
@@ -267,54 +309,57 @@ class PairStack:
 
     @classmethod
     def of(cls, pairs) -> "PairStack":
-        """A PairStack itself, or one PhotonKinematics or a sequence of them, as a stack."""
+        """A PairStack itself, or one PhotonKinematics or a sequence of them,
+        as a stack; the pairs were validated when they were built."""
         if isinstance(pairs, PairStack):
             return pairs
         if isinstance(pairs, PhotonKinematics):
             pairs = (pairs,)
-        return cls(np.array([p.k.vec for p in pairs]).reshape(-1, 4),
-                   np.array([p.u.u.vec for p in pairs]).reshape(-1, 4))
+        k = np.array([p.k.vec for p in pairs]).reshape(-1, 4)
+        u = np.array([p.u.u.vec for p in pairs]).reshape(-1, 4)
+        k.setflags(write=False)
+        u.setflags(write=False)
+        return _trusted(cls, k=k, u=u)
 
     def __len__(self) -> int:
         return len(self.k)
 
     def __getitem__(self, rows: slice) -> "PairStack":
-        out = object.__new__(PairStack)
-        object.__setattr__(out, "k", self.k[rows])
-        object.__setattr__(out, "u", self.u[rows])
-        return out
-
-    def pair(self, i: int) -> PhotonKinematics:
-        return PhotonKinematics(FourVector.from_array(self.k[i]),
-                                FrameVelocity(FourVector.from_array(self.u[i])))
+        return _trusted(PairStack, k=self.k[rows], u=self.u[rows])
 
     @property
     def kappa(self) -> np.ndarray:
-        return row_minkowski_dot(self.u, self.k)
+        return minkowski_dot(self.u, self.k)
 
+
+# The validation rules of a frame velocity, a photon momentum and a pair,
+# as (ok, message) tests on each row of (N,4) arrays: FrameVelocity,
+# PhotonKinematics and standard_wigner validate one row, PairStack and
+# boost_to N rows.
 
 def _frame_tests(u: np.ndarray) -> list:
-    # the tests of FrameVelocity.__post_init__ on each row of an (N,4) array
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(1.0, u[:, 0] * u[:, 0])
-        timelike = np.abs(row_minkowski_dot(u, u) - 1.0) <= CONSTRUCTION_TOL * scale
+        timelike = _on_shell(minkowski_dot(u, u) - 1.0, u[:, 0])
     return [
         (timelike, lambda i: "u is not unit timelike"),
         (u[:, 0] >= 1.0 - CONSTRUCTION_TOL, lambda i: "u is not future-pointing (u.t < 1)"),
     ]
 
 
-def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
-    # the tests of PhotonKinematics.__post_init__ on each row
+def _photon_tests(k: np.ndarray) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(1.0, k[:, 0] * k[:, 0])
-        null = np.abs(row_minkowski_dot(k, k)) <= CONSTRUCTION_TOL * scale
-        kappa = row_minkowski_dot(u, k)
+        null = _on_shell(minkowski_dot(k, k), k[:, 0])
     return [
         (null, lambda i: "k is not null"),
         (k[:, 0] > 0.0, lambda i: "k must have positive energy"),
-        (kappa > 0.0, lambda i: "kappa = eta(u, k) must be positive"),
     ]
+
+
+def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
+    # the photon tests and a positive kappa; u is tested by _frame_tests
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = minkowski_dot(u, k)
+    return _photon_tests(k) + [(kappa > 0.0, lambda i: "kappa = eta(u, k) must be positive")]
 
 
 def _checked_unit_rows(n, what: str) -> np.ndarray:
@@ -361,8 +406,7 @@ def boost_to(u) -> LorentzTransform:
 def boost_from_velocity(v) -> LorentzTransform:
     """Pure boost to velocity v (3,), or the stack of boosts of an (N,3) array."""
     v = np.asarray(v, dtype=float)
-    boosts = boost_to(four_velocity(v.reshape(-1, 3)))
-    return boosts if v.ndim == 2 else boosts[0]
+    return boost_to(four_velocity(v) if v.ndim == 2 else FrameVelocity.from_velocity(v))
 
 
 def rotation_about(axis, delta) -> LorentzTransform:

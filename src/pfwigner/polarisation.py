@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .induction import pf_wigner
-from .minkowski import PhotonKinematics, rotation_about, row_blocks
+from .minkowski import PhotonKinematics, rotation_about, row_blocks, rows_from
 
 # uniform draws made and counted at a time, which bounds the memory of a draw
 MC_BLOCK = 1 << 16
@@ -43,7 +43,8 @@ def anomalous_malus_curve(kin: PhotonKinematics, theta: float, Theta0: float,
     deltas = [float(d) for d in deltas]
     out = []
     for block in row_blocks(len(deltas)):
-        phi = pf_wigner(kin, rotation_about(axis, np.array(deltas[block]))).phi
+        with rows_from(block.start):
+            phi = pf_wigner(kin, rotation_about(axis, np.array(deltas[block]))).phi
         out.extend((d, math.cos(Theta0 + d - theta - p) ** 2)
                    for d, p in zip(deltas[block], phi.tolist()))
     return out

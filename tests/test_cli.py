@@ -185,6 +185,8 @@ def test_missing_config_file_exits_2(tmp_path):
         ("malus", "--pol-angle", "nan"),
         ("boost-scan", "--v-step", 1e-12),
         ("malus", "--samples", 100_000_001),
+        ("malus", "--samples", 30_000_000),
+        ("boost-scan", "--v-step", 0.1),
     ],
 )
 def test_invalid_values_exit_2(args):
@@ -211,9 +213,24 @@ def test_numerical_degeneracy_exits_3():
 def test_numerical_error_names_row_pair_and_gamma():
     res = run_cli("malus", "--pf-speed", 0.999999999)
     assert res.returncode == 3
-    assert res.stderr.startswith("internal numerical error: pair moved by ")
-    assert " at row 0: k=(1, 0, 0, 1), u=(22360.68009, 22360.68007, 0, " in res.stderr
-    assert res.stderr.endswith(", transform gamma=1\n")
+    assert res.stderr.startswith("internal numerical error: row 0: pair moved by ")
+    assert " (k=(1, 0, 0, 1), u=(22360.68009, 22360.68007, 0, " in res.stderr
+    assert res.stderr.endswith(", transform gamma=1)\n")
+
+
+def test_numerical_error_names_the_row_of_the_sweep():
+    # the sweep runs in blocks of STACK_BLOCK rows; the first row to fail
+    # lies past the first block, and the row named is the row of the sweep
+    from pfwigner.minkowski import STACK_BLOCK
+
+    res = run_cli("boost-scan", "--pf-speed", 0.99999, "--chi", 1.0, "--v-min", 0.0)
+    assert res.returncode == 3
+    head = "internal numerical error: row "
+    assert res.stderr.startswith(head)
+    row = int(res.stderr[len(head):].split(":")[0])
+    assert row >= STACK_BLOCK
+    v = row * 0.0033
+    assert res.stderr.endswith(f", transform gamma={1.0 / math.sqrt(1.0 - v * v):.10g})\n")
 
 
 # --- validation suite ------------------------------------------------------

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from pfwigner import (
     FourVector,
+    IDENTITY,
     FrameVelocity,
     LorentzTransform,
     PairStack,
     PhotonKinematics,
+    StabilityError,
     bench_pair,
     boost_from_velocity,
     compose,
@@ -122,7 +124,8 @@ def test_transform_stack_validates_each_row(ts, data):
     rows.insert(j, bad)
     with pytest.raises(ValueError) as single:
         LorentzTransform(bad)
-    with pytest.raises(ValueError, match=rf"^row {j}: ") as stacked:
+    with mock.patch.object(minkowski, "STACK_BLOCK", 3), \
+            pytest.raises(ValueError, match=rf"^row {j}: ") as stacked:
         LorentzTransform(np.stack(rows))
     assert str(stacked.value).startswith(f"row {j}: {single.value} (gamma=")
 
@@ -133,3 +136,21 @@ def test_pair_stack_names_the_failing_row():
     k[2, 0] = 2.0
     with pytest.raises(ValueError, match=r"^row 2: k is not null \(k=\(2, 0, 0, 1\), u="):
         PairStack(k, u)
+
+
+def test_stability_error_names_the_row_of_the_stack():
+    # the one hostile pair is in the second block of three rows
+    kins = [bench_pair(0.1, 1.0)] * 4 + [bench_pair(0.999999999, 0.5)] + [bench_pair(0.2, 2.0)]
+    with mock.patch.object(minkowski, "STACK_BLOCK", 3), \
+            pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
+                                                 r"u=\(22360.68009, .*, transform gamma=1\)$"):
+        pf_wigner(PairStack.of(kins), LorentzTransform(np.tile(np.eye(4), (6, 1, 1))))
+
+
+def test_single_calls_keep_messages_without_a_row():
+    with pytest.raises(ValueError, match=r"^speed must be < 1$"):
+        boost_from_velocity([0.0, 0.0, 1.5])
+    with pytest.raises(ValueError, match=r"^row 1: speed must be < 1$"):
+        boost_from_velocity([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]])
+    with pytest.raises(ValueError, match=r"^k is not null$"):
+        standard_wigner(FourVector(2.0, 0.0, 0.0, 1.0), IDENTITY)
