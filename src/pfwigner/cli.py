@@ -13,38 +13,29 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
+from . import checks
+from .checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
 from .closed_form import (
     BoostScenario,
     RotationScenario,
     boost_phase,
-    boost_phase_asymptote,
     rotation_phase,
-    rotation_phase_shift,
     rotation_shift_approx,
 )
-from .induction import (
-    StabilityError,
-    bench_pair,
-    pf_wigner,
-    phase_difference,
-    standard_wigner,
-    transform_pair,
-)
+from .induction import StabilityError, bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
     LorentzTransform,
-    PairStack,
     PhotonKinematics,
-    apply,
+    along_z,
     boost_from_velocity,
     compose,
-    four_velocity,
     rotation_about,
     row_blocks,
     rows_from,
-    unit_rows,
     wrap_angle,
 )
 from .polarisation import anomalous_malus_curve, malus_probability, monte_carlo_malus
@@ -194,8 +185,11 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[list[float]]) -> None:
 
 def _write(cfg: RunConfig, text: str) -> None:
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -238,12 +232,6 @@ def _parse_transform(specs: list[str] | None, kin: PhotonKinematics) -> LorentzT
     return L
 
 
-def _along_z(speeds) -> np.ndarray:
-    v = np.zeros((len(speeds), 3))
-    v[:, 2] = speeds
-    return v
-
-
 def cmd_boost_scan(cfg: RunConfig) -> int:
     kin = bench_pair(cfg.pf_speed, cfg.chi)
     grid = _grid(cfg.v_min, cfg.v_max, cfg.v_step)
@@ -253,7 +241,7 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
     rows = []
     for block in row_blocks(len(grid)):
         with rows_from(block.start):
-            phi = pf_wigner(kin, boost_from_velocity(_along_z(grid[block]))).phi
+            phi = pf_wigner(kin, boost_from_velocity(along_z(grid[block]))).phi
         for v, phi_mx in zip(grid[block], phi.tolist()):
             phi_cf = boost_phase(BoostScenario(v, cfg.pf_speed, cfg.chi))
             rows.append([v, phi_cf, phi_mx, abs(phi_cf - phi_mx)])
@@ -317,215 +305,39 @@ def cmd_malus(cfg: RunConfig) -> int:
 
 # --- validation suite -------------------------------------------------
 
-BOOST_GRID_V = [round(-0.99 + 0.03 * i, 10) for i in range(67)]
-GRID_THETA = (0.0, 1e-3, 0.1, 0.5)
-GRID_CHI = tuple(i * math.pi / 6.0 for i in range(7))
-GRID_DELTA = tuple(i * math.pi / 24.0 for i in range(1, 48))
-
-
-def _random_direction(rng) -> np.ndarray:
-    d = rng.normal(size=3)
-    return d / np.linalg.norm(d)
-
-
-def _random_null(rng) -> np.ndarray:
-    d = _random_direction(rng)
-    e = rng.uniform(0.2, 5.0)
-    return np.concatenate(([e], e * d))
-
-
-def _random_velocity(rng) -> np.ndarray:
-    return _random_direction(rng) * rng.uniform(0.0, 0.99)
-
-
-def _random_transform(rng) -> np.ndarray:
-    """Rotation axis and angle, then boost velocity, of a random transform."""
-    axis = _random_direction(rng)
-    return np.concatenate((axis, [rng.uniform(-math.pi, math.pi)], _random_velocity(rng)))
-
-
-def _random_transforms(t: np.ndarray) -> LorentzTransform:
-    """The stack of transforms drawn as the rows of t by `_random_transform`."""
-    return compose(boost_from_velocity(t[:, 4:]), rotation_about(t[:, :3], t[:, 3]))
-
-
-def _draw_rows(n: int, draw) -> np.ndarray:
-    # one row of numbers per call of draw(), in order, so that each check
-    # takes the same values from its generator as a loop over rows would
-    first = np.concatenate(draw())
-    rows = np.empty((n, len(first)))
-    rows[0] = first
-    for i in range(1, n):
-        rows[i] = np.concatenate(draw())
-    return rows
-
-
-def check_boost_oracle_equivalence(state: dict) -> tuple[float, float]:
-    worst = 0.0
-    stab = state.get("stabiliser", 0.0)
-    boosts = boost_from_velocity(_along_z(BOOST_GRID_V))
-    for th in GRID_THETA:
-        for chi in GRID_CHI:
-            w = pf_wigner(bench_pair(th, chi), boosts)
-            for v, phi in zip(BOOST_GRID_V, w.phi.tolist()):
-                worst = max(worst, abs(phi - boost_phase(BoostScenario(v, th, chi))))
-            stab = max(stab, float(w.stabiliser.max()))
-    state["stabiliser"] = stab
-    return worst, 1e-9
-
-
-def check_rotation_oracle_equivalence(state: dict) -> tuple[float, float]:
-    worst = 0.0
-    stab = state.get("stabiliser", 0.0)
-    sign_ok = True
-    rotations = rotation_about(np.array([0.0, 0.0, 1.0]), np.array(GRID_DELTA))
-    for th in GRID_THETA:
-        for chi in GRID_CHI:
-            w = pf_wigner(bench_pair(th, chi), rotations)
-            for d, phi in zip(GRID_DELTA, w.phi.tolist()):
-                want = wrap_angle(rotation_phase(RotationScenario(d, th, chi)))
-                worst = max(worst, abs(abs(phi) - abs(want)))
-                if phi * want < 0.0 and abs(want) > 1e-12:
-                    sign_ok = False
-            stab = max(stab, float(w.stabiliser.max()))
-    state["stabiliser"] = stab
-    if not sign_ok:
-        return math.inf, 1e-9
-    return worst, 1e-9
-
-
-def _composition_defect(w1, w2, w12) -> float:
-    return max(abs(wrap_angle(d)) for d in (w12.phi - w1.phi - w2.phi).tolist())
-
-
-def check_composition_law_pair(state: dict) -> tuple[float, float]:
-    rng = np.random.default_rng(2024)
-    rows = _draw_rows(1000, lambda: (_random_null(rng), _random_velocity(rng),
-                                     _random_transform(rng), _random_transform(rng)))
-    kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
-    l1, l2 = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
-    w1 = pf_wigner(kin, l1)
-    w2 = pf_wigner(transform_pair(kin, l1), l2)
-    w12 = pf_wigner(kin, compose(l2, l1))
-    state["stabiliser"] = max(state.get("stabiliser", 0.0), float(w1.stabiliser.max()),
-                              float(w2.stabiliser.max()), float(w12.stabiliser.max()))
-    return _composition_defect(w1, w2, w12), 1e-9
-
-
-def check_composition_law_standard(state: dict) -> tuple[float, float]:
-    rng = np.random.default_rng(2025)
-    rows = _draw_rows(1000, lambda: (_random_null(rng), _random_transform(rng),
-                                     _random_transform(rng)))
-    k = rows[:, :4]
-    l1, l2 = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
-    w1 = standard_wigner(k, l1)
-    w2 = standard_wigner(apply(l1, k), l2)
-    w12 = standard_wigner(k, compose(l2, l1))
-    return _composition_defect(w1, w2, w12), 1e-9
-
-
-def check_stabiliser_residuals(state: dict) -> tuple[float, float]:
-    # max residual accumulated by the oracle and composition checks above
-    return state.get("stabiliser", math.inf), 1e-9
-
-
-def check_standard_anchors(state: dict) -> tuple[float, float]:
-    rng = np.random.default_rng(2026)
-    rows = _draw_rows(100, lambda: (_random_null(rng), [rng.uniform(-0.99, 0.99)],
-                                    [rng.uniform(-math.pi, math.pi)]))
-    k, v, d = rows[:, :4], rows[:, 4], rows[:, 5]
-    kh = unit_rows(k[:, 1:])
-    boosted = standard_wigner(k, boost_from_velocity(kh * v[:, None])).phi
-    rotated = standard_wigner(k, rotation_about(kh, d)).phi
-    worst = max(abs(wrap_angle(x)) for x in (rotated - d).tolist())
-    return max(float(np.abs(boosted).max()), worst), 1e-10
-
-
-def check_reduction_zero_theta(state: dict) -> tuple[float, float]:
-    # transform classes under which both constructions' conventions agree:
-    # rotations about any axis, boosts along the photon, and their products
-    rng = np.random.default_rng(2027)
-    rows = _draw_rows(500, lambda: (_random_null(rng), _random_direction(rng),
-                                    [rng.uniform(-math.pi, math.pi)], [rng.uniform(-0.99, 0.99)]))
-    k, axes, angles, v = rows[:, :4], rows[:, 4:7], rows[:, 7], rows[:, 8]
-    kh = unit_rows(k[:, 1:])
-    rot = rotation_about(axes, angles)
-    kboost = boost_from_velocity(kh * v[:, None])
-    choices = np.stack([rot.m, kboost.m, compose(rot, kboost).m])
-    L = LorentzTransform(choices[np.arange(len(k)) % 3, np.arange(len(k))])
-    rest = np.tile([1.0, 0.0, 0.0, 0.0], (len(k), 1))
-    return float(np.abs(phase_difference(PairStack(k, rest), L)).max()), 1e-9
-
-
-def check_approximation_order(state: dict) -> tuple[float, float]:
-    errs = []
-    thetas = (1e-2, 1e-3, 1e-4)
-    for th in thetas:
-        worst = 0.0
-        for d in GRID_DELTA:
-            for chi in (i * math.pi / 12.0 for i in range(13)):
-                s = RotationScenario(d, th, chi)
-                worst = max(worst, abs(abs(rotation_phase_shift(s)) - rotation_shift_approx(s)))
-        errs.append(worst)
-    slope = float(np.polyfit(np.log(thetas), np.log(errs), 1)[0])
-    return abs(slope - 2.0), 0.1
-
-
-def check_chi_extremum(state: dict) -> tuple[float, float]:
-    # |phi| peaks at chi = pi/2 on the pi/6 grid for every tested (v, theta);
-    # the magnitude makes the statement hold for negative v as well
-    worst = 0.0
-    for v in BOOST_GRID_V:
-        if v == 0.0:
-            continue
-        for th in (1e-3, 0.1, 0.5):
-            if boost_phase(BoostScenario(v, th, 0.0)) != 0.0:
-                worst = math.inf
-            phis = [abs(boost_phase(BoostScenario(v, th, chi))) for chi in GRID_CHI]
-            worst = max(worst, abs(GRID_CHI[int(np.argmax(phis))] - 0.5 * math.pi))
-    return worst, 1e-12
-
-
-def check_malus_monte_carlo(state: dict) -> tuple[float, float]:
-    rng = np.random.default_rng(2028)
-    n = 1_000_000
-    hits = 0
-    for i in range(20):
-        theta = rng.uniform(0.0, math.pi)
-        big = rng.uniform(0.0, math.pi)
-        p = malus_probability(theta, big)
-        freq = monte_carlo_malus(p, n, seed=3000 + i)
-        sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
-        if abs(freq - p) <= 4.0 * sigma:
-            hits += 1
-    return float(20 - hits), 1.0
-
-
-CHECKS = [
-    ("boost_oracle_equivalence", check_boost_oracle_equivalence),
-    ("rotation_oracle_equivalence", check_rotation_oracle_equivalence),
-    ("composition_law_pair", check_composition_law_pair),
-    ("composition_law_standard", check_composition_law_standard),
-    ("stabiliser_residuals", check_stabiliser_residuals),
-    ("standard_anchors", check_standard_anchors),
-    ("reduction_zero_theta", check_reduction_zero_theta),
-    ("approximation_order", check_approximation_order),
-    ("chi_extremum", check_chi_extremum),
-    ("malus_monte_carlo", check_malus_monte_carlo),
-]
+# each check of `validate`, bound to the grids, seeds and tolerance it runs with
+CHECKS = tuple((check.func.__name__, check) for check in (
+    partial(checks.boost_oracle_equivalence, V_GRID, THETA_GRID, CHI_GRID, 1e-9),
+    partial(checks.rotation_oracle_equivalence, DELTA_GRID, THETA_GRID, CHI_GRID, 1e-9),
+    partial(checks.composition_law_pair, 2024, 1000, 1e-9),
+    partial(checks.composition_law_standard, 2025, 1000, 1e-9),
+    partial(checks.stabiliser_residuals, tol=1e-9),
+    partial(checks.standard_anchors, 2026, 100, 1e-10),
+    partial(checks.reduction_zero_theta, 2027, 500, 1e-9),
+    partial(checks.approximation_order, (1e-2, 1e-3, 1e-4), DELTA_GRID,
+            tuple(i * math.pi / 12.0 for i in range(13)), 0.1),
+    partial(checks.chi_extremum, tuple(v for v in V_GRID if v != 0.0), (1e-3, 0.1, 0.5),
+            CHI_GRID, 1e-12),
+    partial(checks.malus_monte_carlo, 2028, 3000, 20, 1_000_000, 1.0),
+))
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    state: dict = {}
-    failures = 0
-    for name, func in CHECKS:
-        value, tol = func(state)
-        tol *= cfg.tol_scale
-        ok = value <= tol
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'} {name:32s} value={value:.3e} tol={tol:.3e}")
-    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
-    return 0 if failures == 0 else 1
+    report = []
+    for name, result in checks.run_checks(CHECKS).items():
+        tol = result.tol * cfg.tol_scale
+        report.append({"name": name, "value": result.value, "tol": tol,
+                       "passed": result.value <= tol})
+    passed = sum(r["passed"] for r in report)
+    if cfg.format == "json":
+        text = json.dumps({"checks": report}, indent=2) + "\n"
+    else:
+        lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']:32s} "
+                 f"value={r['value']:.3e} tol={r['tol']:.3e}" for r in report]
+        lines.append(f"{passed}/{len(report)} checks passed")
+        text = "\n".join(lines) + "\n"
+    _write(cfg, text)
+    return 0 if passed == len(report) else 1
 
 
 # --- entry point ------------------------------------------------------

@@ -379,6 +379,13 @@ def four_velocity(v) -> np.ndarray:
     return np.concatenate([g, g * v], axis=-1)
 
 
+def along_z(speeds) -> np.ndarray:
+    """The (N,3) velocities of the given speeds along z."""
+    v = np.zeros((len(speeds), 3))
+    v[:, 2] = speeds
+    return v
+
+
 def boost_to(u) -> LorentzTransform:
     """The unique pure boost taking (1;0,0,0) to u.
 
