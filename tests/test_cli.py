@@ -5,6 +5,7 @@ emits for a small deterministic configuration; any formatting, grid,
 seeding or numerical drift shows up as a byte difference.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -59,6 +60,24 @@ def test_default_boost_scan_is_byte_exact(tmp_path):
     res = run_cli("boost-scan", "--output", out)
     assert res.returncode == 0, res.stderr
     assert out.read_bytes() == (GOLDEN / "boost_scan_default.csv").read_bytes()
+
+
+# sha256 of `rotation-scan --delta-step pi/480 --chi-steps 30`, the
+# 29 791-row grid of the benchmark, as CSV and as JSON
+FINE_ROTATION_SHA256 = {
+    "csv": "affe4adafd8bbaaada407ff7d563a96ad1be011a4ff8519b52aa75928573f5fa",
+    "json": "a2639d632dfd96c284707aa447ceb368182d9585648586e6046944e0dbd0b6ca",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FINE_ROTATION_SHA256))
+def test_fine_rotation_scan_is_byte_exact(fmt, tmp_path):
+    from pfwigner import cli
+
+    out = tmp_path / f"fine.{fmt}"
+    assert cli.main(["rotation-scan", "--delta-step", repr(math.pi / 480), "--chi-steps", "30",
+                     "--format", fmt, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FINE_ROTATION_SHA256[fmt]
 
 
 def test_stdout_matches_file_output(tmp_path):
