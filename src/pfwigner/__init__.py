@@ -9,6 +9,7 @@ from .closed_form import (
     rotation_phase,
     rotation_phase_shift,
     rotation_shift_approx,
+    rotation_table,
 )
 from .induction import (
     StabilityError,

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from . import closed_form, induction, minkowski, polarisation
-from .closed_form import BoostScenario, RotationScenario
+from .closed_form import BoostScenario
 from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, unit_rows,
                         wrap_angle)
 
@@ -94,8 +94,9 @@ def rotation_oracle_equivalence(delta_grid, theta_grid, chi_grid, tol: float) ->
     for th in theta_grid:
         for chi in chi_grid:
             w = induction.pf_wigner(induction.bench_pair(th, chi), rotations)
-            for d, phi in zip(delta_grid, w.phi.tolist()):
-                want = wrap_angle(closed_form.rotation_phase(RotationScenario(d, th, chi)))
+            table = closed_form.rotation_table(delta_grid, th, (chi,))
+            for row, phi in zip(table, w.phi.tolist()):
+                want = row[2]
                 worst = max(worst, abs(abs(phi) - abs(want)))
                 if phi * want < 0.0 and abs(want) > 1e-12:
                     sign_ok = False
@@ -174,15 +175,8 @@ def reduction_zero_theta(seed: int, n_draws: int, tol: float) -> CheckResult:
 
 def approximation_order(theta_grid, delta_grid, chi_grid, tol: float) -> CheckResult:
     """|slope - 2| of the shift formula's worst error against theta, log-log."""
-    errs = []
-    for th in theta_grid:
-        worst = 0.0
-        for d in delta_grid:
-            for chi in chi_grid:
-                s = RotationScenario(d, th, chi)
-                worst = max(worst, abs(abs(closed_form.rotation_phase_shift(s))
-                                       - closed_form.rotation_shift_approx(s)))
-        errs.append(worst)
+    errs = [max(row[5] for row in closed_form.rotation_table(delta_grid, th, chi_grid))
+            for th in theta_grid]
     slope = float(np.polyfit(np.log(theta_grid), np.log(errs), 1)[0])
     return CheckResult(abs(slope - 2.0), tol)
 

@@ -14,18 +14,14 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from . import checks
 from .checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
-from .closed_form import (
-    BoostScenario,
-    RotationScenario,
-    boost_phase,
-    rotation_phase,
-    rotation_shift_approx,
-)
+from .closed_form import BoostScenario, DomainError, boost_phase, rotation_table
 from .induction import StabilityError, bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
     LorentzTransform,
@@ -173,11 +169,13 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[list[float]]) -> None:
+def _emit(cfg: RunConfig, columns: list[str], rows: list[Sequence[float]]) -> None:
     if cfg.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        # "%.17g" % v gives the bytes of format(v, ".17g"); one % formats
+        # every row, with no string per row
+        row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+        text = ",".join(columns) + "\n" + (
+            row_format * len(rows) % tuple(chain.from_iterable(rows)))
     else:
         text = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
     _write(cfg, text)
@@ -255,15 +253,7 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
         raise ConfigError(f"scan exceeds {MAX_ROWS} rows; use a larger delta-step "
                           "or fewer chi-steps")
     chis = [i * math.pi / cfg.chi_steps for i in range(cfg.chi_steps + 1)]
-    rows = []
-    for d in deltas:
-        for chi in chis:
-            s = RotationScenario(d, cfg.pf_speed, chi)
-            phi_ex = rotation_phase(s)
-            dphi_ex = wrap_angle(phi_ex - d)
-            dphi_ap = rotation_shift_approx(s)
-            rows.append([d, chi, wrap_angle(phi_ex), dphi_ex, dphi_ap,
-                         abs(abs(dphi_ex) - dphi_ap)])
+    rows = rotation_table(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], rows)
     return 0
 
@@ -407,7 +397,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StabilityError as exc:
+    except (StabilityError, DomainError) as exc:
         print(f"internal numerical error: {exc}", file=sys.stderr)
         return 3
 

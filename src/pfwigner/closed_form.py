@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .minkowski import wrap_angle
+
 
 class DomainError(ValueError):
     """An input is outside the validity range of a closed-form expression."""
@@ -21,6 +23,11 @@ def _check_range(name, value, lo, hi, lo_open=False, hi_open=False):
     ok = (value > lo if lo_open else value >= lo) and (value < hi if hi_open else value <= hi)
     if not (math.isfinite(value) and ok):
         raise DomainError(f"{name}={value!r} outside {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
+
+
+def _check_delta(delta):
+    if not math.isfinite(delta):
+        raise DomainError(f"delta={delta!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,7 @@ class RotationScenario:
     chi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.delta):
-            raise DomainError(f"delta={self.delta!r} is not finite")
+        _check_delta(self.delta)
         _check_range("theta_pf", self.theta_pf, 0.0, 1.0, hi_open=True)
         _check_range("chi", self.chi, 0.0, math.pi)
 
@@ -74,6 +80,21 @@ def boost_phase_asymptote(theta_pf: float, chi: float) -> float:
     return math.asin(theta_pf * math.sin(chi) / den)
 
 
+def _rotation_factors(theta_pf: float, chi: float) -> tuple[float, float, float, float]:
+    """The factors of the rotation formulas that depend on theta_pf and chi
+    only: n, dd, a sin(chi) and theta_pf sin(chi)."""
+    rt = math.sqrt(1.0 - theta_pf * theta_pf)
+    a = (1.0 - rt) * math.cos(chi) - theta_pf
+    return (rt + a * math.cos(chi), 1.0 - theta_pf * math.cos(chi), a * math.sin(chi),
+            theta_pf * math.sin(chi))
+
+
+def _rotation_angle(n: float, dd: float, a_sin: float, sin_half: float, cos_half: float) -> float:
+    """rotation_phase from the factors of _rotation_factors and the
+    sine and cosine of delta/2."""
+    return 2.0 * math.atan2(n * sin_half, dd * cos_half + a_sin * sin_half)
+
+
 def rotation_phase(s: RotationScenario) -> float:
     """Polarisation phase for a rotation by delta about the photon.
 
@@ -82,19 +103,13 @@ def rotation_phase(s: RotationScenario) -> float:
     delta = 0 and delta = pi regular. Continuous and increasing in delta
     on [0, 2pi], with rotation_phase(2pi) = 2pi.
     """
-    d, th, chi = s.delta, s.theta_pf, s.chi
-    rt = math.sqrt(1.0 - th * th)
-    a = (1.0 - rt) * math.cos(chi) - th
-    n = rt + a * math.cos(chi)
-    dd = 1.0 - th * math.cos(chi)
-    half = 0.5 * d
-    return 2.0 * math.atan2(n * math.sin(half), dd * math.cos(half) + a * math.sin(chi) * math.sin(half))
+    n, dd, a_sin, _ = _rotation_factors(s.theta_pf, s.chi)
+    half = 0.5 * s.delta
+    return _rotation_angle(n, dd, a_sin, math.sin(half), math.cos(half))
 
 
 def rotation_phase_shift(s: RotationScenario) -> float:
     """delta - rotation_phase, wrapped to (-pi, pi]."""
-    from .minkowski import wrap_angle
-
     return wrap_angle(s.delta - rotation_phase(s))
 
 
@@ -105,4 +120,32 @@ def rotation_shift_approx(s: RotationScenario) -> float:
     2*theta_pf*sin(chi)*tan^2(delta/2)/(1+tan^2(delta/2)) where the
     latter is defined, but stays regular at delta = pi.
     """
-    return s.theta_pf * math.sin(s.chi) * (1.0 - math.cos(s.delta))
+    return _rotation_factors(s.theta_pf, s.chi)[3] * (1.0 - math.cos(s.delta))
+
+
+def rotation_table(deltas, theta_pf: float, chis) -> list[tuple[float, ...]]:
+    """The rows (delta, chi, phi_ex, dphi_ex, dphi_ap, abs_err) of a
+    rotation sweep, each delta with every chi in turn.
+
+    phi_ex is rotation_phase wrapped to (-pi, pi], dphi_ex is
+    rotation_phase - delta wrapped, dphi_ap is rotation_shift_approx and
+    abs_err is ||dphi_ex| - dphi_ap|. theta_pf, each chi and each delta are
+    validated once, with the messages of RotationScenario; every value
+    equals the one the single calls give, bit for bit.
+    """
+    _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
+    for chi in chis:
+        _check_range("chi", chi, 0.0, math.pi)
+    for d in deltas:
+        _check_delta(d)
+    factors = [(chi,) + _rotation_factors(theta_pf, chi) for chi in chis]
+    rows = []
+    for d in deltas:
+        half = 0.5 * d
+        sin_half, cos_half, vers = math.sin(half), math.cos(half), 1.0 - math.cos(d)
+        for chi, n, dd, a_sin, th_sin in factors:
+            phi = _rotation_angle(n, dd, a_sin, sin_half, cos_half)
+            approx = th_sin * vers
+            shift = wrap_angle(phi - d)
+            rows.append((d, chi, wrap_angle(phi), shift, approx, abs(abs(shift) - approx)))
+    return rows

@@ -123,15 +123,31 @@ def test_csv_values_carry_full_precision():
 
 
 def test_json_format_mirrors_csv():
-    csv_res = run_cli(*BOOST_ARGS)
-    json_res = run_cli(*BOOST_ARGS, "--format", "json")
-    assert json_res.returncode == 0
-    doc = json.loads(json_res.stdout)
-    assert doc["columns"] == ["V", "phi_cf", "phi_mx", "abs_diff"]
-    csv_rows = csv_res.stdout.splitlines()[1:]
-    assert len(doc["rows"]) == len(csv_rows)
-    first_csv = [float(tok) for tok in csv_rows[0].split(",")]
-    assert doc["rows"][0] == pytest.approx(first_csv, abs=0.0)
+    for args, columns in (
+        (BOOST_ARGS, ["V", "phi_cf", "phi_mx", "abs_diff"]),
+        (ROTATION_ARGS, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"]),
+    ):
+        csv_res = run_cli(*args)
+        json_res = run_cli(*args, "--format", "json")
+        assert json_res.returncode == 0
+        doc = json.loads(json_res.stdout)
+        assert doc["columns"] == columns
+        csv_rows = [[float(tok) for tok in line.split(",")]
+                    for line in csv_res.stdout.splitlines()[1:]]
+        assert doc["rows"] == csv_rows
+        # the tuple rows of rotation-scan give the text that lists give
+        assert json_res.stdout == json.dumps({"columns": columns, "rows": csv_rows},
+                                             indent=2) + "\n"
+
+
+def test_emit_writes_the_bytes_of_format_17g(capsys):
+    from pfwigner import cli
+
+    rows = [(-0.0, math.inf, -math.inf), (math.nan, 5e-324, 1e16)]
+    cfg = cli._resolve_config(cli.build_parser().parse_args(["boost-scan"]))
+    cli._emit(cfg, ["a", "b", "c"], rows)
+    want = ["a,b,c"] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 def test_wigner_report_is_consistent():
@@ -229,6 +245,14 @@ def test_numerical_degeneracy_exits_3():
                   "boost:z:0.999999999999")
     assert res.returncode == 3
     assert "internal numerical error" in res.stderr
+
+
+def test_numerical_domain_error_exits_3():
+    # valid input whose moved frame's speed rounds to 1.0 in the numerics
+    res = run_cli("wigner", "--pf-speed", 0.9, "--chi", 1.5, "--transform",
+                  "boost:x:0.9999999999999999")
+    assert res.returncode == 3
+    assert res.stderr == "internal numerical error: theta_pf=1.0 outside [0.0, 1.0)\n"
 
 
 def test_numerical_error_names_row_pair_and_gamma():

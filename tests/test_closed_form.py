@@ -14,6 +14,8 @@ from pfwigner import (
     rotation_phase,
     rotation_phase_shift,
     rotation_shift_approx,
+    rotation_table,
+    wrap_angle,
 )
 
 # speed of the distinguished frame used throughout the frozen examples
@@ -100,6 +102,29 @@ def test_rotation_scenario_rejects_non_finite_delta(delta):
         RotationScenario(delta, 0.1, 1.0)
 
 
+@pytest.mark.parametrize(
+    "deltas,theta_pf,chis",
+    [
+        ([0.0, math.nan], 0.1, [1.0]),
+        ([math.inf], 0.1, [1.0]),
+        ([1.0, -math.inf], 0.1, [0.0, 1.0]),
+        ([1.0], 0.1, [0.5, -0.1]),
+        ([1.0], 0.1, [math.pi + 0.1]),
+        ([1.0], 0.1, [math.nan]),
+        ([1.0], 1.0, [1.0]),
+        ([1.0], -0.1, [1.0]),
+    ],
+)
+def test_rotation_table_rejects_what_the_scenario_rejects(deltas, theta_pf, chis):
+    with pytest.raises(DomainError) as want:
+        for d in deltas:
+            for chi in chis:
+                RotationScenario(d, theta_pf, chi)
+    with pytest.raises(DomainError) as got:
+        rotation_table(deltas, theta_pf, chis)
+    assert str(got.value) == str(want.value)
+
+
 # --- structural properties -------------------------------------------------
 
 
@@ -161,3 +186,21 @@ def test_shift_matches_approx_to_second_order():
             s = RotationScenario(delta, th, chi)
             err = abs(abs(rotation_phase_shift(s)) - rotation_shift_approx(s))
             assert err < 10.0 * th * th
+
+
+@given(st.lists(st.floats(-100.0, 100.0), max_size=6), st.floats(0.0, 1.0, exclude_max=True),
+       st.lists(st.floats(0.0, math.pi), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_rotation_table_rows_equal_single_calls(deltas, theta_pf, chis):
+    deltas = deltas + [0.0, math.pi, math.tau, -0.5 * math.pi, -math.tau]
+    chis = chis + [0.0, math.pi]
+    for th in (0.0, theta_pf):
+        rows = rotation_table(deltas, th, chis)
+        assert len(rows) == len(deltas) * len(chis)
+        for row, (d, chi) in zip(rows, ((d, chi) for d in deltas for chi in chis)):
+            s = RotationScenario(d, th, chi)
+            phi = rotation_phase(s)
+            approx = rotation_shift_approx(s)
+            shift = wrap_angle(phi - d)
+            assert abs(shift) == abs(rotation_phase_shift(s))
+            assert row == (d, chi, wrap_angle(phi), shift, approx, abs(abs(shift) - approx))
