@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 import numpy as np
 
 from . import closed_form, induction, minkowski, polarisation
 from .closed_form import BoostScenario
-from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, unit_rows,
-                        wrap_angle)
+from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, row_blocks,
+                        unit_rows, wrap_angle)
 
 V_GRID = tuple(round(-0.99 + 0.03 * i, 10) for i in range(67))
 THETA_GRID = (0.0, 1e-3, 0.1, 0.5)
@@ -34,74 +35,85 @@ class CheckResult:
     stabiliser: float = 0.0
 
 
-def _random_direction(rng) -> np.ndarray:
-    d = rng.normal(size=3)
-    return d / np.linalg.norm(d)
+# each kind of item of a `_draws` spec: the generator calls it makes, in
+# order (None for rng.normal(size=3), (lo, hi) for rng.uniform(lo, hi)),
+# and its columns from what they drew (the unit vector of each normal
+# draw as (n,3), each uniform draw as (n,1))
+_ITEMS = {
+    "direction": ((None,), lambda d: [d]),
+    "null": ((None, (0.2, 5.0)), lambda d, e: [e, e * d]),
+    "velocity": ((None, (0.0, 0.99)), lambda d, s: [d * s]),
+    "transform": ((None, (-math.pi, math.pi), None, (0.0, 0.99)),
+                  lambda axis, angle, d, s: [axis, angle, d * s]),
+}
 
 
-def _random_null(rng) -> np.ndarray:
-    d = _random_direction(rng)
-    e = rng.uniform(0.2, 5.0)
-    return np.concatenate(([e], e * d))
+def _draws(rng, n: int, spec) -> np.ndarray:
+    """n rows of random inputs, each the columns of the items of `spec`
+    in turn: "direction" a unit 3-vector, "null" a null four-momentum of
+    energy in [0.2, 5), "velocity" a velocity of speed below 0.99,
+    "transform" the rotation axis and angle and the boost velocity of a
+    random transform (see `_random_transforms`), and (lo, hi) one uniform
+    number.
 
-
-def _random_velocity(rng) -> np.ndarray:
-    return _random_direction(rng) * rng.uniform(0.0, 0.99)
-
-
-def _random_transform(rng) -> np.ndarray:
-    """Rotation axis and angle, then boost velocity, of a random transform."""
-    axis = _random_direction(rng)
-    return np.concatenate((axis, [rng.uniform(-math.pi, math.pi)], _random_velocity(rng)))
+    The generator is called row by row, item by item, as a loop over the
+    rows would call it; the unit vectors, products and columns are then
+    built on whole arrays.
+    """
+    items = [_ITEMS.get(item, ((item,), lambda x: [x])) for item in spec]
+    calls = [c for item_calls, _ in items for c in item_calls]
+    normal, uniform = rng.normal, rng.uniform
+    k = len(calls)
+    blocks = []
+    for rows in row_blocks(n):
+        # a block of rows at a time, so that few drawn objects are alive at once
+        draws = [normal(size=3) if c is None else uniform(*c)
+                 for _ in range(rows.stop - rows.start) for c in calls]
+        blocks.append([np.array(draws[j::k]) for j in range(k)])
+    drawn = iter([unit_rows(x) if c is None else x[:, None]
+                  for x, c in zip(map(np.concatenate, zip(*blocks)), calls)])
+    return np.concatenate([column for item_calls, build in items
+                           for column in build(*(next(drawn) for _ in item_calls))], axis=1)
 
 
 def _random_transforms(t: np.ndarray) -> LorentzTransform:
-    """The stack of transforms drawn as the rows of t by `_random_transform`."""
+    """The stack of transforms drawn as the "transform" columns t of `_draws`."""
     return minkowski.compose(minkowski.boost_from_velocity(t[:, 4:]),
                              minkowski.rotation_about(t[:, :3], t[:, 3]))
 
 
-def _draw_rows(n: int, draw) -> np.ndarray:
-    # one row of numbers per call of draw(), in order, so that each check
-    # takes the same values from its generator as a loop over rows would
-    first = np.concatenate(draw())
-    rows = np.empty((n, len(first)))
-    rows[0] = first
-    for i in range(1, n):
-        rows[i] = np.concatenate(draw())
-    return rows
+def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
+    """pf_wigner of every transform of L at every bench pair of the grids,
+    in one stacked call, and the theta and chi of each row: the rows of a
+    pair follow each other, theta-major."""
+    grid = [(th, chi) for th in theta_grid for chi in chi_grid]
+    pairs = PairStack.of([induction.bench_pair(th, chi) for th, chi in grid])
+    n = len(L)
+    w = induction.pf_wigner(pairs[np.repeat(np.arange(len(grid)), n)],
+                            L[np.tile(np.arange(n), len(grid))])
+    th, chi = np.repeat(np.array(grid), n, axis=0).T
+    return w, th, chi
 
 
 def boost_oracle_equivalence(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     """Largest |matrix - closed-form phase| of bench-pair boosts along z."""
-    worst = stab = 0.0
-    boosts = minkowski.boost_from_velocity(along_z(v_grid))
-    for th in theta_grid:
-        for chi in chi_grid:
-            w = induction.pf_wigner(induction.bench_pair(th, chi), boosts)
-            for v, phi in zip(v_grid, w.phi.tolist()):
-                worst = max(worst, abs(phi - closed_form.boost_phase(BoostScenario(v, th, chi))))
-            stab = max(stab, float(w.stabiliser.max()))
-    return CheckResult(worst, tol, stab)
+    w, th, chi = _bench_wigner(theta_grid, chi_grid,
+                               minkowski.boost_from_velocity(along_z(v_grid)))
+    v = np.tile(v_grid, len(theta_grid) * len(chi_grid))
+    want = closed_form.boost_phase(BoostScenario(v, th, chi))
+    return CheckResult(float(np.abs(w.phi - want).max()), tol, float(w.stabiliser.max()))
 
 
 def rotation_oracle_equivalence(delta_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     """Largest ||matrix| - |closed-form phase|| of bench-pair rotations
     about z; inf if a sign disagrees."""
-    worst = stab = 0.0
-    sign_ok = True
-    rotations = minkowski.rotation_about(np.array([0.0, 0.0, 1.0]), np.array(delta_grid))
-    for th in theta_grid:
-        for chi in chi_grid:
-            w = induction.pf_wigner(induction.bench_pair(th, chi), rotations)
-            table = closed_form.rotation_table(delta_grid, th, (chi,))
-            for row, phi in zip(table, w.phi.tolist()):
-                want = row[2]
-                worst = max(worst, abs(abs(phi) - abs(want)))
-                if phi * want < 0.0 and abs(want) > 1e-12:
-                    sign_ok = False
-            stab = max(stab, float(w.stabiliser.max()))
-    return CheckResult(worst if sign_ok else math.inf, tol, stab)
+    w, _, _ = _bench_wigner(theta_grid, chi_grid, minkowski.rotation_about(
+        np.array([0.0, 0.0, 1.0]), np.array(delta_grid)))
+    want = np.array([row[2] for th in theta_grid for chi in chi_grid
+                     for row in closed_form.rotation_table(delta_grid, th, (chi,))])
+    sign_ok = not ((w.phi * want < 0.0) & (np.abs(want) > 1e-12)).any()
+    worst = float(np.abs(np.abs(w.phi) - np.abs(want)).max())
+    return CheckResult(worst if sign_ok else math.inf, tol, float(w.stabiliser.max()))
 
 
 def _composition_defect(w1, w2, w12) -> float:
@@ -111,8 +123,7 @@ def _composition_defect(w1, w2, w12) -> float:
 def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
     """Largest defect of phi(L2 L1) = phi(L1) + phi(L2), random (k, u, L1, L2)."""
     rng = np.random.default_rng(seed)
-    rows = _draw_rows(n_draws, lambda: (_random_null(rng), _random_velocity(rng),
-                                        _random_transform(rng), _random_transform(rng)))
+    rows = _draws(rng, n_draws, ("null", "velocity", "transform", "transform"))
     kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
     l1, l2 = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
     w1 = induction.pf_wigner(kin, l1)
@@ -126,8 +137,7 @@ def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
 def composition_law_standard(seed: int, n_draws: int, tol: float) -> CheckResult:
     """The composition law of the pairless route, random (k, L1, L2)."""
     rng = np.random.default_rng(seed)
-    rows = _draw_rows(n_draws, lambda: (_random_null(rng), _random_transform(rng),
-                                        _random_transform(rng)))
+    rows = _draws(rng, n_draws, ("null", "transform", "transform"))
     k = rows[:, :4]
     l1, l2 = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
     w1 = induction.standard_wigner(k, l1)
@@ -144,8 +154,7 @@ def stabiliser_residuals(earlier: Iterable[CheckResult], tol: float) -> CheckRes
 def standard_anchors(seed: int, n_draws: int, tol: float) -> CheckResult:
     """Pairless route: a boost along k gives 0, a rotation by d about k gives d."""
     rng = np.random.default_rng(seed)
-    rows = _draw_rows(n_draws, lambda: (_random_null(rng), [rng.uniform(-0.99, 0.99)],
-                                        [rng.uniform(-math.pi, math.pi)]))
+    rows = _draws(rng, n_draws, ("null", (-0.99, 0.99), (-math.pi, math.pi)))
     k, v, d = rows[:, :4], rows[:, 4], rows[:, 5]
     kh = unit_rows(k[:, 1:])
     boosted = induction.standard_wigner(k, minkowski.boost_from_velocity(kh * v[:, None])).phi
@@ -159,9 +168,7 @@ def reduction_zero_theta(seed: int, n_draws: int, tol: float) -> CheckResult:
     classes where both conventions agree (row i takes class i mod 3):
     rotations about any axis, boosts along k, and their products."""
     rng = np.random.default_rng(seed)
-    rows = _draw_rows(n_draws, lambda: (_random_null(rng), _random_direction(rng),
-                                        [rng.uniform(-math.pi, math.pi)],
-                                        [rng.uniform(-0.99, 0.99)]))
+    rows = _draws(rng, n_draws, ("null", "direction", (-math.pi, math.pi), (-0.99, 0.99)))
     k, axes, angles, v = rows[:, :4], rows[:, 4:7], rows[:, 7], rows[:, 8]
     kh = unit_rows(k[:, 1:])
     rot = minkowski.rotation_about(axes, angles)
@@ -185,16 +192,14 @@ def chi_extremum(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     """Largest offset from pi/2 of the chi where |boost phase| peaks; inf
     unless the phase is exactly 0 at chi = 0, the only chi tested where
     v or theta is 0."""
-    worst = 0.0
-    for v in v_grid:
-        for th in theta_grid:
-            if closed_form.boost_phase(BoostScenario(v, th, 0.0)) != 0.0:
-                worst = math.inf
-            if v == 0.0 or th == 0.0:
-                continue
-            mags = [abs(closed_form.boost_phase(BoostScenario(v, th, chi))) for chi in chi_grid]
-            worst = max(worst, abs(chi_grid[int(np.argmax(mags))] - 0.5 * math.pi))
-    return CheckResult(worst, tol)
+    chis = (0.0,) + tuple(chi_grid)
+    v, th, chi = (np.array(x) for x in zip(*product(v_grid, theta_grid, chis)))
+    phase = closed_form.boost_phase(BoostScenario(v, th, chi)).reshape(-1, len(chis))
+    if (phase[:, 0] != 0.0).any():
+        return CheckResult(math.inf, tol)
+    moving = (v[::len(chis)] != 0.0) & (th[::len(chis)] != 0.0)
+    peaks = np.argmax(np.abs(phase[moving, 1:]), axis=1).tolist()
+    return CheckResult(max((abs(chi_grid[i] - 0.5 * math.pi) for i in peaks), default=0.0), tol)
 
 
 def malus_monte_carlo(seed: int, first_seed: int, n_settings: int, n_samples: int,

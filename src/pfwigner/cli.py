@@ -22,10 +22,11 @@ import numpy as np
 from . import checks
 from .checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
 from .closed_form import BoostScenario, DomainError, boost_phase, rotation_table
-from .induction import StabilityError, bench_pair, pf_wigner, standard_wigner
+from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
     LorentzTransform,
     PhotonKinematics,
+    RowError,
     along_z,
     boost_from_velocity,
     compose,
@@ -236,13 +237,12 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
     if grid[-1] >= 1.0:
         raise ConfigError(f"the v grid ends at V = {grid[-1]:.17g}, not below 1; "
                           "use a v-step that divides v-max - v-min")
-    rows = []
+    phi_mx = []
     for block in row_blocks(len(grid)):
         with rows_from(block.start):
-            phi = pf_wigner(kin, boost_from_velocity(along_z(grid[block]))).phi
-        for v, phi_mx in zip(grid[block], phi.tolist()):
-            phi_cf = boost_phase(BoostScenario(v, cfg.pf_speed, cfg.chi))
-            rows.append([v, phi_cf, phi_mx, abs(phi_cf - phi_mx)])
+            phi_mx += pf_wigner(kin, boost_from_velocity(along_z(grid[block]))).phi.tolist()
+    phi_cf = boost_phase(BoostScenario(np.array(grid), cfg.pf_speed, cfg.chi)).tolist()
+    rows = [[v, cf, mx, abs(cf - mx)] for v, cf, mx in zip(grid, phi_cf, phi_mx)]
     _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], rows)
     return 0
 
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StabilityError, DomainError) as exc:
+    except (RowError, DomainError) as exc:
         print(f"internal numerical error: {exc}", file=sys.stderr)
         return 3
 

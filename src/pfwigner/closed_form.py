@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .minkowski import wrap_angle
+import numpy as np
+
+from .minkowski import math_rows, wrap_angle
 
 
 class DomainError(ValueError):
@@ -20,55 +23,112 @@ class DomainError(ValueError):
 
 
 def _check_range(name, value, lo, hi, lo_open=False, hi_open=False):
-    ok = (value > lo if lo_open else value >= lo) and (value < hi if hi_open else value <= hi)
-    if not (math.isfinite(value) and ok):
+    """Raise DomainError unless lo <= value <= hi, each end open if flagged
+    (NaN fails); for an array, return the mask of the entries in range."""
+    ok = (value > lo if lo_open else value >= lo) & (value < hi if hi_open else value <= hi)
+    if ok is True or isinstance(value, np.ndarray):
+        return ok
+    if not ok:
         raise DomainError(f"{name}={value!r} outside {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
+    return True
 
 
 def _check_delta(delta):
+    """Raise DomainError unless delta is finite; for an array, return the
+    mask of the finite entries."""
+    if isinstance(delta, np.ndarray):
+        return np.isfinite(delta)
     if not math.isfinite(delta):
         raise DomainError(f"delta={delta!r} is not finite")
+    return True
+
+
+def _boost_domain(v, theta_pf, chi):
+    return (_check_range("v", v, -1.0, 1.0, lo_open=True, hi_open=True)
+            & _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
+            & _check_range("chi", chi, 0.0, math.pi))
+
+
+def _rotation_domain(delta, theta_pf, chi):
+    return (_check_delta(delta)
+            & _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
+            & _check_range("chi", chi, 0.0, math.pi))
+
+
+def _check_scenario(s, domain, *values) -> None:
+    """Validate the field values of scenario s, in field order, with
+    `domain`: it checks one row of them and gives True, or the mask of the
+    rows in range if a field is an array. Then every field becomes a float
+    array of one length (a float if all arrays are 0-d), and the first
+    failing row raises as its single scenario would."""
+    try:
+        if domain(*values) is True:
+            return
+    except DomainError:
+        if np.ndarray not in map(type, values):
+            raise
+    rows = np.broadcast_arrays(*(np.array(x, dtype=float) for x in values))
+    if rows[0].ndim == 0:
+        # 0-d arrays are one row, kept as floats
+        rows = [x.item() for x in rows]
+    ok = domain(*rows)
+    if ok is not True and not ok.all():
+        i = int(np.argmin(ok))
+        domain(*(x[i].item() for x in rows))
+    for name, x in zip(s.__dataclass_fields__, rows):
+        object.__setattr__(s, name, x)
 
 
 @dataclass(frozen=True)
 class BoostScenario:
-    """Signed boost speed v along the photon, frame speed theta_pf, angle chi."""
+    """Signed boost speed v along the photon, frame speed theta_pf, angle
+    chi: floats, or (N,) arrays (floats among them are shared) for N rows."""
 
-    v: float
-    theta_pf: float
-    chi: float
+    v: float | np.ndarray
+    theta_pf: float | np.ndarray
+    chi: float | np.ndarray
 
     def __post_init__(self):
-        _check_range("v", self.v, -1.0, 1.0, lo_open=True, hi_open=True)
-        _check_range("theta_pf", self.theta_pf, 0.0, 1.0, hi_open=True)
-        _check_range("chi", self.chi, 0.0, math.pi)
+        _check_scenario(self, _boost_domain, self.v, self.theta_pf, self.chi)
 
 
 @dataclass(frozen=True)
 class RotationScenario:
-    """Rotation angle delta about the photon, frame speed theta_pf, angle chi."""
+    """Rotation angle delta about the photon, frame speed theta_pf, angle
+    chi: floats, or (N,) arrays (floats among them are shared) for N rows."""
 
-    delta: float
-    theta_pf: float
-    chi: float
+    delta: float | np.ndarray
+    theta_pf: float | np.ndarray
+    chi: float | np.ndarray
 
     def __post_init__(self):
-        _check_delta(self.delta)
-        _check_range("theta_pf", self.theta_pf, 0.0, 1.0, hi_open=True)
-        _check_range("chi", self.chi, 0.0, math.pi)
+        _check_scenario(self, _rotation_domain, self.delta, self.theta_pf, self.chi)
 
 
-def boost_phase(s: BoostScenario) -> float:
-    """Polarisation phase for a boost of speed v along the photon."""
-    v, th, chi = s.v, s.theta_pf, s.chi
-    rv = math.sqrt(1.0 - v * v)
-    rt = math.sqrt(1.0 - th * th)
-    num = v * th * math.sin(chi)
-    den = math.sqrt(2.0 * (1.0 + rv) * (1.0 + rt) * (v * th * math.cos(chi) + rv * rt + 1.0))
-    arg = num / den
+def _bounded_asin(arg: float) -> float:
     if abs(arg) > 1.0 + 1e-12:
         raise DomainError(f"arcsin argument {arg!r} violates the analytic bound")
     return math.asin(max(-1.0, min(1.0, arg)))
+
+
+# sqrt, sin, cos, asin and atan2 as the formulas call them, on floats and
+# on arrays. Arrays take numpy's sqrt, which is IEEE-exact like math.sqrt,
+# and the other functions from `math` one entry at a time, so a stacked
+# row equals its single call bit for bit. Indexed by "is it an array".
+_FLOAT_MATH = (math.sqrt, math.sin, math.cos, _bounded_asin, math.atan2)
+_MATH = (_FLOAT_MATH, (np.sqrt,) + tuple(partial(math_rows, f) for f in _FLOAT_MATH[1:]))
+
+
+def boost_phase(s: BoostScenario):
+    """Polarisation phase for a boost of speed v along the photon; an
+    array of one phase per row for a stacked scenario."""
+    sqrt, sin, cos, asin, _ = _MATH[isinstance(s.chi, np.ndarray)]
+    v, th, chi = s.v, s.theta_pf, s.chi
+    rv = sqrt(1.0 - v * v)
+    rt = sqrt(1.0 - th * th)
+    num = v * th * sin(chi)
+    den = sqrt(2.0 * (1.0 + rv) * (1.0 + rt) * (v * th * cos(chi) + rv * rt + 1.0))
+    return asin(num / den)
 
 
 def boost_phase_asymptote(theta_pf: float, chi: float) -> float:
@@ -80,32 +140,35 @@ def boost_phase_asymptote(theta_pf: float, chi: float) -> float:
     return math.asin(theta_pf * math.sin(chi) / den)
 
 
-def _rotation_factors(theta_pf: float, chi: float) -> tuple[float, float, float, float]:
+def _rotation_factors(theta_pf, chi, sqrt=math.sqrt, sin=math.sin, cos=math.cos):
     """The factors of the rotation formulas that depend on theta_pf and chi
-    only: n, dd, a sin(chi) and theta_pf sin(chi)."""
-    rt = math.sqrt(1.0 - theta_pf * theta_pf)
-    a = (1.0 - rt) * math.cos(chi) - theta_pf
-    return (rt + a * math.cos(chi), 1.0 - theta_pf * math.cos(chi), a * math.sin(chi),
-            theta_pf * math.sin(chi))
+    only: n, dd, a sin(chi) and theta_pf sin(chi). sqrt, sin and cos are
+    math's for floats; arrays take those of _MATH[True]."""
+    rt = sqrt(1.0 - theta_pf * theta_pf)
+    c, s = cos(chi), sin(chi)
+    a = (1.0 - rt) * c - theta_pf
+    return rt + a * c, 1.0 - theta_pf * c, a * s, theta_pf * s
 
 
-def _rotation_angle(n: float, dd: float, a_sin: float, sin_half: float, cos_half: float) -> float:
+def _rotation_angle(n, dd, a_sin, sin_half, cos_half, atan2=math.atan2):
     """rotation_phase from the factors of _rotation_factors and the
     sine and cosine of delta/2."""
-    return 2.0 * math.atan2(n * sin_half, dd * cos_half + a_sin * sin_half)
+    return 2.0 * atan2(n * sin_half, dd * cos_half + a_sin * sin_half)
 
 
-def rotation_phase(s: RotationScenario) -> float:
-    """Polarisation phase for a rotation by delta about the photon.
+def rotation_phase(s: RotationScenario):
+    """Polarisation phase for a rotation by delta about the photon; an
+    array of one phase per row for a stacked scenario.
 
     Two-argument arctangent form: numerator and denominator of the
     half-angle tangent are both multiplied by sin(delta/2), which makes
     delta = 0 and delta = pi regular. Continuous and increasing in delta
     on [0, 2pi], with rotation_phase(2pi) = 2pi.
     """
-    n, dd, a_sin, _ = _rotation_factors(s.theta_pf, s.chi)
+    sqrt, sin, cos, _, atan2 = _MATH[isinstance(s.delta, np.ndarray)]
+    n, dd, a_sin, _ = _rotation_factors(s.theta_pf, s.chi, sqrt, sin, cos)
     half = 0.5 * s.delta
-    return _rotation_angle(n, dd, a_sin, math.sin(half), math.cos(half))
+    return _rotation_angle(n, dd, a_sin, sin(half), cos(half), atan2)
 
 
 def rotation_phase_shift(s: RotationScenario) -> float:

@@ -38,6 +38,7 @@ from .minkowski import (
     apply,
     boost_to,
     format_row,
+    math_rows,
     minkowski_dot,
     rotation_about,
     rotation_z_to,
@@ -58,8 +59,8 @@ class StabilityError(RowError, RuntimeError):
     """The little-group element moved a vector it must fix.
 
     Signals a construction bug (or a numerically hostile transform),
-    not bad user input. The message names the row, the pair and the
-    gamma of the transform.
+    not bad user input. The message names the row, the pair, the gamma
+    of the frame (paired route only) and the gamma of the transform.
     """
 
 
@@ -139,11 +140,6 @@ def _gamma(L: LorentzTransform, i: int) -> str:
     return f"transform gamma={_row(L.stack, i)[0, 0]:.10g}"
 
 
-def _atan2_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # math.atan2 per row: np.arctan2 can differ from it in the last bit
-    return np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
-
-
 def direction_in_pf(kin):
     """Unit photon direction seen from the distinguished frame's rest
     coordinates; (N,3) for a PairStack."""
@@ -166,29 +162,11 @@ def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     th = np.sqrt(row_dot(th_vec, th_vec))
     kh = unit_rows(pairs.k[:, 1:])
     cross = np.cross(kh, th_vec)
-    chi = _atan2_rows(np.sqrt(row_dot(cross, cross)), row_dot(kh, th_vec))
+    chi = math_rows(math.atan2, np.sqrt(row_dot(cross, cross)), row_dot(kh, th_vec))
     tv = (np.swapaxes(rotation_z_to(kh).stack[:, 1:, 1:], 1, 2) @ th_vec[:, :, None])[:, :, 0]
-    alpha = _atan2_rows(tv[:, 1], tv[:, 0])
+    alpha = math_rows(math.atan2, tv[:, 1], tv[:, 0])
     rest = th == 0.0
     return th, np.where(rest, 0.0, chi), np.where(rest, 0.0, alpha)
-
-
-def _rotation_phase_continued(alpha: float, th: float, chi: float) -> float:
-    # rotation_phase on [0, 2pi), shifted to the (-pi, pi] branch so that
-    # alpha -> phase(alpha) is continuous through alpha = 0
-    if alpha >= 0.0:
-        return rotation_phase(RotationScenario(alpha, th, chi))
-    return rotation_phase(RotationScenario(alpha + math.tau, th, chi)) - math.tau
-
-
-def _alignment(gamma: float, th: float, chi: float, alpha: float) -> float:
-    if th == 0.0:
-        return 0.0
-    u_perp = gamma * th * math.sin(chi)
-    th_apex = u_perp / math.sqrt(1.0 + u_perp * u_perp)
-    v_star = th * math.cos(chi)
-    h = -boost_phase(BoostScenario(v_star, th_apex, 0.5 * math.pi))
-    return h + (alpha - _rotation_phase_continued(alpha, th, chi))
 
 
 def alignment_angle(kin):
@@ -218,9 +196,17 @@ def alignment_angle(kin):
     composition and stabiliser properties are unaffected by the choice.
     """
     pairs = PairStack.of(kin)
-    h = [_alignment(*row) for row in zip(pairs.u[:, 0].tolist(),
-                                         *(a.tolist() for a in _pair_angles(pairs)))]
-    return np.array(h) if isinstance(kin, PairStack) else h[0]
+    th, chi, alpha = _pair_angles(pairs)
+    u_perp = pairs.u[:, 0] * th * math_rows(math.sin, chi)
+    th_apex = u_perp / np.sqrt(1.0 + u_perp * u_perp)
+    v_star = th * math_rows(math.cos, chi)
+    h = -boost_phase(BoostScenario(v_star, th_apex, 0.5 * math.pi))
+    # rotation_phase on [0, 2pi), shifted to the (-pi, pi] branch so that
+    # alpha -> phase(alpha) is continuous through alpha = 0
+    turned = alpha >= 0.0
+    phase = rotation_phase(RotationScenario(np.where(turned, alpha, alpha + math.tau), th, chi))
+    h = np.where(th == 0.0, 0.0, h + (alpha - np.where(turned, phase, phase - math.tau)))
+    return h if isinstance(kin, PairStack) else float(h[0])
 
 
 def bench_pair(theta_pf: float, chi: float) -> PhotonKinematics:
@@ -289,10 +275,10 @@ def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform):
     if bad.any():
         i = int(np.argmax(bad))
         k, u = _row(pairs.k, i), _row(pairs.u, i)
-        raise StabilityError(i, f"pair moved by {stab[i]:.3e} "
-                                f"(k={format_row(k)}, u={format_row(u)}, {_gamma(L, i)})")
+        raise StabilityError(i, f"pair moved by {stab[i]:.3e} (k={format_row(k)}, "
+                                f"u={format_row(u)}, frame gamma={u[0]:.10g}, {_gamma(L, i)})")
 
-    phi = _atan2_rows(w[:, 2, 1], w[:, 1, 1])
+    phi = math_rows(math.atan2, w[:, 2, 1], w[:, 1, 1])
     residual = np.abs(w - rotation_about(Z_AXIS, phi).stack).max(axis=(1, 2))
     return phi, residual, stab
 
@@ -360,7 +346,7 @@ def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform):
                                 f"(k={format_row(_row(k, i))}, {_gamma(L, i)})")
 
     eex = e @ _E_X
-    phi = _atan2_rows(-minkowski_dot(eex, _E_Y), -minkowski_dot(eex, _E_X))
+    phi = math_rows(math.atan2, -minkowski_dot(eex, _E_Y), -minkowski_dot(eex, _E_X))
 
     # reconstruct T(alpha, beta) Rz(phi) and measure the leftover
     t = e @ rotation_about(Z_AXIS, -phi).stack

@@ -41,6 +41,12 @@ def row_dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def math_rows(f, *xs) -> np.ndarray:
+    """f(xs[0][i], xs[1][i], ...) for each i, by a `math` function f:
+    numpy's sin, cos, arcsin and arctan2 can differ from `math` in the last bit."""
+    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, len(xs[0]))
+
+
 def unit_rows(x) -> np.ndarray:
     """Each row of x divided by its norm, as `x[i] / np.linalg.norm(x[i])`."""
     return x / np.sqrt(row_dot(x, x))[..., None]
@@ -219,8 +225,9 @@ class LorentzTransform:
         return len(self.stack)
 
     def __getitem__(self, index) -> "LorentzTransform":
-        """Row i of the stack as a single transform, or a slice as a stack;
-        the rows were validated when the stack was built."""
+        """Row i of the stack as a single transform, or a slice or an array
+        of row indices as a stack; the rows were validated when the stack
+        was built."""
         return _trusted(LorentzTransform, m=self.stack[index])
 
 
@@ -324,7 +331,8 @@ class PairStack:
     def __len__(self) -> int:
         return len(self.k)
 
-    def __getitem__(self, rows: slice) -> "PairStack":
+    def __getitem__(self, rows) -> "PairStack":
+        """The pairs of a slice or an array of row indices, as a stack."""
         return _trusted(PairStack, k=self.k[rows], u=self.u[rows])
 
     @property
@@ -428,9 +436,7 @@ def rotation_about(axis, delta) -> LorentzTransform:
     n = max(len(axes), delta.size)
     if len(axes) != n:
         axes = np.broadcast_to(axes, (n, 3))
-    angles = delta.reshape(-1).tolist()
-    if len(angles) != n:
-        angles = np.broadcast_to(angles, (n,)).tolist()
+    angles = np.broadcast_to(delta.reshape(-1), (n,))
     kx = np.zeros((n, 3, 3))
     kx[:, 0, 1] = -axes[:, 2]
     kx[:, 0, 2] = axes[:, 1]
@@ -438,8 +444,8 @@ def rotation_about(axis, delta) -> LorentzTransform:
     kx[:, 1, 2] = -axes[:, 0]
     kx[:, 2, 0] = -axes[:, 1]
     kx[:, 2, 1] = axes[:, 0]
-    sin = np.array([math.sin(d) for d in angles])[:, None, None]
-    versin = np.array([1.0 - math.cos(d) for d in angles])[:, None, None]
+    sin = math_rows(math.sin, angles)[:, None, None]
+    versin = (1.0 - math_rows(math.cos, angles))[:, None, None]
     m = np.zeros((n, 4, 4))
     m[:, 0, 0] = 1.0
     m[:, 1:, 1:] = np.eye(3) + sin * kx + versin * (kx @ kx)
@@ -456,7 +462,7 @@ def rotation_z_to(n) -> LorentzTransform:
     rows = _checked_unit_rows(n, "n")
     stacked = np.ndim(n) == 2
     c = rows[:, 2]
-    s = np.array([math.hypot(x, y) for x, y in rows[:, :2].tolist()])
+    s = math_rows(math.hypot, rows[:, 0], rows[:, 1])
     pole = s < 1e-300
     if not stacked and pole[0] and c[0] > 0.0:
         return IDENTITY
@@ -464,7 +470,7 @@ def rotation_z_to(n) -> LorentzTransform:
     axis[:, 0] = -rows[:, 1]
     axis[:, 1] = rows[:, 0]
     axis /= np.where(pole, 1.0, s)[:, None]
-    angle = np.array([math.atan2(y, x) for y, x in zip(s.tolist(), c.tolist())])
+    angle = math_rows(math.atan2, s, c)
     if pole.any():
         # at +z the identity, at -z the half turn about x
         axis[pole] = (1.0, 0.0, 0.0)

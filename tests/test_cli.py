@@ -3,9 +3,15 @@
 Golden files under tests/golden/ freeze the exact bytes each command
 emits for a small deterministic configuration; any formatting, grid,
 seeding or numerical drift shows up as a byte difference.
+
+Most tests call `cli.main` in the test process (`run_cli`); three start
+`python -m pfwigner.cli` (`run_process`), so that the entry point and the
+exit codes of a real process stay covered.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -14,19 +20,33 @@ from pathlib import Path
 
 import pytest
 
+from pfwigner import cli
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "pfwigner.cli", *map(str, args)],
-        capture_output=True, text=True)
+    """cli.main(args) in this process, with its standard output and error
+    captured as text and a SystemExit turned into the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def run_cli_bytes(*args):
+    res = run_cli(*args)
+    return subprocess.CompletedProcess(args, res.returncode, res.stdout.encode(),
+                                       res.stderr.encode())
+
+
+def run_process(*args, text=True):
     return subprocess.run(
         [sys.executable, "-m", "pfwigner.cli", *map(str, args)],
-        capture_output=True)
+        capture_output=True, text=text)
 
 
 BOOST_ARGS = ("boost-scan", "--v-min", -0.9, "--v-max", 0.9, "--v-step", 0.3)
@@ -82,8 +102,8 @@ def test_fine_rotation_scan_is_byte_exact(fmt, tmp_path):
 
 def test_stdout_matches_file_output(tmp_path):
     out = tmp_path / "scan.csv"
-    res_file = run_cli_bytes(*BOOST_ARGS, "--output", out)
-    res_stdout = run_cli_bytes(*BOOST_ARGS)
+    res_file = run_process(*BOOST_ARGS, "--output", out, text=False)
+    res_stdout = run_process(*BOOST_ARGS, text=False)
     assert res_file.returncode == 0 and res_stdout.returncode == 0
     assert res_stdout.stdout == out.read_bytes()
 
@@ -233,7 +253,7 @@ def test_invalid_values_exit_2(args):
 
 
 def test_unknown_subcommand_exits_2():
-    assert run_cli("frobnicate").returncode == 2
+    assert run_process("frobnicate").returncode == 2
 
 
 def test_missing_subcommand_exits_2():
@@ -249,10 +269,24 @@ def test_numerical_degeneracy_exits_3():
 
 def test_numerical_domain_error_exits_3():
     # valid input whose moved frame's speed rounds to 1.0 in the numerics
-    res = run_cli("wigner", "--pf-speed", 0.9, "--chi", 1.5, "--transform",
-                  "boost:x:0.9999999999999999")
+    res = run_process("wigner", "--pf-speed", 0.9, "--chi", 1.5, "--transform",
+                      "boost:x:0.9999999999999999")
     assert res.returncode == 3
     assert res.stderr == "internal numerical error: theta_pf=1.0 outside [0.0, 1.0)\n"
+
+
+def test_any_row_error_exits_3(monkeypatch):
+    # a RowError that is neither a StabilityError nor a DomainError, such as
+    # a row of the numerics failing validation, is a numerical failure too
+    from pfwigner.minkowski import RowValueError
+
+    def failing(kin, L):
+        raise RowValueError(4, "speed must be < 1")
+
+    monkeypatch.setattr(cli, "pf_wigner", failing)
+    res = run_cli(*BOOST_ARGS)
+    assert res.returncode == 3
+    assert res.stderr == "internal numerical error: row 4: speed must be < 1\n"
 
 
 def test_numerical_error_names_row_pair_and_gamma():

@@ -17,21 +17,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfwigner import (
+    BoostScenario,
+    DomainError,
     FourVector,
     IDENTITY,
     FrameVelocity,
     LorentzTransform,
     PairStack,
     PhotonKinematics,
+    RotationScenario,
     StabilityError,
+    alignment_angle,
     bench_pair,
     boost_from_velocity,
+    boost_phase,
     compose,
     pf_wigner,
     rotation_about,
+    rotation_phase,
     standard_wigner,
 )
 from pfwigner import minkowski
+from pfwigner.checks import _draws
+from pfwigner.induction import _pair_angles
 from pfwigner.minkowski import STACK_BLOCK
 
 # equal as values, but atan2 sends the frame azimuth to +pi or -pi
@@ -154,3 +162,169 @@ def test_single_calls_keep_messages_without_a_row():
         boost_from_velocity([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]])
     with pytest.raises(ValueError, match=r"^k is not null$"):
         standard_wigner(FourVector(2.0, 0.0, 0.0, 1.0), IDENTITY)
+
+
+# --- closed forms, the alignment angle and the check draws ---------------------
+
+# rows every stacked closed-form example includes: theta 0, chi 0 and pi,
+# signed zeros and negative speeds and angles
+EDGE_BOOSTS = [(0.0, 0.0, 0.0), (-0.0, 0.3, 1.0), (0.5, 0.0, 2.0), (-0.7, 0.4, 0.0),
+               (0.9, 0.2, math.pi), (-0.999, 0.99, 0.5 * math.pi)]
+EDGE_ROTATIONS = [(0.0, 0.0, 0.0), (-0.0, 0.3, 1.0), (-2.0, 0.4, math.pi), (math.tau, 0.2, 0.0),
+                  (-math.pi, 0.99, 0.5 * math.pi), (7.0, 0.0, 2.0)]
+
+speeds = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+frame_speeds = st.floats(0.0, 1.0, exclude_max=True)
+chis = st.floats(0.0, math.pi)
+
+
+def _scenario_rows(cls, rows):
+    return cls(*(np.array(col) for col in zip(*rows)))
+
+
+def _assert_bits_equal(got, want):
+    assert isinstance(got, np.ndarray) and got.shape == (len(want),)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@given(st.lists(st.tuples(speeds, frame_speeds, chis), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_stacked_boost_phase_equals_float_calls(rows):
+    rows = rows + EDGE_BOOSTS
+    _assert_bits_equal(boost_phase(_scenario_rows(BoostScenario, rows)),
+                       [boost_phase(BoostScenario(*row)) for row in rows])
+
+
+@given(st.lists(st.tuples(st.floats(-20.0, 20.0), frame_speeds, chis), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_stacked_rotation_phase_equals_float_calls(rows):
+    rows = rows + EDGE_ROTATIONS
+    _assert_bits_equal(rotation_phase(_scenario_rows(RotationScenario, rows)),
+                       [rotation_phase(RotationScenario(*row)) for row in rows])
+
+
+def test_stacked_scenario_shares_its_float_fields():
+    s = BoostScenario(np.array([0.1, -0.2]), 0.3, 1.0)
+    assert [x.tolist() for x in (s.v, s.theta_pf, s.chi)] == [[0.1, -0.2], [0.3, 0.3], [1.0, 1.0]]
+    assert boost_phase(s).tolist() == [boost_phase(BoostScenario(v, 0.3, 1.0)) for v in (0.1, -0.2)]
+    assert isinstance(boost_phase(BoostScenario(0.1, 0.3, 1.0)), float)
+    assert isinstance(rotation_phase(RotationScenario(0.1, 0.3, 1.0)), float)
+    # 0-d arrays are one row of floats
+    assert boost_phase(BoostScenario(np.array(0.1), 0.3, 1.0)) == boost_phase(
+        BoostScenario(0.1, 0.3, 1.0))
+    assert rotation_phase(RotationScenario(np.array(0.1), np.array(0.3), 1.0)) == rotation_phase(
+        RotationScenario(0.1, 0.3, 1.0))
+    with pytest.raises(DomainError, match=r"^v=1\.5 outside \(-1\.0, 1\.0\)$"):
+        BoostScenario(np.array(1.5), 0.3, 1.0)
+
+
+anything = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([math.nan, math.inf, -math.inf, 1.0]))
+
+
+@given(st.sampled_from([BoostScenario, RotationScenario]),
+       st.lists(st.tuples(anything, anything, anything), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_stacked_scenario_raises_as_its_first_failing_row(cls, rows):
+    want = None
+    for row in rows:
+        try:
+            cls(*row)
+        except DomainError as exc:
+            want = str(exc)
+            break
+    if want is None:
+        _scenario_rows(cls, rows)
+    else:
+        with pytest.raises(DomainError) as got:
+            _scenario_rows(cls, rows)
+        assert str(got.value) == want
+
+
+def test_stacked_scenario_with_a_bad_shared_field_names_the_first_row():
+    # every row fails theta_pf; row 0 fails v first, as its single scenario
+    with pytest.raises(DomainError, match=r"^v=1\.5 outside \(-1\.0, 1\.0\)$"):
+        BoostScenario(np.array([1.5, 0.2]), 1.0, 0.5)
+    with pytest.raises(DomainError, match=r"^delta=nan is not finite$"):
+        RotationScenario(np.array([0.1, math.nan]), 0.2, 0.5)
+
+
+def _alignment_by_rows(kin):
+    # alignment_angle as one scalar row at a time, through the float calls
+    # of the closed forms
+    th, chi, alpha = (float(x[0]) for x in _pair_angles(PairStack.of(kin)))
+    if th == 0.0:
+        return 0.0
+    u_perp = kin.u.u.t * th * math.sin(chi)
+    th_apex = u_perp / math.sqrt(1.0 + u_perp * u_perp)
+    h = -boost_phase(BoostScenario(th * math.cos(chi), th_apex, 0.5 * math.pi))
+    if alpha >= 0.0:
+        phase = rotation_phase(RotationScenario(alpha, th, chi))
+    else:
+        phase = rotation_phase(RotationScenario(alpha + math.tau, th, chi)) - math.tau
+    return h + (alpha - phase)
+
+
+# a frame at rest, one with a negative azimuth about the photon and two
+# that differ only in the sign of a zero
+EDGE_PAIRS = [bench_pair(0.0, 1.0), PhotonKinematics(FourVector(1.0, 0.0, 0.0, 1.0),
+                                                     FrameVelocity.from_velocity([0.3, -0.4, 0.1]))]
+EDGE_PAIRS += SIGNED_ZERO_PAIRS
+
+
+@given(st.lists(pairs(), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_stacked_alignment_angle_equals_single_calls(kins):
+    kins = kins + EDGE_PAIRS
+    singles = [alignment_angle(k) for k in kins]
+    assert all(isinstance(h, float) for h in singles)
+    assert singles == [_alignment_by_rows(k) for k in kins]
+    _assert_bits_equal(alignment_angle(PairStack.of(kins)), singles)
+
+
+def test_alignment_edge_pairs_cover_both_branches():
+    alphas = _pair_angles(PairStack.of(EDGE_PAIRS))[2]
+    assert (alphas < 0.0).any() and (alphas > 0.0).any()
+    assert alignment_angle(EDGE_PAIRS[0]) == 0.0
+
+
+# the per-row draw helpers that `checks._draws` replaced
+def _random_direction(rng):
+    d = rng.normal(size=3)
+    return d / np.linalg.norm(d)
+
+
+def _random_null(rng):
+    d = _random_direction(rng)
+    e = rng.uniform(0.2, 5.0)
+    return np.concatenate(([e], e * d))
+
+
+def _random_velocity(rng):
+    return _random_direction(rng) * rng.uniform(0.0, 0.99)
+
+
+def _random_transform(rng):
+    axis = _random_direction(rng)
+    return np.concatenate((axis, [rng.uniform(-math.pi, math.pi)], _random_velocity(rng)))
+
+
+DRAW_SPECS = [
+    (("null", "velocity", "transform", "transform"),
+     lambda r: (_random_null(r), _random_velocity(r), _random_transform(r), _random_transform(r))),
+    (("null", "transform", "transform"),
+     lambda r: (_random_null(r), _random_transform(r), _random_transform(r))),
+    (("null", (-0.99, 0.99), (-math.pi, math.pi)),
+     lambda r: (_random_null(r), [r.uniform(-0.99, 0.99)], [r.uniform(-math.pi, math.pi)])),
+    (("null", "direction", (-math.pi, math.pi), (-0.99, 0.99)),
+     lambda r: (_random_null(r), _random_direction(r), [r.uniform(-math.pi, math.pi)],
+                [r.uniform(-0.99, 0.99)])),
+]
+
+
+@pytest.mark.parametrize("seed", [2024, 2025, 7])
+@pytest.mark.parametrize("spec,draw_row", DRAW_SPECS, ids=["pair", "standard", "anchors", "reduction"])
+def test_draws_equal_the_per_row_helpers(seed, spec, draw_row):
+    rng = np.random.default_rng(seed)
+    want = np.array([np.concatenate(draw_row(rng)) for _ in range(300)])
+    got = _draws(np.random.default_rng(seed), 300, spec)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
