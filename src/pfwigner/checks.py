@@ -109,15 +109,17 @@ def rotation_oracle_equivalence(delta_grid, theta_grid, chi_grid, tol: float) ->
     about z; inf if a sign disagrees."""
     w, _, _ = _bench_wigner(theta_grid, chi_grid, minkowski.rotation_about(
         np.array([0.0, 0.0, 1.0]), np.array(delta_grid)))
-    want = np.array([row[2] for th in theta_grid for chi in chi_grid
-                     for row in closed_form.rotation_table(delta_grid, th, (chi,))])
+    # phi_ex of one table per theta, its delta-major rows put chi-major
+    want = np.concatenate([
+        closed_form.rotation_table(delta_grid, th, chi_grid)[:, 2]
+        .reshape(len(delta_grid), len(chi_grid)).T.ravel() for th in theta_grid])
     sign_ok = not ((w.phi * want < 0.0) & (np.abs(want) > 1e-12)).any()
     worst = float(np.abs(np.abs(w.phi) - np.abs(want)).max())
     return CheckResult(worst if sign_ok else math.inf, tol, float(w.stabiliser.max()))
 
 
 def _composition_defect(w1, w2, w12) -> float:
-    return max(abs(wrap_angle(d)) for d in (w12.phi - w1.phi - w2.phi).tolist())
+    return float(np.abs(wrap_angle(w12.phi - w1.phi - w2.phi)).max())
 
 
 def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
@@ -159,7 +161,7 @@ def standard_anchors(seed: int, n_draws: int, tol: float) -> CheckResult:
     kh = unit_rows(k[:, 1:])
     boosted = induction.standard_wigner(k, minkowski.boost_from_velocity(kh * v[:, None])).phi
     rotated = induction.standard_wigner(k, minkowski.rotation_about(kh, d)).phi
-    worst = max(abs(wrap_angle(x)) for x in (rotated - d).tolist())
+    worst = float(np.abs(wrap_angle(rotated - d)).max())
     return CheckResult(max(float(np.abs(boosted).max()), worst), tol)
 
 
@@ -182,8 +184,7 @@ def reduction_zero_theta(seed: int, n_draws: int, tol: float) -> CheckResult:
 
 def approximation_order(theta_grid, delta_grid, chi_grid, tol: float) -> CheckResult:
     """|slope - 2| of the shift formula's worst error against theta, log-log."""
-    errs = [max(row[5] for row in closed_form.rotation_table(delta_grid, th, chi_grid))
-            for th in theta_grid]
+    errs = [closed_form.rotation_table(delta_grid, th, chi_grid)[:, 5].max() for th in theta_grid]
     slope = float(np.polyfit(np.log(theta_grid), np.log(errs), 1)[0])
     return CheckResult(abs(slope - 2.0), tol)
 

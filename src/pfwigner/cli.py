@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -170,16 +170,33 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[Sequence[float]]) -> None:
+def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
+          values: np.ndarray) -> None:
+    """Write a sweep: for each point of the grid of `axes` (outer axis
+    first), its coordinates and then its row of `values`, the (N, k) array
+    of the computed columns."""
     if cfg.format == "csv":
-        # "%.17g" % v gives the bytes of format(v, ".17g"); one % formats
-        # every row, with no string per row
-        row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-        text = ",".join(columns) + "\n" + (
-            row_format * len(rows) % tuple(chain.from_iterable(rows)))
+        # one % over the whole table: a string per row raises peak memory
+        text = _csv_format(columns, axes, values.shape[1]) % tuple(values.ravel().tolist())
     else:
+        rows = [[*point, *row] for point, row in zip(product(*axes), values.tolist())]
         text = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
     _write(cfg, text)
+
+
+def _csv_format(columns: list[str], axes: list[Sequence[float]], k: int) -> str:
+    """The % format of a sweep's CSV: the header, then a line per grid
+    point with its coordinates written out and k "%.17g" for its values.
+
+    "%.17g" % v gives the bytes of format(v, ".17g"). Each axis value is
+    formatted once, and the outermost axis makes one string per value, not
+    one per line.
+    """
+    lines = [",".join(["%.17g"] * k) + "\n"]
+    for axis in reversed(axes[1:]):
+        lines = [prefix + line for prefix in ["%.17g," % v for v in axis] for line in lines]
+    blocks = [prefix + prefix.join(lines) for prefix in ["%.17g," % v for v in axes[0]]]
+    return "".join([",".join(columns) + "\n"] + blocks)
 
 
 def _write(cfg: RunConfig, text: str) -> None:
@@ -240,10 +257,11 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
     phi_mx = []
     for block in row_blocks(len(grid)):
         with rows_from(block.start):
-            phi_mx += pf_wigner(kin, boost_from_velocity(along_z(grid[block]))).phi.tolist()
-    phi_cf = boost_phase(BoostScenario(np.array(grid), cfg.pf_speed, cfg.chi)).tolist()
-    rows = [[v, cf, mx, abs(cf - mx)] for v, cf, mx in zip(grid, phi_cf, phi_mx)]
-    _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], rows)
+            phi_mx.append(pf_wigner(kin, boost_from_velocity(along_z(grid[block]))).phi)
+    phi_mx = np.concatenate(phi_mx)
+    phi_cf = boost_phase(BoostScenario(np.array(grid), cfg.pf_speed, cfg.chi))
+    _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], [grid],
+          np.column_stack([phi_cf, phi_mx, np.abs(phi_cf - phi_mx)]))
     return 0
 
 
@@ -253,8 +271,8 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
         raise ConfigError(f"scan exceeds {MAX_ROWS} rows; use a larger delta-step "
                           "or fewer chi-steps")
     chis = [i * math.pi / cfg.chi_steps for i in range(cfg.chi_steps + 1)]
-    rows = rotation_table(deltas, cfg.pf_speed, chis)
-    _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], rows)
+    _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
+          rotation_table(deltas, cfg.pf_speed, chis)[:, 2:])
     return 0
 
 
@@ -285,11 +303,11 @@ def cmd_malus(cfg: RunConfig) -> int:
     curve = anomalous_malus_curve(kin, cfg.state_angle, cfg.pol_angle, deltas)
     p_classical = malus_probability(cfg.state_angle, cfg.pol_angle)
     rows = []
-    for i, (d, p_pf) in enumerate(curve):
+    for i, (_, p_pf) in enumerate(curve):
         freq = monte_carlo_malus(p_pf, cfg.samples, cfg.seed + i)
         err = math.sqrt(p_pf * (1.0 - p_pf) / cfg.samples)
-        rows.append([d, p_classical, p_pf, freq, err])
-    _emit(cfg, ["delta", "p_classical", "p_pf", "mc_freq", "mc_err"], rows)
+        rows.append([p_classical, p_pf, freq, err])
+    _emit(cfg, ["delta", "p_classical", "p_pf", "mc_freq", "mc_err"], [deltas], np.array(rows))
     return 0
 
 
@@ -340,28 +358,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--pf-speed", dest="pf_speed", type=float,
-                       help=f"frame speed in units of c (default {DEFAULTS['pf_speed']})")
-        p.add_argument("--chi", type=float, help="angle between photon and frame velocity, radians")
-        p.add_argument("--v-min", dest="v_min", type=float)
-        p.add_argument("--v-max", dest="v_max", type=float)
-        p.add_argument("--v-step", dest="v_step", type=float)
-        p.add_argument("--delta-min", dest="delta_min", type=float)
-        p.add_argument("--delta-max", dest="delta_max", type=float)
-        p.add_argument("--delta-step", dest="delta_step", type=float)
-        p.add_argument("--chi-steps", dest="chi_steps", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--state-angle", dest="state_angle", type=float,
-                       help="polarisation angle of the prepared state, radians")
-        p.add_argument("--pol-angle", dest="pol_angle", type=float,
-                       help="polariser transmission axis angle, radians")
-        p.add_argument("--output", type=str)
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--config", type=str, help="key=value config file; flags win")
-        p.add_argument("--tol-scale", dest="tol_scale", type=float,
-                       help="multiply validation tolerances (diagnostic)")
+    # the options of every subcommand, added once and shared by each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pf-speed", dest="pf_speed", type=float,
+                        help=f"frame speed in units of c (default {DEFAULTS['pf_speed']})")
+    common.add_argument("--chi", type=float,
+                        help="angle between photon and frame velocity, radians")
+    common.add_argument("--v-min", dest="v_min", type=float)
+    common.add_argument("--v-max", dest="v_max", type=float)
+    common.add_argument("--v-step", dest="v_step", type=float)
+    common.add_argument("--delta-min", dest="delta_min", type=float)
+    common.add_argument("--delta-max", dest="delta_max", type=float)
+    common.add_argument("--delta-step", dest="delta_step", type=float)
+    common.add_argument("--chi-steps", dest="chi_steps", type=int)
+    common.add_argument("--samples", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--state-angle", dest="state_angle", type=float,
+                        help="polarisation angle of the prepared state, radians")
+    common.add_argument("--pol-angle", dest="pol_angle", type=float,
+                        help="polariser transmission axis angle, radians")
+    common.add_argument("--output", type=str)
+    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--config", type=str, help="key=value config file; flags win")
+    common.add_argument("--tol-scale", dest="tol_scale", type=float,
+                        help="multiply validation tolerances (diagnostic)")
 
     for name, help_text in (
         ("boost-scan", "sweep boost speed along the photon, emit both phase routes"),
@@ -369,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("malus", "Malus transmission under apparatus rotation, with Monte Carlo"),
         ("validate", "run the full invariant suite and report per-check residuals"),
     ):
-        add_common(sub.add_parser(name, help=help_text))
+        sub.add_parser(name, help=help_text, parents=[common])
 
-    wig = sub.add_parser("wigner", help="single transformation: both angles and residuals")
-    add_common(wig)
+    wig = sub.add_parser("wigner", help="single transformation: both angles and residuals",
+                         parents=[common])
     wig.add_argument("--transform", action="append", metavar="KIND:AXIS:VALUE",
                      help="boost:z:0.5 or rotation:k:0.785; repeatable, applied in order")
     return parser

@@ -19,7 +19,10 @@ from .minkowski import math_rows, wrap_angle
 
 
 class DomainError(ValueError):
-    """An input is outside the validity range of a closed-form expression."""
+    """An input is outside the validity range of a closed-form expression.
+    `row` is the failing row of a stacked scenario, else None."""
+
+    row: int | None = None
 
 
 def _check_range(name, value, lo, hi, lo_open=False, hi_open=False):
@@ -60,7 +63,7 @@ def _check_scenario(s, domain, *values) -> None:
     `domain`: it checks one row of them and gives True, or the mask of the
     rows in range if a field is an array. Then every field becomes a float
     array of one length (a float if all arrays are 0-d), and the first
-    failing row raises as its single scenario would."""
+    failing row raises as its single scenario would, with its `row`."""
     try:
         if domain(*values) is True:
             return
@@ -74,7 +77,11 @@ def _check_scenario(s, domain, *values) -> None:
     ok = domain(*rows)
     if ok is not True and not ok.all():
         i = int(np.argmin(ok))
-        domain(*(x[i].item() for x in rows))
+        try:
+            domain(*(x[i].item() for x in rows))
+        except DomainError as exc:
+            exc.row = i
+            raise
     for name, x in zip(s.__dataclass_fields__, rows):
         object.__setattr__(s, name, x)
 
@@ -171,44 +178,51 @@ def rotation_phase(s: RotationScenario):
     return _rotation_angle(n, dd, a_sin, sin(half), cos(half), atan2)
 
 
-def rotation_phase_shift(s: RotationScenario) -> float:
-    """delta - rotation_phase, wrapped to (-pi, pi]."""
+def rotation_phase_shift(s: RotationScenario):
+    """delta - rotation_phase, wrapped to (-pi, pi]; an array of one shift
+    per row for a stacked scenario."""
     return wrap_angle(s.delta - rotation_phase(s))
 
 
-def rotation_shift_approx(s: RotationScenario) -> float:
-    """First-order (small theta_pf) magnitude of the rotation phase shift.
+def rotation_shift_approx(s: RotationScenario):
+    """First-order (small theta_pf) magnitude of the rotation phase shift;
+    an array of one magnitude per row for a stacked scenario.
 
     theta_pf * sin(chi) * (1 - cos(delta)); equals the half-angle form
     2*theta_pf*sin(chi)*tan^2(delta/2)/(1+tan^2(delta/2)) where the
     latter is defined, but stays regular at delta = pi.
     """
-    return _rotation_factors(s.theta_pf, s.chi)[3] * (1.0 - math.cos(s.delta))
+    sqrt, sin, cos, *_ = _MATH[isinstance(s.delta, np.ndarray)]
+    return _rotation_factors(s.theta_pf, s.chi, sqrt, sin, cos)[3] * (1.0 - cos(s.delta))
 
 
-def rotation_table(deltas, theta_pf: float, chis) -> list[tuple[float, ...]]:
-    """The rows (delta, chi, phi_ex, dphi_ex, dphi_ap, abs_err) of a
-    rotation sweep, each delta with every chi in turn.
+def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
+    """The (N, 6) array of the rows (delta, chi, phi_ex, dphi_ex, dphi_ap,
+    abs_err) of a rotation sweep, each delta with every chi in turn.
 
     phi_ex is rotation_phase wrapped to (-pi, pi], dphi_ex is
     rotation_phase - delta wrapped, dphi_ap is rotation_shift_approx and
     abs_err is ||dphi_ex| - dphi_ap|. theta_pf, each chi and each delta are
-    validated once, with the messages of RotationScenario; every value
-    equals the one the single calls give, bit for bit.
+    validated once, with the messages of RotationScenario; the factors of
+    each chi and of each delta are computed once, and every value equals
+    the one the single calls give, bit for bit.
     """
     _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
     for chi in chis:
         _check_range("chi", chi, 0.0, math.pi)
     for d in deltas:
         _check_delta(d)
-    factors = [(chi,) + _rotation_factors(theta_pf, chi) for chi in chis]
-    rows = []
-    for d in deltas:
-        half = 0.5 * d
-        sin_half, cos_half, vers = math.sin(half), math.cos(half), 1.0 - math.cos(d)
-        for chi, n, dd, a_sin, th_sin in factors:
-            phi = _rotation_angle(n, dd, a_sin, sin_half, cos_half)
-            approx = th_sin * vers
-            shift = wrap_angle(phi - d)
-            rows.append((d, chi, wrap_angle(phi), shift, approx, abs(abs(shift) - approx)))
-    return rows
+    _, sin, cos, _, atan2 = _MATH[True]
+    # row i holds delta i // n_chi and chi i % n_chi
+    n_chi, n_delta = len(chis), len(deltas)
+    chi_factors = np.array([_rotation_factors(theta_pf, chi) for chi in chis]).reshape(-1, 4)
+    n, dd, a_sin, th_sin = np.tile(chi_factors, (n_delta, 1)).T
+    d = np.array(deltas, dtype=float)
+    half = 0.5 * d
+    sin_half, cos_half, vers = (np.repeat(x, n_chi) for x in (sin(half), cos(half), 1.0 - cos(d)))
+    d = np.repeat(d, n_chi)
+    phi = _rotation_angle(n, dd, a_sin, sin_half, cos_half, atan2)
+    approx = th_sin * vers
+    shift = wrap_angle(phi - d)
+    chi = np.tile(np.array(chis, dtype=float), n_delta)
+    return np.column_stack([d, chi, wrap_angle(phi), shift, approx, np.abs(np.abs(shift) - approx)])

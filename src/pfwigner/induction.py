@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import BoostScenario, RotationScenario, boost_phase, rotation_phase
+from .closed_form import BoostScenario, DomainError, RotationScenario, boost_phase, rotation_phase
 from .minkowski import (
     METRIC,
     FourVector,
@@ -62,6 +62,12 @@ class StabilityError(RowError, RuntimeError):
     not bad user input. The message names the row, the pair, the gamma
     of the frame (paired route only) and the gamma of the transform.
     """
+
+
+class GaugeDomainError(RowError, DomainError):
+    """A pair whose gauge (`alignment_angle`) puts a closed form outside its
+    domain, as when a frame speed rounds to 1. The message names the row,
+    the closed form's input and the pair."""
 
 
 @dataclass(frozen=True)
@@ -200,11 +206,16 @@ def alignment_angle(kin):
     u_perp = pairs.u[:, 0] * th * math_rows(math.sin, chi)
     th_apex = u_perp / np.sqrt(1.0 + u_perp * u_perp)
     v_star = th * math_rows(math.cos, chi)
-    h = -boost_phase(BoostScenario(v_star, th_apex, 0.5 * math.pi))
     # rotation_phase on [0, 2pi), shifted to the (-pi, pi] branch so that
     # alpha -> phase(alpha) is continuous through alpha = 0
     turned = alpha >= 0.0
-    phase = rotation_phase(RotationScenario(np.where(turned, alpha, alpha + math.tau), th, chi))
+    try:
+        h = -boost_phase(BoostScenario(v_star, th_apex, 0.5 * math.pi))
+        phase = rotation_phase(RotationScenario(np.where(turned, alpha, alpha + math.tau), th, chi))
+    except DomainError as exc:
+        i = exc.row
+        raise GaugeDomainError(i, f"{exc} in the gauge of the pair (k={format_row(pairs.k[i])}, "
+                                  f"u={format_row(pairs.u[i])})") from exc
     h = np.where(th == 0.0, 0.0, h + (alpha - np.where(turned, phase, phase - math.tau)))
     return h if isinstance(kin, PairStack) else float(h[0])
 
@@ -359,4 +370,4 @@ def phase_difference(kin, L: LorentzTransform):
     """Wrapped difference between the pair angle and the pairless angle of
     L; an array of one entry per row for stacked input."""
     d = pf_wigner(kin, L).phi - standard_wigner(kin.k, L).phi
-    return wrap_angle(d) if np.ndim(d) == 0 else np.array([wrap_angle(x) for x in d.tolist()])
+    return wrap_angle(d)

@@ -109,8 +109,12 @@ def _check_rows(tests, stacked: bool, culprit=None) -> None:
     raise ValueError(message)
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+def wrap_angle(angle):
+    """Wrap an angle to (-pi, pi]; for an (N,) array, each entry, with
+    `math.remainder` one entry at a time, as the single call would."""
+    if isinstance(angle, np.ndarray):
+        r = math_rows(math.remainder, angle, np.full(len(angle), math.tau))
+        return np.where(r <= -math.pi, math.pi, r)
     r = math.remainder(angle, math.tau)
     if r <= -math.pi:
         r = math.pi

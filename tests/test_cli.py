@@ -12,12 +12,14 @@ exit codes of a real process stay covered.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pfwigner import cli
@@ -163,11 +165,33 @@ def test_json_format_mirrors_csv():
 def test_emit_writes_the_bytes_of_format_17g(capsys):
     from pfwigner import cli
 
-    rows = [(-0.0, math.inf, -math.inf), (math.nan, 5e-324, 1e16)]
+    # the special values both as the axes of a grid of three, formatted
+    # once per value, and as computed columns, formatted on every row
+    special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16]
+    axes = [special[:2], special[2:4], special[4:]]
+    values = np.array([special + special[:2], special[::-1] + special[:2]]).T
     cfg = cli._resolve_config(cli.build_parser().parse_args(["boost-scan"]))
-    cli._emit(cfg, ["a", "b", "c"], rows)
-    want = ["a,b,c"] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    cli._emit(cfg, ["a", "b", "c", "d"], axes, values)
+    rows = [list(point) + list(row) for point, row in zip(itertools.product(*axes), values)]
+    want = ["a,b,c,d"] + [",".join(format(v, ".17g") for v in row) for row in rows]
     assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def test_rotation_scan_writes_the_bytes_of_format_17g_of_every_field():
+    # negative deltas, deltas in exponent form and a chi of 0 and of pi
+    from pfwigner.closed_form import rotation_table
+
+    res = run_cli("rotation-scan", "--delta-min=-2e-5", "--delta-max", "3e-5",
+                  "--delta-step", "1e-5", "--chi-steps", 3, "--pf-speed", "1e-1")
+    assert res.returncode == 0, res.stderr
+    deltas = cli._grid(-2e-5, 3e-5, 1e-5)
+    table = rotation_table(deltas, 0.1, [i * math.pi / 3 for i in range(4)])
+    want = ["delta,chi,phi_ex,dphi_ex,dphi_ap,abs_err"] + [
+        ",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+    assert res.stdout == "\n".join(want) + "\n"
+    fields = {field for line in want[1:] for field in line.split(",")[:2]}
+    assert {"-2.0000000000000002e-05", "1.0000000000000003e-05", "0",
+            "3.1415926535897931"} <= fields
 
 
 def test_wigner_report_is_consistent():
@@ -272,7 +296,9 @@ def test_numerical_domain_error_exits_3():
     res = run_process("wigner", "--pf-speed", 0.9, "--chi", 1.5, "--transform",
                       "boost:x:0.9999999999999999")
     assert res.returncode == 3
-    assert res.stderr == "internal numerical error: theta_pf=1.0 outside [0.0, 1.0)\n"
+    assert res.stderr == ("internal numerical error: row 0: theta_pf=1.0 outside [0.0, 1.0) "
+                          "in the gauge of the pair (k=(67108864, 67108864, 0, 1), "
+                          "u=(292173655.6, 292173655.6, 0, 0.1460540433))\n")
 
 
 def test_any_row_error_exits_3(monkeypatch):

@@ -195,12 +195,16 @@ def test_rotation_table_rows_equal_single_calls(deltas, theta_pf, chis):
     deltas = deltas + [0.0, math.pi, math.tau, -0.5 * math.pi, -math.tau]
     chis = chis + [0.0, math.pi]
     for th in (0.0, theta_pf):
-        rows = rotation_table(deltas, th, chis)
-        assert len(rows) == len(deltas) * len(chis)
-        for row, (d, chi) in zip(rows, ((d, chi) for d in deltas for chi in chis)):
-            s = RotationScenario(d, th, chi)
-            phi = rotation_phase(s)
-            approx = rotation_shift_approx(s)
-            shift = wrap_angle(phi - d)
-            assert abs(shift) == abs(rotation_phase_shift(s))
-            assert row == (d, chi, wrap_angle(phi), shift, approx, abs(abs(shift) - approx))
+        want = []
+        for d in deltas:
+            for chi in chis:
+                s = RotationScenario(d, th, chi)
+                phi = rotation_phase(s)
+                approx = rotation_shift_approx(s)
+                shift = wrap_angle(phi - d)
+                assert abs(shift) == abs(rotation_phase_shift(s))
+                want.append((d, chi, wrap_angle(phi), shift, approx, abs(abs(shift) - approx)))
+        table = rotation_table(deltas, th, chis)
+        assert table.shape == (len(want), 6)
+        # the bits, so that -0.0 differs from 0.0
+        assert table.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()

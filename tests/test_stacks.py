@@ -35,7 +35,10 @@ from pfwigner import (
     pf_wigner,
     rotation_about,
     rotation_phase,
+    rotation_phase_shift,
+    rotation_shift_approx,
     standard_wigner,
+    wrap_angle,
 )
 from pfwigner import minkowski
 from pfwigner.checks import _draws
@@ -155,6 +158,18 @@ def test_stability_error_names_the_row_of_the_stack():
         pf_wigner(PairStack.of(kins), LorentzTransform(np.tile(np.eye(4), (6, 1, 1))))
 
 
+def test_gauge_domain_error_names_the_row_of_the_stack():
+    # row 4 moves the frame to a speed that rounds to 1 in alignment_angle
+    kin = bench_pair(0.9, 1.5)
+    boosts = [IDENTITY] * 4 + [boost_from_velocity([0.9999999999999999, 0.0, 0.0]), IDENTITY]
+    with mock.patch.object(minkowski, "STACK_BLOCK", 3), pytest.raises(DomainError) as exc:
+        pf_wigner(kin, LorentzTransform(np.stack([L.m for L in boosts])))
+    assert isinstance(exc.value, minkowski.RowError)
+    assert str(exc.value) == ("row 4: theta_pf=1.0 outside [0.0, 1.0) in the gauge of the pair "
+                              "(k=(67108864, 67108864, 0, 1), u=(292173655.6, 292173655.6, 0, "
+                              "0.1460540433))")
+
+
 def test_single_calls_keep_messages_without_a_row():
     with pytest.raises(ValueError, match=r"^speed must be < 1$"):
         boost_from_velocity([0.0, 0.0, 1.5])
@@ -201,6 +216,29 @@ def test_stacked_rotation_phase_equals_float_calls(rows):
     rows = rows + EDGE_ROTATIONS
     _assert_bits_equal(rotation_phase(_scenario_rows(RotationScenario, rows)),
                        [rotation_phase(RotationScenario(*row)) for row in rows])
+
+
+@given(st.lists(st.tuples(st.floats(-20.0, 20.0), frame_speeds, chis), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_stacked_rotation_shifts_equal_float_calls(rows):
+    # with delta pi, and 3pi whose shift wraps
+    rows = rows + EDGE_ROTATIONS + [(math.pi, 0.5, math.pi), (-3.0 * math.pi, 0.1, 1.0)]
+    s = _scenario_rows(RotationScenario, rows)
+    for f in (rotation_phase_shift, rotation_shift_approx):
+        _assert_bits_equal(f(s), [f(RotationScenario(*row)) for row in rows])
+
+
+# the ends of (-pi, pi] and their neighbours, turns, signed zeros and a NaN
+EDGE_ANGLES = [0.0, -0.0, math.nan, 1e300, -5e-324] + [
+    x for k in (-3, -2, -1, 1, 2, 3) for x in (k * math.pi, np.nextafter(k * math.pi, 0.0),
+                                            np.nextafter(k * math.pi, k * 10.0))]
+
+
+@given(st.lists(st.floats(allow_infinity=False), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_wrap_angle_of_an_array_equals_float_calls(angles):
+    angles = angles + EDGE_ANGLES
+    _assert_bits_equal(wrap_angle(np.array(angles)), [wrap_angle(float(x)) for x in angles])
 
 
 def test_stacked_scenario_shares_its_float_fields():
