@@ -11,19 +11,28 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import checks
 from .checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
-from .closed_form import BoostScenario, DomainError, boost_phase, rotation_table
+from .closed_form import (
+    BoostScenario,
+    DomainError,
+    boost_phase,
+    check_rotation_grid,
+    rotation_table,
+)
 from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
+    STACK_BLOCK,
     LorentzTransform,
     PhotonKinematics,
     RowError,
@@ -170,44 +179,65 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
+# rows of a sweep formatted and written at a time: the text of one block
+# is held, never that of the whole table
+EMIT_BLOCK = 16 * STACK_BLOCK
+
+
+@contextmanager
+def _sink(cfg: RunConfig) -> Iterator[TextIO]:
+    """Where a command writes its output: stdout, or the --output file,
+    created when the context is entered. Open it only once nothing can
+    fail, so that a failed run writes nothing and creates no file."""
+    if not cfg.output:
+        yield sys.stdout
+        return
+    try:
+        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from exc
+
+
 def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
-          values: np.ndarray) -> None:
+          values: Callable[[slice], np.ndarray]) -> None:
     """Write a sweep: for each point of the grid of `axes` (outer axis
-    first), its coordinates and then its row of `values`, the (N, k) array
-    of the computed columns."""
-    if cfg.format == "csv":
-        # one % over the whole table: a string per row raises peak memory
-        text = _csv_format(columns, axes, values.shape[1]) % tuple(values.ravel().tolist())
-    else:
-        rows = [[*point, *row] for point, row in zip(product(*axes), values.tolist())]
-        text = json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
-    _write(cfg, text)
+    first), its coordinates and then its row of computed columns.
 
-
-def _csv_format(columns: list[str], axes: list[Sequence[float]], k: int) -> str:
-    """The % format of a sweep's CSV: the header, then a line per grid
-    point with its coordinates written out and k "%.17g" for its values.
-
-    "%.17g" % v gives the bytes of format(v, ".17g"). Each axis value is
-    formatted once, and the outermost axis makes one string per value, not
-    one per line.
+    values(block) gives the (n, k) array of those rows for the points
+    whose outer coordinate lies in axes[0][block]. It is called for blocks
+    of about EMIT_BLOCK rows (one outer value if the inner axes alone have
+    more), and each block is formatted and written before the next is
+    asked for, so no row may fail once the first is written.
     """
-    lines = [",".join(["%.17g"] * k) + "\n"]
-    for axis in reversed(axes[1:]):
-        lines = [prefix + line for prefix in ["%.17g," % v for v in axis] for line in lines]
-    blocks = [prefix + prefix.join(lines) for prefix in ["%.17g," % v for v in axes[0]]]
-    return "".join([",".join(columns) + "\n"] + blocks)
-
-
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        try:
-            with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+    n_inner = math.prod(map(len, axes[1:]))
+    step = max(1, EMIT_BLOCK // n_inner)
+    blocks = [slice(i, i + step) for i in range(0, len(axes[0]), step)]
+    with _sink(cfg) as out:
+        if cfg.format == "csv":
+            # each inner axis value is formatted once, into the % format of
+            # the lines of one outer value; a block makes one string per
+            # outer value and fills its computed fields with one %
+            lines = [",".join(["%.17g"] * (len(columns) - len(axes))) + "\n"]
+            for axis in reversed(axes[1:]):
+                lines = [prefix + line for prefix in ["%.17g," % v for v in axis] for line in lines]
+            out.write(",".join(columns) + "\n")
+            for block in blocks:
+                text = "".join([prefix + prefix.join(lines)
+                                for prefix in ["%.17g," % v for v in axes[0][block]]])
+                out.write(text % tuple(values(block).ravel().tolist()))
+        else:
+            # the bytes of json.dumps(..., indent=2) of the whole document:
+            # each block's rows are dumped alone and indented one level more
+            head, tail = json.dumps({"columns": columns, "rows": [None]},
+                                    indent=2).split("\n    null")
+            out.write(head)
+            for i, block in enumerate(blocks):
+                rows = [[*point, *row] for point, row in
+                        zip(product(axes[0][block], *axes[1:]), values(block).tolist())]
+                text = json.dumps(rows, indent=2)[1:-2].replace("\n", "\n  ")
+                out.write("," + text if i else text)
+            out.write(tail + "\n")
 
 
 def _axis_vector(token: str, kin: PhotonKinematics) -> np.ndarray:
@@ -261,7 +291,7 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
     phi_mx = np.concatenate(phi_mx)
     phi_cf = boost_phase(BoostScenario(np.array(grid), cfg.pf_speed, cfg.chi))
     _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], [grid],
-          np.column_stack([phi_cf, phi_mx, np.abs(phi_cf - phi_mx)]))
+          np.column_stack([phi_cf, phi_mx, np.abs(phi_cf - phi_mx)]).__getitem__)
     return 0
 
 
@@ -271,8 +301,9 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
         raise ConfigError(f"scan exceeds {MAX_ROWS} rows; use a larger delta-step "
                           "or fewer chi-steps")
     chis = [i * math.pi / cfg.chi_steps for i in range(cfg.chi_steps + 1)]
+    check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
-          rotation_table(deltas, cfg.pf_speed, chis)[:, 2:])
+          lambda block: rotation_table(deltas[block], cfg.pf_speed, chis)[:, 2:])
     return 0
 
 
@@ -290,7 +321,8 @@ def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
         "stabiliser_pf": w_pf.stabiliser,
         "stabiliser_std": w_std.stabiliser,
     }
-    _write(cfg, json.dumps(record, indent=2) + "\n")
+    with _sink(cfg) as out:
+        out.write(json.dumps(record, indent=2) + "\n")
     return 0
 
 
@@ -307,7 +339,8 @@ def cmd_malus(cfg: RunConfig) -> int:
         freq = monte_carlo_malus(p_pf, cfg.samples, cfg.seed + i)
         err = math.sqrt(p_pf * (1.0 - p_pf) / cfg.samples)
         rows.append([p_classical, p_pf, freq, err])
-    _emit(cfg, ["delta", "p_classical", "p_pf", "mc_freq", "mc_err"], [deltas], np.array(rows))
+    _emit(cfg, ["delta", "p_classical", "p_pf", "mc_freq", "mc_err"], [deltas],
+          np.array(rows).__getitem__)
     return 0
 
 
@@ -344,22 +377,34 @@ def cmd_validate(cfg: RunConfig) -> int:
                  f"value={r['value']:.3e} tol={r['tol']:.3e}" for r in report]
         lines.append(f"{passed}/{len(report)} checks passed")
         text = "\n".join(lines) + "\n"
-    _write(cfg, text)
+    with _sink(cfg) as out:
+        out.write(text)
     return 0 if passed == len(report) else 1
 
 
 # --- entry point ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent form,
+    such as -2e-5, as the value of an option, as it reads -2 and -0.5;
+    argparse by itself takes -2e-5 for an option. The parsers that
+    add_subparsers makes are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pfwigner",
         description="Photon polarisation phases with and without a distinguished frame.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the options of every subcommand, added once and shared by each
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--pf-speed", dest="pf_speed", type=float,
                         help=f"frame speed in units of c (default {DEFAULTS['pf_speed']})")
     common.add_argument("--chi", type=float,

@@ -196,22 +196,29 @@ def rotation_shift_approx(s: RotationScenario):
     return _rotation_factors(s.theta_pf, s.chi, sqrt, sin, cos)[3] * (1.0 - cos(s.delta))
 
 
+def check_rotation_grid(deltas, theta_pf: float, chis) -> None:
+    """Raise DomainError, with the message of RotationScenario, unless
+    theta_pf, each chi and then each delta is in range; once this passes,
+    no row of rotation_table(deltas, theta_pf, chis) can fail."""
+    _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
+    for chi in chis:
+        _check_range("chi", chi, 0.0, math.pi)
+    for d in deltas:
+        _check_delta(d)
+
+
 def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
     """The (N, 6) array of the rows (delta, chi, phi_ex, dphi_ex, dphi_ap,
     abs_err) of a rotation sweep, each delta with every chi in turn.
 
     phi_ex is rotation_phase wrapped to (-pi, pi], dphi_ex is
     rotation_phase - delta wrapped, dphi_ap is rotation_shift_approx and
-    abs_err is ||dphi_ex| - dphi_ap|. theta_pf, each chi and each delta are
-    validated once, with the messages of RotationScenario; the factors of
-    each chi and of each delta are computed once, and every value equals
-    the one the single calls give, bit for bit.
+    abs_err is ||dphi_ex| - dphi_ap|. The grid is validated first by
+    check_rotation_grid; the factors of each chi and of each delta are
+    computed once, and every value equals the one the single calls give,
+    bit for bit.
     """
-    _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
-    for chi in chis:
-        _check_range("chi", chi, 0.0, math.pi)
-    for d in deltas:
-        _check_delta(d)
+    check_rotation_grid(deltas, theta_pf, chis)
     _, sin, cos, _, atan2 = _MATH[True]
     # row i holds delta i // n_chi and chi i % n_chi
     n_chi, n_delta = len(chis), len(deltas)

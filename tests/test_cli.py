@@ -17,6 +17,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,26 @@ def test_fine_rotation_scan_is_byte_exact(fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FINE_ROTATION_SHA256[fmt]
 
 
+# tracemalloc peak of the fine rotation-scan, in bytes: the writer holds
+# one block of rows and its text, not the table (11.7 MB as CSV and
+# 31.9 MB as JSON when the whole text was built before the first write)
+FINE_ROTATION_PEAK = {"csv": 3_000_000, "json": 10_000_000}
+
+
+@pytest.mark.parametrize("fmt", sorted(FINE_ROTATION_PEAK))
+def test_fine_rotation_scan_holds_one_block_of_rows(fmt, tmp_path):
+    out = tmp_path / f"fine.{fmt}"
+    tracemalloc.start()
+    try:
+        code = cli.main(["rotation-scan", "--delta-step", repr(math.pi / 480), "--chi-steps", "30",
+                         "--format", fmt, "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < FINE_ROTATION_PEAK[fmt]
+
+
 def test_stdout_matches_file_output(tmp_path):
     out = tmp_path / "scan.csv"
     res_file = run_process(*BOOST_ARGS, "--output", out, text=False)
@@ -162,19 +183,32 @@ def test_json_format_mirrors_csv():
                                              indent=2) + "\n"
 
 
-def test_emit_writes_the_bytes_of_format_17g(capsys):
-    from pfwigner import cli
-
+def test_emit_writes_the_bytes_of_format_17g(capsys, monkeypatch):
     # the special values both as the axes of a grid of three, formatted
-    # once per value, and as computed columns, formatted on every row
+    # once per value, and as computed columns, formatted on every row;
+    # with blocks of one outer value, so that blocks are joined too
     special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16]
     axes = [special[:2], special[2:4], special[4:]]
     values = np.array([special + special[:2], special[::-1] + special[:2]]).T
-    cfg = cli._resolve_config(cli.build_parser().parse_args(["boost-scan"]))
-    cli._emit(cfg, ["a", "b", "c", "d"], axes, values)
-    rows = [list(point) + list(row) for point, row in zip(itertools.product(*axes), values)]
-    want = ["a,b,c,d"] + [",".join(format(v, ".17g") for v in row) for row in rows]
-    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    columns = ["a", "b", "c", "d", "e"]
+    rows = [list(point) + row for point, row in zip(itertools.product(*axes), values.tolist())]
+    want = {
+        "csv": "\n".join([",".join(columns)]
+                         + [",".join(format(v, ".17g") for v in row) for row in rows]) + "\n",
+        "json": json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n",
+    }
+    monkeypatch.setattr(cli, "EMIT_BLOCK", 1)
+    for fmt in want:
+        asked = []
+
+        def block_values(block):
+            asked.append(block)
+            return values[4 * block.start:4 * block.stop]
+
+        cfg = cli._resolve_config(cli.build_parser().parse_args(["boost-scan", "--format", fmt]))
+        cli._emit(cfg, columns, axes, block_values)
+        assert asked == [slice(0, 1), slice(1, 2)]
+        assert capsys.readouterr().out == want[fmt]
 
 
 def test_rotation_scan_writes_the_bytes_of_format_17g_of_every_field():
@@ -192,6 +226,20 @@ def test_rotation_scan_writes_the_bytes_of_format_17g_of_every_field():
     fields = {field for line in want[1:] for field in line.split(",")[:2]}
     assert {"-2.0000000000000002e-05", "1.0000000000000003e-05", "0",
             "3.1415926535897931"} <= fields
+
+
+def test_a_negative_value_in_exponent_form_may_be_a_separate_argument():
+    # argparse by itself takes "-2e-5" for an option, not for the value of one
+    grid = ("--delta-max", "3e-5", "--delta-step", "1e-5", "--chi-steps", 3)
+    spaced = run_cli_bytes("rotation-scan", "--delta-min", "-2e-5", *grid)
+    joined = run_cli_bytes("rotation-scan", "--delta-min=-2e-5", *grid)
+    assert spaced.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+    parser = cli.build_parser()
+    for key in (key for key, value in cli.DEFAULTS.items() if isinstance(value, float)):
+        for value in ("-2.5e-1", "-.25E+0", "-0.25", "-25e-2"):
+            args = parser.parse_args(["wigner", "--" + key.replace("_", "-"), value])
+            assert getattr(args, key) == -0.25
 
 
 def test_wigner_report_is_consistent():
@@ -323,19 +371,26 @@ def test_numerical_error_names_row_pair_and_gamma():
     assert res.stderr.endswith(", transform gamma=1)\n")
 
 
-def test_numerical_error_names_the_row_of_the_sweep():
+def test_numerical_error_names_the_row_of_the_sweep(tmp_path):
     # the sweep runs in blocks of STACK_BLOCK rows; the first row to fail
     # lies past the first block, and the row named is the row of the sweep
     from pfwigner.minkowski import STACK_BLOCK
 
-    res = run_cli("boost-scan", "--pf-speed", 0.99999, "--chi", 1.0, "--v-min", 0.0)
+    args = ("boost-scan", "--pf-speed", 0.99999, "--chi", 1.0, "--v-min", 0.0)
+    res = run_cli(*args)
     assert res.returncode == 3
+    assert res.stdout == ""
     head = "internal numerical error: row "
     assert res.stderr.startswith(head)
     row = int(res.stderr[len(head):].split(":")[0])
     assert row >= STACK_BLOCK
     v = row * 0.0033
     assert res.stderr.endswith(f", transform gamma={1.0 / math.sqrt(1.0 - v * v):.10g})\n")
+    # a failed run creates no output file
+    out = tmp_path / "scan.csv"
+    res = run_cli(*args, "--output", out)
+    assert res.returncode == 3 and res.stdout == ""
+    assert not out.exists()
 
 
 # --- validation suite ------------------------------------------------------
