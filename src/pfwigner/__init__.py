@@ -19,10 +19,14 @@ from .induction import (
     bench_pair,
     direction_in_pf,
     euclidean_element,
+    massless_standard_element,
     pf_standard_element,
     pf_wigner,
+    pf_wigner_from_elements,
     phase_difference,
+    photon_momenta,
     standard_wigner,
+    standard_wigner_from_elements,
     transform_pair,
 )
 from .minkowski import (

@@ -17,7 +17,7 @@ import numpy as np
 from . import closed_form, induction, minkowski, polarisation
 from .closed_form import BoostScenario
 from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, row_blocks,
-                        unit_rows, wrap_angle)
+                        rows_from, unit_rows, wrap_angle)
 
 V_GRID = tuple(round(-0.99 + 0.03 * i, 10) for i in range(67))
 THETA_GRID = (0.0, 1e-3, 0.1, 0.5)
@@ -36,7 +36,7 @@ class CheckResult:
 
 
 # each kind of item of a `_draws` spec: the generator calls it makes, in
-# order (None for rng.normal(size=3), (lo, hi) for rng.uniform(lo, hi)),
+# order (None for a normal 3-vector, (lo, hi) for a uniform number),
 # and its columns from what they drew (the unit vector of each normal
 # draw as (n,3), each uniform draw as (n,1))
 _ITEMS = {
@@ -58,16 +58,19 @@ def _draws(rng, n: int, spec) -> np.ndarray:
 
     The generator is called row by row, item by item, as a loop over the
     rows would call it; the unit vectors, products and columns are then
-    built on whole arrays.
+    built on whole arrays. A direction is `rng.standard_normal(3)` and a
+    number `lo + (hi - lo) * rng.random()`, numpy's own formulas for
+    `rng.normal(size=3)` and `rng.uniform(lo, hi)`, so the values are
+    theirs, bit for bit, at a smaller cost per call.
     """
     items = [_ITEMS.get(item, ((item,), lambda x: [x])) for item in spec]
-    calls = [c for item_calls, _ in items for c in item_calls]
-    normal, uniform = rng.normal, rng.uniform
+    calls = [c if c is None else (c[0], c[1] - c[0]) for item_calls, _ in items for c in item_calls]
+    normal, random = rng.standard_normal, rng.random
     k = len(calls)
     blocks = []
     for rows in row_blocks(n):
         # a block of rows at a time, so that few drawn objects are alive at once
-        draws = [normal(size=3) if c is None else uniform(*c)
+        draws = [normal(3) if c is None else c[0] + c[1] * random()
                  for _ in range(rows.stop - rows.start) for c in calls]
         blocks.append([np.array(draws[j::k]) for j in range(k)])
     drawn = iter([unit_rows(x) if c is None else x[:, None]
@@ -82,40 +85,53 @@ def _random_transforms(t: np.ndarray) -> LorentzTransform:
                              minkowski.rotation_about(t[:, :3], t[:, 3]))
 
 
+def _moved_element(pairs: PairStack, L: LorentzTransform) -> np.ndarray:
+    """The stack of standard elements of the moved pairs (Lk, Lu)."""
+    return induction.pf_standard_element(induction.transform_pair(pairs, L)).stack
+
+
 def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
-    """pf_wigner of every transform of L at every bench pair of the grids,
-    in one stacked call, and the theta and chi of each row: the rows of a
-    pair follow each other, theta-major."""
+    """pf_wigner phases of every transform of L at every bench pair of the
+    grids, their largest stabiliser residual, and the theta and chi of each
+    row: the rows of a pair follow each other, theta-major. The element of
+    each bench pair is built once, and its rows gathered a block at a time."""
     grid = [(th, chi) for th in theta_grid for chi in chi_grid]
     pairs = PairStack.of([induction.bench_pair(th, chi) for th, chi in grid])
-    n = len(L)
-    w = induction.pf_wigner(pairs[np.repeat(np.arange(len(grid)), n)],
-                            L[np.tile(np.arange(n), len(grid))])
-    th, chi = np.repeat(np.array(grid), n, axis=0).T
-    return w, th, chi
+    elements = induction.pf_standard_element(pairs).stack
+    pair_of, transform_of = np.divmod(np.arange(len(grid) * len(L)), len(L))
+    phi, stab = [], 0.0
+    for rows in row_blocks(len(pair_of)):
+        p, l = pairs[pair_of[rows]], L[transform_of[rows]]
+        with rows_from(rows.start):
+            w = induction.pf_wigner_from_elements(p, elements[pair_of[rows]], l,
+                                                  _moved_element(p, l))
+        phi.append(w.phi)
+        stab = max(stab, float(w.stabiliser.max()))
+    th, chi = np.array(grid)[pair_of].T
+    return np.concatenate(phi), stab, th, chi
 
 
 def boost_oracle_equivalence(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     """Largest |matrix - closed-form phase| of bench-pair boosts along z."""
-    w, th, chi = _bench_wigner(theta_grid, chi_grid,
-                               minkowski.boost_from_velocity(along_z(v_grid)))
+    phi, stab, th, chi = _bench_wigner(theta_grid, chi_grid,
+                                       minkowski.boost_from_velocity(along_z(v_grid)))
     v = np.tile(v_grid, len(theta_grid) * len(chi_grid))
     want = closed_form.boost_phase(BoostScenario(v, th, chi))
-    return CheckResult(float(np.abs(w.phi - want).max()), tol, float(w.stabiliser.max()))
+    return CheckResult(float(np.abs(phi - want).max()), tol, stab)
 
 
 def rotation_oracle_equivalence(delta_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     """Largest ||matrix| - |closed-form phase|| of bench-pair rotations
     about z; inf if a sign disagrees."""
-    w, _, _ = _bench_wigner(theta_grid, chi_grid, minkowski.rotation_about(
+    phi, stab, _, _ = _bench_wigner(theta_grid, chi_grid, minkowski.rotation_about(
         np.array([0.0, 0.0, 1.0]), np.array(delta_grid)))
     # phi_ex of one table per theta, its delta-major rows put chi-major
     want = np.concatenate([
         closed_form.rotation_table(delta_grid, th, chi_grid)[:, 2]
         .reshape(len(delta_grid), len(chi_grid)).T.ravel() for th in theta_grid])
-    sign_ok = not ((w.phi * want < 0.0) & (np.abs(want) > 1e-12)).any()
-    worst = float(np.abs(np.abs(w.phi) - np.abs(want)).max())
-    return CheckResult(worst if sign_ok else math.inf, tol, float(w.stabiliser.max()))
+    sign_ok = not ((phi * want < 0.0) & (np.abs(want) > 1e-12)).any()
+    worst = float(np.abs(np.abs(phi) - np.abs(want)).max())
+    return CheckResult(worst if sign_ok else math.inf, tol, stab)
 
 
 def _composition_defect(w1, w2, w12) -> float:
@@ -123,29 +139,50 @@ def _composition_defect(w1, w2, w12) -> float:
 
 
 def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
-    """Largest defect of phi(L2 L1) = phi(L1) + phi(L2), random (k, u, L1, L2)."""
+    """Largest defect of phi(L2 L1) = phi(L1) + phi(L2), random (k, u, L1, L2).
+
+    A block of rows at a time, the elements of the pairs p, L1 p, L2 L1 p
+    and (L2 L1) p are each built once."""
     rng = np.random.default_rng(seed)
     rows = _draws(rng, n_draws, ("null", "velocity", "transform", "transform"))
     kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
     l1, l2 = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
-    w1 = induction.pf_wigner(kin, l1)
-    w2 = induction.pf_wigner(induction.transform_pair(kin, l1), l2)
-    w12 = induction.pf_wigner(kin, minkowski.compose(l2, l1))
-    stab = max(float(w1.stabiliser.max()), float(w2.stabiliser.max()),
-               float(w12.stabiliser.max()))
-    return CheckResult(_composition_defect(w1, w2, w12), tol, stab)
+    l12 = minkowski.compose(l2, l1)
+    defect = stab = 0.0
+    for block in row_blocks(n_draws):
+        p, a, b, ab = kin[block], l1[block], l2[block], l12[block]
+        with rows_from(block.start):
+            s = induction.pf_standard_element(p).stack
+            p1 = induction.transform_pair(p, a)
+            s1 = induction.pf_standard_element(p1).stack
+            w1 = induction.pf_wigner_from_elements(p, s, a, s1)
+            w2 = induction.pf_wigner_from_elements(p1, s1, b, _moved_element(p1, b))
+            w12 = induction.pf_wigner_from_elements(p, s, ab, _moved_element(p, ab))
+        defect = max(defect, _composition_defect(w1, w2, w12))
+        stab = max(stab, *(float(w.stabiliser.max()) for w in (w1, w2, w12)))
+    return CheckResult(defect, tol, stab)
 
 
 def composition_law_standard(seed: int, n_draws: int, tol: float) -> CheckResult:
-    """The composition law of the pairless route, random (k, L1, L2)."""
+    """The composition law of the pairless route, random (k, L1, L2); the
+    elements of k and L1 k are each built once."""
     rng = np.random.default_rng(seed)
     rows = _draws(rng, n_draws, ("null", "transform", "transform"))
-    k = rows[:, :4]
     l1, l2 = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
-    w1 = induction.standard_wigner(k, l1)
-    w2 = induction.standard_wigner(apply(l1, k), l2)
-    w12 = induction.standard_wigner(k, minkowski.compose(l2, l1))
-    return CheckResult(_composition_defect(w1, w2, w12), tol)
+    l12 = minkowski.compose(l2, l1)
+    k = induction.photon_momenta(rows[:, :4])
+    k1 = induction.photon_momenta(apply(l1, k))
+    element = induction.massless_standard_element
+    defect = 0.0
+    for block in row_blocks(n_draws):
+        kb, k1b, a, b, ab = k[block], k1[block], l1[block], l2[block], l12[block]
+        with rows_from(block.start):
+            e, e1 = element(kb), element(k1b)
+            w1 = induction.standard_wigner_from_elements(kb, e, a, e1)
+            w2 = induction.standard_wigner_from_elements(k1b, e1, b, element(apply(b, k1b)))
+            w12 = induction.standard_wigner_from_elements(kb, e, ab, element(apply(ab, kb)))
+        defect = max(defect, _composition_defect(w1, w2, w12))
+    return CheckResult(defect, tol)
 
 
 def stabiliser_residuals(earlier: Iterable[CheckResult], tol: float) -> CheckResult:

@@ -199,32 +199,51 @@ def _sink(cfg: RunConfig) -> Iterator[TextIO]:
         raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from exc
 
 
+def _grid_blocks(lengths: list[int], size: int) -> list[tuple[slice, ...]]:
+    """Blocks of at most `size` points of a grid with axes of the given
+    lengths (outer axis first), in row order, each a tuple of one slice
+    per axis: as many outer values as fit with whole inner axes or, when
+    one outer value has more than `size` points, one outer value with each
+    block of the inner axes in turn."""
+    inner = math.prod(lengths[1:])
+    if inner <= size:
+        step = max(1, size // inner)
+        return [(slice(i, i + step),) + (slice(None),) * (len(lengths) - 1)
+                for i in range(0, lengths[0], step)]
+    return [(slice(i, i + 1),) + block for i in range(lengths[0])
+            for block in _grid_blocks(lengths[1:], size)]
+
+
 def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
-          values: Callable[[slice], np.ndarray]) -> None:
+          values: Callable[[tuple[slice, ...]], np.ndarray]) -> None:
     """Write a sweep: for each point of the grid of `axes` (outer axis
     first), its coordinates and then its row of computed columns.
 
-    values(block) gives the (n, k) array of those rows for the points
-    whose outer coordinate lies in axes[0][block]. It is called for blocks
-    of about EMIT_BLOCK rows (one outer value if the inner axes alone have
-    more), and each block is formatted and written before the next is
-    asked for, so no row may fail once the first is written.
+    values(block) gives the (n, k) array of those rows for the points of
+    a block, a tuple of one slice per axis: the points whose coordinates
+    lie in axes[0][block[0]], axes[1][block[1]], ... It is called for
+    blocks of about EMIT_BLOCK rows (see `_grid_blocks`), and each block is
+    formatted and written before the next is asked for, so no row may fail
+    once the first is written.
     """
-    n_inner = math.prod(map(len, axes[1:]))
-    step = max(1, EMIT_BLOCK // n_inner)
-    blocks = [slice(i, i + step) for i in range(0, len(axes[0]), step)]
+    blocks = _grid_blocks([len(axis) for axis in axes], EMIT_BLOCK)
     with _sink(cfg) as out:
         if cfg.format == "csv":
-            # each inner axis value is formatted once, into the % format of
-            # the lines of one outer value; a block makes one string per
+            # each inner axis value of a block is formatted once, into the %
+            # format of the lines of one outer value, which blocks that take
+            # the same inner slices share; a block makes one string per
             # outer value and fills its computed fields with one %
-            lines = [",".join(["%.17g"] * (len(columns) - len(axes))) + "\n"]
-            for axis in reversed(axes[1:]):
-                lines = [prefix + line for prefix in ["%.17g," % v for v in axis] for line in lines]
             out.write(",".join(columns) + "\n")
+            inner = None
             for block in blocks:
+                if block[1:] != inner:
+                    inner = block[1:]
+                    lines = [",".join(["%.17g"] * (len(columns) - len(axes))) + "\n"]
+                    for axis, part in reversed(list(zip(axes[1:], inner))):
+                        lines = [prefix + line for prefix in ["%.17g," % v for v in axis[part]]
+                                 for line in lines]
                 text = "".join([prefix + prefix.join(lines)
-                                for prefix in ["%.17g," % v for v in axes[0][block]]])
+                                for prefix in ["%.17g," % v for v in axes[0][block[0]]]])
                 out.write(text % tuple(values(block).ravel().tolist()))
         else:
             # the bytes of json.dumps(..., indent=2) of the whole document:
@@ -234,7 +253,8 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
             out.write(head)
             for i, block in enumerate(blocks):
                 rows = [[*point, *row] for point, row in
-                        zip(product(axes[0][block], *axes[1:]), values(block).tolist())]
+                        zip(product(*(axis[part] for axis, part in zip(axes, block))),
+                            values(block).tolist())]
                 text = json.dumps(rows, indent=2)[1:-2].replace("\n", "\n  ")
                 out.write("," + text if i else text)
             out.write(tail + "\n")
@@ -303,7 +323,7 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
     chis = [i * math.pi / cfg.chi_steps for i in range(cfg.chi_steps + 1)]
     check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
-          lambda block: rotation_table(deltas[block], cfg.pf_speed, chis)[:, 2:])
+          lambda block: rotation_table(deltas[block[0]], cfg.pf_speed, chis[block[1]])[:, 2:])
     return 0
 
 

@@ -15,6 +15,10 @@ pair bundle. See `alignment_angle` for how h is pinned.
 Both constructions run over stacks: one pair or N pairs against one
 transform or N transforms, processed STACK_BLOCK rows at a time. A
 single pair against a single transform is the N=1 case of the same code.
+Each comes in two steps: build the standard elements, then conjugate
+and read the angle given them (`pf_wigner_from_elements`,
+`standard_wigner_from_elements`), so a caller that needs several angles
+at the same pairs builds each element once.
 """
 
 from __future__ import annotations
@@ -131,11 +135,23 @@ def _rows(x, rows: slice):
     return x if len(x) == 1 else x[rows]
 
 
-def _angles(parts: list, single: bool) -> WignerAngle:
-    phi, residual, stab = (np.concatenate(col) for col in zip(*parts))
+def _joined(parts: list[WignerAngle], single: bool) -> WignerAngle:
+    phi, residual, stab = (np.concatenate([getattr(w, f) for w in parts])
+                           for f in ("phi", "residual", "stabiliser"))
     if single:
         return WignerAngle(float(phi[0]), float(residual[0]), float(stab[0]))
     return WignerAngle(phi, residual, stab)
+
+
+def _in_blocks(rows_of, *stacks) -> WignerAngle:
+    """rows_of of each block of STACK_BLOCK rows of the stacks, each of 1
+    or N rows, joined; a RowError raised for a block names the row of the
+    whole stack."""
+    parts = []
+    for rows in row_blocks(_stack_rows(*map(len, stacks))):
+        with rows_from(rows.start):
+            parts.append(rows_of(*(_rows(x, rows) for x in stacks)))
+    return _joined(parts, False)
 
 
 def _row(x, i: int):
@@ -261,22 +277,39 @@ def pf_wigner(kin, L: LorentzTransform) -> WignerAngle:
     kin is a PhotonKinematics or a PairStack, L a transform or a stack;
     each has 1 or N rows, and row i is pair i (or the one pair) under
     transform i (or the one transform). The element of each given pair
-    is built once.
+    is built once; the elements of a block of rows at a time are passed
+    to `pf_wigner_from_elements`.
     """
     pairs = PairStack.of(kin)
     n = _stack_rows(len(pairs), len(L))
     s1 = pf_standard_element(pairs).stack if len(pairs) == 1 else None
     parts = []
     for rows in row_blocks(n):
-        p = _rows(pairs, rows)
+        p, l = _rows(pairs, rows), _rows(L, rows)
         with rows_from(rows.start):
-            parts.append(_pf_wigner_rows(p, pf_standard_element(p).stack if s1 is None else s1,
-                                         _rows(L, rows)))
-    return _angles(parts, _single(kin, L))
+            s = pf_standard_element(p).stack if s1 is None else s1
+            parts.append(pf_wigner_from_elements(
+                p, s, l, pf_standard_element(transform_pair(p, l)).stack))
+    return _joined(parts, _single(kin, L))
 
 
-def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform):
-    s2 = pf_standard_element(transform_pair(pairs, L)).stack
+def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransform,
+                            s2: np.ndarray) -> WignerAngle:
+    """`pf_wigner` of the pairs under L, given their standard elements.
+
+    s1 is the (1 or N, 4, 4) stack of `pf_standard_element(pairs)` and s2
+    that of the moved pairs, `transform_pair(pairs, L)`; rows pair up as
+    in `pf_wigner`. The phase is the angle of the Wigner element
+    W = S(Lp)^-1 L S(p) = eta s2^T eta L s1. This runs the stabiliser test
+    and the angle extraction of `pf_wigner`, STACK_BLOCK rows at a time,
+    with its StabilityError naming the row of the whole stack, and returns
+    arrays of N. A caller that needs several angles at the same pairs
+    builds each element once and passes it to each call.
+    """
+    return _in_blocks(_pf_wigner_rows, pairs, s1, L, s2)
+
+
+def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform, s2: np.ndarray):
     w = METRIC @ np.swapaxes(s2, 1, 2) @ METRIC @ L.stack @ s1
 
     q = pairs.kappa[:, None] * _Q_UNIT
@@ -291,12 +324,14 @@ def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform):
 
     phi = math_rows(math.atan2, w[:, 2, 1], w[:, 1, 1])
     residual = np.abs(w - rotation_about(Z_AXIS, phi).stack).max(axis=(1, 2))
-    return phi, residual, stab
+    return WignerAngle(phi, residual, stab)
 
 
-def _massless_standard(k: np.ndarray) -> np.ndarray:
-    # L_k = R_khat B_z(|k|/kappa_ref), kappa_ref = 1; B_z rescales the
-    # reference null vector (1;0,0,1) by r along the light cone
+def massless_standard_element(k: np.ndarray) -> np.ndarray:
+    """The (N,4,4) stack of standard elements L_k = R_khat B_z(|k|) of the
+    pairless route, one per row of an (N,4) array of photon momenta
+    (see `photon_momenta`); B_z rescales the reference null vector
+    (1;0,0,1) by |k| along the light cone."""
     r = k[:, 0]
     c = 0.5 * (r + 1.0 / r)
     s = 0.5 * (r - 1.0 / r)
@@ -321,6 +356,17 @@ def euclidean_element(alpha, beta) -> LorentzTransform:
     return LorentzTransform(m if stacked else m[0])
 
 
+def photon_momenta(k) -> np.ndarray:
+    """The momenta of a FourVector or an (N,4) array as an (N,4) array,
+    each row tested as a photon momentum: null, with positive energy. A
+    FourVector fails with the message alone, a row of an array with its
+    row number and its k."""
+    single = isinstance(k, FourVector)
+    ks = k.vec[None] if single else np.asarray(k, dtype=float)
+    _check_rows(_photon_tests(ks), not single, lambda i: f"k={format_row(ks[i])}")
+    return ks
+
+
 def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
     """Little-group angle of L at k for the pairless (E(2)) construction.
 
@@ -330,24 +376,38 @@ def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
     cos phi = -eta(E e_x, e_x), sin phi = -eta(E e_x, e_y).
 
     k is a FourVector or an (N,4) array of momenta; rows pair up with the
-    transforms as in `pf_wigner`.
+    transforms as in `pf_wigner`, and the elements of a block of rows at
+    a time are passed to `standard_wigner_from_elements`.
     """
-    single = isinstance(k, FourVector)
-    ks = k.vec[None] if single else np.asarray(k, dtype=float)
-    _check_rows(_photon_tests(ks), not single, lambda i: f"k={format_row(ks[i])}")
+    ks = photon_momenta(k)
     n = _stack_rows(len(ks), len(L))
-    e1 = _massless_standard(ks) if len(ks) == 1 else None
+    e1 = massless_standard_element(ks) if len(ks) == 1 else None
     parts = []
     for rows in row_blocks(n):
-        kr = _rows(ks, rows)
+        kr, l = _rows(ks, rows), _rows(L, rows)
         with rows_from(rows.start):
-            parts.append(_standard_wigner_rows(kr, _massless_standard(kr) if e1 is None else e1,
-                                               _rows(L, rows)))
-    return _angles(parts, _single(k, L))
+            e = massless_standard_element(kr) if e1 is None else e1
+            parts.append(standard_wigner_from_elements(
+                kr, e, l, massless_standard_element(apply(l, kr))))
+    return _joined(parts, _single(k, L))
 
 
-def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform):
-    e = METRIC @ np.swapaxes(_massless_standard(apply(L, k)), 1, 2) @ METRIC @ L.stack @ e1
+def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTransform,
+                                  e2: np.ndarray) -> WignerAngle:
+    """`standard_wigner` of the momenta k under L, given their standard
+    elements.
+
+    k is an (N,4) array from `photon_momenta`, e1 the (1 or N, 4, 4) stack
+    of `massless_standard_element(k)` and e2 that of the moved momenta
+    `apply(L, k)`. Like `pf_wigner_from_elements`, this runs the
+    stabiliser test, the angle extraction and the reconstruction residual
+    STACK_BLOCK rows at a time and returns arrays of N.
+    """
+    return _in_blocks(_standard_wigner_rows, k, e1, L, e2)
+
+
+def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform, e2: np.ndarray):
+    e = METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.stack @ e1
 
     stab = np.abs(e @ _Q_UNIT - _Q_UNIT).max(axis=1)
     bad = ~(stab <= STABILISER_TOL)
@@ -363,7 +423,7 @@ def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform):
     t = e @ rotation_about(Z_AXIS, -phi).stack
     rebuilt = euclidean_element(t[:, 1, 0], t[:, 2, 0]).stack @ rotation_about(Z_AXIS, phi).stack
     residual = np.abs(e - rebuilt).max(axis=(1, 2))
-    return phi, residual, stab
+    return WignerAngle(phi, residual, stab)
 
 
 def phase_difference(kin, L: LorentzTransform):

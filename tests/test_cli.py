@@ -123,6 +123,32 @@ def test_fine_rotation_scan_holds_one_block_of_rows(fmt, tmp_path):
     assert peak < FINE_ROTATION_PEAK[fmt]
 
 
+# a scan of one delta by 50 000 chis, whose one outer value alone has more
+# rows than a block: its sha256 as written by the whole-table writer, and
+# its tracemalloc peak in bytes now that the writer blocks the chis too
+# (21.2 MB as CSV and 42.8 MB as JSON when a block took every chi)
+ONE_DELTA_SHA256 = {
+    "csv": "a0efd1aa7885a08e938f216d5e35f33b8a8c846a305ce8e8c55b435fe1ec2de7",
+    "json": "82e42f0fc0c31c19504d0b9a2ee99d3f957830d74d86b257c599e3793e12297d",
+}
+ONE_DELTA_PEAK = {"csv": 6_000_000, "json": 10_000_000}
+
+
+@pytest.mark.parametrize("fmt", sorted(ONE_DELTA_PEAK))
+def test_one_delta_scan_holds_one_block_of_chis(fmt, tmp_path):
+    out = tmp_path / f"one_delta.{fmt}"
+    tracemalloc.start()
+    try:
+        code = cli.main(["rotation-scan", "--delta-step", "13", "--chi-steps", "49999",
+                         "--format", fmt, "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < ONE_DELTA_PEAK[fmt]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ONE_DELTA_SHA256[fmt]
+
+
 def test_stdout_matches_file_output(tmp_path):
     out = tmp_path / "scan.csv"
     res_file = run_process(*BOOST_ARGS, "--output", out, text=False)
@@ -186,7 +212,8 @@ def test_json_format_mirrors_csv():
 def test_emit_writes_the_bytes_of_format_17g(capsys, monkeypatch):
     # the special values both as the axes of a grid of three, formatted
     # once per value, and as computed columns, formatted on every row;
-    # with blocks of one outer value, so that blocks are joined too
+    # with blocks of one outer value, of one outer and one middle value and
+    # of one point, so that blocks are joined and the inner axes blocked too
     special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16]
     axes = [special[:2], special[2:4], special[4:]]
     values = np.array([special + special[:2], special[::-1] + special[:2]]).T
@@ -197,18 +224,22 @@ def test_emit_writes_the_bytes_of_format_17g(capsys, monkeypatch):
                          + [",".join(format(v, ".17g") for v in row) for row in rows]) + "\n",
         "json": json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n",
     }
-    monkeypatch.setattr(cli, "EMIT_BLOCK", 1)
-    for fmt in want:
-        asked = []
+    grid = list(itertools.product(range(2), repeat=3))
+    for emit_block, n_blocks in ((4, 2), (2, 4), (1, 8)):
+        monkeypatch.setattr(cli, "EMIT_BLOCK", emit_block)
+        for fmt in want:
+            asked = []
 
-        def block_values(block):
-            asked.append(block)
-            return values[4 * block.start:4 * block.stop]
+            def block_values(block):
+                asked.append(block)
+                return values.reshape(2, 2, 2, 2)[block].reshape(-1, 2)
 
-        cfg = cli._resolve_config(cli.build_parser().parse_args(["boost-scan", "--format", fmt]))
-        cli._emit(cfg, columns, axes, block_values)
-        assert asked == [slice(0, 1), slice(1, 2)]
-        assert capsys.readouterr().out == want[fmt]
+            cfg = cli._resolve_config(cli.build_parser().parse_args(["boost-scan", "--format", fmt]))
+            cli._emit(cfg, columns, axes, block_values)
+            # the blocks cover the grid once, in row order
+            assert len(asked) == n_blocks
+            assert [p for b in asked for p in itertools.product(*(range(2)[s] for s in b))] == grid
+            assert capsys.readouterr().out == want[fmt]
 
 
 def test_rotation_scan_writes_the_bytes_of_format_17g_of_every_field():

@@ -28,22 +28,30 @@ from pfwigner import (
     RotationScenario,
     StabilityError,
     alignment_angle,
+    apply,
     bench_pair,
     boost_from_velocity,
     boost_phase,
     compose,
+    four_velocity,
+    massless_standard_element,
+    pf_standard_element,
     pf_wigner,
+    pf_wigner_from_elements,
+    photon_momenta,
     rotation_about,
     rotation_phase,
     rotation_phase_shift,
     rotation_shift_approx,
     standard_wigner,
+    standard_wigner_from_elements,
+    transform_pair,
     wrap_angle,
 )
-from pfwigner import minkowski
-from pfwigner.checks import _draws
+from pfwigner import checks, minkowski
+from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID, _draws
 from pfwigner.induction import _pair_angles
-from pfwigner.minkowski import STACK_BLOCK
+from pfwigner.minkowski import STACK_BLOCK, along_z
 
 # equal as values, but atan2 sends the frame azimuth to +pi or -pi
 _G = 1.0 / math.sqrt(1.0 - 0.05)
@@ -177,6 +185,89 @@ def test_single_calls_keep_messages_without_a_row():
         boost_from_velocity([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]])
     with pytest.raises(ValueError, match=r"^k is not null$"):
         standard_wigner(FourVector(2.0, 0.0, 0.0, 1.0), IDENTITY)
+
+
+# --- elements built once and passed to each angle ----------------------------
+
+def _assert_angle_bits_equal(got, want):
+    for field in ("phi", "residual", "stabiliser"):
+        assert (np.asarray(getattr(got, field)).view(np.uint64).tobytes()
+                == np.asarray(getattr(want, field)).view(np.uint64).tobytes()), field
+
+
+@pytest.mark.parametrize("transforms", [
+    boost_from_velocity(along_z(V_GRID)), rotation_about([0.0, 0.0, 1.0], np.array(DELTA_GRID))],
+    ids=["boosts", "rotations"])
+def test_bench_elements_built_once_equal_pf_wigner(transforms):
+    # the oracle grid: each of the 28 bench elements built once and gathered
+    # over the rows of its pair
+    grid = [(th, chi) for th in THETA_GRID for chi in CHI_GRID]
+    bench = PairStack.of([bench_pair(th, chi) for th, chi in grid])
+    pair_of, transform_of = np.divmod(np.arange(len(grid) * len(transforms)), len(transforms))
+    pairs, L = bench[pair_of], transforms[transform_of]
+    got = pf_wigner_from_elements(pairs, pf_standard_element(bench).stack[pair_of], L,
+                                  pf_standard_element(transform_pair(pairs, L)).stack)
+    _assert_angle_bits_equal(got, pf_wigner(pairs, L))
+    phi, stab, _, _ = checks._bench_wigner(THETA_GRID, CHI_GRID, transforms)
+    assert phi.view(np.uint64).tobytes() == got.phi.view(np.uint64).tobytes()
+    assert stab == got.stabiliser.max()
+
+
+def _composition_draws(seed, spec, n=40):
+    rows = _draws(np.random.default_rng(seed), n, spec)
+    return rows, checks._random_transforms(rows[:, -14:-7]), checks._random_transforms(rows[:, -7:])
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_pair_composition_elements_built_once_equal_independent_calls(seed):
+    rows, l1, l2 = _composition_draws(seed, ("null", "velocity", "transform", "transform"))
+    kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
+    l12 = compose(l2, l1)
+    moved = transform_pair(kin, l1)
+    s, s1 = pf_standard_element(kin).stack, pf_standard_element(moved).stack
+    w1, w2, w12 = pf_wigner(kin, l1), pf_wigner(moved, l2), pf_wigner(kin, l12)
+    _assert_angle_bits_equal(pf_wigner_from_elements(kin, s, l1, s1), w1)
+    _assert_angle_bits_equal(pf_wigner_from_elements(
+        moved, s1, l2, pf_standard_element(transform_pair(moved, l2)).stack), w2)
+    _assert_angle_bits_equal(pf_wigner_from_elements(
+        kin, s, l12, pf_standard_element(transform_pair(kin, l12)).stack), w12)
+    # the check, in blocks of 7 rows, gives what the independent calls give
+    with mock.patch.object(minkowski, "STACK_BLOCK", 7):
+        got = checks.composition_law_pair(seed, 40, 1e-9)
+    stab = max(float(w.stabiliser.max()) for w in (w1, w2, w12))
+    assert got == checks.CheckResult(checks._composition_defect(w1, w2, w12), 1e-9, stab)
+
+
+@pytest.mark.parametrize("seed", [2025, 7])
+def test_standard_composition_elements_built_once_equal_independent_calls(seed):
+    rows, l1, l2 = _composition_draws(seed, ("null", "transform", "transform"))
+    k = photon_momenta(rows[:, :4])
+    l12 = compose(l2, l1)
+    k1 = apply(l1, k)
+    e, e1 = massless_standard_element(k), massless_standard_element(k1)
+    w1, w2, w12 = standard_wigner(k, l1), standard_wigner(k1, l2), standard_wigner(k, l12)
+    _assert_angle_bits_equal(standard_wigner_from_elements(k, e, l1, e1), w1)
+    _assert_angle_bits_equal(standard_wigner_from_elements(
+        k1, e1, l2, massless_standard_element(apply(l2, k1))), w2)
+    _assert_angle_bits_equal(standard_wigner_from_elements(
+        k, e, l12, massless_standard_element(apply(l12, k))), w12)
+    with mock.patch.object(minkowski, "STACK_BLOCK", 7):
+        got = checks.composition_law_standard(seed, 40, 1e-9)
+    assert got == checks.CheckResult(checks._composition_defect(w1, w2, w12), 1e-9)
+
+
+def test_stability_error_of_given_elements_names_the_row_of_the_stack():
+    # as test_stability_error_names_the_row_of_the_stack, through the
+    # elements-given path: the hostile pair is in the second block
+    pairs = PairStack.of([bench_pair(0.1, 1.0)] * 4 + [bench_pair(0.999999999, 0.5)]
+                         + [bench_pair(0.2, 2.0)])
+    L = LorentzTransform(np.tile(np.eye(4), (6, 1, 1)))
+    s1 = pf_standard_element(pairs).stack
+    s2 = pf_standard_element(transform_pair(pairs, L)).stack
+    with mock.patch.object(minkowski, "STACK_BLOCK", 3), \
+            pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
+                                                 r"u=\(22360.68009, .*, transform gamma=1\)$"):
+        pf_wigner_from_elements(pairs, s1, L, s2)
 
 
 # --- closed forms, the alignment angle and the check draws ---------------------
