@@ -28,7 +28,7 @@ from .closed_form import (
     DomainError,
     boost_phase,
     check_rotation_grid,
-    rotation_table,
+    rotation_rows,
 )
 from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
@@ -323,7 +323,7 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
     chis = [i * math.pi / cfg.chi_steps for i in range(cfg.chi_steps + 1)]
     check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
-          lambda block: rotation_table(deltas[block[0]], cfg.pf_speed, chis[block[1]])[:, 2:])
+          lambda block: rotation_rows(deltas[block[0]], cfg.pf_speed, chis[block[1]])[:, 2:])
     return 0
 
 

@@ -199,7 +199,7 @@ def rotation_shift_approx(s: RotationScenario):
 def check_rotation_grid(deltas, theta_pf: float, chis) -> None:
     """Raise DomainError, with the message of RotationScenario, unless
     theta_pf, each chi and then each delta is in range; once this passes,
-    no row of rotation_table(deltas, theta_pf, chis) can fail."""
+    no row of rotation_rows(deltas, theta_pf, chis) can fail."""
     _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
     for chi in chis:
         _check_range("chi", chi, 0.0, math.pi)
@@ -214,11 +214,18 @@ def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
     phi_ex is rotation_phase wrapped to (-pi, pi], dphi_ex is
     rotation_phase - delta wrapped, dphi_ap is rotation_shift_approx and
     abs_err is ||dphi_ex| - dphi_ap|. The grid is validated first by
-    check_rotation_grid; the factors of each chi and of each delta are
-    computed once, and every value equals the one the single calls give,
-    bit for bit.
+    check_rotation_grid, then the rows are those of `rotation_rows`.
     """
     check_rotation_grid(deltas, theta_pf, chis)
+    return rotation_rows(deltas, theta_pf, chis)
+
+
+def rotation_rows(deltas, theta_pf: float, chis) -> np.ndarray:
+    """`rotation_table` of a grid that check_rotation_grid has passed,
+    unchecked: a caller that validated a whole grid once asks for the rows
+    of its parts. The factors of each chi and of each delta are computed
+    once, and every value equals the one the single calls give, bit for
+    bit."""
     _, sin, cos, _, atan2 = _MATH[True]
     # row i holds delta i // n_chi and chi i % n_chi
     n_chi, n_delta = len(chis), len(deltas)

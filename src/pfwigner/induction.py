@@ -37,14 +37,18 @@ from .minkowski import (
     PairStack,
     PhotonKinematics,
     RowError,
+    _boost_stack,
     _check_rows,
     _photon_tests,
+    _rotation_stack,
+    _rotation_z_to_stack,
+    _transform,
     apply,
     boost_to,
     format_row,
     math_rows,
     minkowski_dot,
-    rotation_about,
+    rotation_about,  # noqa: F401  unused here, bound for benchmarks/test_benchmark.py
     rotation_z_to,
     row_blocks,
     row_dot,
@@ -185,7 +189,7 @@ def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kh = unit_rows(pairs.k[:, 1:])
     cross = np.cross(kh, th_vec)
     chi = math_rows(math.atan2, np.sqrt(row_dot(cross, cross)), row_dot(kh, th_vec))
-    tv = (np.swapaxes(rotation_z_to(kh).stack[:, 1:, 1:], 1, 2) @ th_vec[:, :, None])[:, :, 0]
+    tv = (np.swapaxes(_rotation_z_to_stack(kh)[:, 1:, 1:], 1, 2) @ th_vec[:, :, None])[:, :, 0]
     alpha = math_rows(math.atan2, tv[:, 1], tv[:, 0])
     rest = th == 0.0
     return th, np.where(rest, 0.0, chi), np.where(rest, 0.0, alpha)
@@ -248,11 +252,14 @@ def bench_pair(theta_pf: float, chi: float) -> PhotonKinematics:
 
 def pf_standard_element(kin) -> LorentzTransform:
     """The transform carrying (q, u_rest) to (k, u), with the pinned gauge;
-    for a PairStack, the (N,4,4) stack of each row's element."""
+    for a PairStack, the (N,4,4) stack of each row's element.
+
+    The three factors are built unchecked from the validated pairs, and
+    the element they make is validated once."""
     pairs = PairStack.of(kin)
-    b = boost_to(pairs.u).stack
+    b = _boost_stack(pairs.u)
     n = _direction_after(b, pairs.k)
-    s = b @ rotation_z_to(n).stack @ rotation_about(Z_AXIS, alignment_angle(pairs)).stack
+    s = b @ _rotation_z_to_stack(n) @ _rotation_stack(Z_AXIS, alignment_angle(pairs))
     return LorentzTransform(s if isinstance(kin, PairStack) else s[0])
 
 
@@ -323,7 +330,7 @@ def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform, s2: n
                                 f"u={format_row(u)}, frame gamma={u[0]:.10g}, {_gamma(L, i)})")
 
     phi = math_rows(math.atan2, w[:, 2, 1], w[:, 1, 1])
-    residual = np.abs(w - rotation_about(Z_AXIS, phi).stack).max(axis=(1, 2))
+    residual = np.abs(w - _rotation_stack(Z_AXIS, phi)).max(axis=(1, 2))
     return WignerAngle(phi, residual, stab)
 
 
@@ -344,7 +351,12 @@ def massless_standard_element(k: np.ndarray) -> np.ndarray:
 def euclidean_element(alpha, beta) -> LorentzTransform:
     """Null translation T(alpha, beta): the E(2) part that is not a rotation;
     the (N,4,4) stack for arrays of N."""
-    stacked = np.ndim(alpha) == 1 or np.ndim(beta) == 1
+    return _transform(_euclidean_stack(alpha, beta), np.ndim(alpha) == 1 or np.ndim(beta) == 1)
+
+
+def _euclidean_stack(alpha, beta) -> np.ndarray:
+    """The (N,4,4) array of `euclidean_element` of (1 or N) alphas and
+    (1 or N) betas, unchecked."""
     a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float).reshape(-1),
                                np.asarray(beta, dtype=float).reshape(-1))
     z = 0.5 * (a * a + b * b)
@@ -353,7 +365,7 @@ def euclidean_element(alpha, beta) -> LorentzTransform:
     m[:, 1, 0], m[:, 1, 3] = a, -a
     m[:, 2, 0], m[:, 2, 3] = b, -b
     m[:, 3] = np.stack([z, a, b, 1.0 - z], axis=1)
-    return LorentzTransform(m if stacked else m[0])
+    return m
 
 
 def photon_momenta(k) -> np.ndarray:
@@ -420,8 +432,8 @@ def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform, e2
     phi = math_rows(math.atan2, -minkowski_dot(eex, _E_Y), -minkowski_dot(eex, _E_X))
 
     # reconstruct T(alpha, beta) Rz(phi) and measure the leftover
-    t = e @ rotation_about(Z_AXIS, -phi).stack
-    rebuilt = euclidean_element(t[:, 1, 0], t[:, 2, 0]).stack @ rotation_about(Z_AXIS, phi).stack
+    t = e @ _rotation_stack(Z_AXIS, -phi)
+    rebuilt = _euclidean_stack(t[:, 1, 0], t[:, 2, 0]) @ _rotation_stack(Z_AXIS, phi)
     residual = np.abs(e - rebuilt).max(axis=(1, 2))
     return WignerAngle(phi, residual, stab)
 

@@ -6,7 +6,11 @@ matrices wrapped in a validating container; boosts are the unique pure
 
 Every transform builder also takes N rows of input and returns an
 (N,4,4) stack, each matrix validated as a single one would be; a single
-input is the N=1 case of the same code. Row-wise products use `row_dot`,
+input is the N=1 case of the same code. A builder is its input tests, a
+private kernel (`_boost_stack`, `_rotation_stack`, `_rotation_z_to_stack`)
+that returns the raw (N,4,4) array, and the validation of that array. A
+matrix that never leaves the function that builds it, such as a factor
+of a standard element, comes from the kernel unchecked. Row-wise products use `row_dot`,
 which is bit-identical to `a @ b` on each row (a row-wise
 `np.linalg.norm` is not), and per-row angles use `math`, not the numpy
 ufuncs, so a stacked row equals its single call bit for bit.
@@ -412,6 +416,12 @@ def boost_to(u) -> LorentzTransform:
         _check_rows(_frame_tests(u), True, lambda i: f"u={format_row(u[i])}")
     else:
         u = u.u.vec[None]
+    return _transform(_boost_stack(u), stacked)
+
+
+def _boost_stack(u: np.ndarray) -> np.ndarray:
+    """The (N,4,4) array of `boost_to` of an (N,4) array of four-velocities
+    that are valid already, unchecked in and out."""
     g = u[:, 0]
     w = u[:, 1:]
     m = np.empty((len(u), 4, 4))
@@ -419,7 +429,7 @@ def boost_to(u) -> LorentzTransform:
     m[:, 0, 1:] = w
     m[:, 1:, 0] = w
     m[:, 1:, 1:] = np.eye(3) + w[:, :, None] * w[:, None, :] / (1.0 + g)[:, None, None]
-    return _transform(m, stacked)
+    return m
 
 
 def boost_from_velocity(v) -> LorentzTransform:
@@ -436,11 +446,17 @@ def rotation_about(axis, delta) -> LorentzTransform:
     """
     axes = _checked_unit_rows(axis, "axis")
     delta = np.asarray(delta, dtype=float)
-    stacked = np.ndim(axis) == 2 or delta.ndim == 1
-    n = max(len(axes), delta.size)
-    if len(axes) != n:
-        axes = np.broadcast_to(axes, (n, 3))
-    angles = np.broadcast_to(delta.reshape(-1), (n,))
+    return _transform(_rotation_stack(axes, delta), np.ndim(axis) == 2 or delta.ndim == 1)
+
+
+def _rotation_stack(axes, delta) -> np.ndarray:
+    """The (N,4,4) array of `rotation_about` of (1 or N) unit axes and
+    (1 or N) angles, the one shared by every row, unchecked in and out."""
+    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
+    delta = np.asarray(delta, dtype=float).reshape(-1)
+    n = max(len(axes), len(delta))
+    axes = np.broadcast_to(axes, (n, 3))
+    angles = np.broadcast_to(delta, (n,))
     kx = np.zeros((n, 3, 3))
     kx[:, 0, 1] = -axes[:, 2]
     kx[:, 0, 2] = axes[:, 1]
@@ -453,7 +469,11 @@ def rotation_about(axis, delta) -> LorentzTransform:
     m = np.zeros((n, 4, 4))
     m[:, 0, 0] = 1.0
     m[:, 1:, 1:] = np.eye(3) + sin * kx + versin * (kx @ kx)
-    return _transform(m, stacked)
+    return m
+
+
+# below this length of its x-y part, a unit vector is taken to be +z or -z
+_POLE = 1e-300
 
 
 def rotation_z_to(n) -> LorentzTransform:
@@ -465,11 +485,17 @@ def rotation_z_to(n) -> LorentzTransform:
     """
     rows = _checked_unit_rows(n, "n")
     stacked = np.ndim(n) == 2
+    if not stacked and rows[0, 2] > 0.0 and math.hypot(rows[0, 0], rows[0, 1]) < _POLE:
+        return IDENTITY
+    return _transform(_rotation_z_to_stack(rows), stacked)
+
+
+def _rotation_z_to_stack(rows: np.ndarray) -> np.ndarray:
+    """The (N,4,4) array of `rotation_z_to` of an (N,3) array of unit
+    vectors, unchecked in and out."""
     c = rows[:, 2]
     s = math_rows(math.hypot, rows[:, 0], rows[:, 1])
-    pole = s < 1e-300
-    if not stacked and pole[0] and c[0] > 0.0:
-        return IDENTITY
+    pole = s < _POLE
     axis = np.zeros_like(rows)
     axis[:, 0] = -rows[:, 1]
     axis[:, 1] = rows[:, 0]
@@ -479,9 +505,7 @@ def rotation_z_to(n) -> LorentzTransform:
         # at +z the identity, at -z the half turn about x
         axis[pole] = (1.0, 0.0, 0.0)
         angle[pole] = np.where(c[pole] > 0.0, 0.0, math.pi)
-    if stacked:
-        return rotation_about(axis, angle)
-    return rotation_about(axis[0], angle[0])
+    return _rotation_stack(axis, angle)
 
 
 def apply(L: LorentzTransform, v):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfwigner import cli
+from pfwigner import cli, closed_form
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,6 +147,23 @@ def test_one_delta_scan_holds_one_block_of_chis(fmt, tmp_path):
     assert code == 0
     assert peak < ONE_DELTA_PEAK[fmt]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ONE_DELTA_SHA256[fmt]
+
+
+def test_rotation_scan_checks_its_grid_once(monkeypatch, tmp_path):
+    # the scan validates the whole grid before the first row; the blocks
+    # that _emit asks for are not validated again
+    calls = []
+    check = closed_form.check_rotation_grid
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(closed_form, "check_rotation_grid", counted)
+    monkeypatch.setattr(cli, "check_rotation_grid", counted)
+    assert cli.main(["rotation-scan", "--delta-step", repr(math.pi / 480), "--chi-steps", "30",
+                     "--output", str(tmp_path / "fine.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_stdout_matches_file_output(tmp_path):

@@ -1,0 +1,210 @@
+"""The unchecked matrix kernels and where validation runs.
+
+Each transform builder runs its input tests, calls a kernel that returns
+the raw (N,4,4) array and validates the result. Inside `induction` the
+factors of a standard element and the matrices rebuilt only to measure a
+residual come from the kernels directly, so no construction-time check
+sees them. The tests here take that check over: every kernel's output
+passes `minkowski._matrix_tests` and its defining property over the
+input envelope, each kernel equals its builder bit for bit, and the
+number of validations a call makes is pinned.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pfwigner import (
+    FrameVelocity,
+    LorentzTransform,
+    bench_pair,
+    boost_to,
+    checks,
+    cli,
+    euclidean_element,
+    massless_standard_element,
+    pf_wigner,
+    rotation_about,
+    rotation_z_to,
+    standard_wigner,
+)
+from pfwigner.induction import _euclidean_stack
+from pfwigner.minkowski import (
+    _boost_stack,
+    _matrix_tests,
+    _rotation_stack,
+    _rotation_z_to_stack,
+    unit_rows,
+)
+
+Q = np.array([1.0, 0.0, 0.0, 1.0])
+Z_HAT = np.array([0.0, 0.0, 1.0])
+
+
+def assert_valid(m):
+    for ok, message in _matrix_tests(m):
+        assert ok.all(), message(int(np.argmin(ok)))
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+axes = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2] > 1e-2),
+).map(_unit)
+angles = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-1e6, 1e6))
+# directions at and within 1e-12 of +z and -z, and anywhere else
+tilts = st.floats(-1e-12, 1e-12)
+directions = st.one_of(
+    st.tuples(tilts, tilts, st.sampled_from([1.0, -1.0])).map(_unit),
+    axes,
+)
+
+
+@given(st.lists(st.tuples(axes, angles), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_rotation_kernel_is_a_rotation_about_its_axis(rows):
+    a = np.array([axis for axis, _ in rows])
+    d = np.array([delta for _, delta in rows])
+    m = _rotation_stack(a, d)
+    assert_valid(m)
+    r = m[:, 1:, 1:]
+    np.testing.assert_allclose((r @ a[:, :, None])[:, :, 0], a, atol=1e-12)
+    # a vector across the axis turns by delta, counterclockwise about it
+    v = unit_rows(np.cross(a, np.where(np.abs(a[:, :1]) < 0.5, [[1.0, 0.0, 0.0]],
+                                       [[0.0, 1.0, 0.0]])))
+    want = np.cos(d)[:, None] * v + np.sin(d)[:, None] * np.cross(a, v)
+    np.testing.assert_allclose((r @ v[:, :, None])[:, :, 0], want, atol=1e-12)
+
+
+@given(st.lists(st.tuples(axes, st.floats(1.0, 1e4)), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_boost_kernel_takes_rest_to_its_four_velocity(rows):
+    # four-velocities from rest (gamma 1) up to gamma 1e4
+    g = np.array([gamma for _, gamma in rows])
+    u = np.column_stack([g, np.sqrt(g * g - 1.0)[:, None] * np.array([d for d, _ in rows])])
+    m = _boost_stack(u)
+    assert_valid(m)
+    assert_same_bits(m[:, :, 0], u)
+    assert_same_bits(m, np.swapaxes(m, 1, 2))
+
+
+@given(st.lists(directions, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_rotation_z_to_kernel_takes_z_to_its_direction(rows):
+    n = np.array(rows)
+    m = _rotation_z_to_stack(n)
+    assert_valid(m)
+    np.testing.assert_allclose(m[:, 1:, 1:] @ Z_HAT, n, atol=1e-12)
+
+
+nulls = st.tuples(axes, st.floats(1e-3, 1e3)).map(lambda x: np.concatenate([[x[1]], x[1] * x[0]]))
+
+
+@given(st.lists(nulls, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_massless_element_takes_the_reference_momentum_to_k(rows):
+    # null momenta of energy 1e-3 to 1e3
+    k = np.array(rows)
+    m = massless_standard_element(k)
+    assert_valid(m)
+    # the boost along z has entries of order e + 1/e
+    scale = k[:, :1] + 1.0 / k[:, :1]
+    assert (np.abs(m @ Q - k) <= 1e-12 * scale).all()
+
+
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_euclidean_kernel_fixes_the_reference_momentum(rows):
+    a, b = np.array(rows).T
+    m = _euclidean_stack(a, b)
+    assert_valid(m)
+    scale = 1.0 + a * a + b * b
+    assert (np.abs(m @ Q - Q) <= 1e-12 * scale[:, None]).all()
+
+
+# --- each kernel is its builder, bit for bit ---------------------------
+
+
+def test_kernels_equal_their_builders_bit_for_bit():
+    rng = np.random.default_rng(41)
+    d = unit_rows(rng.normal(size=(6, 3)))
+    delta = rng.uniform(-10.0, 10.0, size=6)
+    speed = rng.uniform(0.0, 0.999, size=6)[:, None]
+    g = 1.0 / np.sqrt(1.0 - speed * speed)
+    u = np.column_stack([g, g * speed * d])
+
+    assert_same_bits(_boost_stack(u), boost_to(u).stack)
+    frame = FrameVelocity.from_velocity(0.6 * d[0])
+    assert_same_bits(_boost_stack(frame.u.vec[None]), boost_to(frame).stack)
+
+    assert_same_bits(_rotation_stack(d, delta), rotation_about(d, delta).stack)
+    assert_same_bits(_rotation_stack(d[0], delta), rotation_about(d[0], delta).stack)
+    assert_same_bits(_rotation_stack(d, delta[0]), rotation_about(d, delta[0]).stack)
+    assert_same_bits(_rotation_stack(d[0], delta[0]), rotation_about(d[0], delta[0]).stack)
+
+    tilt = 1e-13
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], _unit([tilt, -tilt, 1.0]),
+                      _unit([tilt, tilt, -1.0]), [-0.0, 0.0, -1.0]])
+    n = np.concatenate([poles, d])
+    assert_same_bits(_rotation_z_to_stack(n), rotation_z_to(n).stack)
+    for row in n:
+        assert_same_bits(_rotation_z_to_stack(row[None]), rotation_z_to(row).stack)
+
+    a, b = rng.normal(size=(2, 6))
+    assert_same_bits(_euclidean_stack(a, b), euclidean_element(a, b).stack)
+    assert_same_bits(_euclidean_stack(a[0], b), euclidean_element(a[0], b).stack)
+    assert_same_bits(_euclidean_stack(a[0], b[0]), euclidean_element(a[0], b[0]).stack)
+
+
+# --- where validation runs ----------------------------------------------
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The number of LorentzTransform validations since the fixture was set up."""
+    count = [0]
+    validate = LorentzTransform.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(LorentzTransform, "__post_init__", counted)
+    return count
+
+
+def test_one_pf_wigner_validates_the_two_standard_elements(validations):
+    kin = bench_pair(0.1, 1.0)
+    L = rotation_about(Z_HAT, 0.3)
+    validations[0] = 0
+    pf_wigner(kin, L)
+    assert validations[0] == 2
+
+
+def test_one_standard_wigner_validates_the_rotation_of_each_element(validations):
+    kin = bench_pair(0.1, 1.0)
+    L = rotation_about(Z_HAT, 0.3)
+    validations[0] = 0
+    standard_wigner(kin.k, L)
+    assert validations[0] == 2
+
+
+def test_validate_makes_82_validations(validations):
+    results = checks.run_checks(cli.CHECKS)
+    assert all(r.value <= r.tol for r in results.values())
+    assert validations[0] == 82
+
