@@ -14,8 +14,8 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Iterator, Sequence, TextIO
 
@@ -99,10 +99,9 @@ class RunConfig:
     tol_scale: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name.replace('_', '-')} must be finite")
+                raise ConfigError(f"{name.replace('_', '-')} must be finite")
         if not 0.0 <= self.pf_speed < 1.0:
             raise ConfigError("pf-speed must lie in [0, 1)")
         if not 0.0 <= self.chi <= math.pi:
@@ -463,9 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and reused: a parser
+    is a graph of cyclic references, which only a full garbage collection
+    frees, so one built per call piles up over many in-process runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         if args.command == "boost-scan":

@@ -70,7 +70,7 @@ def _check_scenario(s, domain, *values) -> None:
     except DomainError:
         if np.ndarray not in map(type, values):
             raise
-    rows = np.broadcast_arrays(*(np.array(x, dtype=float) for x in values))
+    rows = np.broadcast_arrays(*[np.array(x, dtype=float) for x in values])
     if rows[0].ndim == 0:
         # 0-d arrays are one row, kept as floats
         rows = [x.item() for x in rows]
@@ -199,12 +199,15 @@ def rotation_shift_approx(s: RotationScenario):
 def check_rotation_grid(deltas, theta_pf: float, chis) -> None:
     """Raise DomainError, with the message of RotationScenario, unless
     theta_pf, each chi and then each delta is in range; once this passes,
-    no row of rotation_rows(deltas, theta_pf, chis) can fail."""
+    no row of rotation_rows(deltas, theta_pf, chis) can fail. Each axis is
+    checked as one array, and its first value out of range is checked
+    again alone, which raises."""
     _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
-    for chi in chis:
-        _check_range("chi", chi, 0.0, math.pi)
-    for d in deltas:
-        _check_delta(d)
+    for values, check in ((chis, partial(_check_range, "chi", lo=0.0, hi=math.pi)),
+                          (deltas, _check_delta)):
+        ok = check(np.asarray(values, dtype=float))
+        if not ok.all():
+            check(values[int(np.argmin(ok))])
 
 
 def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:

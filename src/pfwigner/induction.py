@@ -152,9 +152,9 @@ def _in_blocks(rows_of, *stacks) -> WignerAngle:
     or N rows, joined; a RowError raised for a block names the row of the
     whole stack."""
     parts = []
-    for rows in row_blocks(_stack_rows(*map(len, stacks))):
+    for rows in row_blocks(_stack_rows(*[len(x) for x in stacks])):
         with rows_from(rows.start):
-            parts.append(rows_of(*(_rows(x, rows) for x in stacks)))
+            parts.append(rows_of(*[_rows(x, rows) for x in stacks]))
     return _joined(parts, False)
 
 

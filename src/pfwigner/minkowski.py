@@ -48,7 +48,7 @@ def row_dot(a, b) -> np.ndarray:
 def math_rows(f, *xs) -> np.ndarray:
     """f(xs[0][i], xs[1][i], ...) for each i, by a `math` function f:
     numpy's sin, cos, arcsin and arctan2 can differ from `math` in the last bit."""
-    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, len(xs[0]))
+    return np.fromiter(map(f, *[x.tolist() for x in xs]), float, len(xs[0]))
 
 
 def unit_rows(x) -> np.ndarray:

@@ -9,23 +9,20 @@ import numpy as np
 from .induction import pf_wigner
 from .minkowski import PhotonKinematics, rotation_about, row_blocks, rows_from
 
-# uniform draws made and counted at a time, which bounds the memory of a draw
-MC_BLOCK = 1 << 16
-
 
 def malus_probability(theta: float, Theta: float) -> float:
     return math.cos(Theta - theta) ** 2
 
 
 def monte_carlo_malus(p: float, n_samples: int, seed: int) -> float:
-    """Empirical pass fraction of n_samples seeded Bernoulli trials at probability p."""
+    """Empirical pass fraction of n_samples seeded Bernoulli trials at
+    probability p: their number of passes is Binomial(n_samples, p), drawn
+    at once from the generator seeded with `seed`."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for start in range(0, n_samples, MC_BLOCK):
-        hits += int(np.count_nonzero(rng.random(min(MC_BLOCK, n_samples - start)) < p))
-    return hits / n_samples
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p!r} outside [0, 1]")
+    return int(np.random.default_rng(seed).binomial(n_samples, p)) / n_samples
 
 
 def anomalous_malus_curve(kin: PhotonKinematics, theta: float, Theta0: float,

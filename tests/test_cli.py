@@ -166,6 +166,22 @@ def test_rotation_scan_checks_its_grid_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_rotation_scan_checks_each_grid_axis_as_one_array(monkeypatch, tmp_path):
+    # one range check for theta_pf and one for the 31 chis; the deltas'
+    # check is not a range check
+    calls = []
+    check = closed_form._check_range
+
+    def counted(name, value, *args, **kwargs):
+        calls.append((name, np.shape(value)))
+        return check(name, value, *args, **kwargs)
+
+    monkeypatch.setattr(closed_form, "_check_range", counted)
+    assert cli.main(["rotation-scan", "--delta-step", repr(math.pi / 480), "--chi-steps", "30",
+                     "--output", str(tmp_path / "fine.csv")]) == 0
+    assert calls == [("theta_pf", ()), ("chi", (31,))]
+
+
 def test_stdout_matches_file_output(tmp_path):
     out = tmp_path / "scan.csv"
     res_file = run_process(*BOOST_ARGS, "--output", out, text=False)
@@ -378,6 +394,25 @@ def test_unknown_subcommand_exits_2():
 
 def test_missing_subcommand_exits_2():
     assert run_cli().returncode == 2
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    # a run, --help and usage errors leave the one parser of main fit for
+    # the next run, which writes the same bytes
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    cli._parser.cache_clear()
+    first = run_cli_bytes(*MALUS_ARGS)
+    shown = run_cli("malus", "--help")
+    bad_int = run_cli("malus", "--samples", "many")
+    no_command = run_cli()
+    second = run_cli_bytes(*MALUS_ARGS)
+    assert len(built) == 1
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout == (GOLDEN / "malus.csv").read_bytes()
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: pfwigner malus [-h]")
+    assert bad_int.returncode == 2 and "invalid int value: 'many'" in bad_int.stderr
+    assert no_command.returncode == 2
 
 
 def test_numerical_degeneracy_exits_3():

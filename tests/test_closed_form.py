@@ -17,6 +17,7 @@ from pfwigner import (
     rotation_table,
     wrap_angle,
 )
+from pfwigner.closed_form import check_rotation_grid
 
 # speed of the distinguished frame used throughout the frozen examples
 # (solar-system speed relative to the microwave background, in units of c)
@@ -123,6 +124,23 @@ def test_rotation_table_rejects_what_the_scenario_rejects(deltas, theta_pf, chis
     with pytest.raises(DomainError) as got:
         rotation_table(deltas, theta_pf, chis)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "deltas,chis,message",
+    [
+        ([1.0], [0.5, -0.1, 4.0, math.nan], "chi=-0.1 outside [0.0, 3.141592653589793]"),
+        ([1.0], np.array([0.5, math.nan, -0.1]),
+         f"chi={np.float64(math.nan)!r} outside [0.0, 3.141592653589793]"),
+        ([0.0, 1.0, math.inf, math.nan], [1.0], "delta=inf is not finite"),
+        # theta_pf, then the chis, then the deltas
+        ([math.nan], [4.0], "chi=4.0 outside [0.0, 3.141592653589793]"),
+    ],
+)
+def test_rotation_grid_names_its_first_value_out_of_range(deltas, chis, message):
+    with pytest.raises(DomainError) as got:
+        check_rotation_grid(deltas, 0.1, chis)
+    assert str(got.value) == message
 
 
 # --- structural properties -------------------------------------------------

@@ -9,7 +9,6 @@ from pfwigner import (
     malus_probability,
     monte_carlo_malus,
 )
-from pfwigner.polarisation import MC_BLOCK
 
 TH_CMB = 1.2336e-3
 
@@ -44,16 +43,38 @@ def test_monte_carlo_is_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("n", [1000, 3 * MC_BLOCK + 17])
-def test_monte_carlo_blocks_match_one_shot_draw(n):
+# seeds of the distribution test, and its bound on each of its two z-scores:
+# Binomial(n, p) counts would fail it with probability about 1e-6
+DIST_SEEDS = range(2000)
+DIST_Z = 5.0
+
+
+@pytest.mark.parametrize("n", [1000, 196_625])
+def test_monte_carlo_counts_are_binomial(n):
     p = malus_probability(0.3, 1.1)
-    one_shot = float((np.random.default_rng(7).random(n) < p).mean())
-    assert monte_carlo_malus(p, n, seed=7) == one_shot
+    freqs = np.array([monte_carlo_malus(p, n, seed=s) for s in DIST_SEEDS])
+    counts = np.rint(freqs * n)
+    assert np.all(counts / n == freqs)
+    assert counts.min() >= 0 and counts.max() <= n
+    # the sample mean and variance of the counts against n p and n p (1 - p),
+    # each with its standard error over len(DIST_SEEDS) draws; the variance's
+    # includes the binomial excess kurtosis (1 - 6 p q) / (n p q)
+    m, q = len(DIST_SEEDS), 1.0 - p
+    var = n * p * q
+    kurt = (1.0 - 6.0 * p * q) / var
+    assert abs(counts.mean() - n * p) <= DIST_Z * math.sqrt(var / m)
+    assert abs(counts.var(ddof=1) - var) <= DIST_Z * var * math.sqrt(2.0 / (m - 1) + kurt / m)
 
 
 def test_monte_carlo_rejects_empty_sample():
     with pytest.raises(ValueError):
         monte_carlo_malus(1.0, 0, seed=1)
+
+
+@pytest.mark.parametrize("p", [math.nan, -1e-3, 1.0 + 1e-12])
+def test_monte_carlo_rejects_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=r"^p=.* outside \[0, 1\]$"):
+        monte_carlo_malus(p, 1000, seed=1)
 
 
 # --- the co-rotation experiment -------------------------------------------------------
