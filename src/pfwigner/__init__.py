@@ -5,7 +5,6 @@ from .closed_form import (
     DomainError,
     RotationScenario,
     boost_phase,
-    boost_phase_asymptote,
     rotation_phase,
     rotation_phase_shift,
     rotation_shift_approx,
@@ -13,7 +12,6 @@ from .closed_form import (
 )
 from .induction import (
     StabilityError,
-    StandardPair,
     WignerAngle,
     alignment_angle,
     bench_pair,
@@ -32,11 +30,8 @@ from .induction import (
 from .minkowski import (
     IDENTITY,
     METRIC,
-    FourVector,
-    FrameVelocity,
     LorentzTransform,
     PairStack,
-    PhotonKinematics,
     RowError,
     apply,
     boost_from_velocity,

@@ -95,10 +95,11 @@ def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
     grids, their largest stabiliser residual, and the theta and chi of each
     row: the rows of a pair follow each other, theta-major. The element of
     each bench pair is built once, and its rows gathered a block at a time."""
-    grid = [(th, chi) for th in theta_grid for chi in chi_grid]
-    pairs = PairStack.of([induction.bench_pair(th, chi) for th, chi in grid])
+    th = np.repeat(theta_grid, len(chi_grid))
+    chi = np.tile(chi_grid, len(theta_grid))
+    pairs = induction.bench_pair(th, chi)
     elements = induction.pf_standard_element(pairs).stack
-    pair_of, transform_of = np.divmod(np.arange(len(grid) * len(L)), len(L))
+    pair_of, transform_of = np.divmod(np.arange(len(pairs) * len(L)), len(L))
     phi, stab = [], 0.0
     for rows in row_blocks(len(pair_of)):
         p, l = pairs[pair_of[rows]], L[transform_of[rows]]
@@ -107,8 +108,7 @@ def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
                                                   _moved_element(p, l))
         phi.append(w.phi)
         stab = max(stab, float(w.stabiliser.max()))
-    th, chi = np.array(grid)[pair_of].T
-    return np.concatenate(phi), stab, th, chi
+    return np.concatenate(phi), stab, th[pair_of], chi[pair_of]
 
 
 def boost_oracle_equivalence(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:

@@ -34,7 +34,7 @@ from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
     STACK_BLOCK,
     LorentzTransform,
-    PhotonKinematics,
+    PairStack,
     RowError,
     along_z,
     boost_from_velocity,
@@ -42,6 +42,7 @@ from .minkowski import (
     rotation_about,
     row_blocks,
     rows_from,
+    unit_rows,
     wrap_angle,
 )
 from .polarisation import anomalous_malus_curve, malus_probability, monte_carlo_malus
@@ -166,12 +167,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    if hi < lo:
+        raise ConfigError("empty grid: max < min")
     span = (hi - lo) / step
     if span > MAX_ROWS - 1:
         raise ConfigError(f"grid exceeds {MAX_ROWS} rows; use a larger step")
     n = int(round(span))
-    if n < 0:
-        raise ConfigError("empty grid: max < min")
     vals = [lo + i * step for i in range(n + 1)]
     if vals and vals[-1] > hi + 0.5 * step:
         vals.pop()
@@ -259,10 +260,9 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
             out.write(tail + "\n")
 
 
-def _axis_vector(token: str, kin: PhotonKinematics) -> np.ndarray:
+def _axis_vector(token: str, pair: PairStack) -> np.ndarray:
     if token == "k":
-        ks = kin.k.spatial
-        return ks / np.linalg.norm(ks)
+        return unit_rows(pair.k[:, 1:])[0]
     try:
         return {"x": np.array([1.0, 0.0, 0.0]),
                 "y": np.array([0.0, 1.0, 0.0]),
@@ -271,7 +271,7 @@ def _axis_vector(token: str, kin: PhotonKinematics) -> np.ndarray:
         raise ConfigError(f"unknown axis {token!r} (expected x, y, z or k)") from None
 
 
-def _parse_transform(specs: list[str] | None, kin: PhotonKinematics) -> LorentzTransform:
+def _parse_transform(specs: list[str] | None, pair: PairStack) -> LorentzTransform:
     L = LorentzTransform(np.eye(4))
     for spec in specs or []:
         parts = spec.split(":")
@@ -284,7 +284,7 @@ def _parse_transform(specs: list[str] | None, kin: PhotonKinematics) -> LorentzT
             val = math.nan
         if not math.isfinite(val):
             raise ConfigError(f"bad numeric value in transform spec {spec!r}")
-        axis = _axis_vector(axis_token, kin)
+        axis = _axis_vector(axis_token, pair)
         if kind == "boost":
             if not -1.0 < val < 1.0:
                 raise ConfigError("boost speed must lie in (-1, 1)")
@@ -298,7 +298,7 @@ def _parse_transform(specs: list[str] | None, kin: PhotonKinematics) -> LorentzT
 
 
 def cmd_boost_scan(cfg: RunConfig) -> int:
-    kin = bench_pair(cfg.pf_speed, cfg.chi)
+    pair = bench_pair(cfg.pf_speed, cfg.chi)
     grid = _grid(cfg.v_min, cfg.v_max, cfg.v_step)
     if grid[-1] >= 1.0:
         raise ConfigError(f"the v grid ends at V = {grid[-1]:.17g}, not below 1; "
@@ -306,7 +306,7 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
     phi_mx = []
     for block in row_blocks(len(grid)):
         with rows_from(block.start):
-            phi_mx.append(pf_wigner(kin, boost_from_velocity(along_z(grid[block]))).phi)
+            phi_mx.append(pf_wigner(pair, boost_from_velocity(along_z(grid[block]))).phi)
     phi_mx = np.concatenate(phi_mx)
     phi_cf = boost_phase(BoostScenario(np.array(grid), cfg.pf_speed, cfg.chi))
     _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], [grid],
@@ -327,11 +327,11 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
 
 
 def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
-    kin = bench_pair(cfg.pf_speed, cfg.chi)
-    L = _parse_transform(transform_specs, kin)
-    w_pf = pf_wigner(kin, L)
-    w_std = standard_wigner(kin.k, L)
-    record = {
+    pair = bench_pair(cfg.pf_speed, cfg.chi)
+    L = _parse_transform(transform_specs, pair)
+    w_pf = pf_wigner(pair, L)
+    w_std = standard_wigner(pair.k, L)
+    fields = {
         "phi_pf": w_pf.phi,
         "phi_std": w_std.phi,
         "delta_phi": wrap_angle(w_pf.phi - w_std.phi),
@@ -340,18 +340,19 @@ def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
         "stabiliser_pf": w_pf.stabiliser,
         "stabiliser_std": w_std.stabiliser,
     }
+    record = {name: float(value[0]) for name, value in fields.items()}
     with _sink(cfg) as out:
         out.write(json.dumps(record, indent=2) + "\n")
     return 0
 
 
 def cmd_malus(cfg: RunConfig) -> int:
-    kin = bench_pair(cfg.pf_speed, cfg.chi)
+    pair = bench_pair(cfg.pf_speed, cfg.chi)
     deltas = _grid(cfg.delta_min, cfg.delta_max, cfg.delta_step)
     if len(deltas) * cfg.samples > MAX_DRAWS:
         raise ConfigError(f"malus exceeds {MAX_DRAWS} draws (rows times samples); "
                           "use fewer samples or a larger delta-step")
-    curve = anomalous_malus_curve(kin, cfg.state_angle, cfg.pol_angle, deltas)
+    curve = anomalous_malus_curve(pair, cfg.state_angle, cfg.pol_angle, deltas)
     p_classical = malus_probability(cfg.state_angle, cfg.pol_angle)
     rows = []
     for i, (_, p_pf) in enumerate(curve):

@@ -138,15 +138,6 @@ def boost_phase(s: BoostScenario):
     return asin(num / den)
 
 
-def boost_phase_asymptote(theta_pf: float, chi: float) -> float:
-    """Limit of boost_phase as v -> +1 (the v -> -1, pi - chi limit is its negative)."""
-    _check_range("theta_pf", theta_pf, 0.0, 1.0, hi_open=True)
-    _check_range("chi", chi, 0.0, math.pi)
-    rt = math.sqrt(1.0 - theta_pf * theta_pf)
-    den = math.sqrt(2.0 * (1.0 + rt) * (1.0 + theta_pf * math.cos(chi)))
-    return math.asin(theta_pf * math.sin(chi) / den)
-
-
 def _rotation_factors(theta_pf, chi, sqrt=math.sqrt, sin=math.sin, cos=math.cos):
     """The factors of the rotation formulas that depend on theta_pf and chi
     only: n, dd, a sin(chi) and theta_pf sin(chi). sqrt, sin and cos are

@@ -12,9 +12,9 @@ rest, the minimal rotation aligning the photon direction seen from that
 frame, and an SO(2) alignment h(k, u) fixing the residual gauge of the
 pair bundle. See `alignment_angle` for how h is pinned.
 
-Both constructions run over stacks: one pair or N pairs against one
-transform or N transforms, processed STACK_BLOCK rows at a time. A
-single pair against a single transform is the N=1 case of the same code.
+Both constructions run over stacks: a `PairStack` of 1 or N pairs against
+one transform or N transforms, processed STACK_BLOCK rows at a time, and
+every result has one entry per row. A single pair is a stack of one row.
 Each comes in two steps: build the standard elements, then conjugate
 and read the angle given them (`pf_wigner_from_elements`,
 `standard_wigner_from_elements`), so a caller that needs several angles
@@ -31,11 +31,8 @@ import numpy as np
 from .closed_form import BoostScenario, DomainError, RotationScenario, boost_phase, rotation_phase
 from .minkowski import (
     METRIC,
-    FourVector,
-    FrameVelocity,
     LorentzTransform,
     PairStack,
-    PhotonKinematics,
     RowError,
     _boost_stack,
     _check_rows,
@@ -46,6 +43,7 @@ from .minkowski import (
     apply,
     boost_to,
     format_row,
+    four_velocity,
     math_rows,
     minkowski_dot,
     rotation_about,  # noqa: F401  unused here, bound for benchmarks/test_benchmark.py
@@ -78,35 +76,16 @@ class GaugeDomainError(RowError, DomainError):
     the closed form's input and the pair."""
 
 
-@dataclass(frozen=True)
-class StandardPair:
-    """The reference pair: q = kappa*(1;0,0,1) and the rest four-velocity."""
-
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if not (self.kappa > 0.0):
-            raise ValueError("kappa must be positive")
-
-    @property
-    def q(self) -> FourVector:
-        return FourVector(self.kappa, 0.0, 0.0, self.kappa)
-
-    @property
-    def u_pf(self) -> FourVector:
-        return FourVector(1.0, 0.0, 0.0, 0.0)
-
-
-# the vectors the little-group elements must fix: q at kappa = 1, which
-# scales with the kappa of each pair, and the rest four-velocity
-_Q_UNIT = StandardPair().q.vec
-_U_REST = StandardPair().u_pf.vec
+# the vectors the little-group elements must fix: the reference null
+# vector q at kappa = 1, which scales with the kappa of each pair, and the
+# rest four-velocity
+_Q_UNIT = np.array([1.0, 0.0, 0.0, 1.0])
+_U_REST = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
 class WignerAngle:
-    """Extracted little-group angle: floats for one pair under one
-    transform, else arrays with one entry per row.
+    """Extracted little-group angle: arrays with one entry per row.
 
     residual: max deviation of the element from the exact form implied
     by the angle (a z-rotation for the pair construction, a null
@@ -114,18 +93,14 @@ class WignerAngle:
     stabiliser: max deviation of the element on the vectors it must fix.
     """
 
-    phi: float | np.ndarray
-    residual: float | np.ndarray
-    stabiliser: float | np.ndarray = 0.0
+    phi: np.ndarray
+    residual: np.ndarray
+    stabiliser: np.ndarray
 
 
 def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
     kp = (METRIC @ np.swapaxes(boost, 1, 2) @ METRIC @ k[:, :, None])[:, :, 0]
     return unit_rows(kp[:, 1:])
-
-
-def _single(kin, L: LorentzTransform) -> bool:
-    return isinstance(kin, (PhotonKinematics, FourVector)) and L.m.ndim == 2
 
 
 def _stack_rows(*lengths: int) -> int:
@@ -139,12 +114,9 @@ def _rows(x, rows: slice):
     return x if len(x) == 1 else x[rows]
 
 
-def _joined(parts: list[WignerAngle], single: bool) -> WignerAngle:
-    phi, residual, stab = (np.concatenate([getattr(w, f) for w in parts])
-                           for f in ("phi", "residual", "stabiliser"))
-    if single:
-        return WignerAngle(float(phi[0]), float(residual[0]), float(stab[0]))
-    return WignerAngle(phi, residual, stab)
+def _joined(parts: list[WignerAngle]) -> WignerAngle:
+    return WignerAngle(*(np.concatenate([getattr(w, f) for w in parts])
+                         for f in ("phi", "residual", "stabiliser")))
 
 
 def _in_blocks(rows_of, *stacks) -> WignerAngle:
@@ -155,7 +127,7 @@ def _in_blocks(rows_of, *stacks) -> WignerAngle:
     for rows in row_blocks(_stack_rows(*[len(x) for x in stacks])):
         with rows_from(rows.start):
             parts.append(rows_of(*[_rows(x, rows) for x in stacks]))
-    return _joined(parts, False)
+    return _joined(parts)
 
 
 def _row(x, i: int):
@@ -166,12 +138,10 @@ def _gamma(L: LorentzTransform, i: int) -> str:
     return f"transform gamma={_row(L.stack, i)[0, 0]:.10g}"
 
 
-def direction_in_pf(kin):
-    """Unit photon direction seen from the distinguished frame's rest
-    coordinates; (N,3) for a PairStack."""
-    pairs = PairStack.of(kin)
-    n = _direction_after(boost_to(pairs.u).stack, pairs.k)
-    return n if isinstance(kin, PairStack) else n[0]
+def direction_in_pf(pairs: PairStack) -> np.ndarray:
+    """The (N,3) unit photon directions seen from the distinguished
+    frame's rest coordinates."""
+    return _direction_after(boost_to(pairs.u).stack, pairs.k)
 
 
 def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,9 +165,8 @@ def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return th, np.where(rest, 0.0, chi), np.where(rest, 0.0, alpha)
 
 
-def alignment_angle(kin):
-    """SO(2) gauge h(k, u) of the pair standard element; an array of one
-    entry per row for a PairStack.
+def alignment_angle(pairs: PairStack) -> np.ndarray:
+    """SO(2) gauge h(k, u) of the pair standard element, one entry per row.
 
     The stabiliser of the pair is SO(2), so after L_u R_n the standard
     element is fixed only up to a z-rotation. That residual gauge decides
@@ -221,7 +190,6 @@ def alignment_angle(kin):
     photon, and the construction stays an exact cocycle for any h, so
     composition and stabiliser properties are unaffected by the choice.
     """
-    pairs = PairStack.of(kin)
     th, chi, alpha = _pair_angles(pairs)
     u_perp = pairs.u[:, 0] * th * math_rows(math.sin, chi)
     th_apex = u_perp / np.sqrt(1.0 + u_perp * u_perp)
@@ -236,58 +204,52 @@ def alignment_angle(kin):
         i = exc.row
         raise GaugeDomainError(i, f"{exc} in the gauge of the pair (k={format_row(pairs.k[i])}, "
                                   f"u={format_row(pairs.u[i])})") from exc
-    h = np.where(th == 0.0, 0.0, h + (alpha - np.where(turned, phase, phase - math.tau)))
-    return h if isinstance(kin, PairStack) else float(h[0])
+    return np.where(th == 0.0, 0.0, h + (alpha - np.where(turned, phase, phase - math.tau)))
 
 
-def bench_pair(theta_pf: float, chi: float) -> PhotonKinematics:
-    """The bench configuration: unit photon along z-hat, frame velocity of
-    speed theta_pf at angle chi to it, in the x-z plane."""
-    k = FourVector(1.0, 0.0, 0.0, 1.0)
-    if theta_pf == 0.0:
-        return PhotonKinematics(k, FrameVelocity.rest())
-    v = [theta_pf * math.sin(chi), 0.0, theta_pf * math.cos(chi)]
-    return PhotonKinematics(k, FrameVelocity.from_velocity(v))
+def bench_pair(theta_pf, chi) -> PairStack:
+    """The bench configurations: unit photon along z-hat, frame velocity of
+    speed theta_pf at angle chi to it, in the x-z plane; floats give one
+    row, (N,) arrays (floats among them shared) N rows. A row with
+    theta_pf = 0 has the frame exactly at rest, u = (1, 0, 0, 0)."""
+    theta_pf, chi = np.broadcast_arrays(np.asarray(theta_pf, dtype=float).reshape(-1),
+                                        np.asarray(chi, dtype=float).reshape(-1))
+    v = np.zeros((len(chi), 3))
+    v[:, 0] = theta_pf * math_rows(math.sin, chi)
+    v[:, 2] = theta_pf * math_rows(math.cos, chi)
+    u = np.where((theta_pf == 0.0)[:, None], _U_REST, four_velocity(v))
+    return PairStack(np.tile(_Q_UNIT, (len(u), 1)), u)
 
 
-def pf_standard_element(kin) -> LorentzTransform:
-    """The transform carrying (q, u_rest) to (k, u), with the pinned gauge;
-    for a PairStack, the (N,4,4) stack of each row's element.
+def pf_standard_element(pairs: PairStack) -> LorentzTransform:
+    """The (N,4,4) stack of the transforms carrying (q, u_rest) to each
+    pair (k, u), with the pinned gauge.
 
     The three factors are built unchecked from the validated pairs, and
     the element they make is validated once."""
-    pairs = PairStack.of(kin)
     b = _boost_stack(pairs.u)
     n = _direction_after(b, pairs.k)
-    s = b @ _rotation_z_to_stack(n) @ _rotation_stack(Z_AXIS, alignment_angle(pairs))
-    return LorentzTransform(s if isinstance(kin, PairStack) else s[0])
+    return LorentzTransform(b @ _rotation_z_to_stack(n)
+                            @ _rotation_stack(Z_AXIS, alignment_angle(pairs)))
 
 
-def transform_pair(kin, L: LorentzTransform):
-    """The pair (Lk, Lu), validated: a PhotonKinematics for one pair under
-    one transform, else a PairStack with a row per pair or per transform."""
-    pairs = PairStack.of(kin)
-    k, u = apply(L, pairs.k), apply(L, pairs.u)
-    if _single(kin, L):
-        return PhotonKinematics(FourVector.from_array(k[0]),
-                                FrameVelocity(FourVector.from_array(u[0])))
-    return PairStack(k, u)
+def transform_pair(pairs: PairStack, L: LorentzTransform) -> PairStack:
+    """The pairs (Lk, Lu), validated, with a row per pair or per transform."""
+    return PairStack(apply(L, pairs.k), apply(L, pairs.u))
 
 
-def pf_wigner(kin, L: LorentzTransform) -> WignerAngle:
+def pf_wigner(pairs: PairStack, L: LorentzTransform) -> WignerAngle:
     """Little-group angle of L at the pair (k, u).
 
     Conjugates L by the pair standard elements, checks the result fixes
     both q and the rest four-velocity, and reads the z-rotation angle
     from the (y,x), (x,x) entries.
 
-    kin is a PhotonKinematics or a PairStack, L a transform or a stack;
-    each has 1 or N rows, and row i is pair i (or the one pair) under
-    transform i (or the one transform). The element of each given pair
-    is built once; the elements of a block of rows at a time are passed
-    to `pf_wigner_from_elements`.
+    pairs and L each have 1 or N rows, and row i is pair i (or the one
+    pair) under transform i (or the one transform). The element of each
+    given pair is built once; the elements of a block of rows at a time
+    are passed to `pf_wigner_from_elements`.
     """
-    pairs = PairStack.of(kin)
     n = _stack_rows(len(pairs), len(L))
     s1 = pf_standard_element(pairs).stack if len(pairs) == 1 else None
     parts = []
@@ -297,7 +259,7 @@ def pf_wigner(kin, L: LorentzTransform) -> WignerAngle:
             s = pf_standard_element(p).stack if s1 is None else s1
             parts.append(pf_wigner_from_elements(
                 p, s, l, pf_standard_element(transform_pair(p, l)).stack))
-    return _joined(parts, _single(kin, L))
+    return _joined(parts)
 
 
 def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransform,
@@ -369,14 +331,11 @@ def _euclidean_stack(alpha, beta) -> np.ndarray:
 
 
 def photon_momenta(k) -> np.ndarray:
-    """The momenta of a FourVector or an (N,4) array as an (N,4) array,
-    each row tested as a photon momentum: null, with positive energy. A
-    FourVector fails with the message alone, a row of an array with its
-    row number and its k."""
-    single = isinstance(k, FourVector)
-    ks = k.vec[None] if single else np.asarray(k, dtype=float)
-    _check_rows(_photon_tests(ks), not single, lambda i: f"k={format_row(ks[i])}")
-    return ks
+    """An (N,4) array of momenta, each row tested as a photon momentum:
+    null, with positive energy. A failing row is named with its k."""
+    k = np.asarray(k, dtype=float)
+    _check_rows(_photon_tests(k), True, lambda i: f"k={format_row(k[i])}")
+    return k
 
 
 def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
@@ -387,9 +346,9 @@ def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
     eta-orthogonal to e_x and e_y, so the rotation angle survives in
     cos phi = -eta(E e_x, e_x), sin phi = -eta(E e_x, e_y).
 
-    k is a FourVector or an (N,4) array of momenta; rows pair up with the
-    transforms as in `pf_wigner`, and the elements of a block of rows at
-    a time are passed to `standard_wigner_from_elements`.
+    k is an (N,4) array of momenta; rows pair up with the transforms as
+    in `pf_wigner`, and the elements of a block of rows at a time are
+    passed to `standard_wigner_from_elements`.
     """
     ks = photon_momenta(k)
     n = _stack_rows(len(ks), len(L))
@@ -401,7 +360,7 @@ def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
             e = massless_standard_element(kr) if e1 is None else e1
             parts.append(standard_wigner_from_elements(
                 kr, e, l, massless_standard_element(apply(l, kr))))
-    return _joined(parts, _single(k, L))
+    return _joined(parts)
 
 
 def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTransform,
@@ -438,8 +397,7 @@ def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform, e2
     return WignerAngle(phi, residual, stab)
 
 
-def phase_difference(kin, L: LorentzTransform):
+def phase_difference(pairs: PairStack, L: LorentzTransform) -> np.ndarray:
     """Wrapped difference between the pair angle and the pairless angle of
-    L; an array of one entry per row for stacked input."""
-    d = pf_wigner(kin, L).phi - standard_wigner(kin.k, L).phi
-    return wrap_angle(d)
+    L, one entry per row."""
+    return wrap_angle(pf_wigner(pairs, L).phi - standard_wigner(pairs.k, L).phi)

@@ -3,6 +3,9 @@
 Signature (+,-,-,-), units c = 1. Transformations are plain 4x4 real
 matrices wrapped in a validating container; boosts are the unique pure
 (rotation-free) ones, rotations act on the spatial block only.
+Four-vectors are the rows of (N,4) arrays, and a photon momentum paired
+with a frame four-velocity is a row of a `PairStack`; one pair is a
+stack of one row.
 
 Every transform builder also takes N rows of input and returns an
 (N,4,4) stack, each matrix validated as a single one would be; a single
@@ -125,56 +128,22 @@ def wrap_angle(angle):
     return r
 
 
-@dataclass(frozen=True)
-class FourVector:
-    t: float
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_array(cls, a) -> "FourVector":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"expected 4 components, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def norm2(self) -> float:
-        return minkowski_dot(self, self)
-
-    def is_null(self, tol: float = CONSTRUCTION_TOL) -> bool:
-        return bool(_on_shell(self.norm2(), self.t, tol))
-
-    def is_unit_timelike(self, tol: float = CONSTRUCTION_TOL) -> bool:
-        return bool(_on_shell(self.norm2() - 1.0, self.t, tol))
-
-
 def _components(a):
-    if isinstance(a, FourVector):
-        return a.t, a.x, a.y, a.z
     return a[..., 0], a[..., 1], a[..., 2], a[..., 3]
 
 
 def minkowski_dot(a, b):
-    """eta(a, b) of two FourVectors, or of each row of two (...,4) arrays."""
+    """eta(a, b) of each row of two (...,4) arrays."""
     (at, ax, ay, az), (bt, bx, by, bz) = _components(a), _components(b)
     return at * bt - ax * bx - ay * by - az * bz
 
 
-def _on_shell(off, t, tol: float = CONSTRUCTION_TOL):
+def _on_shell(off, t):
     # |off| <= tol * max(1, t^2): the departure `off` of a Minkowski square
     # from its shell, against a tolerance that grows with the energy t;
     # written so that NaN fails it
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(off) <= tol * np.maximum(1.0, t * t)
+        return np.abs(off) <= CONSTRUCTION_TOL * np.maximum(1.0, t * t)
 
 
 def _matrix_tests(b: np.ndarray) -> list:
@@ -254,57 +223,14 @@ def _transform(m: np.ndarray, stacked: bool) -> LorentzTransform:
 IDENTITY = LorentzTransform(np.eye(4))
 
 
-@dataclass(frozen=True)
-class FrameVelocity:
-    """Unit timelike four-velocity of the distinguished frame.
-
-    theta_vector = spatial(u)/u.t is the frame's velocity seen by the
-    observer; theta = |theta_vector| in units of c.
-    """
-
-    u: FourVector
-
-    def __post_init__(self):
-        _check_rows(_frame_tests(self.u.vec[None]), False)
-
-    @classmethod
-    def rest(cls) -> "FrameVelocity":
-        return cls(FourVector(1.0, 0.0, 0.0, 0.0))
-
-    @classmethod
-    def from_velocity(cls, v) -> "FrameVelocity":
-        return cls(FourVector.from_array(four_velocity(np.asarray(v, dtype=float).reshape(3))))
-
-    @property
-    def theta_vector(self) -> np.ndarray:
-        return self.u.spatial / self.u.t
-
-    @property
-    def theta(self) -> float:
-        return float(np.linalg.norm(self.theta_vector))
-
-
-@dataclass(frozen=True)
-class PhotonKinematics:
-    """A photon momentum together with the frame velocity it is paired with."""
-
-    k: FourVector
-    u: FrameVelocity
-
-    def __post_init__(self):
-        _check_rows(_pair_tests(self.k.vec[None], self.u.u.vec[None]), False)
-
-    @property
-    def kappa(self) -> float:
-        return minkowski_dot(self.u.u, self.k)
-
-
 @dataclass(frozen=True, eq=False)
 class PairStack:
     """N photon momenta k and frame four-velocities u as (N,4) arrays.
 
-    Each row is validated as `FrameVelocity` and `PhotonKinematics`
-    validate one pair, and the error names the first failing row.
+    One pair is a stack of one row. Each row is validated: u unit
+    timelike and future-pointing, k null with positive energy, and
+    kappa = eta(u, k) positive; the error names the first failing row and
+    what it holds.
     """
 
     k: np.ndarray
@@ -322,20 +248,6 @@ class PairStack:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "u", u)
 
-    @classmethod
-    def of(cls, pairs) -> "PairStack":
-        """A PairStack itself, or one PhotonKinematics or a sequence of them,
-        as a stack; the pairs were validated when they were built."""
-        if isinstance(pairs, PairStack):
-            return pairs
-        if isinstance(pairs, PhotonKinematics):
-            pairs = (pairs,)
-        k = np.array([p.k.vec for p in pairs]).reshape(-1, 4)
-        u = np.array([p.u.u.vec for p in pairs]).reshape(-1, 4)
-        k.setflags(write=False)
-        u.setflags(write=False)
-        return _trusted(cls, k=k, u=u)
-
     def __len__(self) -> int:
         return len(self.k)
 
@@ -349,9 +261,8 @@ class PairStack:
 
 
 # The validation rules of a frame velocity, a photon momentum and a pair,
-# as (ok, message) tests on each row of (N,4) arrays: FrameVelocity,
-# PhotonKinematics and standard_wigner validate one row, PairStack and
-# boost_to N rows.
+# as (ok, message) tests on each row of (N,4) arrays, run by PairStack,
+# boost_to and `induction.photon_momenta`.
 
 def _frame_tests(u: np.ndarray) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
@@ -403,20 +314,14 @@ def along_z(speeds) -> np.ndarray:
 
 
 def boost_to(u) -> LorentzTransform:
-    """The unique pure boost taking (1;0,0,0) to u.
-
-    u is a FrameVelocity, or an (N,4) array of four-velocities, each
-    validated as FrameVelocity validates one, for an (N,4,4) stack.
-    """
-    stacked = not isinstance(u, FrameVelocity)
-    if stacked:
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[1] != 4:
-            raise ValueError(f"expected an (N,4) array of four-velocities, got shape {u.shape}")
-        _check_rows(_frame_tests(u), True, lambda i: f"u={format_row(u[i])}")
-    else:
-        u = u.u.vec[None]
-    return _transform(_boost_stack(u), stacked)
+    """The (N,4,4) stack of the unique pure boosts taking (1;0,0,0) to
+    each row of an (N,4) array of four-velocities, each row validated as
+    the u of a PairStack."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != 4:
+        raise ValueError(f"expected an (N,4) array of four-velocities, got shape {u.shape}")
+    _check_rows(_frame_tests(u), True, lambda i: f"u={format_row(u[i])}")
+    return LorentzTransform(_boost_stack(u))
 
 
 def _boost_stack(u: np.ndarray) -> np.ndarray:
@@ -435,7 +340,9 @@ def _boost_stack(u: np.ndarray) -> np.ndarray:
 def boost_from_velocity(v) -> LorentzTransform:
     """Pure boost to velocity v (3,), or the stack of boosts of an (N,3) array."""
     v = np.asarray(v, dtype=float)
-    return boost_to(four_velocity(v) if v.ndim == 2 else FrameVelocity.from_velocity(v))
+    # the four-velocity of a speed below 1 passes the tests of boost_to, so
+    # only the boost itself is validated
+    return _transform(_boost_stack(four_velocity(v).reshape(-1, 4)), v.ndim == 2)
 
 
 def rotation_about(axis, delta) -> LorentzTransform:
@@ -508,11 +415,9 @@ def _rotation_z_to_stack(rows: np.ndarray) -> np.ndarray:
     return _rotation_stack(axis, angle)
 
 
-def apply(L: LorentzTransform, v):
-    """L v for a FourVector; for an (N,4) array, each row by its transform
-    of a stack, or all rows by a single transform."""
-    if isinstance(v, FourVector):
-        return FourVector.from_array(apply(L, v.vec[None])[0])
+def apply(L: LorentzTransform, v) -> np.ndarray:
+    """L v for each row of an (N,4) array: row i by transform i of a stack,
+    or every row by a single transform."""
     return (L.stack @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
 

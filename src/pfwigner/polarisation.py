@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .induction import pf_wigner
-from .minkowski import PhotonKinematics, rotation_about, row_blocks, rows_from
+from .minkowski import PairStack, rotation_about, row_blocks, rows_from, unit_rows
 
 
 def malus_probability(theta: float, Theta: float) -> float:
@@ -25,7 +25,7 @@ def monte_carlo_malus(p: float, n_samples: int, seed: int) -> float:
     return int(np.random.default_rng(seed).binomial(n_samples, p)) / n_samples
 
 
-def anomalous_malus_curve(kin: PhotonKinematics, theta: float, Theta0: float,
+def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float,
                           deltas) -> list[tuple[float, float]]:
     """Predicted transmission when the polariser is rotated about the beam.
 
@@ -34,14 +34,14 @@ def anomalous_malus_curve(kin: PhotonKinematics, theta: float, Theta0: float,
     rotation (matrix route, not the closed form), so the probability is
     cos^2(Theta0 + delta - theta - phi). With a zero frame velocity
     phi = delta exactly and the curve is the constant classical value.
+    `pair` is a PairStack of one row.
     """
-    ks = kin.k.spatial
-    axis = ks / np.linalg.norm(ks)
+    axis = unit_rows(pair.k[:, 1:])[0]
     deltas = [float(d) for d in deltas]
     out = []
     for block in row_blocks(len(deltas)):
         with rows_from(block.start):
-            phi = pf_wigner(kin, rotation_about(axis, np.array(deltas[block]))).phi
+            phi = pf_wigner(pair, rotation_about(axis, np.array(deltas[block]))).phi
         out.extend((d, math.cos(Theta0 + d - theta - p) ** 2)
                    for d, p in zip(deltas[block], phi.tolist()))
     return out

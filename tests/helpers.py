@@ -9,11 +9,10 @@ import math
 import numpy as np
 
 from pfwigner import (
-    FourVector,
-    FrameVelocity,
-    PhotonKinematics,
+    PairStack,
     boost_from_velocity,
     compose,
+    four_velocity,
     rotation_about,
 )
 
@@ -24,16 +23,17 @@ def random_direction(rng):
 
 
 def random_null(rng, e_min=0.2, e_max=5.0):
+    """A (1,4) row: a null momentum of energy in [e_min, e_max)."""
     e = rng.uniform(e_min, e_max)
-    return FourVector(e, *(e * random_direction(rng)))
+    return np.concatenate(([e], e * random_direction(rng)))[None]
 
 
-def random_frame(rng, v_max=0.99):
-    return FrameVelocity.from_velocity(random_direction(rng) * rng.uniform(0.0, v_max))
-
-
-def random_pair(rng, v_max=0.99):
-    return PhotonKinematics(random_null(rng), random_frame(rng, v_max))
+def random_pair(rng, n=1, v_max=0.99):
+    """A PairStack of n rows, each drawn in turn: a null momentum as
+    `random_null` draws it, then a frame velocity of speed below v_max."""
+    rows = [(random_null(rng), four_velocity(random_direction(rng) * rng.uniform(0.0, v_max)))
+            for _ in range(n)]
+    return PairStack(np.concatenate([k for k, _ in rows]), np.array([u for _, u in rows]))
 
 
 def random_rotation(rng):
@@ -50,7 +50,8 @@ def random_transform(rng, v_max=0.99):
 
 
 def photon_direction(k):
-    return k.spatial / np.linalg.norm(k.spatial)
+    """The unit (3,) direction of the momentum row k, of shape (1,4)."""
+    return k[0, 1:] / np.linalg.norm(k[0, 1:])
 
 
 def random_aligned_transform(rng, k):

@@ -388,6 +388,16 @@ def test_invalid_values_exit_2(args):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["rotation-scan", "malus"])
+def test_reversed_grid_exits_2(command):
+    # max below min by less than half a step rounds to a span of 0 steps,
+    # which once emitted one row at min
+    res = run_cli(command, "--delta-min", 1, "--delta-max", 0.9, "--delta-step", 1)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: empty grid: max < min\n"
+
+
 def test_unknown_subcommand_exits_2():
     assert run_process("frobnicate").returncode == 2
 
@@ -514,7 +524,7 @@ def test_validate_sweeps_the_grids_of_the_acceptance_criteria():
     assert table["chi_extremum"][2] == CHI_GRID
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: the matrix route reads the phase "
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the matrix route reads the phase "
                    "through alignment_angle, which is built from boost_phase, so no check "
                    "sees a wrong boost_phase")
 def test_validate_kills_a_scaled_boost_phase(monkeypatch):

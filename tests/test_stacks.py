@@ -1,11 +1,12 @@
 """Stacked calls against their single calls, bit for bit.
 
-Every stacked row must equal the call made with that row alone: the
-stacked code is the single code run over N rows, not an approximation
-of it. The drawn pairs cover each branch of the construction: a frame at
-rest, a frame velocity parallel and antiparallel to the photon, a photon
-along -z (the tie-break of `rotation_z_to`) and two pairs that differ
-only in the sign of a zero.
+Every row of a stacked call must equal the call made with that row
+alone, a one-row PairStack or a single transform: the stacked code is
+the single code run over N rows, not an approximation of it. The drawn
+pairs cover each branch of the construction: a frame at rest, a frame
+velocity parallel and antiparallel to the photon, a photon along -z (the
+tie-break of `rotation_z_to`) and two pairs that differ only in the sign
+of a zero.
 """
 
 import math
@@ -19,12 +20,9 @@ from hypothesis import strategies as st
 from pfwigner import (
     BoostScenario,
     DomainError,
-    FourVector,
     IDENTITY,
-    FrameVelocity,
     LorentzTransform,
     PairStack,
-    PhotonKinematics,
     RotationScenario,
     StabilityError,
     alignment_angle,
@@ -53,13 +51,21 @@ from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID, _draws
 from pfwigner.induction import _pair_angles
 from pfwigner.minkowski import STACK_BLOCK, along_z
 
+Q = [1.0, 0.0, 0.0, 1.0]
+U_REST = [1.0, 0.0, 0.0, 0.0]
+
 # equal as values, but atan2 sends the frame azimuth to +pi or -pi
 _G = 1.0 / math.sqrt(1.0 - 0.05)
-SIGNED_ZERO_PAIRS = [
-    PhotonKinematics(FourVector(1.0, 0.0, 0.0, 1.0),
-                     FrameVelocity(FourVector(_G, -0.2 * _G, zero, 0.1 * _G)))
-    for zero in (0.0, -0.0)
-]
+SIGNED_ZERO_PAIRS = [PairStack([Q], [[_G, -0.2 * _G, zero, 0.1 * _G]]) for zero in (0.0, -0.0)]
+
+
+def _joined(kins):
+    """The one-row PairStacks kins as one stack."""
+    return PairStack(np.concatenate([p.k for p in kins]), np.concatenate([p.u for p in kins]))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
 def _unit(v):
@@ -80,11 +86,11 @@ def pairs(draw):
     kind = draw(st.sampled_from(["rest", "parallel", "antiparallel", "generic"]))
     speed = draw(st.floats(0.0, 0.95))
     if kind == "rest":
-        u = FrameVelocity.rest()
+        u = U_REST
     else:
         d = {"parallel": kh, "antiparallel": -kh}.get(kind)
-        u = FrameVelocity.from_velocity((draw(vectors) if d is None else d) * speed)
-    return PhotonKinematics(FourVector(e, *(e * kh)), u)
+        u = four_velocity((draw(vectors) if d is None else d) * speed)
+    return PairStack([[e, *(e * kh)]], [u])
 
 
 @st.composite
@@ -99,11 +105,13 @@ def _stack(ts):
 
 
 def _assert_rows_equal(stacked, singles):
+    # row i of the stacked call against the one entry of call i
     for field in ("phi", "residual", "stabiliser"):
         got = getattr(stacked, field)
         assert isinstance(got, np.ndarray) and got.shape == (len(singles),)
-        want = np.array([getattr(w, field) for w in singles])
-        np.testing.assert_array_equal(got, want, err_msg=field)
+        assert all(getattr(w, field).shape == (1,) for w in singles)
+        want = np.concatenate([getattr(w, field) for w in singles])
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=field)
 
 
 # a block of 3 rows makes every stack of the examples span several blocks
@@ -113,9 +121,9 @@ def test_stacked_rows_equal_single_calls(rows):
     kins = [k for k, _ in rows] + SIGNED_ZERO_PAIRS
     ts = [t for _, t in rows] + [rows[0][1]] * 2
     with mock.patch.object(minkowski, "STACK_BLOCK", 3):
-        many = pf_wigner(PairStack.of(kins), _stack(ts))
+        many = pf_wigner(_joined(kins), _stack(ts))
         one_pair = pf_wigner(kins[0], _stack(ts))
-        std = standard_wigner(np.array([k.k.vec for k in kins]), _stack(ts))
+        std = standard_wigner(_joined(kins).k, _stack(ts))
     _assert_rows_equal(many, [pf_wigner(k, t) for k, t in zip(kins, ts)])
     _assert_rows_equal(one_pair, [pf_wigner(kins[0], t) for t in ts])
     _assert_rows_equal(std, [standard_wigner(k.k, t) for k, t in zip(kins, ts)])
@@ -149,6 +157,20 @@ def test_transform_stack_validates_each_row(ts, data):
     assert str(stacked.value).startswith(f"row {j}: {single.value} (gamma=")
 
 
+def test_bench_pair_rows_equal_one_row_calls():
+    # theta 0 at chi above pi/2, where the computed velocity along z is -0.0
+    th = np.array([0.0, 0.0, 1e-3, 0.5, 0.999999999, 0.3])
+    chi = np.array([1.0, 2.0, 0.0, math.pi, 0.5, 2.5])
+    many = bench_pair(th, chi)
+    ones = [bench_pair(float(t), float(c)) for t, c in zip(th, chi)]
+    assert all(len(p) == 1 for p in ones)
+    np.testing.assert_array_equal(_bits(many.k), _bits(_joined(ones).k))
+    np.testing.assert_array_equal(_bits(many.u), _bits(_joined(ones).u))
+    # a float is shared by every row
+    np.testing.assert_array_equal(_bits(bench_pair(0.5, chi).u),
+                                  _bits(bench_pair(np.full(6, 0.5), chi).u))
+
+
 def test_pair_stack_names_the_failing_row():
     k = np.tile([1.0, 0.0, 0.0, 1.0], (3, 1))
     u = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
@@ -159,11 +181,11 @@ def test_pair_stack_names_the_failing_row():
 
 def test_stability_error_names_the_row_of_the_stack():
     # the one hostile pair is in the second block of three rows
-    kins = [bench_pair(0.1, 1.0)] * 4 + [bench_pair(0.999999999, 0.5)] + [bench_pair(0.2, 2.0)]
+    kins = bench_pair(np.array([0.1] * 4 + [0.999999999, 0.2]), np.array([1.0] * 4 + [0.5, 2.0]))
     with mock.patch.object(minkowski, "STACK_BLOCK", 3), \
             pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
                                                  r"u=\(22360.68009, .*, transform gamma=1\)$"):
-        pf_wigner(PairStack.of(kins), LorentzTransform(np.tile(np.eye(4), (6, 1, 1))))
+        pf_wigner(kins, LorentzTransform(np.tile(np.eye(4), (6, 1, 1))))
 
 
 def test_gauge_domain_error_names_the_row_of_the_stack():
@@ -183,8 +205,9 @@ def test_single_calls_keep_messages_without_a_row():
         boost_from_velocity([0.0, 0.0, 1.5])
     with pytest.raises(ValueError, match=r"^row 1: speed must be < 1$"):
         boost_from_velocity([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]])
-    with pytest.raises(ValueError, match=r"^k is not null$"):
-        standard_wigner(FourVector(2.0, 0.0, 0.0, 1.0), IDENTITY)
+    # a momentum is a row of an (N,4) array, so its message names the row
+    with pytest.raises(ValueError, match=r"^row 0: k is not null \(k=\(2, 0, 0, 1\)\)$"):
+        standard_wigner(np.array([[2.0, 0.0, 0.0, 1.0]]), IDENTITY)
 
 
 # --- elements built once and passed to each angle ----------------------------
@@ -201,9 +224,8 @@ def _assert_angle_bits_equal(got, want):
 def test_bench_elements_built_once_equal_pf_wigner(transforms):
     # the oracle grid: each of the 28 bench elements built once and gathered
     # over the rows of its pair
-    grid = [(th, chi) for th in THETA_GRID for chi in CHI_GRID]
-    bench = PairStack.of([bench_pair(th, chi) for th, chi in grid])
-    pair_of, transform_of = np.divmod(np.arange(len(grid) * len(transforms)), len(transforms))
+    bench = bench_pair(np.repeat(THETA_GRID, len(CHI_GRID)), np.tile(CHI_GRID, len(THETA_GRID)))
+    pair_of, transform_of = np.divmod(np.arange(len(bench) * len(transforms)), len(transforms))
     pairs, L = bench[pair_of], transforms[transform_of]
     got = pf_wigner_from_elements(pairs, pf_standard_element(bench).stack[pair_of], L,
                                   pf_standard_element(transform_pair(pairs, L)).stack)
@@ -259,8 +281,7 @@ def test_standard_composition_elements_built_once_equal_independent_calls(seed):
 def test_stability_error_of_given_elements_names_the_row_of_the_stack():
     # as test_stability_error_names_the_row_of_the_stack, through the
     # elements-given path: the hostile pair is in the second block
-    pairs = PairStack.of([bench_pair(0.1, 1.0)] * 4 + [bench_pair(0.999999999, 0.5)]
-                         + [bench_pair(0.2, 2.0)])
+    pairs = bench_pair(np.array([0.1] * 4 + [0.999999999, 0.2]), np.array([1.0] * 4 + [0.5, 2.0]))
     L = LorentzTransform(np.tile(np.eye(4), (6, 1, 1)))
     s1 = pf_standard_element(pairs).stack
     s2 = pf_standard_element(transform_pair(pairs, L)).stack
@@ -380,10 +401,10 @@ def test_stacked_scenario_with_a_bad_shared_field_names_the_first_row():
 def _alignment_by_rows(kin):
     # alignment_angle as one scalar row at a time, through the float calls
     # of the closed forms
-    th, chi, alpha = (float(x[0]) for x in _pair_angles(PairStack.of(kin)))
+    th, chi, alpha = (float(x[0]) for x in _pair_angles(kin))
     if th == 0.0:
         return 0.0
-    u_perp = kin.u.u.t * th * math.sin(chi)
+    u_perp = float(kin.u[0, 0]) * th * math.sin(chi)
     th_apex = u_perp / math.sqrt(1.0 + u_perp * u_perp)
     h = -boost_phase(BoostScenario(th * math.cos(chi), th_apex, 0.5 * math.pi))
     if alpha >= 0.0:
@@ -395,8 +416,7 @@ def _alignment_by_rows(kin):
 
 # a frame at rest, one with a negative azimuth about the photon and two
 # that differ only in the sign of a zero
-EDGE_PAIRS = [bench_pair(0.0, 1.0), PhotonKinematics(FourVector(1.0, 0.0, 0.0, 1.0),
-                                                     FrameVelocity.from_velocity([0.3, -0.4, 0.1]))]
+EDGE_PAIRS = [bench_pair(0.0, 1.0), PairStack([Q], [four_velocity([0.3, -0.4, 0.1])])]
 EDGE_PAIRS += SIGNED_ZERO_PAIRS
 
 
@@ -405,15 +425,15 @@ EDGE_PAIRS += SIGNED_ZERO_PAIRS
 def test_stacked_alignment_angle_equals_single_calls(kins):
     kins = kins + EDGE_PAIRS
     singles = [alignment_angle(k) for k in kins]
-    assert all(isinstance(h, float) for h in singles)
-    assert singles == [_alignment_by_rows(k) for k in kins]
-    _assert_bits_equal(alignment_angle(PairStack.of(kins)), singles)
+    assert all(h.shape == (1,) for h in singles)
+    assert [float(h[0]) for h in singles] == [_alignment_by_rows(k) for k in kins]
+    _assert_bits_equal(alignment_angle(_joined(kins)), np.concatenate(singles))
 
 
 def test_alignment_edge_pairs_cover_both_branches():
-    alphas = _pair_angles(PairStack.of(EDGE_PAIRS))[2]
+    alphas = _pair_angles(_joined(EDGE_PAIRS))[2]
     assert (alphas < 0.0).any() and (alphas > 0.0).any()
-    assert alignment_angle(EDGE_PAIRS[0]) == 0.0
+    assert alignment_angle(EDGE_PAIRS[0])[0] == 0.0
 
 
 # the per-row draw helpers that `checks._draws` replaced
