@@ -87,7 +87,7 @@ def _random_transforms(t: np.ndarray) -> LorentzTransform:
 
 def _moved_element(pairs: PairStack, L: LorentzTransform) -> np.ndarray:
     """The stack of standard elements of the moved pairs (Lk, Lu)."""
-    return induction.pf_standard_element(induction.transform_pair(pairs, L)).stack
+    return induction.pf_standard_element(induction.transform_pair(pairs, L)).m
 
 
 def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
@@ -98,7 +98,7 @@ def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
     th = np.repeat(theta_grid, len(chi_grid))
     chi = np.tile(chi_grid, len(theta_grid))
     pairs = induction.bench_pair(th, chi)
-    elements = induction.pf_standard_element(pairs).stack
+    elements = induction.pf_standard_element(pairs).m
     pair_of, transform_of = np.divmod(np.arange(len(pairs) * len(L)), len(L))
     phi, stab = [], 0.0
     for rows in row_blocks(len(pair_of)):
@@ -152,9 +152,9 @@ def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
     for block in row_blocks(n_draws):
         p, a, b, ab = kin[block], l1[block], l2[block], l12[block]
         with rows_from(block.start):
-            s = induction.pf_standard_element(p).stack
+            s = induction.pf_standard_element(p).m
             p1 = induction.transform_pair(p, a)
-            s1 = induction.pf_standard_element(p1).stack
+            s1 = induction.pf_standard_element(p1).m
             w1 = induction.pf_wigner_from_elements(p, s, a, s1)
             w2 = induction.pf_wigner_from_elements(p1, s1, b, _moved_element(p1, b))
             w12 = induction.pf_wigner_from_elements(p, s, ab, _moved_element(p, ab))

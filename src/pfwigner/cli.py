@@ -36,6 +36,7 @@ from .minkowski import (
     LorentzTransform,
     PairStack,
     RowError,
+    RowValueError,
     along_z,
     boost_from_velocity,
     compose,
@@ -174,8 +175,10 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         raise ConfigError(f"grid exceeds {MAX_ROWS} rows; use a larger step")
     n = int(round(span))
     vals = [lo + i * step for i in range(n + 1)]
-    if vals and vals[-1] > hi + 0.5 * step:
-        vals.pop()
+    # a last point past max by rounding alone, under 1e-9 of a step, is kept
+    if vals[-1] > hi + 1e-9 * step:
+        raise ConfigError(f"the grid ends at {vals[-1]!r}, past its max {hi!r}; "
+                          "use a step that divides max - min")
     return vals
 
 
@@ -293,7 +296,11 @@ def _parse_transform(specs: list[str] | None, pair: PairStack) -> LorentzTransfo
             step = rotation_about(axis, val)
         else:
             raise ConfigError(f"unknown transform kind {kind!r}")
-        L = compose(step, L)
+        try:
+            L = compose(step, L)
+        except RowValueError as exc:
+            raise ConfigError(f"applying transform spec {spec!r} gives an invalid transform: "
+                              f"{exc.reason}") from None
     return L
 
 
@@ -319,7 +326,8 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
     if len(deltas) * (cfg.chi_steps + 1) > MAX_ROWS:
         raise ConfigError(f"scan exceeds {MAX_ROWS} rows; use a larger delta-step "
                           "or fewer chi-steps")
-    chis = [i * math.pi / cfg.chi_steps for i in range(cfg.chi_steps + 1)]
+    # i*pi/n can round one ulp above pi, as at n = 13
+    chis = [min(i * math.pi / cfg.chi_steps, math.pi) for i in range(cfg.chi_steps + 1)]
     check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
           lambda block: rotation_rows(deltas[block[0]], cfg.pf_speed, chis[block[1]])[:, 2:])

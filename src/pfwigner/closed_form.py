@@ -62,7 +62,7 @@ def _check_scenario(s, domain, *values) -> None:
     """Validate the field values of scenario s, in field order, with
     `domain`: it checks one row of them and gives True, or the mask of the
     rows in range if a field is an array. Then every field becomes a float
-    array of one length (a float if all arrays are 0-d), and the first
+    array of one length (one row if all arrays are 0-d), and the first
     failing row raises as its single scenario would, with its `row`."""
     try:
         if domain(*values) is True:
@@ -70,10 +70,7 @@ def _check_scenario(s, domain, *values) -> None:
     except DomainError:
         if np.ndarray not in map(type, values):
             raise
-    rows = np.broadcast_arrays(*[np.array(x, dtype=float) for x in values])
-    if rows[0].ndim == 0:
-        # 0-d arrays are one row, kept as floats
-        rows = [x.item() for x in rows]
+    rows = np.broadcast_arrays(*[np.array(x, dtype=float, ndmin=1) for x in values])
     ok = domain(*rows)
     if ok is not True and not ok.all():
         i = int(np.argmin(ok))

@@ -12,13 +12,15 @@ rest, the minimal rotation aligning the photon direction seen from that
 frame, and an SO(2) alignment h(k, u) fixing the residual gauge of the
 pair bundle. See `alignment_angle` for how h is pinned.
 
-Both constructions run over stacks: a `PairStack` of 1 or N pairs against
-one transform or N transforms, processed STACK_BLOCK rows at a time, and
-every result has one entry per row. A single pair is a stack of one row.
+Both constructions run over stacks: 1 or N pairs (a `PairStack`) or
+momenta against a `LorentzTransform` of 1 or N rows, and every result
+has one entry per row. A single pair or transform is a stack of one row.
 Each comes in two steps: build the standard elements, then conjugate
 and read the angle given them (`pf_wigner_from_elements`,
 `standard_wigner_from_elements`), so a caller that needs several angles
-at the same pairs builds each element once.
+at the same pairs builds each element once. `pf_wigner` and
+`standard_wigner` run those two steps through one driver, `_wigner`,
+STACK_BLOCK rows at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .minkowski import (
     _photon_tests,
     _rotation_stack,
     _rotation_z_to_stack,
-    _transform,
     apply,
     boost_to,
     format_row,
@@ -130,18 +131,33 @@ def _in_blocks(rows_of, *stacks) -> WignerAngle:
     return _joined(parts)
 
 
+def _wigner(x, L: LorentzTransform, element, moved, from_elements) -> WignerAngle:
+    """The angles of L at x, pairs or momenta, each of 1 or N rows, a block
+    of STACK_BLOCK rows at a time: from_elements(x, element(x), L,
+    element(moved(x, L))) of the rows of the block. The element of a
+    single x is built once."""
+    e1 = element(x) if len(x) == 1 else None
+    parts = []
+    for rows in row_blocks(_stack_rows(len(x), len(L))):
+        xr, l = _rows(x, rows), _rows(L, rows)
+        with rows_from(rows.start):
+            e = element(xr) if e1 is None else e1
+            parts.append(from_elements(xr, e, l, element(moved(xr, l))))
+    return _joined(parts)
+
+
 def _row(x, i: int):
     return x[0 if len(x) == 1 else i]
 
 
 def _gamma(L: LorentzTransform, i: int) -> str:
-    return f"transform gamma={_row(L.stack, i)[0, 0]:.10g}"
+    return f"transform gamma={_row(L.m, i)[0, 0]:.10g}"
 
 
 def direction_in_pf(pairs: PairStack) -> np.ndarray:
     """The (N,3) unit photon directions seen from the distinguished
     frame's rest coordinates."""
-    return _direction_after(boost_to(pairs.u).stack, pairs.k)
+    return _direction_after(boost_to(pairs.u).m, pairs.k)
 
 
 def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,16 +266,8 @@ def pf_wigner(pairs: PairStack, L: LorentzTransform) -> WignerAngle:
     given pair is built once; the elements of a block of rows at a time
     are passed to `pf_wigner_from_elements`.
     """
-    n = _stack_rows(len(pairs), len(L))
-    s1 = pf_standard_element(pairs).stack if len(pairs) == 1 else None
-    parts = []
-    for rows in row_blocks(n):
-        p, l = _rows(pairs, rows), _rows(L, rows)
-        with rows_from(rows.start):
-            s = pf_standard_element(p).stack if s1 is None else s1
-            parts.append(pf_wigner_from_elements(
-                p, s, l, pf_standard_element(transform_pair(p, l)).stack))
-    return _joined(parts)
+    return _wigner(pairs, L, lambda p: pf_standard_element(p).m, transform_pair,
+                   pf_wigner_from_elements)
 
 
 def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransform,
@@ -279,7 +287,7 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
 
 
 def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform, s2: np.ndarray):
-    w = METRIC @ np.swapaxes(s2, 1, 2) @ METRIC @ L.stack @ s1
+    w = METRIC @ np.swapaxes(s2, 1, 2) @ METRIC @ L.m @ s1
 
     q = pairs.kappa[:, None] * _Q_UNIT
     stab = np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
@@ -307,13 +315,13 @@ def massless_standard_element(k: np.ndarray) -> np.ndarray:
     bz = np.tile(np.eye(4), (len(k), 1, 1))
     bz[:, 0, 0] = bz[:, 3, 3] = c
     bz[:, 0, 3] = bz[:, 3, 0] = s
-    return rotation_z_to(unit_rows(k[:, 1:])).stack @ bz
+    return rotation_z_to(unit_rows(k[:, 1:])).m @ bz
 
 
 def euclidean_element(alpha, beta) -> LorentzTransform:
-    """Null translation T(alpha, beta): the E(2) part that is not a rotation;
-    the (N,4,4) stack for arrays of N."""
-    return _transform(_euclidean_stack(alpha, beta), np.ndim(alpha) == 1 or np.ndim(beta) == 1)
+    """Null translations T(alpha, beta), the E(2) part that is not a
+    rotation: the (N,4,4) stack for arrays of N, one row for floats."""
+    return LorentzTransform(_euclidean_stack(alpha, beta))
 
 
 def _euclidean_stack(alpha, beta) -> np.ndarray:
@@ -334,7 +342,7 @@ def photon_momenta(k) -> np.ndarray:
     """An (N,4) array of momenta, each row tested as a photon momentum:
     null, with positive energy. A failing row is named with its k."""
     k = np.asarray(k, dtype=float)
-    _check_rows(_photon_tests(k), True, lambda i: f"k={format_row(k[i])}")
+    _check_rows(_photon_tests(k), lambda i: f"k={format_row(k[i])}")
     return k
 
 
@@ -350,17 +358,8 @@ def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
     in `pf_wigner`, and the elements of a block of rows at a time are
     passed to `standard_wigner_from_elements`.
     """
-    ks = photon_momenta(k)
-    n = _stack_rows(len(ks), len(L))
-    e1 = massless_standard_element(ks) if len(ks) == 1 else None
-    parts = []
-    for rows in row_blocks(n):
-        kr, l = _rows(ks, rows), _rows(L, rows)
-        with rows_from(rows.start):
-            e = massless_standard_element(kr) if e1 is None else e1
-            parts.append(standard_wigner_from_elements(
-                kr, e, l, massless_standard_element(apply(l, kr))))
-    return _joined(parts)
+    return _wigner(photon_momenta(k), L, massless_standard_element, lambda k, l: apply(l, k),
+                   standard_wigner_from_elements)
 
 
 def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTransform,
@@ -378,7 +377,7 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
 
 
 def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform, e2: np.ndarray):
-    e = METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.stack @ e1
+    e = METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.m @ e1
 
     stab = np.abs(e @ _Q_UNIT - _Q_UNIT).max(axis=1)
     bad = ~(stab <= STABILISER_TOL)

@@ -1,22 +1,23 @@
 """Minkowski four-vector algebra and Lorentz transformations.
 
-Signature (+,-,-,-), units c = 1. Transformations are plain 4x4 real
-matrices wrapped in a validating container; boosts are the unique pure
-(rotation-free) ones, rotations act on the spatial block only.
-Four-vectors are the rows of (N,4) arrays, and a photon momentum paired
-with a frame four-velocity is a row of a `PairStack`; one pair is a
-stack of one row.
+Signature (+,-,-,-), units c = 1. Four-vectors are the rows of (N,4)
+arrays, and a photon momentum paired with a frame four-velocity is a
+row of a `PairStack`. Transforms are (N,4,4) stacks of real matrices in
+a validating container, `LorentzTransform`; boosts are the unique pure
+(rotation-free) ones, rotations act on the spatial block only. One pair
+and one transform are stacks of one row: a (4,4) matrix, or a single
+axis, velocity or direction given to a builder, becomes one row.
 
-Every transform builder also takes N rows of input and returns an
-(N,4,4) stack, each matrix validated as a single one would be; a single
-input is the N=1 case of the same code. A builder is its input tests, a
-private kernel (`_boost_stack`, `_rotation_stack`, `_rotation_z_to_stack`)
-that returns the raw (N,4,4) array, and the validation of that array. A
-matrix that never leaves the function that builds it, such as a factor
-of a standard element, comes from the kernel unchecked. Row-wise products use `row_dot`,
-which is bit-identical to `a @ b` on each row (a row-wise
-`np.linalg.norm` is not), and per-row angles use `math`, not the numpy
-ufuncs, so a stacked row equals its single call bit for bit.
+Every transform builder takes N rows of input and returns the (N,4,4)
+stack, and every validation error is a `RowValueError` that names its
+row. A builder is its input tests, a private kernel (`_boost_stack`,
+`_rotation_stack`, `_rotation_z_to_stack`) that returns the raw (N,4,4)
+array, and the validation of that array. A matrix that never leaves the
+function that builds it, such as a factor of a standard element, comes
+from the kernel unchecked. Row-wise products use `row_dot`, which is
+bit-identical to `a @ b` on each row (a row-wise `np.linalg.norm` is
+not), and per-row angles use `math`, not the numpy ufuncs, so a row of
+a stack equals its one-row call bit for bit.
 """
 
 from __future__ import annotations
@@ -100,20 +101,18 @@ class rows_from:
         return False
 
 
-def _check_rows(tests, stacked: bool, culprit=None) -> None:
-    """Raise ValueError for the first row failing one of `tests`.
+def _check_rows(tests, culprit=None) -> None:
+    """Raise RowValueError for the first row failing one of `tests`.
 
     Each test is (ok, message): a boolean row mask and a function of the
-    row giving the message. For a stack it is a RowValueError, whose
-    message also says, through `culprit(row)`, what the row holds.
+    row giving the message, which also says, through `culprit(row)`,
+    what the row holds.
     """
     if all(passed.all() for passed, _ in tests):
         return
     i = int(np.argmin(np.logical_and.reduce([passed for passed, _ in tests])))
     message = next(message(i) for passed, message in tests if not passed[i])
-    if stacked:
-        raise RowValueError(i, message + ("" if culprit is None else f" ({culprit(i)})"))
-    raise ValueError(message)
+    raise RowValueError(i, message + ("" if culprit is None else f" ({culprit(i)})"))
 
 
 def wrap_angle(angle):
@@ -167,15 +166,14 @@ def _matrix_tests(b: np.ndarray) -> list:
 
 @dataclass(frozen=True, eq=False)
 class LorentzTransform:
-    """Proper orthochronous Lorentz matrix, or an (N,4,4) stack of them,
-    validated on construction.
+    """An (N,4,4) stack of proper orthochronous Lorentz matrices, validated
+    on construction; a (4,4) matrix is a stack of one row.
 
     Metric preservation is checked with a scale-aware tolerance
     (1e-12 for unit-scale entries, relaxed quadratically for large
-    boosts, whose entries grow like gamma). Each matrix of a stack gets
-    the tests and its own scale as a single matrix would, STACK_BLOCK
-    rows at a time, and the error names the first failing row and its
-    gamma, m[0][0].
+    boosts, whose entries grow like gamma). Each matrix gets the tests
+    and its own scale, STACK_BLOCK rows at a time, and the error names
+    the first failing row and its gamma, m[0][0].
     """
 
     m: np.ndarray
@@ -184,28 +182,21 @@ class LorentzTransform:
         m = np.array(self.m, dtype=float)
         if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
-        stack = m.reshape(-1, 4, 4)
-        for rows in row_blocks(len(stack)):
-            block = stack[rows]
+        m = m.reshape(-1, 4, 4)
+        for rows in row_blocks(len(m)):
+            block = m[rows]
             with rows_from(rows.start):
-                _check_rows(_matrix_tests(block), m.ndim == 3,
-                            lambda i: f"gamma={block[i, 0, 0]:.10g}")
+                _check_rows(_matrix_tests(block), lambda i: f"gamma={block[i, 0, 0]:.10g}")
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    @property
-    def stack(self) -> np.ndarray:
-        """The matrices as an (N,4,4) array; N = 1 for a single transform."""
-        return self.m.reshape(-1, 4, 4)
-
     def __len__(self) -> int:
-        return len(self.stack)
+        return len(self.m)
 
     def __getitem__(self, index) -> "LorentzTransform":
-        """Row i of the stack as a single transform, or a slice or an array
-        of row indices as a stack; the rows were validated when the stack
-        was built."""
-        return _trusted(LorentzTransform, m=self.stack[index])
+        """The rows of an index, a slice or an array of row indices, as a
+        stack; the rows were validated when the stack was built."""
+        return _trusted(LorentzTransform, m=self.m[index].reshape(-1, 4, 4))
 
 
 def _trusted(cls, **values):
@@ -214,10 +205,6 @@ def _trusted(cls, **values):
     for name, value in values.items():
         object.__setattr__(out, name, value)
     return out
-
-
-def _transform(m: np.ndarray, stacked: bool) -> LorentzTransform:
-    return LorentzTransform(m if stacked else m[0])
 
 
 IDENTITY = LorentzTransform(np.eye(4))
@@ -241,7 +228,7 @@ class PairStack:
         u = np.array(self.u, dtype=float)
         if k.ndim != 2 or k.shape[1] != 4 or u.shape != k.shape:
             raise ValueError(f"expected two (N,4) arrays, got shapes {k.shape} and {u.shape}")
-        _check_rows(_frame_tests(u) + _pair_tests(k, u), True,
+        _check_rows(_frame_tests(u) + _pair_tests(k, u),
                     lambda i: f"k={format_row(k[i])}, u={format_row(u[i])}")
         k.setflags(write=False)
         u.setflags(write=False)
@@ -292,8 +279,7 @@ def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
 def _checked_unit_rows(n, what: str) -> np.ndarray:
     rows = np.asarray(n, dtype=float).reshape(-1, 3)
     off = np.abs(np.sqrt(row_dot(rows, rows)) - 1.0)
-    _check_rows([(off <= CONSTRUCTION_TOL, lambda i: f"{what} must be a unit vector")],
-                np.ndim(n) == 2)
+    _check_rows([(off <= CONSTRUCTION_TOL, lambda i: f"{what} must be a unit vector")])
     return rows
 
 
@@ -301,7 +287,7 @@ def four_velocity(v) -> np.ndarray:
     """(gamma; gamma v) of a velocity (3,), or of each row of an (N,3) stack."""
     v = np.asarray(v, dtype=float)
     v2 = row_dot(v, v)
-    _check_rows([(np.atleast_1d(v2 < 1.0), lambda i: "speed must be < 1")], v.ndim == 2)
+    _check_rows([(np.atleast_1d(v2 < 1.0), lambda i: "speed must be < 1")])
     g = (1.0 / np.sqrt(1.0 - v2))[..., None]
     return np.concatenate([g, g * v], axis=-1)
 
@@ -320,7 +306,7 @@ def boost_to(u) -> LorentzTransform:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != 4:
         raise ValueError(f"expected an (N,4) array of four-velocities, got shape {u.shape}")
-    _check_rows(_frame_tests(u), True, lambda i: f"u={format_row(u[i])}")
+    _check_rows(_frame_tests(u), lambda i: f"u={format_row(u[i])}")
     return LorentzTransform(_boost_stack(u))
 
 
@@ -338,22 +324,21 @@ def _boost_stack(u: np.ndarray) -> np.ndarray:
 
 
 def boost_from_velocity(v) -> LorentzTransform:
-    """Pure boost to velocity v (3,), or the stack of boosts of an (N,3) array."""
-    v = np.asarray(v, dtype=float)
+    """The stack of pure boosts to the velocities of an (N,3) array, or of
+    one row for a velocity (3,)."""
     # the four-velocity of a speed below 1 passes the tests of boost_to, so
     # only the boost itself is validated
-    return _transform(_boost_stack(four_velocity(v).reshape(-1, 4)), v.ndim == 2)
+    return LorentzTransform(_boost_stack(four_velocity(v).reshape(-1, 4)))
 
 
 def rotation_about(axis, delta) -> LorentzTransform:
-    """Spatial rotation by delta about a unit axis (Rodrigues form).
+    """Spatial rotations by delta about a unit axis (Rodrigues form).
 
     An (N,3) array of axes or an (N,) array of angles, the other one
-    shared or also of N rows, gives the (N,4,4) stack of rotations.
+    shared or also of N rows, gives the (N,4,4) stack of rotations; a
+    single axis and angle give one row.
     """
-    axes = _checked_unit_rows(axis, "axis")
-    delta = np.asarray(delta, dtype=float)
-    return _transform(_rotation_stack(axes, delta), np.ndim(axis) == 2 or delta.ndim == 1)
+    return LorentzTransform(_rotation_stack(_checked_unit_rows(axis, "axis"), delta))
 
 
 def _rotation_stack(axes, delta) -> np.ndarray:
@@ -384,17 +369,14 @@ _POLE = 1e-300
 
 
 def rotation_z_to(n) -> LorentzTransform:
-    """Minimal rotation taking z-hat to the unit vector n, or the stack of
-    them for an (N,3) array.
+    """The stack of minimal rotations taking z-hat to each unit vector of
+    an (N,3) array, or of one row for a unit vector n (3,).
 
-    For n != -z the axis is z x n; at n = -z the convention is a
-    rotation by pi about x-hat (tie-break, documented).
+    For n != -z the axis is z x n; at n = +z the rotation is the exact
+    identity, and at n = -z the convention is a rotation by pi about
+    x-hat (tie-break, documented).
     """
-    rows = _checked_unit_rows(n, "n")
-    stacked = np.ndim(n) == 2
-    if not stacked and rows[0, 2] > 0.0 and math.hypot(rows[0, 0], rows[0, 1]) < _POLE:
-        return IDENTITY
-    return _transform(_rotation_z_to_stack(rows), stacked)
+    return LorentzTransform(_rotation_z_to_stack(_checked_unit_rows(n, "n")))
 
 
 def _rotation_z_to_stack(rows: np.ndarray) -> np.ndarray:
@@ -417,8 +399,8 @@ def _rotation_z_to_stack(rows: np.ndarray) -> np.ndarray:
 
 def apply(L: LorentzTransform, v) -> np.ndarray:
     """L v for each row of an (N,4) array: row i by transform i of a stack,
-    or every row by a single transform."""
-    return (L.stack @ np.asarray(v, dtype=float)[..., None])[..., 0]
+    or every row by a transform of one row."""
+    return (L.m @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def compose(L2: LorentzTransform, L1: LorentzTransform) -> LorentzTransform:

@@ -380,6 +380,8 @@ def test_missing_config_file_exits_2(tmp_path):
         ("boost-scan", "--v-step", 0.1),
         ("boost-scan", "--output", "no-such-directory/x.csv"),
         ("rotation-scan", "--output", "."),
+        # forty boosts of gamma 6.7e7 compose to entries too large to validate
+        ("wigner", *["--transform", "boost:z:0.9999999999999999"] * 40),
     ],
 )
 def test_invalid_values_exit_2(args):
@@ -396,6 +398,24 @@ def test_reversed_grid_exits_2(command):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr == "error: empty grid: max < min\n"
+
+
+def test_grid_past_its_max_exits_2():
+    # a step of 1 over [0, 0.9] rounds to one step, which ends at 1
+    res = run_cli("malus", "--delta-min", 0, "--delta-max", 0.9, "--delta-step", 1)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == ("error: the grid ends at 1.0, past its max 0.9; "
+                          "use a step that divides max - min\n")
+
+
+def test_chi_grid_ends_at_pi():
+    # 13 * pi / 13 rounds one ulp above pi
+    assert 13 * math.pi / 13 > math.pi
+    res = run_cli("rotation-scan", "--delta-max", 0, "--chi-steps", 13)
+    assert res.returncode == 0, res.stderr
+    chis = [float(line.split(",")[1]) for line in res.stdout.splitlines()[1:]]
+    assert len(chis) == 14 and chis[-1] == math.pi
 
 
 def test_unknown_subcommand_exits_2():

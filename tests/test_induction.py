@@ -127,8 +127,8 @@ def test_standard_element_stack_is_its_factors_bit_exact():
     assert stack.m.shape == (len(pairs), 4, 4)
     for i, s in enumerate(stack.m):
         kin = pairs[i:i + 1]
-        direct = (boost_to(kin.u).m[0] @ rotation_z_to(direction_in_pf(kin)[0]).m
-                  @ rotation_about(Z, alignment_angle(kin)[0]).m)
+        direct = (boost_to(kin.u).m[0] @ rotation_z_to(direction_in_pf(kin)[0]).m[0]
+                  @ rotation_about(Z, alignment_angle(kin)[0]).m[0])
         np.testing.assert_array_equal(s, direct)
         np.testing.assert_array_equal(pf_standard_element(kin).m, [direct])
 
@@ -139,8 +139,8 @@ def test_transform_pair_moves_both_members():
     L = random_transform(rng)
     out = transform_pair(kin, L)
     assert isinstance(out, PairStack) and len(out) == 1
-    np.testing.assert_allclose(out.k[0], L.m @ kin.k[0], atol=1e-12)
-    np.testing.assert_allclose(out.u[0], L.m @ kin.u[0], atol=1e-12)
+    np.testing.assert_allclose(out.k[0], L.m[0] @ kin.k[0], atol=1e-12)
+    np.testing.assert_allclose(out.u[0], L.m[0] @ kin.u[0], atol=1e-12)
 
 
 # --- frame-paired Wigner phase ---------------------------------------------
@@ -237,7 +237,7 @@ def test_rotation_angle_recovered_under_translation_parts():
 
 def test_euclidean_element_fixes_standard_momentum():
     elem = euclidean_element(0.7, -1.2)
-    np.testing.assert_allclose(elem.m @ Q_UNIT[0], Q_UNIT[0], atol=1e-12)
+    np.testing.assert_allclose(elem.m[0] @ Q_UNIT[0], Q_UNIT[0], atol=1e-12)
 
 
 def test_standard_wigner_composition_sample():

@@ -18,14 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfwigner import (
+    IDENTITY,
     LorentzTransform,
     bench_pair,
     boost_from_velocity,
     boost_to,
     checks,
     cli,
+    compose,
     euclidean_element,
     four_velocity,
+    inverse,
     massless_standard_element,
     pf_wigner,
     rotation_about,
@@ -140,6 +143,15 @@ def test_euclidean_kernel_fixes_the_reference_momentum(rows):
 # --- each kernel is its builder, bit for bit ---------------------------
 
 
+def assert_rows_of(ones, many):
+    """Each transform of `ones`, built from one input, is the one-row stack
+    of the matching row of `many`, the call with all the inputs."""
+    assert len(ones) == len(many)
+    for i, one in enumerate(ones):
+        assert one.m.shape == (1, 4, 4)
+        assert_same_bits(one.m, many.m[i:i + 1])
+
+
 def test_kernels_equal_their_builders_bit_for_bit():
     rng = np.random.default_rng(41)
     d = unit_rows(rng.normal(size=(6, 3)))
@@ -148,29 +160,42 @@ def test_kernels_equal_their_builders_bit_for_bit():
     g = 1.0 / np.sqrt(1.0 - speed * speed)
     u = np.column_stack([g, g * speed * d])
 
-    assert_same_bits(_boost_stack(u), boost_to(u).stack)
-    assert_same_bits(_boost_stack(u[:1]), boost_to(u[:1]).stack)
+    boosts = boost_to(u)
+    assert_same_bits(_boost_stack(u), boosts.m)
+    assert_rows_of([boost_to(u[i:i + 1]) for i in range(len(u))], boosts)
     v = 0.6 * d
-    assert_same_bits(_boost_stack(four_velocity(v)), boost_from_velocity(v).stack)
-    assert_same_bits(_boost_stack(four_velocity(v[:1])), boost_from_velocity(v[0]).stack)
+    velocity_boosts = boost_from_velocity(v)
+    assert_same_bits(_boost_stack(four_velocity(v)), velocity_boosts.m)
+    assert_rows_of([boost_from_velocity(row) for row in v], velocity_boosts)
 
-    assert_same_bits(_rotation_stack(d, delta), rotation_about(d, delta).stack)
-    assert_same_bits(_rotation_stack(d[0], delta), rotation_about(d[0], delta).stack)
-    assert_same_bits(_rotation_stack(d, delta[0]), rotation_about(d, delta[0]).stack)
-    assert_same_bits(_rotation_stack(d[0], delta[0]), rotation_about(d[0], delta[0]).stack)
+    rotations = rotation_about(d, delta)
+    assert_same_bits(_rotation_stack(d, delta), rotations.m)
+    assert_same_bits(_rotation_stack(d[0], delta), rotation_about(d[0], delta).m)
+    assert_same_bits(_rotation_stack(d, delta[0]), rotation_about(d, delta[0]).m)
+    assert_rows_of([rotation_about(axis, angle) for axis, angle in zip(d, delta)], rotations)
 
     tilt = 1e-13
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], _unit([tilt, -tilt, 1.0]),
                       _unit([tilt, tilt, -1.0]), [-0.0, 0.0, -1.0]])
     n = np.concatenate([poles, d])
-    assert_same_bits(_rotation_z_to_stack(n), rotation_z_to(n).stack)
-    for row in n:
-        assert_same_bits(_rotation_z_to_stack(row[None]), rotation_z_to(row).stack)
+    aligned = rotation_z_to(n)
+    assert_same_bits(_rotation_z_to_stack(n), aligned.m)
+    assert_rows_of([rotation_z_to(row) for row in n], aligned)
+    # at +z the kernel gives the identity exactly
+    assert_same_bits(aligned.m[:1], IDENTITY.m)
 
     a, b = rng.normal(size=(2, 6))
-    assert_same_bits(_euclidean_stack(a, b), euclidean_element(a, b).stack)
-    assert_same_bits(_euclidean_stack(a[0], b), euclidean_element(a[0], b).stack)
-    assert_same_bits(_euclidean_stack(a[0], b[0]), euclidean_element(a[0], b[0]).stack)
+    translations = euclidean_element(a, b)
+    assert_same_bits(_euclidean_stack(a, b), translations.m)
+    assert_same_bits(_euclidean_stack(a[0], b), euclidean_element(a[0], b).m)
+    assert_rows_of([euclidean_element(x, y) for x, y in zip(a, b)], translations)
+
+    # a product, an inverse and the rows of a stack are one-row stacks too
+    assert_rows_of([compose(boosts[i], rotations[i]) for i in range(6)], compose(boosts, rotations))
+    assert_rows_of([inverse(boosts[i]) for i in range(6)], inverse(boosts))
+    assert_rows_of([rotations[i] for i in range(6)], rotations)
+    assert_same_bits(rotations[-1].m, rotations.m[5:])
+    assert_same_bits(IDENTITY.m, np.eye(4)[None])
 
 
 # --- where validation runs ----------------------------------------------
