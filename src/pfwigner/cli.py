@@ -25,13 +25,13 @@ from . import checks
 from .checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
 from .closed_form import (
     BoostScenario,
-    DomainError,
     boost_phase,
     check_rotation_grid,
     rotation_rows,
 )
 from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
+    IDENTITY,
     STACK_BLOCK,
     LorentzTransform,
     PairStack,
@@ -275,7 +275,7 @@ def _axis_vector(token: str, pair: PairStack) -> np.ndarray:
 
 
 def _parse_transform(specs: list[str] | None, pair: PairStack) -> LorentzTransform:
-    L = LorentzTransform(np.eye(4))
+    L = IDENTITY
     for spec in specs or []:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RowError, DomainError) as exc:
+    except RowError as exc:
         print(f"internal numerical error: {exc}", file=sys.stderr)
         return 3
 

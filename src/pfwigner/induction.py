@@ -71,7 +71,7 @@ class StabilityError(RowError, RuntimeError):
     """
 
 
-class GaugeDomainError(RowError, DomainError):
+class GaugeDomainError(DomainError):
     """A pair whose gauge (`alignment_angle`) puts a closed form outside its
     domain, as when a frame speed rounds to 1. The message names the row,
     the closed form's input and the pair."""
@@ -218,8 +218,8 @@ def alignment_angle(pairs: PairStack) -> np.ndarray:
         phase = rotation_phase(RotationScenario(np.where(turned, alpha, alpha + math.tau), th, chi))
     except DomainError as exc:
         i = exc.row
-        raise GaugeDomainError(i, f"{exc} in the gauge of the pair (k={format_row(pairs.k[i])}, "
-                                  f"u={format_row(pairs.u[i])})") from exc
+        raise GaugeDomainError(i, f"{exc.reason} in the gauge of the pair "
+                                  f"(k={format_row(pairs.k[i])}, u={format_row(pairs.u[i])})") from exc
     return np.where(th == 0.0, 0.0, h + (alpha - np.where(turned, phase, phase - math.tau)))
 
 

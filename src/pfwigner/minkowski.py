@@ -6,7 +6,8 @@ row of a `PairStack`. Transforms are (N,4,4) stacks of real matrices in
 a validating container, `LorentzTransform`; boosts are the unique pure
 (rotation-free) ones, rotations act on the spatial block only. One pair
 and one transform are stacks of one row: a (4,4) matrix, or a single
-axis, velocity or direction given to a builder, becomes one row.
+axis, velocity or direction given to a builder or to `four_velocity`,
+becomes one row, and `wrap_angle` of a float is one row.
 
 Every transform builder takes N rows of input and returns the (N,4,4)
 stack, and every validation error is a `RowValueError` that names its
@@ -101,8 +102,9 @@ class rows_from:
         return False
 
 
-def _check_rows(tests, culprit=None) -> None:
-    """Raise RowValueError for the first row failing one of `tests`.
+def _check_rows(tests, culprit=None, error=RowValueError) -> None:
+    """Raise `error`, a RowValueError, for the first row failing one of
+    `tests`.
 
     Each test is (ok, message): a boolean row mask and a function of the
     row giving the message, which also says, through `culprit(row)`,
@@ -112,19 +114,15 @@ def _check_rows(tests, culprit=None) -> None:
         return
     i = int(np.argmin(np.logical_and.reduce([passed for passed, _ in tests])))
     message = next(message(i) for passed, message in tests if not passed[i])
-    raise RowValueError(i, message + ("" if culprit is None else f" ({culprit(i)})"))
+    raise error(i, message + ("" if culprit is None else f" ({culprit(i)})"))
 
 
-def wrap_angle(angle):
-    """Wrap an angle to (-pi, pi]; for an (N,) array, each entry, with
-    `math.remainder` one entry at a time, as the single call would."""
-    if isinstance(angle, np.ndarray):
-        r = math_rows(math.remainder, angle, np.full(len(angle), math.tau))
-        return np.where(r <= -math.pi, math.pi, r)
-    r = math.remainder(angle, math.tau)
-    if r <= -math.pi:
-        r = math.pi
-    return r
+def wrap_angle(angle) -> np.ndarray:
+    """Each angle of an (N,) array wrapped to (-pi, pi] by `math.remainder`,
+    one entry at a time; a float is one row."""
+    angle = np.asarray(angle, dtype=float).reshape(-1)
+    r = math_rows(math.remainder, angle, np.full(len(angle), math.tau))
+    return np.where(r <= -math.pi, math.pi, r)
 
 
 def _components(a):
@@ -200,9 +198,11 @@ class LorentzTransform:
 
 
 def _trusted(cls, **values):
-    # an instance of cls holding values that were validated already
+    # an instance of cls holding values that were validated already,
+    # read-only as the constructor leaves them: an index array copies
     out = object.__new__(cls)
     for name, value in values.items():
+        value.setflags(write=False)
         object.__setattr__(out, name, value)
     return out
 
@@ -239,8 +239,9 @@ class PairStack:
         return len(self.k)
 
     def __getitem__(self, rows) -> "PairStack":
-        """The pairs of a slice or an array of row indices, as a stack."""
-        return _trusted(PairStack, k=self.k[rows], u=self.u[rows])
+        """The pairs of an index, a slice or an array of row indices, as a
+        stack."""
+        return _trusted(PairStack, k=self.k[rows].reshape(-1, 4), u=self.u[rows].reshape(-1, 4))
 
     @property
     def kappa(self) -> np.ndarray:
@@ -284,12 +285,13 @@ def _checked_unit_rows(n, what: str) -> np.ndarray:
 
 
 def four_velocity(v) -> np.ndarray:
-    """(gamma; gamma v) of a velocity (3,), or of each row of an (N,3) stack."""
-    v = np.asarray(v, dtype=float)
+    """The (N,4) rows (gamma; gamma v) of an (N,3) array of velocities, or
+    one row for a velocity (3,)."""
+    v = np.asarray(v, dtype=float).reshape(-1, 3)
     v2 = row_dot(v, v)
-    _check_rows([(np.atleast_1d(v2 < 1.0), lambda i: "speed must be < 1")])
-    g = (1.0 / np.sqrt(1.0 - v2))[..., None]
-    return np.concatenate([g, g * v], axis=-1)
+    _check_rows([(v2 < 1.0, lambda i: "speed must be < 1")])
+    g = (1.0 / np.sqrt(1.0 - v2))[:, None]
+    return np.concatenate([g, g * v], axis=1)
 
 
 def along_z(speeds) -> np.ndarray:
@@ -328,7 +330,7 @@ def boost_from_velocity(v) -> LorentzTransform:
     one row for a velocity (3,)."""
     # the four-velocity of a speed below 1 passes the tests of boost_to, so
     # only the boost itself is validated
-    return LorentzTransform(_boost_stack(four_velocity(v).reshape(-1, 4)))
+    return LorentzTransform(_boost_stack(four_velocity(v)))
 
 
 def rotation_about(axis, delta) -> LorentzTransform:

@@ -33,7 +33,7 @@ def random_pair(rng, n=1, v_max=0.99):
     `random_null` draws it, then a frame velocity of speed below v_max."""
     rows = [(random_null(rng), four_velocity(random_direction(rng) * rng.uniform(0.0, v_max)))
             for _ in range(n)]
-    return PairStack(np.concatenate([k for k, _ in rows]), np.array([u for _, u in rows]))
+    return PairStack(np.concatenate([k for k, _ in rows]), np.concatenate([u for _, u in rows]))
 
 
 def random_rotation(rng):

@@ -167,19 +167,19 @@ def test_rotation_scan_checks_its_grid_once(monkeypatch, tmp_path):
 
 
 def test_rotation_scan_checks_each_grid_axis_as_one_array(monkeypatch, tmp_path):
-    # one range check for theta_pf and one for the 31 chis; the deltas'
-    # check is not a range check
+    # one row check for theta_pf, one for the 31 chis and one for the 961
+    # deltas, each a single test over the whole axis
     calls = []
-    check = closed_form._check_range
+    check = closed_form._check_rows
 
-    def counted(name, value, *args, **kwargs):
-        calls.append((name, np.shape(value)))
-        return check(name, value, *args, **kwargs)
+    def counted(tests, *args, **kwargs):
+        calls.append([np.shape(ok) for ok, _ in tests])
+        return check(tests, *args, **kwargs)
 
-    monkeypatch.setattr(closed_form, "_check_range", counted)
+    monkeypatch.setattr(closed_form, "_check_rows", counted)
     assert cli.main(["rotation-scan", "--delta-step", repr(math.pi / 480), "--chi-steps", "30",
                      "--output", str(tmp_path / "fine.csv")]) == 0
-    assert calls == [("theta_pf", ()), ("chi", (31,))]
+    assert calls == [[(1,)], [(31,)], [(961,)]]
 
 
 def test_stdout_matches_file_output(tmp_path):

@@ -49,15 +49,16 @@ def one_pair(k, u):
     ],
 )
 def test_wrap_angle_examples(angle, expected):
-    assert wrap_angle(angle) == pytest.approx(expected, abs=1e-15)
+    # a float is one row
+    assert wrap_angle(angle).tolist() == pytest.approx([expected], abs=1e-15)
 
 
 @given(st.floats(-100.0, 100.0))
 @settings(max_examples=300, deadline=None)
 def test_wrap_angle_range_and_periodicity(a):
-    w = wrap_angle(a)
+    (w,) = wrap_angle(a)
     assert -math.pi < w <= math.pi
-    assert abs(wrap_angle(a + math.tau) - w) < 1e-12
+    assert abs(wrap_angle(a + math.tau)[0] - w) < 1e-12
     if -math.pi < a <= math.pi:
         assert w == pytest.approx(a, abs=1e-15)
 
@@ -145,6 +146,20 @@ def test_matrix_is_frozen_after_construction():
         L.m[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("index", [1, slice(0, 2), np.array([0, 2])], ids=["int", "slice", "array"])
+def test_rows_of_a_stack_are_frozen(index):
+    # an int or a slice gives a view of the frozen stack, an index array a
+    # copy; each is a stack that is read-only
+    L = rotation_about(np.eye(3), np.array([0.1, 0.2, 0.3]))[index]
+    pairs = PairStack(np.tile(Q, (3, 1)), np.tile(U_REST, (3, 1)))[index]
+    n = np.arange(3)[index].size
+    assert L.m.shape == (n, 4, 4) and pairs.k.shape == pairs.u.shape == (n, 4)
+    for x in (L.m, pairs.k, pairs.u):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 5.0
+
+
 # --- boosts ------------------------------------------------------------
 
 
@@ -163,7 +178,7 @@ def test_boost_half_c_along_x_matches_textbook_matrix():
 def test_boost_carries_rest_to_target_velocity():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        u = four_velocity(random_direction(rng) * rng.uniform(0.0, 0.99))[None]
+        u = four_velocity(random_direction(rng) * rng.uniform(0.0, 0.99))
         got = apply(boost_to(u), U_REST[None])
         np.testing.assert_allclose(got, u, atol=1e-12)
 
@@ -185,10 +200,12 @@ def test_speed_at_or_above_c_rejected():
 
 
 def test_four_velocity_is_coordinate_velocity():
+    # a velocity (3,) is one row
     u = four_velocity([0.3, 0.0, 0.4])
-    np.testing.assert_allclose(u[1:] / u[0], [0.3, 0.0, 0.4], atol=1e-15)
-    assert u[0] == pytest.approx(1.0 / math.sqrt(0.75), rel=1e-15)
-    assert minkowski_dot(u, u) == pytest.approx(1.0, rel=1e-15)
+    assert u.shape == (1, 4)
+    np.testing.assert_allclose(u[0, 1:] / u[0, 0], [0.3, 0.0, 0.4], atol=1e-15)
+    assert u[0, 0] == pytest.approx(1.0 / math.sqrt(0.75), rel=1e-15)
+    assert minkowski_dot(u, u)[0] == pytest.approx(1.0, rel=1e-15)
 
 
 # --- rotations ----------------------------------------------------------
@@ -293,7 +310,7 @@ def test_collinear_boosts_compose_by_velocity_addition(v1, v2):
 
 
 def test_pair_validation():
-    u = four_velocity([0.0, 0.0, 0.5])
+    (u,) = four_velocity([0.0, 0.0, 0.5])
     pair = one_pair(Q, u)
     assert pair.kappa.shape == (1,)
     assert pair.kappa[0] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-15)

@@ -86,11 +86,11 @@ def pairs(draw):
     kind = draw(st.sampled_from(["rest", "parallel", "antiparallel", "generic"]))
     speed = draw(st.floats(0.0, 0.95))
     if kind == "rest":
-        u = U_REST
+        u = [U_REST]
     else:
         d = {"parallel": kh, "antiparallel": -kh}.get(kind)
         u = four_velocity((draw(vectors) if d is None else d) * speed)
-    return PairStack([[e, *(e * kh)]], [u])
+    return PairStack([[e, *(e * kh)]], u)
 
 
 @st.composite
@@ -316,33 +316,40 @@ def _scenario_rows(cls, rows):
 
 def _assert_bits_equal(got, want):
     assert isinstance(got, np.ndarray) and got.shape == (len(want),)
-    assert got.tobytes() == np.array(want).tobytes()
+    assert _bits(got).tolist() == _bits(want).tolist()
+
+
+def _one_row_calls(f, rows):
+    # f of each row alone, through its one-row call: a float is one row
+    singles = [f(*row) for row in rows]
+    assert all(isinstance(x, np.ndarray) and x.shape == (1,) for x in singles)
+    return np.concatenate(singles)
 
 
 @given(st.lists(st.tuples(speeds, frame_speeds, chis), max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_stacked_boost_phase_equals_float_calls(rows):
+def test_stacked_boost_phase_equals_one_row_calls(rows):
     rows = rows + EDGE_BOOSTS
     _assert_bits_equal(boost_phase(_scenario_rows(BoostScenario, rows)),
-                       [boost_phase(BoostScenario(*row)) for row in rows])
+                       _one_row_calls(lambda *row: boost_phase(BoostScenario(*row)), rows))
 
 
 @given(st.lists(st.tuples(st.floats(-20.0, 20.0), frame_speeds, chis), max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_stacked_rotation_phase_equals_float_calls(rows):
+def test_stacked_rotation_phase_equals_one_row_calls(rows):
     rows = rows + EDGE_ROTATIONS
     _assert_bits_equal(rotation_phase(_scenario_rows(RotationScenario, rows)),
-                       [rotation_phase(RotationScenario(*row)) for row in rows])
+                       _one_row_calls(lambda *row: rotation_phase(RotationScenario(*row)), rows))
 
 
 @given(st.lists(st.tuples(st.floats(-20.0, 20.0), frame_speeds, chis), max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_stacked_rotation_shifts_equal_float_calls(rows):
+def test_stacked_rotation_shifts_equal_one_row_calls(rows):
     # with delta pi, and 3pi whose shift wraps
     rows = rows + EDGE_ROTATIONS + [(math.pi, 0.5, math.pi), (-3.0 * math.pi, 0.1, 1.0)]
     s = _scenario_rows(RotationScenario, rows)
     for f in (rotation_phase_shift, rotation_shift_approx):
-        _assert_bits_equal(f(s), [f(RotationScenario(*row)) for row in rows])
+        _assert_bits_equal(f(s), _one_row_calls(lambda *row: f(RotationScenario(*row)), rows))
 
 
 # the ends of (-pi, pi] and their neighbours, turns, signed zeros and a NaN
@@ -353,23 +360,30 @@ EDGE_ANGLES = [0.0, -0.0, math.nan, 1e300, -5e-324] + [
 
 @given(st.lists(st.floats(allow_infinity=False), max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_wrap_angle_of_an_array_equals_float_calls(angles):
+def test_wrap_angle_of_an_array_equals_one_row_calls(angles):
     angles = angles + EDGE_ANGLES
-    _assert_bits_equal(wrap_angle(np.array(angles)), [wrap_angle(float(x)) for x in angles])
+    _assert_bits_equal(wrap_angle(np.array(angles)),
+                       _one_row_calls(wrap_angle, [(float(x),) for x in angles]))
 
 
 def test_stacked_scenario_shares_its_float_fields():
     s = BoostScenario(np.array([0.1, -0.2]), 0.3, 1.0)
     assert [x.tolist() for x in (s.v, s.theta_pf, s.chi)] == [[0.1, -0.2], [0.3, 0.3], [1.0, 1.0]]
-    assert boost_phase(s).tolist() == [boost_phase(BoostScenario(v, 0.3, 1.0)) for v in (0.1, -0.2)]
-    assert isinstance(boost_phase(BoostScenario(0.1, 0.3, 1.0)), float)
-    assert isinstance(rotation_phase(RotationScenario(0.1, 0.3, 1.0)), float)
+    # validated once, so frozen like the rows of a PairStack
+    for x in (s.v, s.theta_pf, s.chi):
+        with pytest.raises(ValueError):
+            x[0] = 5.0
+    assert boost_phase(s).tolist() == [boost_phase(BoostScenario(v, 0.3, 1.0))[0] for v in (0.1, -0.2)]
+    # floats alone are one row
+    for x in (boost_phase(BoostScenario(0.1, 0.3, 1.0)),
+              rotation_phase(RotationScenario(0.1, 0.3, 1.0))):
+        assert isinstance(x, np.ndarray) and x.shape == (1,)
     # 0-d arrays are one row
     _assert_bits_equal(boost_phase(BoostScenario(np.array(0.1), 0.3, 1.0)),
-                       [boost_phase(BoostScenario(0.1, 0.3, 1.0))])
+                       boost_phase(BoostScenario(0.1, 0.3, 1.0)))
     _assert_bits_equal(rotation_phase(RotationScenario(np.array(0.1), np.array(0.3), 1.0)),
-                       [rotation_phase(RotationScenario(0.1, 0.3, 1.0))])
-    with pytest.raises(DomainError, match=r"^v=1\.5 outside \(-1\.0, 1\.0\)$"):
+                       rotation_phase(RotationScenario(0.1, 0.3, 1.0)))
+    with pytest.raises(DomainError, match=r"^row 0: v=1\.5 outside \(-1\.0, 1\.0\)$"):
         BoostScenario(np.array(1.5), 0.3, 1.0)
 
 
@@ -381,11 +395,12 @@ anything = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([math.nan, math.inf, 
 @settings(max_examples=200, deadline=None)
 def test_stacked_scenario_raises_as_its_first_failing_row(cls, rows):
     want = None
-    for row in rows:
+    for i, row in enumerate(rows):
         try:
             cls(*row)
         except DomainError as exc:
-            want = str(exc)
+            assert exc.row == 0
+            want = f"row {i}: {exc.reason}"
             break
     if want is None:
         _scenario_rows(cls, rows)
@@ -397,31 +412,31 @@ def test_stacked_scenario_raises_as_its_first_failing_row(cls, rows):
 
 def test_stacked_scenario_with_a_bad_shared_field_names_the_first_row():
     # every row fails theta_pf; row 0 fails v first, as its single scenario
-    with pytest.raises(DomainError, match=r"^v=1\.5 outside \(-1\.0, 1\.0\)$"):
+    with pytest.raises(DomainError, match=r"^row 0: v=1\.5 outside \(-1\.0, 1\.0\)$"):
         BoostScenario(np.array([1.5, 0.2]), 1.0, 0.5)
-    with pytest.raises(DomainError, match=r"^delta=nan is not finite$"):
+    with pytest.raises(DomainError, match=r"^row 1: delta=nan is not finite$"):
         RotationScenario(np.array([0.1, math.nan]), 0.2, 0.5)
 
 
 def _alignment_by_rows(kin):
-    # alignment_angle as one scalar row at a time, through the float calls
-    # of the closed forms
+    # alignment_angle as one scalar row at a time, through one-row calls
+    # of the closed forms made from floats
     th, chi, alpha = (float(x[0]) for x in _pair_angles(kin))
     if th == 0.0:
         return 0.0
     u_perp = float(kin.u[0, 0]) * th * math.sin(chi)
     th_apex = u_perp / math.sqrt(1.0 + u_perp * u_perp)
-    h = -boost_phase(BoostScenario(th * math.cos(chi), th_apex, 0.5 * math.pi))
+    h = -boost_phase(BoostScenario(th * math.cos(chi), th_apex, 0.5 * math.pi))[0]
     if alpha >= 0.0:
-        phase = rotation_phase(RotationScenario(alpha, th, chi))
+        phase = rotation_phase(RotationScenario(alpha, th, chi))[0]
     else:
-        phase = rotation_phase(RotationScenario(alpha + math.tau, th, chi)) - math.tau
+        phase = rotation_phase(RotationScenario(alpha + math.tau, th, chi))[0] - math.tau
     return h + (alpha - phase)
 
 
 # a frame at rest, one with a negative azimuth about the photon and two
 # that differ only in the sign of a zero
-EDGE_PAIRS = [bench_pair(0.0, 1.0), PairStack([Q], [four_velocity([0.3, -0.4, 0.1])])]
+EDGE_PAIRS = [bench_pair(0.0, 1.0), PairStack([Q], four_velocity([0.3, -0.4, 0.1]))]
 EDGE_PAIRS += SIGNED_ZERO_PAIRS
 
 
