@@ -19,6 +19,11 @@ from .closed_form import BoostScenario
 from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, row_blocks,
                         rows_from, unit_rows, wrap_angle)
 
+# rows drawn at a time by `_draws`: a draw costs one generator call per
+# item whatever the block, so this sets only how many drawn Python
+# objects are alive at once, and is not tied to STACK_BLOCK
+DRAW_BLOCK = 256
+
 V_GRID = tuple(round(-0.99 + 0.03 * i, 10) for i in range(67))
 THETA_GRID = (0.0, 1e-3, 0.1, 0.5)
 CHI_GRID = tuple(i * math.pi / 6.0 for i in range(7))
@@ -68,10 +73,9 @@ def _draws(rng, n: int, spec) -> np.ndarray:
     normal, random = rng.standard_normal, rng.random
     k = len(calls)
     blocks = []
-    for rows in row_blocks(n):
-        # a block of rows at a time, so that few drawn objects are alive at once
+    for start in range(0, n, DRAW_BLOCK):
         draws = [normal(3) if c is None else c[0] + c[1] * random()
-                 for _ in range(rows.stop - rows.start) for c in calls]
+                 for _ in range(min(DRAW_BLOCK, n - start)) for c in calls]
         blocks.append([np.array(draws[j::k]) for j in range(k)])
     drawn = iter([unit_rows(x) if c is None else x[:, None]
                   for x, c in zip(map(np.concatenate, zip(*blocks)), calls)])

@@ -32,7 +32,6 @@ from .closed_form import (
 from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
     IDENTITY,
-    STACK_BLOCK,
     LorentzTransform,
     PairStack,
     RowError,
@@ -182,9 +181,11 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return vals
 
 
-# rows of a sweep formatted and written at a time: the text of one block
-# is held, never that of the whole table
-EMIT_BLOCK = 16 * STACK_BLOCK
+# rows of a sweep formatted and written at a time: bounds the text the
+# writer holds, one block's, never that of the whole table; it is not
+# tied to STACK_BLOCK, so the writer's memory stays as it is when the
+# compute block changes
+EMIT_BLOCK = 4096
 
 
 @contextmanager

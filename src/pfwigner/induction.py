@@ -20,7 +20,9 @@ and read the angle given them (`pf_wigner_from_elements`,
 `standard_wigner_from_elements`), so a caller that needs several angles
 at the same pairs builds each element once. `pf_wigner` and
 `standard_wigner` run those two steps through one driver, `_wigner`,
-STACK_BLOCK rows at a time.
+`minkowski.STACK_BLOCK` rows at a time: the block bounds the working
+arrays and pays numpy's fixed cost per call once per block, so a stack
+of up to STACK_BLOCK rows is one block.
 """
 
 from __future__ import annotations

@@ -35,8 +35,19 @@ METRIC.setflags(write=False)
 CONSTRUCTION_TOL = 1e-12
 
 # rows of a stack handled at a time: bounds the working arrays of a
-# stacked call whatever the length of the stack
-STACK_BLOCK = 256
+# stacked call whatever the length of the stack, and amortises numpy's
+# fixed cost per call, which dominates at these sizes (a block of the
+# matrix route makes about 300 numpy calls on arrays of at most
+# STACK_BLOCK x 4 x 4). Measured by `benchmarks/run.py --seconds 5`, one
+# run each, in reference seconds:
+#   STACK_BLOCK  boost-scan wall_s  validate wall_s  validate peak_rss_mb
+#   256          0.0084             0.113            39.23
+#   512          0.0071             0.097            39.42
+#   1024         0.0059             0.096            39.93
+#   2048         0.0060             0.088            40.47
+# 1024 is the smallest block that runs the 607 rows of the default
+# boost-scan at once; 2048 gains nothing there and costs memory.
+STACK_BLOCK = 1024
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -347,11 +358,10 @@ def _rotation_stack(axes, delta) -> np.ndarray:
     """The (N,4,4) array of `rotation_about` of (1 or N) unit axes and
     (1 or N) angles, the one shared by every row, unchecked in and out."""
     axes = np.asarray(axes, dtype=float).reshape(-1, 3)
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    n = max(len(axes), len(delta))
-    axes = np.broadcast_to(axes, (n, 3))
-    angles = np.broadcast_to(delta, (n,))
-    kx = np.zeros((n, 3, 3))
+    angles = np.asarray(delta, dtype=float).reshape(-1)
+    # K and K @ K of each given axis: a shared axis is built once and
+    # broadcast against the angles
+    kx = np.zeros((len(axes), 3, 3))
     kx[:, 0, 1] = -axes[:, 2]
     kx[:, 0, 2] = axes[:, 1]
     kx[:, 1, 0] = axes[:, 2]
@@ -360,7 +370,7 @@ def _rotation_stack(axes, delta) -> np.ndarray:
     kx[:, 2, 1] = axes[:, 0]
     sin = math_rows(math.sin, angles)[:, None, None]
     versin = (1.0 - math_rows(math.cos, angles))[:, None, None]
-    m = np.zeros((n, 4, 4))
+    m = np.zeros((max(len(axes), len(angles)), 4, 4))
     m[:, 0, 0] = 1.0
     m[:, 1:, 1:] = np.eye(3) + sin * kx + versin * (kx @ kx)
     return m

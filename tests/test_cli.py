@@ -486,10 +486,13 @@ def test_numerical_error_names_row_pair_and_gamma():
 
 def test_numerical_error_names_the_row_of_the_sweep(tmp_path):
     # the sweep runs in blocks of STACK_BLOCK rows; the first row to fail
-    # lies past the first block, and the row named is the row of the sweep
+    # (at V near 0.99) lies past the first block of a grid of 2 STACK_BLOCK
+    # steps up to 0.9999, and the row named is the row of the sweep
     from pfwigner.minkowski import STACK_BLOCK
 
-    args = ("boost-scan", "--pf-speed", 0.99999, "--chi", 1.0, "--v-min", 0.0)
+    v_step = 0.9999 / (2 * STACK_BLOCK)
+    args = ("boost-scan", "--pf-speed", 0.99999, "--chi", 1.0, "--v-min", 0.0,
+            "--v-step", v_step)
     res = run_cli(*args)
     assert res.returncode == 3
     assert res.stdout == ""
@@ -497,7 +500,7 @@ def test_numerical_error_names_the_row_of_the_sweep(tmp_path):
     assert res.stderr.startswith(head)
     row = int(res.stderr[len(head):].split(":")[0])
     assert row >= STACK_BLOCK
-    v = row * 0.0033
+    v = row * v_step
     assert res.stderr.endswith(f", transform gamma={1.0 / math.sqrt(1.0 - v * v):.10g})\n")
     # a failed run creates no output file
     out = tmp_path / "scan.csv"

@@ -28,6 +28,7 @@ from pfwigner import (
     compose,
     euclidean_element,
     four_velocity,
+    induction,
     inverse,
     massless_standard_element,
     pf_wigner,
@@ -198,6 +199,17 @@ def test_kernels_equal_their_builders_bit_for_bit():
     assert_same_bits(IDENTITY.m, np.eye(4)[None])
 
 
+@pytest.mark.parametrize("axis", [Z_HAT, _unit([0.3, -0.8, 0.5])], ids=["z", "generic"])
+def test_rotation_kernel_of_one_shared_axis_equals_the_axis_repeated(axis):
+    # one axis builds its cross-product matrices once and broadcasts them
+    # against the angles, with the bits of the N-row call
+    delta = np.random.default_rng(43).uniform(-10.0, 10.0, size=300)
+    delta[:4] = (0.0, -0.0, math.pi, -math.pi)
+    repeated = np.tile(axis, (len(delta), 1))
+    assert_same_bits(_rotation_stack(axis, delta), _rotation_stack(repeated, delta))
+    assert_same_bits(rotation_about(axis, delta).m, rotation_about(repeated, delta).m)
+
+
 # --- where validation runs ----------------------------------------------
 
 
@@ -231,8 +243,25 @@ def test_one_standard_wigner_validates_the_rotation_of_each_element(validations)
     assert validations[0] == 2
 
 
-def test_validate_makes_82_validations(validations):
+def test_validate_makes_44_validations(validations):
     results = checks.run_checks(cli.CHECKS)
     assert all(r.value <= r.tol for r in results.values())
-    assert validations[0] == 82
+    assert validations[0] == 44
+
+
+def test_default_boost_scan_runs_as_one_block(validations, monkeypatch, tmp_path):
+    # the 607 speeds of the default sweep fit one STACK_BLOCK: one stack of
+    # boosts and the two standard elements, of the pair and of the moved pairs
+    builds = [0]
+    build = induction.pf_standard_element
+
+    def counted(pairs):
+        builds[0] += 1
+        return build(pairs)
+
+    monkeypatch.setattr(induction, "pf_standard_element", counted)
+    validations[0] = 0
+    assert cli.main(["boost-scan", "--output", str(tmp_path / "scan.csv")]) == 0
+    assert builds[0] == 2
+    assert validations[0] == 3
 
