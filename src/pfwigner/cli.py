@@ -361,15 +361,18 @@ def cmd_malus(cfg: RunConfig) -> int:
     if len(deltas) * cfg.samples > MAX_DRAWS:
         raise ConfigError(f"malus exceeds {MAX_DRAWS} draws (rows times samples); "
                           "use fewer samples or a larger delta-step")
-    curve = anomalous_malus_curve(pair, cfg.state_angle, cfg.pol_angle, deltas)
-    p_classical = malus_probability(cfg.state_angle, cfg.pol_angle)
-    rows = []
-    for i, (_, p_pf) in enumerate(curve):
-        freq = monte_carlo_malus(p_pf, cfg.samples, cfg.seed + i)
-        err = math.sqrt(p_pf * (1.0 - p_pf) / cfg.samples)
-        rows.append([p_classical, p_pf, freq, err])
+    # finite angles can still sum to inf, whose cosine is undefined; the
+    # curve's sum is monotone in delta, so the grid's ends bound every row's
+    ends = (0.0, deltas[0], deltas[-1])
+    if not all(math.isfinite(cfg.pol_angle + d - cfg.state_angle) for d in ends):
+        raise ConfigError("pol-angle + delta - state-angle must be finite at delta = 0 "
+                          "and over the delta grid")
+    p_pf = anomalous_malus_curve(pair, cfg.state_angle, cfg.pol_angle, deltas)
+    p_classical = np.repeat(malus_probability(cfg.state_angle, cfg.pol_angle), len(deltas))
+    freq = monte_carlo_malus(p_pf, cfg.samples, cfg.seed)
+    err = np.sqrt(p_pf * (1.0 - p_pf) / cfg.samples)
     _emit(cfg, ["delta", "p_classical", "p_pf", "mc_freq", "mc_err"], [deltas],
-          np.array(rows).__getitem__)
+          np.column_stack([p_classical, p_pf, freq, err]).__getitem__)
     return 0
 
 

@@ -18,11 +18,12 @@ has one entry per row. A single pair or transform is a stack of one row.
 Each comes in two steps: build the standard elements, then conjugate
 and read the angle given them (`pf_wigner_from_elements`,
 `standard_wigner_from_elements`), so a caller that needs several angles
-at the same pairs builds each element once. `pf_wigner` and
-`standard_wigner` run those two steps through one driver, `_wigner`,
-`minkowski.STACK_BLOCK` rows at a time: the block bounds the working
-arrays and pays numpy's fixed cost per call once per block, so a stack
-of up to STACK_BLOCK rows is one block.
+at the same pairs builds each element once. The `*_from_elements` steps
+run the rows they are given at once; the caller blocks. `pf_wigner` and
+`standard_wigner` run the two steps through one driver, `_wigner`, the
+route's one block loop, `minkowski.STACK_BLOCK` rows at a time: the block
+bounds the working arrays and pays numpy's fixed cost per call once per
+block, so a stack of up to STACK_BLOCK rows is one block.
 """
 
 from __future__ import annotations
@@ -117,22 +118,6 @@ def _rows(x, rows: slice):
     return x if len(x) == 1 else x[rows]
 
 
-def _joined(parts: list[WignerAngle]) -> WignerAngle:
-    return WignerAngle(*(np.concatenate([getattr(w, f) for w in parts])
-                         for f in ("phi", "residual", "stabiliser")))
-
-
-def _in_blocks(rows_of, *stacks) -> WignerAngle:
-    """rows_of of each block of STACK_BLOCK rows of the stacks, each of 1
-    or N rows, joined; a RowError raised for a block names the row of the
-    whole stack."""
-    parts = []
-    for rows in row_blocks(_stack_rows(*[len(x) for x in stacks])):
-        with rows_from(rows.start):
-            parts.append(rows_of(*[_rows(x, rows) for x in stacks]))
-    return _joined(parts)
-
-
 def _wigner(x, L: LorentzTransform, element, moved, from_elements) -> WignerAngle:
     """The angles of L at x, pairs or momenta, each of 1 or N rows, a block
     of STACK_BLOCK rows at a time: from_elements(x, element(x), L,
@@ -145,7 +130,8 @@ def _wigner(x, L: LorentzTransform, element, moved, from_elements) -> WignerAngl
         with rows_from(rows.start):
             e = element(xr) if e1 is None else e1
             parts.append(from_elements(xr, e, l, element(moved(xr, l))))
-    return _joined(parts)
+    return WignerAngle(*(np.concatenate([getattr(w, f) for w in parts])
+                         for f in ("phi", "residual", "stabiliser")))
 
 
 def _row(x, i: int):
@@ -280,15 +266,13 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
     that of the moved pairs, `transform_pair(pairs, L)`; rows pair up as
     in `pf_wigner`. The phase is the angle of the Wigner element
     W = S(Lp)^-1 L S(p) = eta s2^T eta L s1. This runs the stabiliser test
-    and the angle extraction of `pf_wigner`, STACK_BLOCK rows at a time,
-    with its StabilityError naming the row of the whole stack, and returns
-    arrays of N. A caller that needs several angles at the same pairs
+    and the angle extraction of `pf_wigner` on the rows it is given, at
+    once, and returns arrays of N; its StabilityError names the row of the
+    given stacks. The caller blocks: `_wigner` and the checks pass at most
+    STACK_BLOCK rows. A caller that needs several angles at the same pairs
     builds each element once and passes it to each call.
     """
-    return _in_blocks(_pf_wigner_rows, pairs, s1, L, s2)
-
-
-def _pf_wigner_rows(pairs: PairStack, s1: np.ndarray, L: LorentzTransform, s2: np.ndarray):
+    _stack_rows(len(pairs), len(s1), len(L), len(s2))
     w = METRIC @ np.swapaxes(s2, 1, 2) @ METRIC @ L.m @ s1
 
     q = pairs.kappa[:, None] * _Q_UNIT
@@ -373,12 +357,10 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
     of `massless_standard_element(k)` and e2 that of the moved momenta
     `apply(L, k)`. Like `pf_wigner_from_elements`, this runs the
     stabiliser test, the angle extraction and the reconstruction residual
-    STACK_BLOCK rows at a time and returns arrays of N.
+    on the rows it is given, at once, and returns arrays of N; the caller
+    blocks.
     """
-    return _in_blocks(_standard_wigner_rows, k, e1, L, e2)
-
-
-def _standard_wigner_rows(k: np.ndarray, e1: np.ndarray, L: LorentzTransform, e2: np.ndarray):
+    _stack_rows(len(k), len(e1), len(L), len(e2))
     e = METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.m @ e1
 
     stab = np.abs(e @ _Q_UNIT - _Q_UNIT).max(axis=1)

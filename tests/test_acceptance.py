@@ -119,8 +119,9 @@ def test_criterion_09_malus_monte_carlo(monkeypatch):
     freqs = []
 
     def recorded(p, n, seed):
-        freqs.append(monte_carlo_malus(p, n, seed))
-        return freqs[-1]
+        freq = monte_carlo_malus(p, n, seed)
+        freqs.extend(freq.tolist())
+        return freq
 
     monkeypatch.setattr(polarisation, "monte_carlo_malus", recorded)
     result = checks.malus_monte_carlo(104, 500, 20, 1_000_000, 1.0)

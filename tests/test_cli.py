@@ -382,12 +382,20 @@ def test_missing_config_file_exits_2(tmp_path):
         ("rotation-scan", "--output", "."),
         # forty boosts of gamma 6.7e7 compose to entries too large to validate
         ("wigner", *["--transform", "boost:z:0.9999999999999999"] * 40),
+        # finite angles whose difference, or whose sum with a delta of the
+        # grid, overflows to inf: cos(inf) is undefined
+        ("malus", "--state-angle", 1e308, "--pol-angle", -1e308),
+        ("malus", "--pol-angle", 1.7e308, "--delta-min", 1e308, "--delta-max", 1e308),
+        ("malus", "--state-angle", -1e308, "--pol-angle", 1e308, "--delta-min", -1e308,
+         "--delta-max", -1e308),
     ],
 )
 def test_invalid_values_exit_2(args):
     res = run_cli(*args)
     assert res.returncode == 2
+    assert res.stdout == ""
     assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("command", ["rotation-scan", "malus"])

@@ -10,6 +10,7 @@ of a zero.
 """
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -26,13 +27,16 @@ from pfwigner import (
     RotationScenario,
     StabilityError,
     alignment_angle,
+    anomalous_malus_curve,
     apply,
     bench_pair,
     boost_from_velocity,
     boost_phase,
     compose,
     four_velocity,
+    malus_probability,
     massless_standard_element,
+    monte_carlo_malus,
     pf_standard_element,
     pf_wigner,
     pf_wigner_from_elements,
@@ -285,7 +289,8 @@ def test_standard_composition_elements_built_once_equal_independent_calls(seed):
 
 def test_stability_error_of_given_elements_names_the_row_of_the_stack():
     # as test_stability_error_names_the_row_of_the_stack, through the
-    # elements-given path: the hostile pair is in the second block
+    # elements-given path, which runs the six rows it is given at once
+    # whatever the block: the hostile pair is row 4 of the given stacks
     pairs = bench_pair(np.array([0.1] * 4 + [0.999999999, 0.2]), np.array([1.0] * 4 + [0.5, 2.0]))
     L = LorentzTransform(np.tile(np.eye(4), (6, 1, 1)))
     s1 = pf_standard_element(pairs).m
@@ -294,6 +299,23 @@ def test_stability_error_of_given_elements_names_the_row_of_the_stack():
             pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
                                                  r"u=\(22360.68009, .*, transform gamma=1\)$"):
         pf_wigner_from_elements(pairs, s1, L, s2)
+
+
+@pytest.mark.parametrize("short", range(4))
+def test_given_elements_reject_stacks_whose_rows_do_not_match(short):
+    # each of the four stacks may have 1 or N rows, never another count
+    pairs = bench_pair(np.array([0.1, 0.2, 0.3]), 1.0)
+    L = boost_from_velocity(along_z([0.1, 0.2, 0.3]))
+    k = photon_momenta(pairs.k)
+    calls = [(pf_wigner_from_elements, [pairs, pf_standard_element(pairs).m, L,
+                                        pf_standard_element(transform_pair(pairs, L)).m]),
+             (standard_wigner_from_elements, [k, massless_standard_element(k), L,
+                                              massless_standard_element(apply(L, k))])]
+    lengths = re.escape(str(tuple(2 if i == short else 3 for i in range(4))))
+    for f, args in calls:
+        args[short] = args[short][:2]
+        with pytest.raises(ValueError, match=rf"^stacks of {lengths} rows do not match$"):
+            f(*args)
 
 
 # --- closed forms, the alignment angle and the check draws ---------------------
@@ -364,6 +386,65 @@ def test_wrap_angle_of_an_array_equals_one_row_calls(angles):
     angles = angles + EDGE_ANGLES
     _assert_bits_equal(wrap_angle(np.array(angles)),
                        _one_row_calls(wrap_angle, [(float(x),) for x in angles]))
+
+
+# --- the Malus functions ----------------------------------------------------------
+
+# cos^2 of 4.521248355076138 is 0.03609197133605738 by Python's float ** 2
+# (libm pow) and 0.036091971336057384 by numpy's a ** 2 (a * a)
+EDGE_MALUS = [(0.0, 4.521248355076138), (0.0, 0.0), (-0.0, 0.0), (0.3, 0.3 + 0.5 * math.pi),
+              (-math.pi, math.pi), (1e-300, -5e-324)]
+
+
+@given(st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_malus_probability_of_arrays_equals_one_row_calls(rows):
+    rows = rows + EDGE_MALUS
+    got = malus_probability(*(np.array(col) for col in zip(*rows)))
+    _assert_bits_equal(got, _one_row_calls(malus_probability, rows))
+    # and the float formula, row by row: a numpy square fails here
+    _assert_bits_equal(got, np.array([math.cos(big - theta) ** 2 for theta, big in rows]))
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), st.integers(1, 10**6),
+       st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None)
+def test_monte_carlo_malus_of_an_array_equals_one_row_calls(ps, n_samples, seed):
+    # row i of one call is the one-row call seeded seed + i
+    ps = ps + [0.0, 1.0]
+    _assert_bits_equal(monte_carlo_malus(np.array(ps), n_samples, seed),
+                       _one_row_calls(lambda i, p: monte_carlo_malus(p, n_samples, seed + i),
+                                      list(enumerate(ps))))
+
+
+def _curve_of_one_row_calls(pair, theta, Theta0, deltas):
+    # each delta through its own one-row call, checked against the float
+    # formula of the pf_wigner angles of the rotations
+    singles = _one_row_calls(lambda d: anomalous_malus_curve(pair, theta, Theta0, [d]),
+                             [(d,) for d in deltas])
+    phi = pf_wigner(pair, rotation_about(pair.k[0, 1:], np.array(deltas))).phi.tolist()
+    _assert_bits_equal(singles, np.array([math.cos(Theta0 + d - theta - p) ** 2
+                                          for d, p in zip(deltas, phi)]))
+    return singles
+
+
+# a block of 3 rows makes every curve of the examples span several blocks;
+# frame speeds as in `pairs`, below those whose stabiliser test fails
+@given(st.floats(0.0, 0.95), chis, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+       st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=10))
+@settings(max_examples=40, deadline=None)
+def test_malus_curve_equals_one_row_calls(theta_pf, chi, theta, Theta0, deltas):
+    pair = bench_pair(theta_pf, chi)
+    with mock.patch.object(minkowski, "STACK_BLOCK", 3):
+        got = anomalous_malus_curve(pair, theta, Theta0, np.array(deltas))
+    _assert_bits_equal(got, _curve_of_one_row_calls(pair, theta, Theta0, deltas))
+
+
+def test_malus_curve_longer_than_a_block_equals_one_row_calls():
+    pair = bench_pair(0.3, 1.1)
+    deltas = np.linspace(-7.0, 7.0, STACK_BLOCK + 2)
+    _assert_bits_equal(anomalous_malus_curve(pair, 0.2, 1.3, deltas),
+                       _curve_of_one_row_calls(pair, 0.2, 1.3, deltas.tolist()))
 
 
 def test_stacked_scenario_shares_its_float_fields():
