@@ -161,7 +161,9 @@ def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     th_vec = pairs.u[:, 1:] / pairs.u[:, :1]
     th = np.sqrt(row_dot(th_vec, th_vec))
     kh = unit_rows(pairs.k[:, 1:])
-    cross = np.cross(kh, th_vec)
+    # np.cross's own products and differences, without its axis moves
+    (kx, ky, kz), (tx, ty, tz) = kh.T, th_vec.T
+    cross = np.stack([ky * tz - kz * ty, kz * tx - kx * tz, kx * ty - ky * tx], axis=-1)
     chi = math_rows(math.atan2, np.sqrt(row_dot(cross, cross)), row_dot(kh, th_vec))
     tv = (np.swapaxes(_rotation_z_to_stack(kh)[:, 1:, 1:], 1, 2) @ th_vec[:, :, None])[:, :, 0]
     alpha = math_rows(math.atan2, tv[:, 1], tv[:, 0])

@@ -18,7 +18,8 @@ function that builds it, such as a factor of a standard element, comes
 from the kernel unchecked. Row-wise products use `row_dot`, which is
 bit-identical to `a @ b` on each row (a row-wise `np.linalg.norm` is
 not), and per-row angles use `math`, not the numpy ufuncs, so a row of
-a stack equals its one-row call bit for bit.
+a stack equals its one-row call bit for bit. `wrap_angle` is exact array
+arithmetic with the bits of `math.remainder` on each row.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 METRIC.setflags(write=False)
+_METRIC_ROWS = np.diag(METRIC)[:, None]
 
 # Construction-time validation.
 CONSTRUCTION_TOL = 1e-12
@@ -129,10 +131,21 @@ def _check_rows(tests, culprit=None, error=RowValueError) -> None:
 
 
 def wrap_angle(angle) -> np.ndarray:
-    """Each angle of an (N,) array wrapped to (-pi, pi] by `math.remainder`,
-    one entry at a time; a float is one row."""
+    """Each angle of an (N,) array wrapped to (-pi, pi]; a float is one row.
+
+    Bit for bit the IEEE `math.remainder(x, tau)` of each entry, with -pi
+    taken to pi, and an infinite entry raises ValueError as it does. The
+    `fmod` is exact, and so is each correction by tau, by Sterbenz's lemma,
+    since pi < |r| < tau; a tie |r| = pi ends at pi either way. A NaN stays
+    NaN (a signalling one comes out quiet).
+    """
     angle = np.asarray(angle, dtype=float).reshape(-1)
-    r = math_rows(math.remainder, angle, np.full(len(angle), math.tau))
+    if np.isinf(angle).any():
+        raise ValueError("math domain error")
+    with np.errstate(invalid="ignore"):
+        r = np.fmod(angle, math.tau)
+    np.subtract(r, math.tau, out=r, where=r > math.pi)
+    np.add(r, math.tau, out=r, where=r < -math.pi)
     return np.where(r <= -math.pi, math.pi, r)
 
 
@@ -154,6 +167,13 @@ def _on_shell(off, t):
         return np.abs(off) <= CONSTRUCTION_TOL * np.maximum(1.0, t * t)
 
 
+def _metric_error(b: np.ndarray) -> np.ndarray:
+    """max |b^T eta b - eta| of each matrix of an (N,4,4) stack, with eta b
+    as a sign flip of b's rows: the bits of `b^T @ METRIC @ b` for finite
+    entries, with one matrix product fewer."""
+    return np.abs(b.transpose(0, 2, 1) @ (b * _METRIC_ROWS) - METRIC).max(axis=(1, 2))
+
+
 def _matrix_tests(b: np.ndarray) -> list:
     # an inf entry, or one whose square overflows, would make the
     # tolerances inf, so those are caught first; each test is written
@@ -161,7 +181,7 @@ def _matrix_tests(b: np.ndarray) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.abs(b).max(axis=(1, 2))
         tol = CONSTRUCTION_TOL * np.maximum(1.0, peak * peak)
-        err = np.abs(b.transpose(0, 2, 1) @ METRIC @ b - METRIC).max(axis=(1, 2))
+        err = _metric_error(b)
         det = np.linalg.det(b)
     return [
         (np.isfinite(peak), lambda i: "matrix has non-finite entries"),

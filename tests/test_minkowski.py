@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from pfwigner import (
     four_velocity,
     inverse,
     minkowski_dot,
+    pf_standard_element,
     rotation_about,
     rotation_z_to,
     wrap_angle,
 )
+from pfwigner.minkowski import _metric_error
 
 from helpers import random_direction, random_transform
 
@@ -61,6 +64,46 @@ def test_wrap_angle_range_and_periodicity(a):
     assert abs(wrap_angle(a + math.tau)[0] - w) < 1e-12
     if -math.pi < a <= math.pi:
         assert w == pytest.approx(a, abs=1e-15)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _remainder_wrap(angles):
+    # the per-row definition that wrap_angle's array arithmetic replaces
+    r = np.array([math.remainder(x, math.tau) for x in angles])
+    return np.where(r <= -math.pi, math.pi, r)
+
+
+# the ties +-pi, their odd multiples, the turns and their neighbours
+TIES = [s * math.pi + k * math.tau for s in (1.0, -1.0) for k in (-10**6, -3, -1, 0, 1, 2, 10**6)]
+TIES += [np.nextafter(x, t) for x in TIES for t in (-math.inf, math.inf)]
+SIGNALLING_NAN = float(np.array([0x7FF0000000000001], dtype=np.uint64).view(float)[0])
+
+
+@given(st.lists(st.floats(allow_infinity=False) | st.floats(-1e308, 1e308)
+                | st.floats(-1e-300, 1e-300) | st.builds(lambda s, k: s * math.pi + k * math.tau,
+                                                         st.sampled_from([1.0, -1.0]),
+                                                         st.integers(-10**9, 10**9)),
+                max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_wrap_angle_has_the_bits_of_per_row_remainder(angles):
+    angles = angles + TIES + [0.0, -0.0, 5e-324, -5e-324, math.nan, SIGNALLING_NAN, 1e308, -1e308]
+    got, want = wrap_angle(np.array(angles)), _remainder_wrap(angles)
+    nan = np.isnan(want)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert _bits(got[~nan]).tolist() == _bits(want[~nan]).tolist()
+
+
+@pytest.mark.parametrize("angles", [[math.inf], [1.0, -math.inf], [math.nan, math.inf]])
+def test_wrap_angle_of_an_infinity_raises_without_a_warning(angles):
+    with pytest.raises(ValueError):
+        math.remainder(angles[-1], math.tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            wrap_angle(np.array(angles))
 
 
 # --- the dot product ---------------------------------------------------
@@ -138,6 +181,28 @@ def _identity_with_inf():
 def test_non_finite_input_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def _metric_stacks():
+    rng = np.random.default_rng(11)
+    n = 2000
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    boosts = boost_from_velocity(axes[::-1] * rng.uniform(0.0, 0.999, (n, 1)))
+    rotations = rotation_about(axes, rng.uniform(-10.0, 10.0, n))
+    k = rng.normal(size=(n, 3))
+    k = rng.uniform(0.1, 10.0, (n, 1)) * np.column_stack([np.linalg.norm(k, axis=1), k])
+    pairs = PairStack(k, four_velocity(axes * rng.uniform(0.0, 0.99, (n, 1))))
+    z_turns = rotation_about([0.0, 0.0, 1.0], np.array([0.0, math.pi, -0.0, -math.pi]))
+    return [boosts.m, rotations.m, compose(boosts, rotations).m, compose(rotations, boosts).m,
+            pf_standard_element(pairs).m, z_turns.m]
+
+
+def test_metric_error_has_the_bits_of_the_two_product_form():
+    # eta b is a sign flip of b's rows, and a signed zero vanishes under abs
+    for b in _metric_stacks():
+        want = np.abs(b.transpose(0, 2, 1) @ METRIC @ b - METRIC).max(axis=(1, 2))
+        assert _bits(_metric_error(b)).tolist() == _bits(want).tolist()
 
 
 def test_matrix_is_frozen_after_construction():
