@@ -14,7 +14,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from functools import cache, partial
 from itertools import product
 from typing import Callable, Iterator, Sequence, TextIO
@@ -47,33 +47,14 @@ from .minkowski import (
 )
 from .polarisation import anomalous_malus_curve, malus_probability, monte_carlo_malus
 
-DEFAULTS = {
-    "pf_speed": 1.2336e-3,  # CMB dipole speed, 369.8 km/s in units of c
-    "chi": 0.5 * math.pi,
-    "v_min": -0.9999,
-    "v_max": 0.9999,
-    "v_step": 0.0033,
-    "delta_min": 0.0,
-    "delta_max": 2.0 * math.pi,
-    "delta_step": math.pi / 24.0,
-    "chi_steps": 12,
-    "samples": 1_000_000,
-    "seed": 12345,
-    "state_angle": 0.0,
-    "pol_angle": 0.25 * math.pi,
-    "format": "csv",
-    "output": None,
-    "tol_scale": 1.0,
-}
-
 # cap on the rows one sweep may emit, checked before any row is built
 MAX_ROWS = 1_000_000
 # cap on the Monte Carlo draws of one malus sweep, rows times samples,
 # checked before any row is built
 MAX_DRAWS = 1_000_000_000
 
-_INT_KEYS = {"chi_steps", "samples", "seed"}
-_STR_KEYS = {"format", "output"}
+# CMB dipole speed, 369.8 km/s in units of c
+CMB_DIPOLE_SPEED = 1.2336e-3
 
 
 class ConfigError(ValueError):
@@ -82,22 +63,33 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    pf_speed: float
-    chi: float
-    v_min: float
-    v_max: float
-    v_step: float
-    delta_min: float
-    delta_max: float
-    delta_step: float
-    chi_steps: int
-    samples: int
-    seed: int
-    state_angle: float
-    pol_angle: float
-    format: str
-    output: str | None
-    tol_scale: float
+    """The settings of a run, one field each. Field pf_speed is the flag
+    --pf-speed and the config-file key pf_speed or pf-speed, read in the
+    type of its default (str for a default of None); the default holds
+    where neither gives a value. A field's metadata holds the other
+    arguments of its flag: its help, or the choices of --format."""
+
+    pf_speed: float = field(default=CMB_DIPOLE_SPEED, metadata={
+        "help": f"frame speed in units of c (default {CMB_DIPOLE_SPEED})"})
+    chi: float = field(default=0.5 * math.pi, metadata={
+        "help": "angle between photon and frame velocity, radians"})
+    v_min: float = -0.9999
+    v_max: float = 0.9999
+    v_step: float = 0.0033
+    delta_min: float = 0.0
+    delta_max: float = 2.0 * math.pi
+    delta_step: float = math.pi / 24.0
+    chi_steps: int = 12
+    samples: int = 1_000_000
+    seed: int = 12345
+    state_angle: float = field(default=0.0, metadata={
+        "help": "polarisation angle of the prepared state, radians"})
+    pol_angle: float = field(default=0.25 * math.pi, metadata={
+        "help": "polariser transmission axis angle, radians"})
+    output: str | None = None
+    format: str = field(default="csv", metadata={"choices": ("csv", "json")})
+    tol_scale: float = field(default=1.0, metadata={
+        "help": "multiply validation tolerances (diagnostic)"})
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -123,7 +115,13 @@ class RunConfig:
             raise ConfigError("tol-scale must be positive")
 
 
+def _kind(setting: Field) -> type:
+    """The type a setting is read in: that of its default, or str."""
+    return str if setting.default is None else type(setting.default)
+
+
 def _read_config_file(path: str) -> dict:
+    kinds = {setting.name: _kind(setting) for setting in fields(RunConfig)}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,35 +133,25 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{ln}: expected key=value")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
-                val = val.strip()
-                if key not in DEFAULTS:
+                if key not in kinds:
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
                 try:
-                    if key in _STR_KEYS:
-                        values[key] = val
-                    elif key in _INT_KEYS:
-                        values[key] = int(val)
-                    else:
-                        values[key] = float(val)
+                    values[key] = kinds[key](val.strip())
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{ln}: bad value for {key}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
-    merged = {}
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = DEFAULTS[key]
-    return RunConfig(**merged)
+    """The settings of a run: its flags over its config file over the
+    defaults."""
+    values = _read_config_file(args.config) if args.config else {}
+    for setting in fields(RunConfig):
+        if getattr(args, setting.name) is not None:
+            values[setting.name] = getattr(args, setting.name)
+    return RunConfig(**values)
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -340,7 +328,7 @@ def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
     L = _parse_transform(transform_specs, pair)
     w_pf = pf_wigner(pair, L)
     w_std = standard_wigner(pair.k, L)
-    fields = {
+    report = {
         "phi_pf": w_pf.phi,
         "phi_std": w_std.phi,
         "delta_phi": wrap_angle(w_pf.phi - w_std.phi),
@@ -349,7 +337,7 @@ def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
         "stabiliser_pf": w_pf.stabiliser,
         "stabiliser_std": w_std.stabiliser,
     }
-    record = {name: float(value[0]) for name, value in fields.items()}
+    record = {name: float(value[0]) for name, value in report.items()}
     with _sink(cfg) as out:
         out.write(json.dumps(record, indent=2) + "\n")
     return 0
@@ -437,28 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the options of every subcommand, added once and shared by each
     common = _Parser(add_help=False)
-    common.add_argument("--pf-speed", dest="pf_speed", type=float,
-                        help=f"frame speed in units of c (default {DEFAULTS['pf_speed']})")
-    common.add_argument("--chi", type=float,
-                        help="angle between photon and frame velocity, radians")
-    common.add_argument("--v-min", dest="v_min", type=float)
-    common.add_argument("--v-max", dest="v_max", type=float)
-    common.add_argument("--v-step", dest="v_step", type=float)
-    common.add_argument("--delta-min", dest="delta_min", type=float)
-    common.add_argument("--delta-max", dest="delta_max", type=float)
-    common.add_argument("--delta-step", dest="delta_step", type=float)
-    common.add_argument("--chi-steps", dest="chi_steps", type=int)
-    common.add_argument("--samples", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--state-angle", dest="state_angle", type=float,
-                        help="polarisation angle of the prepared state, radians")
-    common.add_argument("--pol-angle", dest="pol_angle", type=float,
-                        help="polariser transmission axis angle, radians")
-    common.add_argument("--output", type=str)
-    common.add_argument("--format", choices=("csv", "json"))
+    for setting in fields(RunConfig):
+        common.add_argument("--" + setting.name.replace("_", "-"), type=_kind(setting),
+                            **setting.metadata)
     common.add_argument("--config", type=str, help="key=value config file; flags win")
-    common.add_argument("--tol-scale", dest="tol_scale", type=float,
-                        help="multiply validation tolerances (diagnostic)")
 
     for name, help_text in (
         ("boost-scan", "sweep boost speed along the photon, emit both phase routes"),

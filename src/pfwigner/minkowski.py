@@ -116,8 +116,8 @@ class rows_from:
 
 
 def _check_rows(tests, culprit=None, error=RowValueError) -> None:
-    """Raise `error`, a RowValueError, for the first row failing one of
-    `tests`.
+    """Raise `error`, a RowError (RowValueError unless given), for the
+    first row failing one of `tests`.
 
     Each test is (ok, message): a boolean row mask and a function of the
     row giving the message, which also says, through `culprit(row)`,

@@ -10,6 +10,7 @@ exit codes of a real process stay covered.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -300,7 +301,7 @@ def test_a_negative_value_in_exponent_form_may_be_a_separate_argument():
     assert spaced.returncode == 0, spaced.stderr
     assert spaced.stdout == joined.stdout
     parser = cli.build_parser()
-    for key in (key for key, value in cli.DEFAULTS.items() if isinstance(value, float)):
+    for key in (f.name for f in dataclasses.fields(cli.RunConfig) if isinstance(f.default, float)):
         for value in ("-2.5e-1", "-.25E+0", "-0.25", "-25e-2"):
             args = parser.parse_args(["wigner", "--" + key.replace("_", "-"), value])
             assert getattr(args, key) == -0.25
@@ -341,14 +342,40 @@ def test_flags_override_config_file(tmp_path):
         ("volume = 3\n", "unknown key"),
         ("just some text\n", "expected key=value"),
         ("v-min = fast\n", "bad value"),
+        ("chi-steps = 2.5\n", "bad value"),
+        (b"v-min = -0.9\xff\n", "cannot read config file"),
     ],
 )
 def test_malformed_config_file_exits_2(tmp_path, content, fragment):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(content)
+    (cfg.write_bytes if isinstance(content, bytes) else cfg.write_text)(content)
     res = run_cli("boost-scan", "--config", cfg)
     assert res.returncode == 2
     assert fragment in res.stderr
+
+
+# a valid value other than the default for each setting, in the default's type
+SETTINGS = {"pf_speed": 0.25, "chi": 1.0, "v_min": -0.5, "v_max": 0.5, "v_step": 0.25,
+            "delta_min": 0.5, "delta_max": 3.0, "delta_step": 0.5, "chi_steps": 3,
+            "samples": 100, "seed": 7, "state_angle": 0.5, "pol_angle": 1.0,
+            "output": "out.csv", "format": "json", "tol_scale": 2.0}
+
+
+def test_every_setting_is_a_flag_and_a_config_key_in_its_type(tmp_path):
+    settings = dataclasses.fields(cli.RunConfig)
+    assert [s.name for s in settings] == list(SETTINGS)
+    parser = cli.build_parser()
+    assert cli._resolve_config(parser.parse_args(["boost-scan"])) == cli.RunConfig()
+    cfg = tmp_path / "run.cfg"
+    for setting in settings:
+        value = SETTINGS[setting.name]
+        assert value != setting.default
+        assert isinstance(setting.default, (type(value), type(None)))
+        cfg.write_text(f"{setting.name} = {value}\n")
+        for args in (["--" + setting.name.replace("_", "-"), str(value)], ["--config", str(cfg)]):
+            got = getattr(cli._resolve_config(parser.parse_args(["boost-scan", *args])),
+                          setting.name)
+            assert got == value and type(got) is type(value), (setting.name, args)
 
 
 def test_missing_config_file_exits_2(tmp_path):
