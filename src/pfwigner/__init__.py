@@ -1,9 +1,7 @@
 """Photon polarisation phase numerics with and without a distinguished frame."""
 
 from .closed_form import (
-    BoostScenario,
     DomainError,
-    RotationScenario,
     boost_phase,
     rotation_phase,
     rotation_phase_shift,

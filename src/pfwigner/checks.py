@@ -15,7 +15,6 @@ from typing import Iterable
 import numpy as np
 
 from . import closed_form, induction, minkowski, polarisation
-from .closed_form import BoostScenario
 from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, row_blocks,
                         rows_from, unit_rows, wrap_angle)
 
@@ -120,7 +119,7 @@ def boost_oracle_equivalence(v_grid, theta_grid, chi_grid, tol: float) -> CheckR
     phi, stab, th, chi = _bench_wigner(theta_grid, chi_grid,
                                        minkowski.boost_from_velocity(along_z(v_grid)))
     v = np.tile(v_grid, len(theta_grid) * len(chi_grid))
-    want = closed_form.boost_phase(BoostScenario(v, th, chi))
+    want = closed_form.boost_phase(v, th, chi)
     return CheckResult(float(np.abs(phi - want).max()), tol, stab)
 
 
@@ -236,7 +235,7 @@ def chi_extremum(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     v or theta is 0."""
     chis = (0.0,) + tuple(chi_grid)
     v, th, chi = (np.array(x) for x in zip(*product(v_grid, theta_grid, chis)))
-    phase = closed_form.boost_phase(BoostScenario(v, th, chi)).reshape(-1, len(chis))
+    phase = closed_form.boost_phase(v, th, chi).reshape(-1, len(chis))
     if (phase[:, 0] != 0.0).any():
         return CheckResult(math.inf, tol)
     moving = (v[::len(chis)] != 0.0) & (th[::len(chis)] != 0.0)

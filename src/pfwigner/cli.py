@@ -3,7 +3,9 @@ Malus statistics, and the validation suite.
 
 Output is CSV (17 significant digits, LF endings) or JSON; identical
 config and seed give byte-identical files. Exit codes: 0 success,
-1 validation failure, 2 usage or config error, 3 internal numerical error.
+1 validation failure, 2 usage or config error or an output that cannot
+be written, 3 internal numerical error, 141 (128 + SIGPIPE) a standard
+output whose reader has gone.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -23,12 +26,7 @@ import numpy as np
 
 from . import checks
 from .checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
-from .closed_form import (
-    BoostScenario,
-    boost_phase,
-    check_rotation_grid,
-    rotation_rows,
-)
+from .closed_form import boost_phase, check_rotation_grid, rotation_rows
 from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
     IDENTITY,
@@ -176,19 +174,40 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 EMIT_BLOCK = 4096
 
 
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at devnull."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 @contextmanager
 def _sink(cfg: RunConfig) -> Iterator[TextIO]:
-    """Where a command writes its output: stdout, or the --output file,
-    created when the context is entered. Open it only once nothing can
-    fail, so that a failed run writes nothing and creates no file."""
-    if not cfg.output:
-        yield sys.stdout
-        return
+    """Where a command writes its output: stdout, flushed when the context
+    exits, or the --output file, created when the context is entered. Open
+    it only once nothing can fail, so that a failed run writes nothing and
+    creates no file. A write error is a ConfigError, except a closed pipe,
+    which `main` ends the run on."""
     try:
+        if not cfg.output:
+            yield sys.stdout
+            sys.stdout.flush()
+            return
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from exc
+        if not cfg.output:
+            # stdout still holds what failed to be written: send it to
+            # devnull, so that its flush at exit cannot raise again
+            _drop_stdout()
+        if isinstance(exc, BrokenPipeError):
+            raise
+        where = f"output file {cfg.output}" if cfg.output else "standard output"
+        raise ConfigError(f"cannot write {where}: {exc.strerror}") from exc
 
 
 def _grid_blocks(lengths: list[int], size: int) -> list[tuple[slice, ...]]:
@@ -304,7 +323,7 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
         with rows_from(block.start):
             phi_mx.append(pf_wigner(pair, boost_from_velocity(along_z(grid[block]))).phi)
     phi_mx = np.concatenate(phi_mx)
-    phi_cf = boost_phase(BoostScenario(np.array(grid), cfg.pf_speed, cfg.chi))
+    phi_cf = boost_phase(grid, cfg.pf_speed, cfg.chi)
     _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], [grid],
           np.column_stack([phi_cf, phi_mx, np.abs(phi_cf - phi_mx)]).__getitem__)
     return 0
@@ -468,6 +487,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
+    except BrokenPipeError:
+        # the reader has gone: end silently, with the status of a process
+        # killed by SIGPIPE
+        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,16 +6,16 @@ rotation by delta about it) then produces the polarisation phases below.
 These are the analytic route; the matrix route lives in `induction`, and
 the two are cross-checked against each other by the validation suite.
 
-A scenario holds (N,) float arrays, one entry per row, and every formula
-returns one value per row. `sin`, `cos`, `asin` and `atan2` run per row
-by `math`, so each row equals its one-row call bit for bit. A row outside
+Every formula takes (N,) float arrays, one entry per row (a float is
+shared by every row, and floats alone are one row), and returns one value
+per row. `sin`, `cos`, `asin` and `atan2` run per row by `math`, so each
+row equals its one-row call bit for bit. A row outside
 a formula's domain raises a `DomainError` that names it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -53,51 +53,20 @@ def _rotation_tests(delta, theta_pf, chi):
     return [_delta_test(delta), _theta_test(theta_pf), _chi_test(chi)]
 
 
-def _check_scenario(s, tests) -> None:
-    """Make every field of scenario s an (N,) float array, a float being
-    shared by every row and floats alone giving one row, then raise
-    DomainError for the first row that fails `tests` of the fields, with
-    the first field it fails, in field order. The arrays are read-only."""
-    names = list(s.__dataclass_fields__)
-    rows = np.broadcast_arrays(*[np.array(getattr(s, name), dtype=float, ndmin=1) for name in names])
+def _checked_rows(tests, *fields) -> list[np.ndarray]:
+    """The fields of a formula as (N,) float arrays, a float being shared
+    by every row and floats alone giving one row, once no row fails
+    `tests` of them: DomainError names the first row that does, with the
+    first field it fails, in argument order."""
+    rows = np.broadcast_arrays(*[np.array(x, dtype=float, ndmin=1) for x in fields])
     _check_rows(tests(*rows), error=DomainError)
-    for name, x in zip(names, rows):
-        x.setflags(write=False)
-        object.__setattr__(s, name, x)
+    return rows
 
 
-@dataclass(frozen=True)
-class BoostScenario:
-    """Signed boost speed v along the photon, frame speed theta_pf, angle
-    chi: (N,) arrays for N rows; a float is shared by every row, and
-    floats alone are one row."""
-
-    v: np.ndarray
-    theta_pf: np.ndarray
-    chi: np.ndarray
-
-    def __post_init__(self):
-        _check_scenario(self, _boost_tests)
-
-
-@dataclass(frozen=True)
-class RotationScenario:
-    """Rotation angle delta about the photon, frame speed theta_pf, angle
-    chi: (N,) arrays for N rows; a float is shared by every row, and
-    floats alone are one row."""
-
-    delta: np.ndarray
-    theta_pf: np.ndarray
-    chi: np.ndarray
-
-    def __post_init__(self):
-        _check_scenario(self, _rotation_tests)
-
-
-def boost_phase(s: BoostScenario) -> np.ndarray:
-    """Polarisation phase for a boost of speed v along the photon, one
-    per row."""
-    v, th, chi = s.v, s.theta_pf, s.chi
+def boost_phase(v, theta_pf, chi) -> np.ndarray:
+    """Polarisation phase for a boost of signed speed v along the photon,
+    with frame speed theta_pf at angle chi to it, one per row."""
+    v, th, chi = _checked_rows(_boost_tests, v, theta_pf, chi)
     rv = np.sqrt(1.0 - v * v)
     rt = np.sqrt(1.0 - th * th)
     num = v * th * math_rows(math.sin, chi)
@@ -124,26 +93,27 @@ def _rotation_angle(n, dd, a_sin, sin_half, cos_half):
     return 2.0 * math_rows(math.atan2, n * sin_half, dd * cos_half + a_sin * sin_half)
 
 
-def rotation_phase(s: RotationScenario) -> np.ndarray:
-    """Polarisation phase for a rotation by delta about the photon, one
-    per row.
+def rotation_phase(delta, theta_pf, chi) -> np.ndarray:
+    """Polarisation phase for a rotation by delta about the photon, with
+    frame speed theta_pf at angle chi to it, one per row.
 
     Two-argument arctangent form: numerator and denominator of the
     half-angle tangent are both multiplied by sin(delta/2), which makes
     delta = 0 and delta = pi regular. Continuous and increasing in delta
     on [0, 2pi], with rotation_phase(2pi) = 2pi.
     """
-    n, dd, a_sin, _ = _rotation_factors(s.theta_pf, s.chi)
-    half = 0.5 * s.delta
+    delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi)
+    n, dd, a_sin, _ = _rotation_factors(th, chi)
+    half = 0.5 * delta
     return _rotation_angle(n, dd, a_sin, math_rows(math.sin, half), math_rows(math.cos, half))
 
 
-def rotation_phase_shift(s: RotationScenario) -> np.ndarray:
+def rotation_phase_shift(delta, theta_pf, chi) -> np.ndarray:
     """delta - rotation_phase, wrapped to (-pi, pi], one per row."""
-    return wrap_angle(s.delta - rotation_phase(s))
+    return wrap_angle(np.asarray(delta, dtype=float) - rotation_phase(delta, theta_pf, chi))
 
 
-def rotation_shift_approx(s: RotationScenario) -> np.ndarray:
+def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
     """First-order (small theta_pf) magnitude of the rotation phase shift,
     one per row.
 
@@ -151,11 +121,12 @@ def rotation_shift_approx(s: RotationScenario) -> np.ndarray:
     2*theta_pf*sin(chi)*tan^2(delta/2)/(1+tan^2(delta/2)) where the
     latter is defined, but stays regular at delta = pi.
     """
-    return _rotation_factors(s.theta_pf, s.chi)[3] * (1.0 - math_rows(math.cos, s.delta))
+    delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi)
+    return _rotation_factors(th, chi)[3] * (1.0 - math_rows(math.cos, delta))
 
 
 def check_rotation_grid(deltas, theta_pf: float, chis) -> None:
-    """Raise DomainError, with the reason RotationScenario gives, unless
+    """Raise DomainError, with the reason rotation_phase gives, unless
     theta_pf, each chi and then each delta is in range; once this passes,
     no row of rotation_rows(deltas, theta_pf, chis) can fail. Each axis is
     checked as one array, and the row named is the index within it."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import BoostScenario, DomainError, RotationScenario, boost_phase, rotation_phase
+from .closed_form import DomainError, boost_phase, rotation_phase
 from .minkowski import (
     METRIC,
     LorentzTransform,
@@ -203,8 +203,8 @@ def alignment_angle(pairs: PairStack) -> np.ndarray:
     # alpha -> phase(alpha) is continuous through alpha = 0
     turned = alpha >= 0.0
     try:
-        h = -boost_phase(BoostScenario(v_star, th_apex, 0.5 * math.pi))
-        phase = rotation_phase(RotationScenario(np.where(turned, alpha, alpha + math.tau), th, chi))
+        h = -boost_phase(v_star, th_apex, 0.5 * math.pi)
+        phase = rotation_phase(np.where(turned, alpha, alpha + math.tau), th, chi)
     except DomainError as exc:
         i = exc.row
         raise GaugeDomainError(i, f"{exc.reason} in the gauge of the pair "

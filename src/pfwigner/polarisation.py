@@ -47,9 +47,12 @@ def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) 
     rotation (matrix route, not the closed form), so the probability is
     cos^2(Theta0 + delta - theta - phi). With a zero frame velocity
     phi = delta exactly and the curve is the constant classical value.
-    `pair` is a PairStack of one row. The rotations are built STACK_BLOCK
-    deltas at a time, which bounds their stack.
+    `pair` is a PairStack of one row; any other raises ValueError. The
+    rotations are built STACK_BLOCK deltas at a time, which bounds their
+    stack.
     """
+    if len(pair) != 1:
+        raise ValueError(f"expected a pair of one row, got {len(pair)} rows")
     axis = unit_rows(pair.k[:, 1:])[0]
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     phi = np.empty(len(deltas))

@@ -4,9 +4,9 @@ Golden files under tests/golden/ freeze the exact bytes each command
 emits for a small deterministic configuration; any formatting, grid,
 seeding or numerical drift shows up as a byte difference.
 
-Most tests call `cli.main` in the test process (`run_cli`); three start
-`python -m pfwigner.cli` (`run_process`), so that the entry point and the
-exit codes of a real process stay covered.
+Most tests call `cli.main` in the test process (`run_cli`); a few start
+`python -m pfwigner.cli` (`run_process` and the standard-output tests), so
+that the entry point and the exit codes of a real process stay covered.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -457,6 +458,33 @@ def test_unknown_subcommand_exits_2():
     assert run_process("frobnicate").returncode == 2
 
 
+# the environment of a process whose stdout is buffered, as where
+# PYTHONUNBUFFERED is not set: what a failed write leaves in the buffer is
+# flushed again at exit
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_a_closed_stdout_pipe_ends_the_run_quietly_with_status_141():
+    # 128 + SIGPIPE, as `head` leaves a producer in a shell pipeline
+    proc = subprocess.Popen([sys.executable, "-m", "pfwigner.cli", "boost-scan", "--v-step", "2e-5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV)
+    assert proc.stdout.readline() == b"V,phi_cf,phi_mx,abs_diff\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("args", [("validate",), ("wigner",), ("boost-scan",)])
+def test_a_full_stdout_exits_2_with_one_error_line(args):
+    with open("/dev/full", "wb") as full:
+        res = subprocess.run([sys.executable, "-m", "pfwigner.cli", *args], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV)
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write standard output: No space left on device\n"
+
+
 def test_missing_subcommand_exits_2():
     assert run_cli().returncode == 2
 
@@ -591,8 +619,8 @@ def test_validate_kills_a_scaled_boost_phase(monkeypatch):
 
     original = closed_form.boost_phase
 
-    def scaled(s):
-        return 1.3 * original(s)
+    def scaled(*args):
+        return 1.3 * original(*args)
 
     for module in (pfwigner, closed_form, induction, cli):
         monkeypatch.setattr(module, "boost_phase", scaled)

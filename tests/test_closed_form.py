@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfwigner import (
-    BoostScenario,
     DomainError,
-    RotationScenario,
     boost_phase,
     rotation_phase,
     rotation_phase_shift,
@@ -35,12 +33,12 @@ def _asymptote(theta_pf, chi):
 
 
 def test_boost_phase_frozen_value():
-    got = boost_phase(BoostScenario(0.5, TH_CMB, 0.5 * math.pi))
+    got = boost_phase(0.5, TH_CMB, 0.5 * math.pi)
     assert got == pytest.approx(0.00016527112326288887, rel=5e-16, abs=0.0)
 
 
 def test_rotation_phase_frozen_value():
-    got = rotation_phase(RotationScenario(0.5 * math.pi, TH_CMB, 0.5 * math.pi))
+    got = rotation_phase(0.5 * math.pi, TH_CMB, 0.5 * math.pi)
     assert got == pytest.approx(1.5720299271077725, rel=5e-16, abs=0.0)
 
 
@@ -50,7 +48,7 @@ def test_asymptote_frozen_value():
 
 
 def test_shift_approx_frozen_value():
-    got = rotation_shift_approx(RotationScenario(0.5 * math.pi, TH_CMB, 0.5 * math.pi))
+    got = rotation_shift_approx(0.5 * math.pi, TH_CMB, 0.5 * math.pi)
     assert got == pytest.approx(0.0012335999999999998, rel=5e-16, abs=0.0)
 
 
@@ -59,30 +57,30 @@ def test_shift_approx_frozen_value():
 
 @pytest.mark.parametrize("v", [-0.99, -0.5, 0.0, 0.5, 0.99])
 def test_boost_phase_vanishes_on_axis(v):
-    assert boost_phase(BoostScenario(v, 0.3, 0.0)) == 0.0
+    assert boost_phase(v, 0.3, 0.0) == 0.0
     # chi = pi is zero only up to float(sin(pi)) ~ 1.2e-16
-    assert abs(boost_phase(BoostScenario(v, 0.3, math.pi))) < 1e-16
+    assert abs(boost_phase(v, 0.3, math.pi)) < 1e-16
 
 
 @pytest.mark.parametrize("chi", [0.0, 0.7, 0.5 * math.pi, math.pi])
 def test_boost_phase_vanishes_without_motion(chi):
-    assert boost_phase(BoostScenario(0.0, 0.3, chi)) == 0.0
-    assert boost_phase(BoostScenario(0.5, 0.0, chi)) == 0.0
+    assert boost_phase(0.0, 0.3, chi) == 0.0
+    assert boost_phase(0.5, 0.0, chi) == 0.0
 
 
 def test_rotation_phase_at_zero_angle_is_zero():
-    assert rotation_phase(RotationScenario(0.0, 0.3, 1.0)) == 0.0
+    assert rotation_phase(0.0, 0.3, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("delta", [0.1, 1.0, math.pi, 5.0, math.tau])
 def test_rotation_phase_reduces_to_delta_at_rest(delta):
-    got = rotation_phase(RotationScenario(delta, 0.0, 1.0))
+    got = rotation_phase(delta, 0.0, 1.0)
     assert got == pytest.approx(delta, abs=1e-12)
 
 
 def test_shift_vanishes_at_rest():
     for delta in (0.3, 1.0, 2.0, 4.0):
-        assert abs(rotation_phase_shift(RotationScenario(delta, 0.0, 0.9))) < 1e-12
+        assert abs(rotation_phase_shift(delta, 0.0, 0.9)) < 1e-12
 
 
 # --- domain validation ----------------------------------------------------
@@ -101,13 +99,13 @@ def test_shift_vanishes_at_rest():
 )
 def test_boost_scenario_rejects_out_of_range(kwargs):
     with pytest.raises(DomainError):
-        BoostScenario(**kwargs)
+        boost_phase(**kwargs)
 
 
 @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
 def test_rotation_scenario_rejects_non_finite_delta(delta):
     with pytest.raises(DomainError):
-        RotationScenario(delta, 0.1, 1.0)
+        rotation_phase(delta, 0.1, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -124,11 +122,11 @@ def test_rotation_scenario_rejects_non_finite_delta(delta):
     ],
 )
 def test_rotation_table_rejects_what_the_scenario_rejects(deltas, theta_pf, chis):
-    # the same reason; the grid names the index within its axis
+    # the same reason as rotation_phase; the grid names the index within its axis
     with pytest.raises(DomainError) as want:
         for d in deltas:
             for chi in chis:
-                RotationScenario(d, theta_pf, chi)
+                rotation_phase(d, theta_pf, chi)
     with pytest.raises(DomainError) as got:
         rotation_table(deltas, theta_pf, chis)
     assert got.value.reason == want.value.reason
@@ -156,23 +154,23 @@ def test_rotation_grid_names_its_first_value_out_of_range(deltas, chis, reason, 
 @given(st.floats(0.0, 0.99), st.floats(0.0, 0.9))
 @settings(max_examples=300, deadline=None)
 def test_boost_phase_odd_in_v_at_quarter_pi_half(v, th):
-    s = boost_phase(BoostScenario(v, th, 0.5 * math.pi))
-    assert boost_phase(BoostScenario(-v, th, 0.5 * math.pi)) == pytest.approx(-s, abs=1e-15)
+    s = boost_phase(v, th, 0.5 * math.pi)
+    assert boost_phase(-v, th, 0.5 * math.pi) == pytest.approx(-s, abs=1e-15)
 
 
 @given(st.floats(0.0, 0.99), st.floats(0.0, 0.9), st.floats(0.0, math.pi))
 @settings(max_examples=300, deadline=None)
 def test_boost_phase_reversal_symmetry(v, th, chi):
     # reversing the boost and reflecting chi about pi/2 flips the sign
-    lhs = boost_phase(BoostScenario(-v, th, math.pi - chi))
-    rhs = -boost_phase(BoostScenario(v, th, chi))
+    lhs = boost_phase(-v, th, math.pi - chi)
+    rhs = -boost_phase(v, th, chi)
     assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
 def test_boost_phase_approaches_asymptote():
     for th, chi in [(0.1, 0.5 * math.pi), (0.5, 0.5 * math.pi), (0.3, 1.0)]:
         limit = _asymptote(th, chi)
-        near = boost_phase(BoostScenario(1.0 - 1e-12, th, chi))
+        near = boost_phase(1.0 - 1e-12, th, chi)
         assert near == pytest.approx(limit, rel=1e-5)
 
 
@@ -186,7 +184,7 @@ def test_asymptote_at_right_angle_is_half_arcsine():
 def test_rotation_phase_is_continuous_and_increasing():
     th, chi = 0.5, 1.1
     deltas = np.linspace(0.0, math.tau, 2001)
-    phis = np.concatenate([rotation_phase(RotationScenario(d, th, chi)) for d in deltas])
+    phis = np.concatenate([rotation_phase(d, th, chi) for d in deltas])
     assert np.all(np.diff(phis) > 0.0)
     assert phis[0] == 0.0
     assert phis[-1] == pytest.approx(math.tau, abs=1e-12)
@@ -197,10 +195,9 @@ def test_rotation_phase_is_continuous_and_increasing():
 def test_shift_approx_matches_half_angle_form():
     rng = np.random.default_rng(21)
     for _ in range(1000):
-        s = RotationScenario(rng.uniform(0.0, math.tau), rng.uniform(0.0, 0.99),
-                             rng.uniform(0.0, math.pi))
-        direct = rotation_shift_approx(s)[0]
-        th, chi, delta = s.theta_pf[0], s.chi[0], s.delta[0]
+        delta, th, chi = (rng.uniform(0.0, math.tau), rng.uniform(0.0, 0.99),
+                          rng.uniform(0.0, math.pi))
+        direct = rotation_shift_approx(delta, th, chi)[0]
         half = 2.0 * th * math.sin(chi) * math.sin(0.5 * delta) ** 2
         assert direct == pytest.approx(half, abs=1e-15)
 
@@ -209,8 +206,8 @@ def test_shift_matches_approx_to_second_order():
     th = 1e-5
     for delta in np.linspace(0.1, math.tau - 0.1, 23):
         for chi in np.linspace(0.0, math.pi, 7):
-            s = RotationScenario(delta, th, chi)
-            err = abs(abs(rotation_phase_shift(s)) - rotation_shift_approx(s))
+            s = (delta, th, chi)
+            err = abs(abs(rotation_phase_shift(*s)) - rotation_shift_approx(*s))
             assert err < 10.0 * th * th
 
 
@@ -224,11 +221,11 @@ def test_rotation_table_rows_equal_single_calls(deltas, theta_pf, chis):
         want = []
         for d in deltas:
             for chi in chis:
-                s = RotationScenario(d, th, chi)
-                phi = rotation_phase(s)[0]
-                approx = rotation_shift_approx(s)[0]
+                s = (d, th, chi)
+                phi = rotation_phase(*s)[0]
+                approx = rotation_shift_approx(*s)[0]
                 shift = wrap_angle(phi - d)[0]
-                assert abs(shift) == abs(rotation_phase_shift(s)[0])
+                assert abs(shift) == abs(rotation_phase_shift(*s)[0])
                 want.append((d, chi, wrap_angle(phi)[0], shift, approx, abs(abs(shift) - approx)))
         table = rotation_table(deltas, th, chis)
         assert table.shape == (len(want), 6)

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from pfwigner import (
-    BoostScenario,
     PairStack,
-    RotationScenario,
     StabilityError,
     alignment_angle,
     apply,
@@ -173,7 +171,7 @@ def test_pf_wigner_rotation_matches_closed_form():
     for d in (0.3, 0.5 * math.pi, 2.5):
         for th, chi in [(TH_CMB, 0.5 * math.pi), (0.1, 0.8), (0.5, 2.0)]:
             w = pf_wigner(bench_pair(th, chi), rotation_about(Z, d))
-            want = wrap_angle(rotation_phase(RotationScenario(d, th, chi)))[0]
+            want = wrap_angle(rotation_phase(d, th, chi))[0]
             assert w.phi[0] == pytest.approx(want, abs=1e-12)
 
 

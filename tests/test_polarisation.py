@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pfwigner import (
+    PairStack,
     anomalous_malus_curve,
     bench_pair,
+    four_velocity,
     malus_probability,
     monte_carlo_malus,
 )
@@ -92,6 +94,17 @@ def test_curve_is_classical_when_frame_is_at_rest():
     assert curve.shape == (25,)
     for p in curve.tolist():
         assert p == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("deltas", [[0.5, 0.7], [0.5, 0.7, 0.9]])
+def test_curve_rejects_a_pair_of_more_than_one_row(deltas):
+    # every delta would rotate about row 0's photon, and as many deltas as
+    # rows would pair off with them
+    one = bench_pair(0.3, 1.1)
+    other = PairStack([[1.0, 1.0, 0.0, 0.0]], four_velocity((0.1, 0.2, 0.3)))
+    two = PairStack(np.concatenate([one.k, other.k]), np.concatenate([one.u, other.u]))
+    with pytest.raises(ValueError, match=r"^expected a pair of one row, got 2 rows$"):
+        anomalous_malus_curve(two, 0.2, 1.3, deltas)
 
 
 def test_crossed_polariser_leakage_frozen_value():

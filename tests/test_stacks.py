@@ -19,12 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfwigner import (
-    BoostScenario,
     DomainError,
     IDENTITY,
     LorentzTransform,
     PairStack,
-    RotationScenario,
     StabilityError,
     alignment_angle,
     anomalous_malus_curve,
@@ -332,8 +330,9 @@ frame_speeds = st.floats(0.0, 1.0, exclude_max=True)
 chis = st.floats(0.0, math.pi)
 
 
-def _scenario_rows(cls, rows):
-    return cls(*(np.array(col) for col in zip(*rows)))
+def _stacked_call(f, rows):
+    # f of the rows at once: each argument the array of its column
+    return f(*(np.array(col) for col in zip(*rows)))
 
 
 def _assert_bits_equal(got, want):
@@ -352,16 +351,14 @@ def _one_row_calls(f, rows):
 @settings(max_examples=100, deadline=None)
 def test_stacked_boost_phase_equals_one_row_calls(rows):
     rows = rows + EDGE_BOOSTS
-    _assert_bits_equal(boost_phase(_scenario_rows(BoostScenario, rows)),
-                       _one_row_calls(lambda *row: boost_phase(BoostScenario(*row)), rows))
+    _assert_bits_equal(_stacked_call(boost_phase, rows), _one_row_calls(boost_phase, rows))
 
 
 @given(st.lists(st.tuples(st.floats(-20.0, 20.0), frame_speeds, chis), max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_stacked_rotation_phase_equals_one_row_calls(rows):
     rows = rows + EDGE_ROTATIONS
-    _assert_bits_equal(rotation_phase(_scenario_rows(RotationScenario, rows)),
-                       _one_row_calls(lambda *row: rotation_phase(RotationScenario(*row)), rows))
+    _assert_bits_equal(_stacked_call(rotation_phase, rows), _one_row_calls(rotation_phase, rows))
 
 
 @given(st.lists(st.tuples(st.floats(-20.0, 20.0), frame_speeds, chis), max_size=20))
@@ -369,9 +366,8 @@ def test_stacked_rotation_phase_equals_one_row_calls(rows):
 def test_stacked_rotation_shifts_equal_one_row_calls(rows):
     # with delta pi, and 3pi whose shift wraps
     rows = rows + EDGE_ROTATIONS + [(math.pi, 0.5, math.pi), (-3.0 * math.pi, 0.1, 1.0)]
-    s = _scenario_rows(RotationScenario, rows)
     for f in (rotation_phase_shift, rotation_shift_approx):
-        _assert_bits_equal(f(s), _one_row_calls(lambda *row: f(RotationScenario(*row)), rows))
+        _assert_bits_equal(_stacked_call(f, rows), _one_row_calls(f, rows))
 
 
 # the ends of (-pi, pi] and their neighbours, turns, signed zeros and a NaN
@@ -448,55 +444,51 @@ def test_malus_curve_longer_than_a_block_equals_one_row_calls():
 
 
 def test_stacked_scenario_shares_its_float_fields():
-    s = BoostScenario(np.array([0.1, -0.2]), 0.3, 1.0)
-    assert [x.tolist() for x in (s.v, s.theta_pf, s.chi)] == [[0.1, -0.2], [0.3, 0.3], [1.0, 1.0]]
-    # validated once, so frozen like the rows of a PairStack
-    for x in (s.v, s.theta_pf, s.chi):
-        with pytest.raises(ValueError):
-            x[0] = 5.0
-    assert boost_phase(s).tolist() == [boost_phase(BoostScenario(v, 0.3, 1.0))[0] for v in (0.1, -0.2)]
+    # a float is shared by every row
+    got = boost_phase(np.array([0.1, -0.2]), 0.3, 1.0)
+    _assert_bits_equal(got, boost_phase(np.array([0.1, -0.2]), np.array([0.3, 0.3]),
+                                        np.array([1.0, 1.0])))
+    assert got.tolist() == [boost_phase(v, 0.3, 1.0)[0] for v in (0.1, -0.2)]
     # floats alone are one row
-    for x in (boost_phase(BoostScenario(0.1, 0.3, 1.0)),
-              rotation_phase(RotationScenario(0.1, 0.3, 1.0))):
+    for x in (boost_phase(0.1, 0.3, 1.0), rotation_phase(0.1, 0.3, 1.0)):
         assert isinstance(x, np.ndarray) and x.shape == (1,)
     # 0-d arrays are one row
-    _assert_bits_equal(boost_phase(BoostScenario(np.array(0.1), 0.3, 1.0)),
-                       boost_phase(BoostScenario(0.1, 0.3, 1.0)))
-    _assert_bits_equal(rotation_phase(RotationScenario(np.array(0.1), np.array(0.3), 1.0)),
-                       rotation_phase(RotationScenario(0.1, 0.3, 1.0)))
+    _assert_bits_equal(boost_phase(np.array(0.1), 0.3, 1.0), boost_phase(0.1, 0.3, 1.0))
+    _assert_bits_equal(rotation_phase(np.array(0.1), np.array(0.3), 1.0),
+                       rotation_phase(0.1, 0.3, 1.0))
     with pytest.raises(DomainError, match=r"^row 0: v=1\.5 outside \(-1\.0, 1\.0\)$"):
-        BoostScenario(np.array(1.5), 0.3, 1.0)
+        boost_phase(np.array(1.5), 0.3, 1.0)
 
 
 anything = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([math.nan, math.inf, -math.inf, 1.0]))
 
 
-@given(st.sampled_from([BoostScenario, RotationScenario]),
+@given(st.sampled_from([boost_phase, rotation_phase, rotation_phase_shift, rotation_shift_approx]),
        st.lists(st.tuples(anything, anything, anything), min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_stacked_scenario_raises_as_its_first_failing_row(cls, rows):
+def test_stacked_scenario_raises_as_its_first_failing_row(f, rows):
     want = None
     for i, row in enumerate(rows):
         try:
-            cls(*row)
+            f(*row)
         except DomainError as exc:
             assert exc.row == 0
             want = f"row {i}: {exc.reason}"
             break
     if want is None:
-        _scenario_rows(cls, rows)
+        _stacked_call(f, rows)
     else:
         with pytest.raises(DomainError) as got:
-            _scenario_rows(cls, rows)
+            _stacked_call(f, rows)
         assert str(got.value) == want
 
 
 def test_stacked_scenario_with_a_bad_shared_field_names_the_first_row():
-    # every row fails theta_pf; row 0 fails v first, as its single scenario
+    # every row fails theta_pf; row 0 fails v first, as its one-row call
     with pytest.raises(DomainError, match=r"^row 0: v=1\.5 outside \(-1\.0, 1\.0\)$"):
-        BoostScenario(np.array([1.5, 0.2]), 1.0, 0.5)
+        boost_phase(np.array([1.5, 0.2]), 1.0, 0.5)
     with pytest.raises(DomainError, match=r"^row 1: delta=nan is not finite$"):
-        RotationScenario(np.array([0.1, math.nan]), 0.2, 0.5)
+        rotation_phase(np.array([0.1, math.nan]), 0.2, 0.5)
 
 
 def _alignment_by_rows(kin):
@@ -507,11 +499,11 @@ def _alignment_by_rows(kin):
         return 0.0
     u_perp = float(kin.u[0, 0]) * th * math.sin(chi)
     th_apex = u_perp / math.sqrt(1.0 + u_perp * u_perp)
-    h = -boost_phase(BoostScenario(th * math.cos(chi), th_apex, 0.5 * math.pi))[0]
+    h = -boost_phase(th * math.cos(chi), th_apex, 0.5 * math.pi)[0]
     if alpha >= 0.0:
-        phase = rotation_phase(RotationScenario(alpha, th, chi))[0]
+        phase = rotation_phase(alpha, th, chi)[0]
     else:
-        phase = rotation_phase(RotationScenario(alpha + math.tau, th, chi))[0] - math.tau
+        phase = rotation_phase(alpha + math.tau, th, chi)[0] - math.tau
     return h + (alpha - phase)
 
 
