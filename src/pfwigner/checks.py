@@ -18,11 +18,6 @@ from . import closed_form, induction, minkowski, polarisation
 from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, row_blocks,
                         rows_from, unit_rows, wrap_angle)
 
-# rows drawn at a time by `_draws`: a draw costs one generator call per
-# item whatever the block, so this sets only how many drawn Python
-# objects are alive at once, and is not tied to STACK_BLOCK
-DRAW_BLOCK = 256
-
 V_GRID = tuple(round(-0.99 + 0.03 * i, 10) for i in range(67))
 THETA_GRID = (0.0, 1e-3, 0.1, 0.5)
 CHI_GRID = tuple(i * math.pi / 6.0 for i in range(7))
@@ -39,47 +34,28 @@ class CheckResult:
     stabiliser: float = 0.0
 
 
-# each kind of item of a `_draws` spec: the generator calls it makes, in
-# order (None for a normal 3-vector, (lo, hi) for a uniform number),
-# and its columns from what they drew (the unit vector of each normal
-# draw as (n,3), each uniform draw as (n,1))
-_ITEMS = {
-    "direction": ((None,), lambda d: [d]),
-    "null": ((None, (0.2, 5.0)), lambda d, e: [e, e * d]),
-    "velocity": ((None, (0.0, 0.99)), lambda d, s: [d * s]),
-    "transform": ((None, (-math.pi, math.pi), None, (0.0, 0.99)),
-                  lambda axis, angle, d, s: [axis, angle, d * s]),
-}
-
-
 def _draws(rng, n: int, spec) -> np.ndarray:
-    """n rows of random inputs, each the columns of the items of `spec`
-    in turn: "direction" a unit 3-vector, "null" a null four-momentum of
-    energy in [0.2, 5), "velocity" a velocity of speed below 0.99,
-    "transform" the rotation axis and angle and the boost velocity of a
-    random transform (see `_random_transforms`), and (lo, hi) one uniform
-    number.
+    """n rows of random inputs, the columns of each item of `spec` in turn:
+    a unit "direction", a "null" momentum of energy in [0.2, 5), a "velocity"
+    of speed below 0.99, a "transform" (see `_random_transforms`), or for
+    (lo, hi) a number in [lo, hi). Each direction and number is one generator
+    call for all n rows, made in the order the items name them."""
+    def columns(item) -> list:
+        if item == "direction":
+            return [unit_rows(rng.standard_normal((n, 3)))]
+        if item == "null":
+            d, e = columns("direction") + columns((0.2, 5.0))
+            return [e, e * d]
+        if item == "velocity":
+            d, s = columns("direction") + columns((0.0, 0.99))
+            return [d * s]
+        if item == "transform":
+            return columns("direction") + columns((-math.pi, math.pi)) + columns("velocity")
+        if isinstance(item, str):
+            raise ValueError(f"unknown draw item {item!r}")
+        return [rng.uniform(*item, (n, 1))]
 
-    The generator is called row by row, item by item, as a loop over the
-    rows would call it; the unit vectors, products and columns are then
-    built on whole arrays. A direction is `rng.standard_normal(3)` and a
-    number `lo + (hi - lo) * rng.random()`, numpy's own formulas for
-    `rng.normal(size=3)` and `rng.uniform(lo, hi)`, so the values are
-    theirs, bit for bit, at a smaller cost per call.
-    """
-    items = [_ITEMS.get(item, ((item,), lambda x: [x])) for item in spec]
-    calls = [c if c is None else (c[0], c[1] - c[0]) for item_calls, _ in items for c in item_calls]
-    normal, random = rng.standard_normal, rng.random
-    k = len(calls)
-    blocks = []
-    for start in range(0, n, DRAW_BLOCK):
-        draws = [normal(3) if c is None else c[0] + c[1] * random()
-                 for _ in range(min(DRAW_BLOCK, n - start)) for c in calls]
-        blocks.append([np.array(draws[j::k]) for j in range(k)])
-    drawn = iter([unit_rows(x) if c is None else x[:, None]
-                  for x, c in zip(map(np.concatenate, zip(*blocks)), calls)])
-    return np.concatenate([column for item_calls, build in items
-                           for column in build(*(next(drawn) for _ in item_calls))], axis=1)
+    return np.concatenate([column for item in spec for column in columns(item)], axis=1)
 
 
 def _random_transforms(t: np.ndarray) -> LorentzTransform:
@@ -247,7 +223,6 @@ def malus_monte_carlo(seed: int, first_seed: int, n_settings: int, n_samples: in
                       tol: float) -> CheckResult:
     """Random (theta, Theta) settings whose frequency (setting i seeded
     first_seed + i) misses cos^2 by more than four standard errors."""
-    # each row draws theta, then Theta: the stream of alternating scalar draws
     theta, big = np.random.default_rng(seed).uniform(0.0, math.pi, size=(n_settings, 2)).T
     p = polarisation.malus_probability(theta, big)
     freq = polarisation.monte_carlo_malus(p, n_samples, seed=first_seed)

@@ -48,10 +48,10 @@ from pfwigner import (
     transform_pair,
     wrap_angle,
 )
-from pfwigner import checks, minkowski
+from pfwigner import checks, cli, minkowski
 from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID, _draws
 from pfwigner.induction import _pair_angles
-from pfwigner.minkowski import STACK_BLOCK, along_z
+from pfwigner.minkowski import STACK_BLOCK, _photon_tests, along_z
 
 Q = [1.0, 0.0, 0.0, 1.0]
 U_REST = [1.0, 0.0, 0.0, 0.0]
@@ -529,44 +529,116 @@ def test_alignment_edge_pairs_cover_both_branches():
     assert alignment_angle(EDGE_PAIRS[0])[0] == 0.0
 
 
-# the per-row draw helpers that `checks._draws` replaced
-def _random_direction(rng):
-    d = rng.normal(size=3)
-    return d / np.linalg.norm(d)
+# the spec of each check of `validate` that draws its inputs, in the order
+# of cli.CHECKS, and the columns of each item of a spec
+DRAW_SPECS = {
+    "composition_law_pair": ("null", "velocity", "transform", "transform"),
+    "composition_law_standard": ("null", "transform", "transform"),
+    "standard_anchors": ("null", (-0.99, 0.99), (-math.pi, math.pi)),
+    "reduction_zero_theta": ("null", "direction", (-math.pi, math.pi), (-0.99, 0.99)),
+}
+ITEM_WIDTHS = {"direction": 3, "null": 4, "velocity": 3, "transform": 7}
 
 
-def _random_null(rng):
-    d = _random_direction(rng)
-    e = rng.uniform(0.2, 5.0)
-    return np.concatenate(([e], e * d))
+def test_draw_specs_are_those_of_the_checks(monkeypatch):
+    specs, draws = [], checks._draws
+
+    def spy(rng, n, spec):
+        specs.append(spec)
+        return draws(rng, n, spec)
+
+    monkeypatch.setattr(checks, "_draws", spy)
+    checks.run_checks(cli.CHECKS)
+    assert specs == list(DRAW_SPECS.values())
 
 
-def _random_velocity(rng):
-    return _random_direction(rng) * rng.uniform(0.0, 0.99)
+def _assert_unit(rows):
+    assert (np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-15).all()
 
 
-def _random_transform(rng):
-    axis = _random_direction(rng)
-    return np.concatenate((axis, [rng.uniform(-math.pi, math.pi)], _random_velocity(rng)))
+def _assert_in(x, lo, hi):
+    assert ((lo <= x) & (x < hi)).all()
 
 
-DRAW_SPECS = [
-    (("null", "velocity", "transform", "transform"),
-     lambda r: (_random_null(r), _random_velocity(r), _random_transform(r), _random_transform(r))),
-    (("null", "transform", "transform"),
-     lambda r: (_random_null(r), _random_transform(r), _random_transform(r))),
-    (("null", (-0.99, 0.99), (-math.pi, math.pi)),
-     lambda r: (_random_null(r), [r.uniform(-0.99, 0.99)], [r.uniform(-math.pi, math.pi)])),
-    (("null", "direction", (-math.pi, math.pi), (-0.99, 0.99)),
-     lambda r: (_random_null(r), _random_direction(r), [r.uniform(-math.pi, math.pi)],
-                [r.uniform(-0.99, 0.99)])),
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("spec", DRAW_SPECS.values(),
+                         ids=["pair", "standard", "anchors", "reduction"])
+def test_draws_keep_their_promises(spec, n):
+    rows = _draws(np.random.default_rng(2024), n, spec)
+    widths = [ITEM_WIDTHS.get(item, 1) for item in spec]
+    assert rows.shape == (n, sum(widths))
+    for item, x in zip(spec, np.split(rows, np.cumsum(widths)[:-1], axis=1)):
+        if item == "direction":
+            _assert_unit(x)
+        elif item == "null":
+            _assert_in(x[:, 0], 0.2, 5.0)
+            _assert_unit(x[:, 1:] / x[:, :1])
+            assert all(ok.all() for ok, _ in _photon_tests(x))
+        elif item == "velocity":
+            _assert_in(np.linalg.norm(x, axis=1), 0.0, 0.99)
+        elif item == "transform":
+            _assert_unit(x[:, :3])
+            _assert_in(x[:, 3], -math.pi, math.pi)
+            _assert_in(np.linalg.norm(x[:, 4:], axis=1), 0.0, 0.99)
+        else:
+            _assert_in(x, *item)
+
+
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_draws_are_one_array_call_per_draw_in_spec_order(seed, n):
+    rng = np.random.default_rng(seed)
+    d = minkowski.unit_rows(rng.standard_normal((n, 3)))
+    e = rng.uniform(0.2, 5.0, (n, 1))
+    want = np.concatenate([e, e * d, rng.uniform(-1.0, 1.0, (n, 1))], axis=1)
+    drawn = np.random.default_rng(seed)
+    got = _draws(drawn, n, ("null", (-1.0, 1.0)))
+    assert got.shape == want.shape
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert drawn.bit_generator.state == rng.bit_generator.state
+
+
+# the rows of each draw item built by hand: one array call per direction or
+# number for all n rows, each direction scaled row by row
+def _random_direction(rng, n):
+    return np.array([d / np.linalg.norm(d) for d in rng.standard_normal((n, 3))])
+
+
+def _random_null(rng, n):
+    d = _random_direction(rng, n)
+    e = rng.uniform(0.2, 5.0, (n, 1))
+    return np.concatenate((e, e * d), axis=1)
+
+
+def _random_velocity(rng, n):
+    return _random_direction(rng, n) * rng.uniform(0.0, 0.99, (n, 1))
+
+
+def _random_transform(rng, n):
+    axis = _random_direction(rng, n)
+    return np.concatenate((axis, rng.uniform(-math.pi, math.pi, (n, 1)), _random_velocity(rng, n)),
+                          axis=1)
+
+
+PER_ROW_DRAWS = [
+    lambda r, n: (_random_null(r, n), _random_velocity(r, n), _random_transform(r, n),
+                  _random_transform(r, n)),
+    lambda r, n: (_random_null(r, n), _random_transform(r, n), _random_transform(r, n)),
+    lambda r, n: (_random_null(r, n), r.uniform(-0.99, 0.99, (n, 1)), r.uniform(-math.pi, math.pi, (n, 1))),
+    lambda r, n: (_random_null(r, n), _random_direction(r, n), r.uniform(-math.pi, math.pi, (n, 1)),
+                  r.uniform(-0.99, 0.99, (n, 1))),
 ]
 
 
 @pytest.mark.parametrize("seed", [2024, 2025, 7])
-@pytest.mark.parametrize("spec,draw_row", DRAW_SPECS, ids=["pair", "standard", "anchors", "reduction"])
-def test_draws_equal_the_per_row_helpers(seed, spec, draw_row):
-    rng = np.random.default_rng(seed)
-    want = np.array([np.concatenate(draw_row(rng)) for _ in range(300)])
+@pytest.mark.parametrize("spec,draw_rows", zip(DRAW_SPECS.values(), PER_ROW_DRAWS),
+                         ids=["pair", "standard", "anchors", "reduction"])
+def test_draws_equal_the_per_row_helpers(seed, spec, draw_rows):
+    want = np.concatenate(draw_rows(np.random.default_rng(seed), 300), axis=1)
     got = _draws(np.random.default_rng(seed), 300, spec)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_draws_refuse_an_unknown_item():
+    with pytest.raises(ValueError, match="unknown draw item 'nul'"):
+        _draws(np.random.default_rng(0), 3, ("null", "nul"))
