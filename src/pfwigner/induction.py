@@ -24,12 +24,17 @@ run the rows they are given at once; the caller blocks. `pf_wigner` and
 route's one block loop, `minkowski.STACK_BLOCK` rows at a time: the block
 bounds the working arrays and pays numpy's fixed cost per call once per
 block, so a stack of up to STACK_BLOCK rows is one block.
+
+The angle and the stabiliser test are computed at once. The reconstruction
+residual, a diagnostic, is computed on its first read, from the Wigner
+element of each block, which the angle holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -86,19 +91,26 @@ _Q_UNIT = np.array([1.0, 0.0, 0.0, 1.0])
 _U_REST = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerAngle:
     """Extracted little-group angle: arrays with one entry per row.
 
+    stabiliser: max deviation of the element on the vectors it must fix.
     residual: max deviation of the element from the exact form implied
     by the angle (a z-rotation for the pair construction, a null
-    translation times a z-rotation for the standard one).
-    stabiliser: max deviation of the element on the vectors it must fix.
+    translation times a z-rotation for the standard one). It is computed
+    on its first read and kept. The angle holds the Wigner element of
+    each block it was computed in, bound into the `_rebuilds` call that
+    gives that block's residual.
     """
 
     phi: np.ndarray
-    residual: np.ndarray
     stabiliser: np.ndarray
+    _rebuilds: tuple = field(repr=False)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        return np.concatenate([rebuild() for rebuild in self._rebuilds])
 
 
 def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -129,8 +141,9 @@ def _wigner(x, L: LorentzTransform, element, moved, from_elements) -> WignerAngl
         with rows_from(rows.start):
             e = element(xr) if e1 is None else e1
             parts.append(from_elements(xr, e, l, element(moved(xr, l))))
-    return WignerAngle(*(np.concatenate([getattr(w, f) for w in parts])
-                         for f in ("phi", "residual", "stabiliser")))
+    return WignerAngle(np.concatenate([w.phi for w in parts]),
+                       np.concatenate([w.stabiliser for w in parts]),
+                       sum((w._rebuilds for w in parts), ()))
 
 
 def _row(x, i: int):
@@ -268,10 +281,11 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
     in `pf_wigner`. The phase is the angle of the Wigner element
     W = S(Lp)^-1 L S(p) = eta s2^T eta L s1. This runs the stabiliser test
     and the angle extraction of `pf_wigner` on the rows it is given, at
-    once, and returns arrays of N; its StabilityError names the row of the
-    given stacks. The caller blocks: `_wigner` and the checks pass at most
-    STACK_BLOCK rows. A caller that needs several angles at the same pairs
-    builds each element once and passes it to each call.
+    once, and returns arrays of N (the residual is rebuilt from W when it
+    is read); its StabilityError names the row of the given stacks. The
+    caller blocks: `_wigner` and the checks pass at most STACK_BLOCK rows.
+    A caller that needs several angles at the same pairs builds each
+    element once and passes it to each call.
     """
     _stack_rows(len(pairs), len(s1), len(L), len(s2))
     w = METRIC @ np.swapaxes(s2, 1, 2) @ METRIC @ L.m @ s1
@@ -285,9 +299,17 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
                             f"frame gamma={_row(pairs.u, i)[0]:.10g}, {_gamma(L, i)})")],
                 error=StabilityError)
 
-    phi = math_rows(math.atan2, w[:, 2, 1], w[:, 1, 1])
-    residual = np.abs(w - _rotation_stack(Z_AXIS, phi)).max(axis=(1, 2))
-    return WignerAngle(phi, residual, stab)
+    return WignerAngle(_pf_angle(w), stab, (partial(_pf_residual, w),))
+
+
+def _pf_angle(w: np.ndarray) -> np.ndarray:
+    return math_rows(math.atan2, w[:, 2, 1], w[:, 1, 1])
+
+
+def _pf_residual(w: np.ndarray) -> np.ndarray:
+    """max |W - Rz(phi)| of each row: the pair element's departure from
+    the z-rotation of its angle."""
+    return np.abs(w - _rotation_stack(Z_AXIS, _pf_angle(w))).max(axis=(1, 2))
 
 
 def massless_standard_element(k: np.ndarray) -> np.ndarray:
@@ -357,9 +379,9 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
     k is an (N,4) array from `photon_momenta`, e1 the (1 or N, 4, 4) stack
     of `massless_standard_element(k)` and e2 that of the moved momenta
     `apply(L, k)`. Like `pf_wigner_from_elements`, this runs the
-    stabiliser test, the angle extraction and the reconstruction residual
-    on the rows it is given, at once, and returns arrays of N; the caller
-    blocks.
+    stabiliser test and the angle extraction on the rows it is given, at
+    once, and returns arrays of N, with the reconstruction residual
+    rebuilt from the element when it is read; the caller blocks.
     """
     _stack_rows(len(k), len(e1), len(L), len(e2))
     e = METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.m @ e1
@@ -370,14 +392,21 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
                             f"(k={format_row(_row(k, i))}, {_gamma(L, i)})")],
                 error=StabilityError)
 
-    eex = e @ _E_X
-    phi = math_rows(math.atan2, -minkowski_dot(eex, _E_Y), -minkowski_dot(eex, _E_X))
+    return WignerAngle(_standard_angle(e), stab, (partial(_standard_residual, e),))
 
-    # reconstruct T(alpha, beta) Rz(phi) and measure the leftover
+
+def _standard_angle(e: np.ndarray) -> np.ndarray:
+    eex = e @ _E_X
+    return math_rows(math.atan2, -minkowski_dot(eex, _E_Y), -minkowski_dot(eex, _E_X))
+
+
+def _standard_residual(e: np.ndarray) -> np.ndarray:
+    """max |E - T(alpha, beta) Rz(phi)| of each row: the pairless element's
+    departure from the null translation and z-rotation it is read as."""
+    phi = _standard_angle(e)
     t = e @ _rotation_stack(Z_AXIS, -phi)
     rebuilt = _euclidean_stack(t[:, 1, 0], t[:, 2, 0]) @ _rotation_stack(Z_AXIS, phi)
-    residual = np.abs(e - rebuilt).max(axis=(1, 2))
-    return WignerAngle(phi, residual, stab)
+    return np.abs(e - rebuilt).max(axis=(1, 2))
 
 
 def phase_difference(pairs: PairStack, L: LorentzTransform) -> np.ndarray:

@@ -65,8 +65,13 @@ def row_dot(a, b) -> np.ndarray:
 
 def math_rows(f, *xs) -> np.ndarray:
     """f(xs[0][i], xs[1][i], ...) for each i, by a `math` function f:
-    numpy's sin, cos, arcsin and arctan2 can differ from `math` in the last bit."""
-    return np.fromiter(map(f, *[x.tolist() for x in xs]), float, len(xs[0]))
+    numpy's sin, cos, arcsin and arctan2 can differ from `math` in the last bit.
+    When every input is a broadcast view of one value (stride 0), as a float
+    shared by every row is, f is called once and its value fills the rows."""
+    n = len(xs[0])
+    if n and all(x.strides == (0,) for x in xs):
+        return np.full(n, f(*[x[0].item() for x in xs]), dtype=float)
+    return np.fromiter(map(f, *[x.tolist() for x in xs]), float, n)
 
 
 def unit_rows(x) -> np.ndarray:

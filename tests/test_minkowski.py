@@ -23,7 +23,7 @@ from pfwigner import (
     rotation_z_to,
     wrap_angle,
 )
-from pfwigner.minkowski import _metric_error
+from pfwigner.minkowski import _metric_error, math_rows
 
 from helpers import random_direction, random_transform
 
@@ -104,6 +104,66 @@ def test_wrap_angle_of_an_infinity_raises_without_a_warning(angles):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             wrap_angle(np.array(angles))
+
+
+# --- math_rows of a value shared by every row -------------------------
+
+
+def _counted(f):
+    # f, and the list of the argument tuples it was called with
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return f(*args)
+    return spy, calls
+
+
+def _per_row(f, *xs):
+    # math_rows by the per-row path: contiguous copies have no zero stride
+    return math_rows(f, *[np.array(x) for x in xs])
+
+
+@pytest.mark.parametrize("f,args", [
+    (math.sin, lambda n: [np.broadcast_to(0.5 * math.pi, (n,))]),
+    (math.sin, lambda n: np.broadcast_arrays(np.array([1.0]), np.zeros(n))[:1]),
+    (math.atan2, lambda n: [np.broadcast_to(-0.0, (n,)), np.broadcast_to(-1.0, (n,))]),
+    (math.atan2, lambda n: np.broadcast_arrays(np.array([3.0]), np.array(-7.0), np.zeros(n))[:2]),
+], ids=["sin-broadcast_to", "sin-broadcast_arrays", "atan2-broadcast_to",
+        "atan2-broadcast_arrays"])
+def test_math_rows_of_a_shared_value_calls_f_once(f, args):
+    xs = args(5)
+    assert all(x.strides == (0,) for x in xs)
+    spy, calls = _counted(f)
+    got = math_rows(spy, *xs)
+    assert len(calls) == 1
+    want = _per_row(f, *xs)
+    assert got.shape == want.shape == (5,)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert got.flags.writeable and got.flags.owndata
+    assert not any(np.shares_memory(got, x) for x in xs)
+
+
+def test_math_rows_of_an_empty_broadcast_is_empty():
+    spy, calls = _counted(math.sin)
+    got = math_rows(spy, np.broadcast_to(1.0, (0,)))
+    assert got.shape == (0,) and got.dtype == float and calls == []
+
+
+def test_math_rows_of_a_shared_and_a_full_input_runs_each_row():
+    shared, full = np.broadcast_arrays(np.array(2.0), np.array([0.5, -1.0, 0.0, -0.0]))
+    spy, calls = _counted(math.atan2)
+    got = math_rows(spy, shared, full)
+    assert calls == [(2.0, 0.5), (2.0, -1.0), (2.0, 0.0), (2.0, -0.0)]
+    assert got.view(np.uint64).tolist() == _per_row(math.atan2, shared, full).view(
+        np.uint64).tolist()
+
+
+def test_math_rows_of_a_shared_value_outside_the_domain_raises_as_each_row():
+    with pytest.raises(ValueError, match=r"^math domain error$"):
+        _per_row(math.asin, np.broadcast_to(2.0, (3,)))
+    with pytest.raises(ValueError, match=r"^math domain error$"):
+        math_rows(math.asin, np.broadcast_to(2.0, (3,)))
 
 
 # --- the dot product ---------------------------------------------------

@@ -48,10 +48,11 @@ from pfwigner import (
     transform_pair,
     wrap_angle,
 )
-from pfwigner import checks, cli, minkowski
+from pfwigner import checks, cli, induction, minkowski
 from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID, _draws
-from pfwigner.induction import _pair_angles
-from pfwigner.minkowski import STACK_BLOCK, _photon_tests, along_z
+from pfwigner.induction import Z_AXIS, _euclidean_stack, _pair_angles
+from pfwigner.minkowski import (METRIC, STACK_BLOCK, _photon_tests, _rotation_stack, along_z,
+                                row_blocks)
 
 Q = [1.0, 0.0, 0.0, 1.0]
 U_REST = [1.0, 0.0, 0.0, 0.0]
@@ -264,7 +265,8 @@ def test_pair_composition_elements_built_once_equal_independent_calls(seed):
     with mock.patch.object(minkowski, "STACK_BLOCK", 7):
         got = checks.composition_law_pair(seed, 40, 1e-9)
     stab = max(float(w.stabiliser.max()) for w in (w1, w2, w12))
-    assert got == checks.CheckResult(checks._composition_defect(w1, w2, w12), 1e-9, stab)
+    assert got == checks.CheckResult(checks._composition_defect(w1.phi, w2.phi, w12.phi), 1e-9,
+                                     stab)
 
 
 @pytest.mark.parametrize("seed", [2025, 7])
@@ -282,7 +284,7 @@ def test_standard_composition_elements_built_once_equal_independent_calls(seed):
         k, e, l12, massless_standard_element(apply(l12, k))), w12)
     with mock.patch.object(minkowski, "STACK_BLOCK", 7):
         got = checks.composition_law_standard(seed, 40, 1e-9)
-    assert got == checks.CheckResult(checks._composition_defect(w1, w2, w12), 1e-9)
+    assert got == checks.CheckResult(checks._composition_defect(w1.phi, w2.phi, w12.phi), 1e-9)
 
 
 def test_stability_error_of_given_elements_names_the_row_of_the_stack():
@@ -314,6 +316,105 @@ def test_given_elements_reject_stacks_whose_rows_do_not_match(short):
         args[short] = args[short][:2]
         with pytest.raises(ValueError, match=rf"^stacks of {lengths} rows do not match$"):
             f(*args)
+
+
+# --- the reconstruction residual, rebuilt when it is read ----------------------
+
+def _longer_than_a_block(seed=11):
+    # STACK_BLOCK + 3 random pairs and transforms: two blocks
+    rows = _draws(np.random.default_rng(seed), STACK_BLOCK + 3, ("null", "velocity", "transform"))
+    pairs = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
+    return pairs, checks._random_transforms(rows[:, 7:])
+
+
+def _conjugated(e1, L, e2):
+    return METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.m @ e1
+
+
+def test_pf_residual_is_that_of_each_block_and_of_the_eager_formula():
+    pairs, L = _longer_than_a_block()
+    got = pf_wigner(pairs, L).residual
+    blocks, eager = [], []
+    for b in row_blocks(len(pairs)):
+        p, l = pairs[b], L[b]
+        s1, s2 = pf_standard_element(p).m, pf_standard_element(transform_pair(p, l)).m
+        blocks.append(pf_wigner_from_elements(p, s1, l, s2).residual)
+        # written out: max |W - Rz(phi)|
+        w = _conjugated(s1, l, s2)
+        phi = np.array([math.atan2(y, x) for y, x in zip(w[:, 2, 1], w[:, 1, 1])])
+        eager.append(np.abs(w - _rotation_stack(Z_AXIS, phi)).max(axis=(1, 2)))
+    assert got.shape == (STACK_BLOCK + 3,)
+    assert _bits(got).tolist() == _bits(np.concatenate(blocks)).tolist()
+    assert _bits(got).tolist() == _bits(np.concatenate(eager)).tolist()
+    assert 0.0 < got.max() < 1e-9
+
+
+def test_standard_residual_is_that_of_each_block_and_of_the_eager_formula():
+    pairs, L = _longer_than_a_block(12)
+    k = photon_momenta(pairs.k)
+    got = standard_wigner(k, L).residual
+    blocks, eager = [], []
+    for b in row_blocks(len(k)):
+        kb, l = k[b], L[b]
+        e1, e2 = massless_standard_element(kb), massless_standard_element(apply(l, kb))
+        blocks.append(standard_wigner_from_elements(kb, e1, l, e2).residual)
+        # written out: max |E - T(alpha, beta) Rz(phi)|
+        e = _conjugated(e1, l, e2)
+        e_x, e_y = np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
+        eex = e @ e_x
+        phi = np.array([math.atan2(y, x) for y, x in zip(-minkowski.minkowski_dot(eex, e_y),
+                                                         -minkowski.minkowski_dot(eex, e_x))])
+        t = e @ _rotation_stack(Z_AXIS, -phi)
+        rebuilt = _euclidean_stack(t[:, 1, 0], t[:, 2, 0]) @ _rotation_stack(Z_AXIS, phi)
+        eager.append(np.abs(e - rebuilt).max(axis=(1, 2)))
+    assert got.shape == (STACK_BLOCK + 3,)
+    assert _bits(got).tolist() == _bits(np.concatenate(blocks)).tolist()
+    assert _bits(got).tolist() == _bits(np.concatenate(eager)).tolist()
+    assert 0.0 < got.max() < 1e-9
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """The number of residual rebuilds, one per block, by route."""
+    counts = {"pf": 0, "standard": 0}
+    for route, name in (("pf", "_pf_residual"), ("standard", "_standard_residual")):
+        def spy(element, _route=route, _rebuild=getattr(induction, name)):
+            counts[_route] += 1
+            return _rebuild(element)
+        monkeypatch.setattr(induction, name, spy)
+    return counts
+
+
+def test_an_angle_rebuilds_its_residual_once_on_first_read(rebuilds):
+    pairs, L = _longer_than_a_block()
+    w = pf_wigner(pairs, L)
+    assert rebuilds == {"pf": 0, "standard": 0}
+    first = w.residual
+    assert rebuilds == {"pf": 2, "standard": 0}
+    assert w.residual is first and rebuilds["pf"] == 2
+
+
+@pytest.mark.parametrize("args,per_route", [
+    (None, 0),
+    (["boost-scan"], 0),
+    (["malus"], 0),
+    (["wigner", "--transform", "boost:x:0.5"], 1),
+], ids=["checks", "boost-scan", "malus", "wigner"])
+def test_only_wigner_reads_a_residual(rebuilds, args, per_route, tmp_path):
+    if args is None:
+        assert all(r.value <= r.tol for r in checks.run_checks(cli.CHECKS).values())
+    else:
+        assert cli.main(args + ["--output", str(tmp_path / "out")]) == 0
+    assert rebuilds == {"pf": per_route, "standard": per_route}
+
+
+def test_an_angle_is_compared_and_hashed_as_an_object():
+    pairs = bench_pair(np.array([0.1, 0.2]), 1.0)
+    L = boost_from_velocity(along_z([0.3, -0.4]))
+    w, again = pf_wigner(pairs, L), pf_wigner(pairs, L)
+    assert w == w and w != again and _bits(w.phi).tolist() == _bits(again.phi).tolist()
+    assert len({w, again, w}) == 2
+    assert repr(w) == f"WignerAngle(phi={w.phi!r}, stabiliser={w.stabiliser!r})"
 
 
 # --- closed forms, the alignment angle and the check draws ---------------------
