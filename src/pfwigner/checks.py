@@ -126,28 +126,20 @@ def _composition_defect(phi1, phi2, phi12) -> float:
 def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
     """Largest defect of phi(L2 L1) = phi(L1) + phi(L2), random (k, u, L1, L2).
 
-    A block of rows at a time, the elements of the pairs p, L1 p, L2 L1 p
-    and (L2 L1) p are each built once."""
+    The elements of the pairs p, L1 p, L2 L1 p and (L2 L1) p are each
+    built once."""
     rng = np.random.default_rng(seed)
     rows = _draws(rng, n_draws, ("null", "velocity", "transform", "transform"))
-    kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
-    l1, l2 = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
-    l12 = minkowski.compose(l2, l1)
-    defect = stab = 0.0
-    for block in row_blocks(n_draws):
-        p, a, b, ab = kin[block], l1[block], l2[block], l12[block]
-        with rows_from(block.start):
-            s = induction.pf_standard_element(p).m
-            p1 = induction.transform_pair(p, a)
-            s1 = induction.pf_standard_element(p1).m
-            phi1, stab1 = _phase(induction.pf_wigner_from_elements(p, s, a, s1))
-            phi2, stab2 = _phase(induction.pf_wigner_from_elements(p1, s1, b,
-                                                                   _moved_element(p1, b)))
-            phi12, stab12 = _phase(induction.pf_wigner_from_elements(p, s, ab,
-                                                                     _moved_element(p, ab)))
-        defect = max(defect, _composition_defect(phi1, phi2, phi12))
-        stab = max(stab, stab1, stab2, stab12)
-    return CheckResult(defect, tol, stab)
+    p = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
+    a, b = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
+    ab = minkowski.compose(b, a)
+    s = induction.pf_standard_element(p).m
+    p1 = induction.transform_pair(p, a)
+    s1 = induction.pf_standard_element(p1).m
+    phi1, stab1 = _phase(induction.pf_wigner_from_elements(p, s, a, s1))
+    phi2, stab2 = _phase(induction.pf_wigner_from_elements(p1, s1, b, _moved_element(p1, b)))
+    phi12, stab12 = _phase(induction.pf_wigner_from_elements(p, s, ab, _moved_element(p, ab)))
+    return CheckResult(_composition_defect(phi1, phi2, phi12), tol, max(stab1, stab2, stab12))
 
 
 def composition_law_standard(seed: int, n_draws: int, tol: float) -> CheckResult:
@@ -155,21 +147,16 @@ def composition_law_standard(seed: int, n_draws: int, tol: float) -> CheckResult
     elements of k and L1 k are each built once."""
     rng = np.random.default_rng(seed)
     rows = _draws(rng, n_draws, ("null", "transform", "transform"))
-    l1, l2 = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
-    l12 = minkowski.compose(l2, l1)
+    a, b = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
+    ab = minkowski.compose(b, a)
     k = induction.photon_momenta(rows[:, :4])
-    k1 = induction.photon_momenta(apply(l1, k))
+    k1 = induction.photon_momenta(apply(a, k))
     element = induction.massless_standard_element
-    defect = 0.0
-    for block in row_blocks(n_draws):
-        kb, k1b, a, b, ab = k[block], k1[block], l1[block], l2[block], l12[block]
-        with rows_from(block.start):
-            e, e1 = element(kb), element(k1b)
-            phi1 = induction.standard_wigner_from_elements(kb, e, a, e1).phi
-            phi2 = induction.standard_wigner_from_elements(k1b, e1, b, element(apply(b, k1b))).phi
-            phi12 = induction.standard_wigner_from_elements(kb, e, ab, element(apply(ab, kb))).phi
-        defect = max(defect, _composition_defect(phi1, phi2, phi12))
-    return CheckResult(defect, tol)
+    e, e1 = element(k), element(k1)
+    phi1 = induction.standard_wigner_from_elements(k, e, a, e1).phi
+    phi2 = induction.standard_wigner_from_elements(k1, e1, b, element(apply(b, k1))).phi
+    phi12 = induction.standard_wigner_from_elements(k, e, ab, element(apply(ab, k))).phi
+    return CheckResult(_composition_defect(phi1, phi2, phi12), tol)
 
 
 def stabiliser_residuals(earlier: Iterable[CheckResult], tol: float) -> CheckResult:

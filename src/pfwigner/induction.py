@@ -18,16 +18,18 @@ has one entry per row. A single pair or transform is a stack of one row.
 Each comes in two steps: build the standard elements, then conjugate
 and read the angle given them (`pf_wigner_from_elements`,
 `standard_wigner_from_elements`), so a caller that needs several angles
-at the same pairs builds each element once. The `*_from_elements` steps
-run the rows they are given at once; the caller blocks. `pf_wigner` and
-`standard_wigner` run the two steps through one driver, `_wigner`, the
-route's one block loop, `minkowski.STACK_BLOCK` rows at a time: the block
-bounds the working arrays and pays numpy's fixed cost per call once per
-block, so a stack of up to STACK_BLOCK rows is one block.
+at the same pairs builds each element once. Every function here runs
+the rows it is given at once, so its working arrays grow with the stack:
+at 16 384 random rows (3.0 MiB of inputs) the tracemalloc peak of
+`pf_wigner` is 14.2 MiB and that of `standard_wigner` 10.6 MiB. A caller
+that makes a long sweep cuts it into `minkowski.STACK_BLOCK` rows where
+it makes the rows (`row_blocks`, with `rows_from` so that an error names
+the row of the sweep), as `cli.cmd_boost_scan` and
+`polarisation.anomalous_malus_curve` do.
 
 The angle and the stabiliser test are computed at once. The reconstruction
 residual, a diagnostic, is computed on its first read, from the Wigner
-element of each block, which the angle holds.
+element, which the angle holds.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -56,9 +59,7 @@ from .minkowski import (
     math_rows,
     minkowski_dot,
     rotation_about,  # noqa: F401  unused here, bound for benchmarks/test_benchmark.py
-    row_blocks,
     row_dot,
-    rows_from,
     unit_rows,
     wrap_angle,
 )
@@ -99,18 +100,18 @@ class WignerAngle:
     residual: max deviation of the element from the exact form implied
     by the angle (a z-rotation for the pair construction, a null
     translation times a z-rotation for the standard one). It is computed
-    on its first read and kept. The angle holds the Wigner element of
-    each block it was computed in, bound into the `_rebuilds` call that
-    gives that block's residual.
+    on its first read and kept. The angle holds the Wigner element it
+    was computed from, bound into the `_rebuild` call that gives the
+    residual.
     """
 
     phi: np.ndarray
     stabiliser: np.ndarray
-    _rebuilds: tuple = field(repr=False)
+    _rebuild: Callable[[], np.ndarray] = field(repr=False)
 
     @cached_property
     def residual(self) -> np.ndarray:
-        return np.concatenate([rebuild() for rebuild in self._rebuilds])
+        return self._rebuild()
 
 
 def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -119,31 +120,12 @@ def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _stack_rows(*lengths: int) -> int:
-    n = max(lengths)
+    """The rows of stacks of these lengths, each 1 or N, as numpy broadcasts
+    them: a stack of one row is shared, also by a stack of none."""
+    n = max((m for m in lengths if m != 1), default=1)
     if any(m not in (1, n) for m in lengths):
         raise ValueError(f"stacks of {lengths} rows do not match")
     return n
-
-
-def _rows(x, rows: slice):
-    return x if len(x) == 1 else x[rows]
-
-
-def _wigner(x, L: LorentzTransform, element, moved, from_elements) -> WignerAngle:
-    """The angles of L at x, pairs or momenta, each of 1 or N rows, a block
-    of STACK_BLOCK rows at a time: from_elements(x, element(x), L,
-    element(moved(x, L))) of the rows of the block. The element of a
-    single x is built once."""
-    e1 = element(x) if len(x) == 1 else None
-    parts = []
-    for rows in row_blocks(_stack_rows(len(x), len(L))):
-        xr, l = _rows(x, rows), _rows(L, rows)
-        with rows_from(rows.start):
-            e = element(xr) if e1 is None else e1
-            parts.append(from_elements(xr, e, l, element(moved(xr, l))))
-    return WignerAngle(np.concatenate([w.phi for w in parts]),
-                       np.concatenate([w.stabiliser for w in parts]),
-                       sum((w._rebuilds for w in parts), ()))
 
 
 def _row(x, i: int):
@@ -265,11 +247,12 @@ def pf_wigner(pairs: PairStack, L: LorentzTransform) -> WignerAngle:
 
     pairs and L each have 1 or N rows, and row i is pair i (or the one
     pair) under transform i (or the one transform). The element of each
-    given pair is built once; the elements of a block of rows at a time
-    are passed to `pf_wigner_from_elements`.
+    given pair is built once, that of each moved pair too, and both go to
+    `pf_wigner_from_elements` with every row at once.
     """
-    return _wigner(pairs, L, lambda p: pf_standard_element(p).m, transform_pair,
-                   pf_wigner_from_elements)
+    _stack_rows(len(pairs), len(L))
+    return pf_wigner_from_elements(pairs, pf_standard_element(pairs).m, L,
+                                   pf_standard_element(transform_pair(pairs, L)).m)
 
 
 def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransform,
@@ -282,9 +265,8 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
     W = S(Lp)^-1 L S(p) = eta s2^T eta L s1. This runs the stabiliser test
     and the angle extraction of `pf_wigner` on the rows it is given, at
     once, and returns arrays of N (the residual is rebuilt from W when it
-    is read); its StabilityError names the row of the given stacks. The
-    caller blocks: `_wigner` and the checks pass at most STACK_BLOCK rows.
-    A caller that needs several angles at the same pairs builds each
+    is read); its StabilityError names the row of the given stacks. A
+    caller that needs several angles at the same pairs builds each
     element once and passes it to each call.
     """
     _stack_rows(len(pairs), len(s1), len(L), len(s2))
@@ -299,7 +281,7 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
                             f"frame gamma={_row(pairs.u, i)[0]:.10g}, {_gamma(L, i)})")],
                 error=StabilityError)
 
-    return WignerAngle(_pf_angle(w), stab, (partial(_pf_residual, w),))
+    return WignerAngle(_pf_angle(w), stab, partial(_pf_residual, w))
 
 
 def _pf_angle(w: np.ndarray) -> np.ndarray:
@@ -364,11 +346,13 @@ def standard_wigner(k, L: LorentzTransform) -> WignerAngle:
     cos phi = -eta(E e_x, e_x), sin phi = -eta(E e_x, e_y).
 
     k is an (N,4) array of momenta; rows pair up with the transforms as
-    in `pf_wigner`, and the elements of a block of rows at a time are
-    passed to `standard_wigner_from_elements`.
+    in `pf_wigner`, and the elements of k and of the moved momenta go to
+    `standard_wigner_from_elements` with every row at once.
     """
-    return _wigner(photon_momenta(k), L, massless_standard_element, lambda k, l: apply(l, k),
-                   standard_wigner_from_elements)
+    k = photon_momenta(k)
+    _stack_rows(len(k), len(L))
+    return standard_wigner_from_elements(k, massless_standard_element(k), L,
+                                         massless_standard_element(apply(L, k)))
 
 
 def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTransform,
@@ -381,7 +365,7 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
     `apply(L, k)`. Like `pf_wigner_from_elements`, this runs the
     stabiliser test and the angle extraction on the rows it is given, at
     once, and returns arrays of N, with the reconstruction residual
-    rebuilt from the element when it is read; the caller blocks.
+    rebuilt from the element when it is read.
     """
     _stack_rows(len(k), len(e1), len(L), len(e2))
     e = METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.m @ e1
@@ -392,7 +376,7 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
                             f"(k={format_row(_row(k, i))}, {_gamma(L, i)})")],
                 error=StabilityError)
 
-    return WignerAngle(_standard_angle(e), stab, (partial(_standard_residual, e),))
+    return WignerAngle(_standard_angle(e), stab, partial(_standard_residual, e))
 
 
 def _standard_angle(e: np.ndarray) -> np.ndarray:

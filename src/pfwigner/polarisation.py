@@ -48,8 +48,9 @@ def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) 
     cos^2(Theta0 + delta - theta - phi). With a zero frame velocity
     phi = delta exactly and the curve is the constant classical value.
     `pair` is a PairStack of one row; any other raises ValueError. The
-    rotations are built STACK_BLOCK deltas at a time, which bounds their
-    stack.
+    deltas go to `pf_wigner`, which runs the rows it is given at once,
+    STACK_BLOCK at a time: this loop bounds the working arrays of the
+    sweep.
     """
     if len(pair) != 1:
         raise ValueError(f"expected a pair of one row, got {len(pair)} rows")

@@ -38,6 +38,7 @@ from pfwigner import (
     pf_standard_element,
     pf_wigner,
     pf_wigner_from_elements,
+    phase_difference,
     photon_momenta,
     rotation_about,
     rotation_phase,
@@ -117,16 +118,14 @@ def _assert_rows_equal(stacked, singles):
         np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=field)
 
 
-# a block of 3 rows makes every stack of the examples span several blocks
 @given(st.lists(st.tuples(pairs(), transforms()), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_stacked_rows_equal_single_calls(rows):
     kins = [k for k, _ in rows] + SIGNED_ZERO_PAIRS
     ts = [t for _, t in rows] + [rows[0][1]] * 2
-    with mock.patch.object(minkowski, "STACK_BLOCK", 3):
-        many = pf_wigner(_joined(kins), _stack(ts))
-        one_pair = pf_wigner(kins[0], _stack(ts))
-        std = standard_wigner(_joined(kins).k, _stack(ts))
+    many = pf_wigner(_joined(kins), _stack(ts))
+    one_pair = pf_wigner(kins[0], _stack(ts))
+    std = standard_wigner(_joined(kins).k, _stack(ts))
     _assert_rows_equal(many, [pf_wigner(k, t) for k, t in zip(kins, ts)])
     _assert_rows_equal(one_pair, [pf_wigner(kins[0], t) for t in ts])
     _assert_rows_equal(std, [standard_wigner(k.k, t) for k, t in zip(kins, ts)])
@@ -154,8 +153,7 @@ def test_transform_stack_validates_each_row(ts, data):
     rows.insert(j, bad)
     with pytest.raises(ValueError, match=r"^row 0: ") as single:
         LorentzTransform(bad)
-    with mock.patch.object(minkowski, "STACK_BLOCK", 3), \
-            pytest.raises(ValueError, match=rf"^row {j}: ") as stacked:
+    with pytest.raises(ValueError, match=rf"^row {j}: ") as stacked:
         LorentzTransform(np.stack(rows))
     assert str(stacked.value) == f"row {j}: {single.value.reason}"
 
@@ -183,11 +181,10 @@ def test_pair_stack_names_the_failing_row():
 
 
 def test_stability_error_names_the_row_of_the_stack():
-    # the one hostile pair is in the second block of three rows
+    # the one hostile pair is row 4
     kins = bench_pair(np.array([0.1] * 4 + [0.999999999, 0.2]), np.array([1.0] * 4 + [0.5, 2.0]))
-    with mock.patch.object(minkowski, "STACK_BLOCK", 3), \
-            pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
-                                                 r"u=\(22360.68009, .*, transform gamma=1\)$"):
+    with pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
+                                              r"u=\(22360.68009, .*, transform gamma=1\)$"):
         pf_wigner(kins, LorentzTransform(np.tile(np.eye(4), (6, 1, 1))))
 
 
@@ -195,7 +192,7 @@ def test_gauge_domain_error_names_the_row_of_the_stack():
     # row 4 moves the frame to a speed that rounds to 1 in alignment_angle
     kin = bench_pair(0.9, 1.5)
     boosts = [IDENTITY] * 4 + [boost_from_velocity([0.9999999999999999, 0.0, 0.0]), IDENTITY]
-    with mock.patch.object(minkowski, "STACK_BLOCK", 3), pytest.raises(DomainError) as exc:
+    with pytest.raises(DomainError) as exc:
         pf_wigner(kin, LorentzTransform(np.concatenate([L.m for L in boosts])))
     assert isinstance(exc.value, minkowski.RowError)
     assert str(exc.value) == ("row 4: theta_pf=1.0 outside [0.0, 1.0) in the gauge of the pair "
@@ -216,6 +213,20 @@ def test_single_calls_name_row_0():
     with pytest.raises(minkowski.RowValueError,
                        match=r"^row 0: matrix does not preserve the metric \(err=.*\) \(gamma=2\)$"):
         LorentzTransform(2.0 * np.eye(4))
+
+
+def test_stacks_of_zero_rows_give_empty_results():
+    # a stack of no rows is a stack: every call on it returns no rows
+    none = np.empty((0, 4))
+    pairs, L = PairStack(none, none), LorentzTransform(np.empty((0, 4, 4)))
+    assert rotation_about([0.0, 0.0, 1.0], np.array([])).m.shape == (0, 4, 4)
+    assert rotation_about(np.empty((0, 3)), 0.3).m.shape == (0, 4, 4)
+    angles = [pf_wigner(pairs, L), standard_wigner(none, L),
+              # a pair of one row is shared by the no rows of a transform stack
+              pf_wigner(bench_pair(0.3, 1.0), rotation_about([0.0, 0.0, 1.0], np.array([])))]
+    for w in angles:
+        assert all(getattr(w, f).shape == (0,) for f in ("phi", "stabiliser", "residual"))
+    assert phase_difference(pairs, L).shape == (0,)
 
 
 # --- elements built once and passed to each angle ----------------------------
@@ -261,9 +272,8 @@ def test_pair_composition_elements_built_once_equal_independent_calls(seed):
         moved, s1, l2, pf_standard_element(transform_pair(moved, l2)).m), w2)
     _assert_angle_bits_equal(pf_wigner_from_elements(
         kin, s, l12, pf_standard_element(transform_pair(kin, l12)).m), w12)
-    # the check, in blocks of 7 rows, gives what the independent calls give
-    with mock.patch.object(minkowski, "STACK_BLOCK", 7):
-        got = checks.composition_law_pair(seed, 40, 1e-9)
+    # the check gives what the independent calls give
+    got = checks.composition_law_pair(seed, 40, 1e-9)
     stab = max(float(w.stabiliser.max()) for w in (w1, w2, w12))
     assert got == checks.CheckResult(checks._composition_defect(w1.phi, w2.phi, w12.phi), 1e-9,
                                      stab)
@@ -282,22 +292,19 @@ def test_standard_composition_elements_built_once_equal_independent_calls(seed):
         k1, e1, l2, massless_standard_element(apply(l2, k1))), w2)
     _assert_angle_bits_equal(standard_wigner_from_elements(
         k, e, l12, massless_standard_element(apply(l12, k))), w12)
-    with mock.patch.object(minkowski, "STACK_BLOCK", 7):
-        got = checks.composition_law_standard(seed, 40, 1e-9)
+    got = checks.composition_law_standard(seed, 40, 1e-9)
     assert got == checks.CheckResult(checks._composition_defect(w1.phi, w2.phi, w12.phi), 1e-9)
 
 
 def test_stability_error_of_given_elements_names_the_row_of_the_stack():
     # as test_stability_error_names_the_row_of_the_stack, through the
-    # elements-given path, which runs the six rows it is given at once
-    # whatever the block: the hostile pair is row 4 of the given stacks
+    # elements-given path: the hostile pair is row 4 of the given stacks
     pairs = bench_pair(np.array([0.1] * 4 + [0.999999999, 0.2]), np.array([1.0] * 4 + [0.5, 2.0]))
     L = LorentzTransform(np.tile(np.eye(4), (6, 1, 1)))
     s1 = pf_standard_element(pairs).m
     s2 = pf_standard_element(transform_pair(pairs, L)).m
-    with mock.patch.object(minkowski, "STACK_BLOCK", 3), \
-            pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
-                                                 r"u=\(22360.68009, .*, transform gamma=1\)$"):
+    with pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
+                                              r"u=\(22360.68009, .*, transform gamma=1\)$"):
         pf_wigner_from_elements(pairs, s1, L, s2)
 
 
@@ -375,7 +382,8 @@ def test_standard_residual_is_that_of_each_block_and_of_the_eager_formula():
 
 @pytest.fixture
 def rebuilds(monkeypatch):
-    """The number of residual rebuilds, one per block, by route."""
+    """The number of residual rebuilds, one per angle whose residual is
+    read, by route."""
     counts = {"pf": 0, "standard": 0}
     for route, name in (("pf", "_pf_residual"), ("standard", "_standard_residual")):
         def spy(element, _route=route, _rebuild=getattr(induction, name)):
@@ -390,8 +398,8 @@ def test_an_angle_rebuilds_its_residual_once_on_first_read(rebuilds):
     w = pf_wigner(pairs, L)
     assert rebuilds == {"pf": 0, "standard": 0}
     first = w.residual
-    assert rebuilds == {"pf": 2, "standard": 0}
-    assert w.residual is first and rebuilds["pf"] == 2
+    assert rebuilds == {"pf": 1, "standard": 0}
+    assert w.residual is first and rebuilds["pf"] == 1
 
 
 @pytest.mark.parametrize("args,per_route", [
