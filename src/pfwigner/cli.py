@@ -2,7 +2,11 @@
 Malus statistics, and the validation suite.
 
 Output is CSV (17 significant digits, LF endings) or JSON; identical
-config and seed give byte-identical files. Exit codes: 0 success,
+config and seed give byte-identical files. A CSV field is the text of
+"%.17g" % v, written for a whole block of values at once by
+`_format_17g`, which hands the values it cannot certify (nan, inf,
+magnitudes beyond 1e-200 and 1e200, near-ties) and arrays of fewer than
+`_ARRAY_MIN` values to "%" itself. Exit codes: 0 success,
 1 validation failure, 2 usage or config error or an output that cannot
 be written, 3 internal numerical error, 141 (128 + SIGPIPE) a standard
 output whose reader has gone.
@@ -153,6 +157,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """The points lo + i * step for i = 0..n, n being (hi - lo) / step
+    rounded to the nearest integer, half to even. A step for which it
+    rounds down ends the grid short of hi; one for which it rounds up
+    ends it past hi, which is an error unless by under 1e-9 of a step."""
     if hi < lo:
         raise ConfigError("empty grid: max < min")
     span = (hi - lo) / step
@@ -160,18 +168,232 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         raise ConfigError(f"grid exceeds {MAX_ROWS} rows; use a larger step")
     n = int(round(span))
     vals = [lo + i * step for i in range(n + 1)]
-    # a last point past max by rounding alone, under 1e-9 of a step, is kept
     if vals[-1] > hi + 1e-9 * step:
-        raise ConfigError(f"the grid ends at {vals[-1]!r}, past its max {hi!r}; "
-                          "use a step that divides max - min")
+        raise ConfigError(f"the grid ends at {vals[-1]!r}, past its max {hi!r}: "
+                          f"(max - min) / step = {span!r} rounds up to {n} "
+                          f"step{'s' if n != 1 else ''}; use a step that divides "
+                          "max - min or for which it rounds down")
     return vals
+
+
+# --- CSV fields -------------------------------------------------------
+#
+# `_format_17g` writes the text of "%.17g" % v of each value into a slot
+# of FIELD bytes padded with NULs, which the writer deletes. Each
+# character has a byte of its own in the slot, so it is written for
+# every value at once:
+#   byte 0        "-"
+#   bytes 1-5     "0." and the zeros before the first digit, for E in [-4, 0)
+#   bytes 6-38    the 17 digits at even bytes, each followed by the byte
+#                 of a point: byte 7 after the first digit, 7 + 2E after
+#                 digit E of a value printed without exponent
+#   bytes 40-44   "e", the sign of E and its two or three digits
+#   byte 47       left for the writer's separator
+# E is the decimal exponent of v after rounding to 17 digits; %g prints
+# v with an exponent when E < -4 or E >= 17, and drops trailing zeros
+# after the point, and the point itself when none are left.
+FIELD = 48
+# the 8-byte words of a slot, little-endian on every machine, so that
+# byte i of a word's text is byte i of the word
+_WORD = np.dtype("<u8")
+# 2**27 + 1, which splits a double into halves of 26 and 27 bits
+_SPLIT = 134217729.0
+
+# powers of ten 10**k for k in [-200, 216]: values 1e-200 < |v| < 1e200
+# have E in [-200, 200] and are scaled by 10**(16 - E), k in [-183, 216]
+_POW_MIN, _POW_MAX = -200, 216
+
+
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """For each k from _POW_MIN to _POW_MAX: the double nearest 10**k, its
+    two halves of 26 and 27 bits (Dekker's split), the double nearest
+    the remainder 10**k - nearest, and the least double >= 10**k; each
+    from exact integers, so each is correctly rounded."""
+    near, rem = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        nearest = num / den
+        n, d = nearest.as_integer_ratio()
+        near.append(nearest)
+        rem.append((num * d - n * den) / (den * d))
+    near, rem = np.array(near), np.array(rem)
+    c = near * _SPLIT
+    high = c - (c - near)
+    return near, high, near - high, rem, np.where(rem > 0.0, np.nextafter(near, np.inf), near)
+
+
+_POW, _POW_HIGH, _POW_LOW, _POW_REM, _POW_CEIL = _powers_of_ten()
+
+
+def _words(texts: list[bytes]) -> np.ndarray:
+    """Each text, at most 8 bytes, as an 8-byte word padded with NULs."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), _WORD)
+
+
+def _exponent_parts() -> tuple[np.ndarray, ...]:
+    """For each E from _POW_MIN to _POW_MAX: the first word of a slot (its
+    lead and a first digit of 0), the last word (the exponent), the byte
+    of the point, and the index of the last digit before the point."""
+    head, tail, point, whole = [], [], [], []
+    for e in range(_POW_MIN, _POW_MAX + 1):
+        lead, exp, dot, last = b"", b"", 7, 0
+        if e < -4 or e >= 17:
+            exp = b"e" + (b"+" if e >= 0 else b"-") + (b"%02d" % abs(e)).rjust(3, b"\0")
+        elif e < 0:
+            # the lead's own point, which rewriting leaves as it is
+            lead, dot = b"0." + b"0" * (-e - 1), 2
+        else:
+            dot, last = 7 + 2 * e, e
+        head.append(b"\0" + lead.ljust(5, b"\0") + b"0" + (b"." if dot == 7 else b""))
+        tail.append(exp)
+        point.append(dot)
+        whole.append(last)
+    return _words(head), _words(tail), np.array(point), np.array(whole)
+
+
+_HEAD, _TAIL, _POINT, _WHOLE = _exponent_parts()
+
+
+def _four_digits() -> tuple[np.ndarray, np.ndarray]:
+    """The words of the four digits of 0..9999 at even bytes, with and
+    without their trailing zeros."""
+    n = np.arange(10000, dtype=np.uint16)
+    digits, trimmed = np.zeros((2, 10000, 8), np.uint8)
+    for byte, place in zip(range(0, 8, 2), (1000, 100, 10, 1)):
+        digits[:, byte] = n // place % 10 + 48
+        # a digit is trailing when it and those after it are all zero
+        trimmed[:, byte] = digits[:, byte] * (n % (10 * place) != 0)
+    return digits.view(_WORD).ravel(), trimmed.view(_WORD).ravel()
+
+
+_DIGITS, _TRIMMED = _four_digits()
+
+# arrays of fewer values are formatted one by one by "%": below about 80
+# values that is faster than the array route, whose fixed cost is about
+# 40 us, and up to the 196 fields of the default malus the array route
+# saves under 60 us a run while its numpy calls raise malus's
+# peak_rss_mb by 0.25 MiB (measured with _ARRAY_MIN at 64)
+_ARRAY_MIN = 256
+
+
+def _format_17g(x, out: np.ndarray | None = None) -> np.ndarray:
+    """The slots of the text "%.17g" % v of each value v of the array x,
+    written into out, of shape x.shape + (FIELD,), or a new array.
+
+    For 1e-200 < |v| < 1e200, with E the decimal exponent of |v|, found
+    exactly from the table of powers of ten, t = |v| * 10**(16 - E) lies
+    in [1e16, 1e17). It is computed as p + e: p the double product of |v|
+    and the double nearest 10**(16 - E), e its rounding error (Dekker's
+    TwoProduct, exact) plus |v| times the remainder of that power, so
+    that p + e is within 1e-14 of t. Its 17 digits D = p + rint(e) are
+    those of %.17g unless t is within 1e-9 of a half, which falls back
+    to "%.17g" % v, as do 0 < |v| <= 1e-200, |v| >= 1e200, nan and inf,
+    and every value of an array of fewer than _ARRAY_MIN. Each step is
+    its own ufunc call, so no fused multiply-add enters.
+    """
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(x.shape + (FIELD,), np.uint8)
+    if x.size < _ARRAY_MIN:
+        out[...] = _percent_17g(x).reshape(out.shape)
+    else:
+        rest = np.nonzero(~_array_format_17g(x, out))
+        if len(rest[0]):
+            out[rest] = _percent_17g(x[rest])
+    return out
+
+
+def _percent_17g(x: np.ndarray) -> np.ndarray:
+    """The (n, FIELD) slots of "%.17g" % v of each value of x, by one %."""
+    text = b"%.17g " * x.size % tuple(x.ravel().tolist())
+    return np.array(text.split(), f"S{FIELD}").view(np.uint8).reshape(-1, FIELD)
+
+
+def _array_format_17g(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the slots of the values of x that the array route can
+    certify into out; return the mask of those values."""
+    a = np.abs(x)
+    zero = a == 0.0
+    ok = (a > 1e-200) & (a < 1e200)
+    a[~ok] = 1.0
+    # j indexes 10**E in the tables: log10 is within an ulp, so the floor
+    # of it less 1e-10 is E or E - 1, and the least double >= 10**(E + 1)
+    # decides
+    j = np.floor(np.log10(a) - 1e-10).astype(np.int64)
+    j -= _POW_MIN
+    j += a >= _POW_CEIL[j + 1]
+    k = (16 - 2 * _POW_MIN) - j
+    p = a * _POW[k]
+    # e = ((high * ten_high - p) + high * ten_low + low * ten_high)
+    #     + low * ten_low + a * remainder, a term at a time
+    high = a * _SPLIT
+    high -= high - a
+    low = a - high
+    ten_high, ten_low = _POW_HIGH[k], _POW_LOW[k]
+    e = high * ten_high
+    e -= p
+    e += high * ten_low
+    e += low * ten_high
+    e += low * ten_low
+    e += a * _POW_REM[k]
+    del a, high, low, ten_high, ten_low, k
+    whole = np.rint(e)
+    e -= whole
+    ok &= np.abs(e) < 0.5 - 1e-9
+    digits = p.astype(np.int64)
+    digits += whole.astype(np.int64)
+    del p, e, whole
+    # t rounded up to 1e17 is 1e16 at the next exponent
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    j += carry
+    ok |= zero
+    digits[zero] = 0
+    # a zero is the first digit alone: the head of E = 1 has no point
+    j[zero] = 1 - _POW_MIN
+    # the first digit, then words of four digits; a floor division and a
+    # product take less time than numpy's divmod
+    words = out.view(_WORD)
+    first = digits // 10 ** 16
+    words[..., 0] = (_HEAD[j] + (first.astype(_WORD) << np.uint64(48))
+                     + np.signbit(x) * np.uint64(ord("-")))
+    words[..., 5] = _TAIL[j]
+    digits -= first * 10 ** 16
+    upper = digits // 10 ** 8
+    digits -= upper * 10 ** 8
+    for word, part in ((1, upper), (3, digits)):
+        high = part // 10 ** 4
+        low = part - high * 10 ** 4
+        words[..., word] = _DIGITS[high]
+        words[..., word + 1] = (_DIGITS if word == 1 else _TRIMMED)[low]
+    words[zero, 1:4] = 0
+    # the values whose last four digits are all zero, or whose point
+    # follows digit E for E in [1, 16], are redone digit by digit
+    redo = np.nonzero(((low == 0) | (_WHOLE[j] > 0)) & ~zero)
+    if len(redo[0]):
+        slots = out[redo]
+        slots.view(_WORD)[:, 4] = _DIGITS[low[redo]]
+        slots[:, 7:40:2] = 0
+        digit = slots[:, 6:40:2]
+        last = 16 - np.argmax(digit[:, ::-1] != ord("0"), axis=1)
+        whole = _WHOLE[j[redo]]
+        np.maximum(last, whole, out=last)
+        digit *= np.arange(17) <= last[:, None]
+        dot = np.flatnonzero(last > whole)
+        slots[dot, _POINT[j[redo][dot]]] = ord(".")
+        out[redo] = slots
+    return ok
 
 
 # rows of a sweep formatted and written at a time: bounds the text the
 # writer holds, one block's, never that of the whole table; it is not
 # tied to STACK_BLOCK, so the writer's memory stays as it is when the
-# compute block changes
-EMIT_BLOCK = 4096
+# compute block changes. On the fine rotation-scan (29 791 rows, 6
+# fields of FIELD bytes each) the tracemalloc peak is 0.77 MB at 1024,
+# 1.47 MB at 2048 and 2.89 MB at 4096, against a bound of 3 MB in the
+# tests; wall_s (benchmarks/run.py) is 0.032-0.035 s at 1024, as each
+# block has a fixed cost, and 0.023-0.025 s at both 2048 and 4096
+EMIT_BLOCK = 2048
 
 
 def _drop_stdout() -> None:
@@ -240,22 +462,26 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
     blocks = _grid_blocks([len(axis) for axis in axes], EMIT_BLOCK)
     with _sink(cfg) as out:
         if cfg.format == "csv":
-            # each inner axis value of a block is formatted once, into the %
-            # format of the lines of one outer value, which blocks that take
-            # the same inner slices share; a block makes one string per
-            # outer value and fills its computed fields with one %
+            # a block's fields are the FIELD-byte slots of one buffer, row
+            # by row: each axis value of the block is formatted once and
+            # copied to the rows it belongs to, the computed fields are
+            # formatted at once, and the NULs of the slots are deleted
             out.write(",".join(columns) + "\n")
-            inner = None
             for block in blocks:
-                if block[1:] != inner:
-                    inner = block[1:]
-                    lines = [",".join(["%.17g"] * (len(columns) - len(axes))) + "\n"]
-                    for axis, part in reversed(list(zip(axes[1:], inner))):
-                        lines = [prefix + line for prefix in ["%.17g," % v for v in axis[part]]
-                                 for line in lines]
-                text = "".join([prefix + prefix.join(lines)
-                                for prefix in ["%.17g," % v for v in axes[0][block[0]]]])
-                out.write(text % tuple(values(block).ravel().tolist()))
+                parts = [axis[part] for axis, part in zip(axes, block)]
+                shape = [len(part) for part in parts]
+                text = bytearray(math.prod(shape) * len(columns) * FIELD)
+                slots = np.frombuffer(text, np.uint8).reshape(*shape, len(columns), FIELD)
+                for i, part in enumerate(parts):
+                    slots[..., i, :] = _format_17g(part).reshape(
+                        [-1 if d == i else 1 for d in range(len(parts))] + [FIELD])
+                _format_17g(values(block).reshape(*shape, -1), slots[..., len(axes):, :])
+                slots[..., -1] = ord(",")
+                slots[..., -1, -1] = ord("\n")
+                # without the view, the buffer is freed once translated
+                del slots
+                text = text.translate(None, b"\0")
+                out.write(text.decode())
         else:
             # the bytes of json.dumps(..., indent=2) of the whole document:
             # each block's rows are dumped alone and indented one level more

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfwigner import cli, closed_form
 
@@ -245,13 +247,25 @@ def test_csv_headers_and_line_endings(args, header):
     assert text.endswith("\n")
 
 
+# rotation-scan grids with negative deltas, deltas in exponent form and
+# zero fields (chi = 0): 96 fields, written one by one, and 8 016, written
+# by the array route
+ROTATION_EXPONENT_ARGS = ("rotation-scan", "--delta-min=-2e-5", "--delta-max", "3e-5",
+                          "--delta-step", "1e-5", "--chi-steps", 3, "--pf-speed", 0.1)
+ROTATION_EXPONENT_FINE_ARGS = ROTATION_EXPONENT_ARGS[:5] + ("1e-7",) + ROTATION_EXPONENT_ARGS[6:]
+
+
 def test_csv_values_carry_full_precision():
     # .17g formatting must round-trip: re-formatting the parsed float
-    # reproduces the token exactly
-    res = run_cli(*BOOST_ARGS)
-    for line in res.stdout.splitlines()[1:]:
-        for token in line.split(","):
-            assert format(float(token), ".17g") == token
+    # reproduces the token exactly, in every sweep, on both routes of the
+    # writer (the default boost-scan's 607 rows take the array route)
+    for args in (BOOST_ARGS, ("boost-scan",), MALUS_ARGS, ("malus", "--samples", 1000),
+                 ROTATION_EXPONENT_ARGS, ROTATION_EXPONENT_FINE_ARGS):
+        res = run_cli(*args)
+        assert res.returncode == 0, (args, res.stderr)
+        for line in res.stdout.splitlines()[1:]:
+            for token in line.split(","):
+                assert format(float(token), ".17g") == token, args
 
 
 def test_json_format_mirrors_csv():
@@ -320,6 +334,60 @@ def test_rotation_scan_writes_the_bytes_of_format_17g_of_every_field():
     fields = {field for line in want[1:] for field in line.split(",")[:2]}
     assert {"-2.0000000000000002e-05", "1.0000000000000003e-05", "0",
             "3.1415926535897931"} <= fields
+
+
+def _texts_17g(values) -> list[str]:
+    """The text of each value as `cli._format_17g` writes it, NULs deleted."""
+    slots = cli._format_17g(np.array(values, dtype=float))
+    return [slot.tobytes().replace(b"\0", b"").decode() for slot in slots]
+
+
+@given(st.one_of(st.lists(st.floats(), max_size=1),
+                 st.lists(st.floats(), min_size=cli._ARRAY_MIN, max_size=2 * cli._ARRAY_MIN)))
+@settings(max_examples=200, deadline=None)
+def test_format_17g_writes_format_17g_of_any_floats(values):
+    # nan, inf and subnormals included; arrays of 0 and 1 values take the
+    # per-value route, and of at least _ARRAY_MIN the array route
+    assert _texts_17g(values) == [format(v, ".17g") for v in values]
+
+
+def _power_of_ten_neighbours(k: int) -> list[float]:
+    p = 10.0 ** k
+    return [np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)]
+
+
+# each a value the array route must get right, or hand to `%`
+FORMAT_17G_TABLE = (
+    [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    + [v for k in range(-30, 31) for v in _power_of_ten_neighbours(k)]
+    # where %g switches between fixed and exponent form: 1e-5, 1e-4,
+    # 1e16 and 1e17, and the values that round to them
+    + [v for p in (1e-5, 1e-4, 1e16, 1e17) for v in
+       (p * 0.99999999999999994, p * 0.999999999999999994, p * (1 + 4e-16), p * 9.99)]
+    # integers in [2**53, 2**60], and 10**17 with its neighbours
+    + [float(2 ** b + d) for b in range(53, 61) for d in (-2, 0, 2, 8, 2 ** (b - 53) * 7)]
+    + [float(10 ** 17 + d) for d in (-32, -16, 16, 32)]
+    # the doubles nearest 10**k that lie below it by less than half a unit
+    # of the 17th digit: their 17 digits carry into the next power of ten
+    + [1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98, 1e129, 1e153]
+    # within 1e-16 of a half in the 18th digit, where the sum of the
+    # double-double product can round either way
+    + [1.2568395420297045e-10, 2.2422607587866907e-07, 2.460469286850939e-10,
+       4.8677287764934085e-09, 4.9102966142601843e-08, 5.016716208677124e-09]
+)
+
+
+def test_format_17g_writes_format_17g_of_a_fixed_table():
+    from fractions import Fraction
+
+    # the table takes the array route, both signs
+    values = FORMAT_17G_TABLE + [-v for v in FORMAT_17G_TABLE]
+    assert len(values) >= cli._ARRAY_MIN
+    assert _texts_17g(values) == [format(v, ".17g") for v in values]
+    # the carries are what they are listed as
+    for v in (1e-79, 1e-14, 1e98):
+        k = round(math.log10(v))
+        assert Fraction(v) < Fraction(10) ** k and format(v, ".17g") == f"{10.0 ** k:g}"
 
 
 def test_a_negative_value_in_exponent_form_may_be_a_separate_argument():
@@ -469,8 +537,31 @@ def test_grid_past_its_max_exits_2():
     res = run_cli("malus", "--delta-min", 0, "--delta-max", 0.9, "--delta-step", 1)
     assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr == ("error: the grid ends at 1.0, past its max 0.9; "
-                          "use a step that divides max - min\n")
+    assert res.stderr == ("error: the grid ends at 1.0, past its max 0.9: (max - min) / step "
+                          "= 0.9 rounds up to 1 step; use a step that divides max - min or "
+                          "for which it rounds down\n")
+
+
+@pytest.mark.parametrize("delta_max,delta_step,deltas", [
+    (1, 0.4, [0.0, 0.4, 0.8]),  # 2.5 steps round down, to even
+    (1.25, 0.5, [0.0, 0.5, 1.0]),  # 2.5 steps round down, to even
+    (1, 0.38, None),  # 2.63 steps round up, to 3, past 1
+    (1.75, 0.5, None),  # 3.5 steps round up, to even, past 1.75
+    (2 * math.pi, 13, [0.0]),  # 0.48 steps round down, to one delta
+])
+def test_grid_steps_are_max_minus_min_over_step_rounded(delta_max, delta_step, deltas):
+    # the grid takes (max - min) / step rounded to the nearest integer
+    # steps: a step that rounds down stops short of max, one that rounds
+    # up and ends past max exits 2
+    res = run_cli("rotation-scan", "--delta-max", delta_max, "--delta-step", delta_step,
+                  "--chi-steps", 1)
+    if deltas is None:
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "rounds up to" in res.stderr
+    else:
+        assert res.returncode == 0, res.stderr
+        assert sorted({float(line.split(",")[0]) for line in res.stdout.splitlines()[1:]}) == deltas
 
 
 def test_chi_grid_ends_at_pi():
