@@ -5,8 +5,9 @@ Output is CSV (17 significant digits, LF endings) or JSON; identical
 config and seed give byte-identical files. A CSV field is the text of
 "%.17g" % v, written for a whole block of values at once by
 `_format_17g`, which hands the values it cannot certify (nan, inf,
-magnitudes beyond 1e-200 and 1e200, near-ties) and arrays of fewer than
-`_ARRAY_MIN` values to "%" itself. Exit codes: 0 success,
+magnitudes beyond 1e-200 and 1e200, near-ties), those it does not lay
+out (10 <= |v| < 1e17, 17 digits ending in 0000) and arrays of fewer
+than `_ARRAY_MIN` values to "%" itself. Exit codes: 0 success,
 1 validation failure, 2 usage or config error or an output that cannot
 be written, 3 internal numerical error, 141 (128 + SIGPIPE) a standard
 output whose reader has gone.
@@ -156,20 +157,21 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """The points lo + i * step for i = 0..n, n being (hi - lo) / step
-    rounded to the nearest integer, half to even. A step for which it
-    rounds down ends the grid short of hi; one for which it rounds up
-    ends it past hi, which is an error unless by under 1e-9 of a step."""
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The array of the points lo + i * step for i = 0..n, n being
+    (hi - lo) / step rounded to the nearest integer, half to even. A step
+    for which it rounds down ends the grid short of hi; one for which it
+    rounds up ends it past hi, which is an error unless by under 1e-9 of
+    a step."""
     if hi < lo:
         raise ConfigError("empty grid: max < min")
     span = (hi - lo) / step
     if span > MAX_ROWS - 1:
         raise ConfigError(f"grid exceeds {MAX_ROWS} rows; use a larger step")
     n = int(round(span))
-    vals = [lo + i * step for i in range(n + 1)]
+    vals = lo + np.arange(n + 1) * step
     if vals[-1] > hi + 1e-9 * step:
-        raise ConfigError(f"the grid ends at {vals[-1]!r}, past its max {hi!r}: "
+        raise ConfigError(f"the grid ends at {vals[-1].item()!r}, past its max {hi!r}: "
                           f"(max - min) / step = {span!r} rounds up to {n} "
                           f"step{'s' if n != 1 else ''}; use a step that divides "
                           "max - min or for which it rounds down")
@@ -179,23 +181,24 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 # --- CSV fields -------------------------------------------------------
 #
 # `_format_17g` writes the text of "%.17g" % v of each value into a slot
-# of FIELD bytes padded with NULs, which the writer deletes. Each
-# character has a byte of its own in the slot, so it is written for
-# every value at once:
+# of FIELD bytes padded with NULs, which the writer deletes. Each part of
+# the text has bytes of its own in the slot, so it is written for every
+# value at once:
 #   byte 0        "-"
 #   bytes 1-5     "0." and the zeros before the first digit, for E in [-4, 0)
-#   bytes 6-38    the 17 digits at even bytes, each followed by the byte
-#                 of a point: byte 7 after the first digit, 7 + 2E after
-#                 digit E of a value printed without exponent
-#   bytes 40-44   "e", the sign of E and its two or three digits
-#   byte 47       left for the writer's separator
+#   byte 6        the first digit
+#   byte 7        the point after it, unless the lead holds the point
+#   bytes 8-23    the other 16 digits, as four 4-byte words of four digits
+#   bytes 24-28   "e", the sign of E and its two or three digits
+#   byte 31       left for the writer's separator
 # E is the decimal exponent of v after rounding to 17 digits; %g prints
 # v with an exponent when E < -4 or E >= 17, and drops trailing zeros
-# after the point, and the point itself when none are left.
-FIELD = 48
-# the 8-byte words of a slot, little-endian on every machine, so that
-# byte i of a word's text is byte i of the word
-_WORD = np.dtype("<u8")
+# after the point, and the point itself when none are left. The array
+# route writes a value only when its point follows the first digit or
+# lies in the lead (E <= 0 or E >= 17) and its last four digits are not
+# all zero, so that every trailing zero lies in the last word; "%"
+# writes the others.
+FIELD = 32
 # 2**27 + 1, which splits a double into halves of 26 and 27 bits
 _SPLIT = 134217729.0
 
@@ -225,45 +228,35 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
 _POW, _POW_HIGH, _POW_LOW, _POW_REM, _POW_CEIL = _powers_of_ten()
 
 
-def _words(texts: list[bytes]) -> np.ndarray:
-    """Each text, at most 8 bytes, as an 8-byte word padded with NULs."""
-    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), _WORD)
-
-
-def _exponent_parts() -> tuple[np.ndarray, ...]:
-    """For each E from _POW_MIN to _POW_MAX: the first word of a slot (its
-    lead and a first digit of 0), the last word (the exponent), the byte
-    of the point, and the index of the last digit before the point."""
-    head, tail, point, whole = [], [], [], []
+def _exponent_parts() -> tuple[np.ndarray, np.ndarray]:
+    """For each E from _POW_MIN to _POW_MAX: the 8-byte words, little-endian,
+    of bytes 0-7 of a slot (its lead, a first digit of 0 and the point)
+    and of bytes 24-31 (the exponent)."""
+    head, tail = [], []
     for e in range(_POW_MIN, _POW_MAX + 1):
-        lead, exp, dot, last = b"", b"", 7, 0
+        lead, exp = b"", b""
         if e < -4 or e >= 17:
-            exp = b"e" + (b"+" if e >= 0 else b"-") + (b"%02d" % abs(e)).rjust(3, b"\0")
+            exp = b"e" + (b"+" if e >= 0 else b"-") + b"%02d" % abs(e)
         elif e < 0:
-            # the lead's own point, which rewriting leaves as it is
-            lead, dot = b"0." + b"0" * (-e - 1), 2
-        else:
-            dot, last = 7 + 2 * e, e
-        head.append(b"\0" + lead.ljust(5, b"\0") + b"0" + (b"." if dot == 7 else b""))
-        tail.append(exp)
-        point.append(dot)
-        whole.append(last)
-    return _words(head), _words(tail), np.array(point), np.array(whole)
+            lead = b"0." + b"0" * (-e - 1)
+        head.append(b"\0" + lead.ljust(5, b"\0") + (b"0\0" if lead else b"0."))
+        tail.append(exp.ljust(8, b"\0"))
+    return np.frombuffer(b"".join(head), "<u8"), np.frombuffer(b"".join(tail), "<u8")
 
 
-_HEAD, _TAIL, _POINT, _WHOLE = _exponent_parts()
+_HEAD, _TAIL = _exponent_parts()
 
 
 def _four_digits() -> tuple[np.ndarray, np.ndarray]:
-    """The words of the four digits of 0..9999 at even bytes, with and
-    without their trailing zeros."""
+    """The 4-byte words, little-endian, of the four digits of 0..9999,
+    with and without their trailing zeros."""
     n = np.arange(10000, dtype=np.uint16)
-    digits, trimmed = np.zeros((2, 10000, 8), np.uint8)
-    for byte, place in zip(range(0, 8, 2), (1000, 100, 10, 1)):
+    digits, trimmed = np.zeros((2, 10000, 4), np.uint8)
+    for byte, place in enumerate((1000, 100, 10, 1)):
         digits[:, byte] = n // place % 10 + 48
         # a digit is trailing when it and those after it are all zero
         trimmed[:, byte] = digits[:, byte] * (n % (10 * place) != 0)
-    return digits.view(_WORD).ravel(), trimmed.view(_WORD).ravel()
+    return digits.view("<u4").ravel(), trimmed.view("<u4").ravel()
 
 
 _DIGITS, _TRIMMED = _four_digits()
@@ -286,10 +279,14 @@ def _format_17g(x, out: np.ndarray | None = None) -> np.ndarray:
     and the double nearest 10**(16 - E), e its rounding error (Dekker's
     TwoProduct, exact) plus |v| times the remainder of that power, so
     that p + e is within 1e-14 of t. Its 17 digits D = p + rint(e) are
-    those of %.17g unless t is within 1e-9 of a half, which falls back
-    to "%.17g" % v, as do 0 < |v| <= 1e-200, |v| >= 1e200, nan and inf,
-    and every value of an array of fewer than _ARRAY_MIN. Each step is
-    its own ufunc call, so no fused multiply-add enters.
+    those of %.17g unless t is within 1e-9 of a half. The array route
+    writes zeros and the values whose digits it certifies and whose text
+    the slot lays out (see FIELD); "%.17g" % v itself writes the rest:
+    near-ties, 10 <= |v| < 1e17 (a point after a later digit), digits
+    ending in 0000 (zeros to drop before the last four), 0 < |v| <=
+    1e-200, |v| >= 1e200, nan and inf, and every value of an array of
+    fewer than _ARRAY_MIN. Each step is its own ufunc call, so no fused
+    multiply-add enters.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
@@ -343,56 +340,40 @@ def _array_format_17g(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     digits = p.astype(np.int64)
     digits += whole.astype(np.int64)
     del p, e, whole
-    # t rounded up to 1e17 is 1e16 at the next exponent
-    carry = digits == 10 ** 17
-    digits[carry] = 10 ** 16
-    j += carry
-    ok |= zero
+    # for E in [1, 16] the point falls after digit E + 1; a t that rounds
+    # up to 1e17 is 1e16 at the next exponent, whose last four digits are
+    # zero, so "%" writes it and no carry is made here
+    ok &= (j <= -_POW_MIN) | (j >= 17 - _POW_MIN)
     digits[zero] = 0
-    # a zero is the first digit alone: the head of E = 1 has no point
-    j[zero] = 1 - _POW_MIN
-    # the first digit, then words of four digits; a floor division and a
-    # product take less time than numpy's divmod
-    words = out.view(_WORD)
-    first = digits // 10 ** 16
-    words[..., 0] = (_HEAD[j] + (first.astype(_WORD) << np.uint64(48))
+    # the words of four digits from the last, whose trailing zeros are
+    # dropped, to the first digit, which is left in rest; a floor division
+    # and a product take less time than numpy's divmod
+    rest = digits // 10 ** 4
+    last = digits - rest * 10 ** 4
+    quads = out.view("<u4")
+    quads[..., 5] = _TRIMMED[last]
+    for word in (4, 3, 2):
+        high = rest // 10 ** 4
+        quads[..., word] = _DIGITS[rest - high * 10 ** 4]
+        rest = high
+    words = out.view("<u8")
+    words[..., 0] = (_HEAD[j] + (rest.astype("<u8") << np.uint64(48))
                      + np.signbit(x) * np.uint64(ord("-")))
-    words[..., 5] = _TAIL[j]
-    digits -= first * 10 ** 16
-    upper = digits // 10 ** 8
-    digits -= upper * 10 ** 8
-    for word, part in ((1, upper), (3, digits)):
-        high = part // 10 ** 4
-        low = part - high * 10 ** 4
-        words[..., word] = _DIGITS[high]
-        words[..., word + 1] = (_DIGITS if word == 1 else _TRIMMED)[low]
-    words[zero, 1:4] = 0
-    # the values whose last four digits are all zero, or whose point
-    # follows digit E for E in [1, 16], are redone digit by digit
-    redo = np.nonzero(((low == 0) | (_WHOLE[j] > 0)) & ~zero)
-    if len(redo[0]):
-        slots = out[redo]
-        slots.view(_WORD)[:, 4] = _DIGITS[low[redo]]
-        slots[:, 7:40:2] = 0
-        digit = slots[:, 6:40:2]
-        last = 16 - np.argmax(digit[:, ::-1] != ord("0"), axis=1)
-        whole = _WHOLE[j[redo]]
-        np.maximum(last, whole, out=last)
-        digit *= np.arange(17) <= last[:, None]
-        dot = np.flatnonzero(last > whole)
-        slots[dot, _POINT[j[redo][dot]]] = ord(".")
-        out[redo] = slots
-    return ok
+    words[..., 3] = _TAIL[j]
+    # a zero is the first digit alone, with no point
+    out[zero, 7:24] = 0
+    return (ok & (last != 0)) | zero
 
 
 # rows of a sweep formatted and written at a time: bounds the text the
 # writer holds, one block's, never that of the whole table; it is not
 # tied to STACK_BLOCK, so the writer's memory stays as it is when the
 # compute block changes. On the fine rotation-scan (29 791 rows, 6
-# fields of FIELD bytes each) the tracemalloc peak is 0.77 MB at 1024,
-# 1.47 MB at 2048 and 2.89 MB at 4096, against a bound of 3 MB in the
-# tests; wall_s (benchmarks/run.py) is 0.032-0.035 s at 1024, as each
-# block has a fixed cost, and 0.023-0.025 s at both 2048 and 4096
+# fields of FIELD bytes each) the tracemalloc peak is 0.65 MB at 1024,
+# 1.25 MB at 2048 and 2.48 MB at 4096, against a bound of 3 MB in the
+# tests; wall_s (benchmarks/run.py) is 0.026-0.029 s at 1024, as each
+# block has a fixed cost, 0.022-0.023 s at 2048 and 0.020-0.021 s at
+# 4096, whose peak sits close to that bound
 EMIT_BLOCK = 2048
 
 
@@ -459,6 +440,7 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
     formatted and written before the next is asked for, so no row may fail
     once the first is written.
     """
+    axes = [np.asarray(axis, dtype=float) for axis in axes]
     blocks = _grid_blocks([len(axis) for axis in axes], EMIT_BLOCK)
     with _sink(cfg) as out:
         if cfg.format == "csv":
@@ -490,7 +472,7 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
             out.write(head)
             for i, block in enumerate(blocks):
                 rows = [[*point, *row] for point, row in
-                        zip(product(*(axis[part] for axis, part in zip(axes, block))),
+                        zip(product(*(axis[part].tolist() for axis, part in zip(axes, block))),
                             values(block).tolist())]
                 text = json.dumps(rows, indent=2)[1:-2].replace("\n", "\n  ")
                 out.write("," + text if i else text)
@@ -561,7 +543,7 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
         raise ConfigError(f"scan exceeds {MAX_ROWS} rows; use a larger delta-step "
                           "or fewer chi-steps")
     # i*pi/n can round one ulp above pi, as at n = 13
-    chis = [min(i * math.pi / cfg.chi_steps, math.pi) for i in range(cfg.chi_steps + 1)]
+    chis = np.minimum(np.arange(cfg.chi_steps + 1) * math.pi / cfg.chi_steps, math.pi)
     check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
           lambda block: rotation_rows(deltas[block[0]], cfg.pf_speed, chis[block[1]])[:, 2:])
@@ -596,7 +578,7 @@ def cmd_malus(cfg: RunConfig) -> int:
                           "use fewer samples or a larger delta-step")
     # finite angles can still sum to inf, whose cosine is undefined; the
     # curve's sum is monotone in delta, so the grid's ends bound every row's
-    ends = (0.0, deltas[0], deltas[-1])
+    ends = (0.0, deltas[0].item(), deltas[-1].item())
     if not all(math.isfinite(cfg.pol_angle + d - cfg.state_angle) for d in ends):
         raise ConfigError("pol-angle + delta - state-angle must be finite at delta = 0 "
                           "and over the delta grid")

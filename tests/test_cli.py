@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -378,8 +379,6 @@ FORMAT_17G_TABLE = (
 
 
 def test_format_17g_writes_format_17g_of_a_fixed_table():
-    from fractions import Fraction
-
     # the table takes the array route, both signs
     values = FORMAT_17G_TABLE + [-v for v in FORMAT_17G_TABLE]
     assert len(values) >= cli._ARRAY_MIN
@@ -388,6 +387,57 @@ def test_format_17g_writes_format_17g_of_a_fixed_table():
     for v in (1e-79, 1e-14, 1e98):
         k = round(math.log10(v))
         assert Fraction(v) < Fraction(10) ** k and format(v, ".17g") == f"{10.0 ** k:g}"
+
+
+def _routing_table() -> list[float]:
+    """Values of every class of the router, both signs: zeros, values the
+    array route writes, 10 <= |v| < 1e17, digits ending in 0000, nan,
+    inf, subnormals and |v| beyond 1e-200 and 1e200; none a near-tie."""
+    rng = np.random.default_rng(25)
+    mantissas = rng.uniform(1.0, 10.0, 40).tolist()
+    values = ([0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 1e-200,
+               np.nextafter(1e-200, 1.0), np.nextafter(1e200, 0.0), 1e200, 1.7976931348623157e308]
+              + [m * 10.0 ** e for m in mantissas[:10] for e in range(-8, 20)]
+              + [m * 10.0 ** e for m in mantissas[10:] for e in (-199, -120, -5, 17, 120, 199)]
+              # 17 digits ending in 0000, with the point after the first
+              # digit, in the lead or after a later digit
+              + [0.5, 1.25, 3.0, 0.0001, 0.000123, 6.25e-5, 7.5e20, 2.0 ** -40, 10.5, 1e16]
+              + [10.0, np.nextafter(10.0, 0.0), np.nextafter(1e17, 0.0), 1e17])
+
+    def near_tie(v: float) -> bool:
+        if not 1e-200 < abs(v) < 1e200:
+            return False
+        e = int(f"{v:.16e}".split("e")[1])
+        t = Fraction(abs(v)) * Fraction(10) ** (16 - e)
+        return abs(t - math.floor(t) - Fraction(1, 2)) < 1e-8
+
+    return [s * v for v in values if not near_tie(v) for s in (1.0, -1.0)]
+
+
+def _route_class(v: float) -> str:
+    """The class of v in the router of `cli._format_17g`, read from its text."""
+    if v == 0.0:
+        return "zero"
+    if not 1e-200 < abs(v) < 1e200:
+        return "special"
+    if 10.0 <= abs(v) < 1e17:
+        return "point after a later digit"
+    digits = f"{abs(v):.16e}".split("e")[0].replace(".", "")
+    return "trailing zeros" if digits.endswith("0000") else "array"
+
+
+def test_array_route_hands_exactly_its_listed_classes_to_percent():
+    values = _routing_table()
+    classes = [_route_class(v) for v in values]
+    assert len(values) >= cli._ARRAY_MIN
+    assert set(classes) == {"zero", "special", "point after a later digit", "trailing zeros",
+                            "array"}
+    x = np.array(values)
+    out = np.zeros(x.shape + (cli.FIELD,), np.uint8)
+    written = cli._array_format_17g(x, out).tolist()
+    assert written == [c in ("zero", "array") for c in classes]
+    assert [s.tobytes().replace(b"\0", b"").decode() for s in out[np.array(written)]] == [
+        format(v, ".17g") for v, w in zip(values, written) if w]
 
 
 def test_a_negative_value_in_exponent_form_may_be_a_separate_argument():
