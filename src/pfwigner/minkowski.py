@@ -402,7 +402,9 @@ def _rotation_stack(axes, delta) -> np.ndarray:
     return m
 
 
-# below this length of its x-y part, a unit vector is taken to be +z or -z
+# below this size of the larger of |n_x| and |n_y|, a unit vector is taken
+# to be +z or -z: the rotation there is the exact identity at +z and the
+# exact half turn about x-hat, diag(1, -1, -1), at -z
 _POLE = 1e-300
 
 
@@ -410,9 +412,12 @@ def rotation_z_to(n) -> LorentzTransform:
     """The stack of minimal rotations taking z-hat to each unit vector of
     an (N,3) array, or of one row for a unit vector n (3,).
 
-    For n != -z the axis is z x n; at n = +z the rotation is the exact
-    identity, and at n = -z the convention is a rotation by pi about
-    x-hat (tie-break, documented).
+    Built without an angle: with v = z x n = (-n_y, n_x, 0), the rotation
+    is R = I + [v]x + f [v]x^2, where f = 1/(1 + n_z) for n_z >= 0 and
+    f = (1 - n_z)/s^2, s = |(n_x, n_y)|, for n_z < 0, which stays well
+    conditioned up to -z. The last column of R is n. At n = +z the rotation
+    is the exact identity, and at n = -z the convention is the half turn
+    about x-hat, diag(1, -1, -1) (tie-break, documented).
     """
     return LorentzTransform(_rotation_z_to_stack(_checked_unit_rows(n, "n")))
 
@@ -420,19 +425,30 @@ def rotation_z_to(n) -> LorentzTransform:
 def _rotation_z_to_stack(rows: np.ndarray) -> np.ndarray:
     """The (N,4,4) array of `rotation_z_to` of an (N,3) array of unit
     vectors, unchecked in and out."""
-    c = rows[:, 2]
-    s = math_rows(math.hypot, rows[:, 0], rows[:, 1])
-    pole = s < _POLE
-    axis = np.zeros_like(rows)
-    axis[:, 0] = -rows[:, 1]
-    axis[:, 1] = rows[:, 0]
-    axis /= np.where(pole, 1.0, s)[:, None]
-    angle = math_rows(math.atan2, s, c)
+    x, y, c = rows.T
+    # the x-y block is I - g (p, q)(p, q)^T, with (p, q) = (x, y)/m and m the
+    # larger of |x| and |y|, so that no square of a tiny x or y underflows:
+    # g = m^2/(1 + c) in the north and (1 - c)/(p^2 + q^2) in the south,
+    # where p^2 + q^2 = 1 + r^2 lies in [1, 2]. A pole row (m < _POLE) is
+    # scaled by _POLE instead, which keeps it finite, and overwritten
+    ax, ay = np.abs(x), np.abs(y)
+    m = np.maximum(ax, ay)
+    scale = np.maximum(m, _POLE)
+    p, q, r = x / scale, y / scale, np.minimum(ax, ay) / scale
+    t = 1.0 + np.abs(c)  # 1 + c in the north, 1 - c in the south
+    g = np.where(c < 0.0, t / (1.0 + r * r), m * m / t)
+    gp = g * p
+    out = np.zeros((len(rows), 4, 4))
+    out[:, 0, 0] = 1.0
+    out[:, 1, 1] = 1.0 - gp * p
+    out[:, 1, 2] = out[:, 2, 1] = -(gp * q)
+    out[:, 2, 2] = 1.0 - g * q * q
+    out[:, 1:, 3] = rows
+    out[:, 3, 1:3] = -rows[:, :2]
+    pole = m < _POLE
     if pole.any():
-        # at +z the identity, at -z the half turn about x
-        axis[pole] = (1.0, 0.0, 0.0)
-        angle[pole] = np.where(c[pole] > 0.0, 0.0, math.pi)
-    return _rotation_stack(axis, angle)
+        out[pole, 1:, 1:] = np.where(c[pole, None, None] < 0.0, np.diag([1.0, -1.0, -1.0]), np.eye(3))
+    return out
 
 
 def apply(L: LorentzTransform, v) -> np.ndarray:

@@ -11,6 +11,7 @@ number of validations a call makes is pinned.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from pfwigner import (
     induction,
     inverse,
     massless_standard_element,
+    minkowski,
     pf_wigner,
     rotation_about,
     rotation_z_to,
@@ -38,6 +40,7 @@ from pfwigner import (
 )
 from pfwigner.induction import _euclidean_stack
 from pfwigner.minkowski import (
+    _POLE,
     _boost_stack,
     _matrix_tests,
     _rotation_stack,
@@ -114,6 +117,71 @@ def test_rotation_z_to_kernel_takes_z_to_its_direction(rows):
     m = _rotation_z_to_stack(n)
     assert_valid(m)
     np.testing.assert_allclose(m[:, 1:, 1:] @ Z_HAT, n, atol=1e-12)
+
+
+def _pole_table():
+    # directions at these distances from +z and -z, at five azimuths, then
+    # +z, -z and -z with a negative zero; at 1e-161 and below the square
+    # of an x-y component underflows
+    dist = np.array([1e-300, 1e-200, 1e-161, 1e-100, 1e-16, 1e-8])
+    azimuth = np.array([0.0, 0.7, 0.5 * math.pi, 2.5, -2.0])
+    d, phi = (a.reshape(-1) for a in np.meshgrid(dist, azimuth))
+    near = np.column_stack([d * np.cos(phi), d * np.sin(phi), np.sqrt(1.0 - d * d)])
+    south = near * [1.0, 1.0, -1.0]
+    return np.concatenate([near, south, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, -1.0]]])
+
+
+def test_rotation_z_to_kernel_near_the_poles():
+    n = _pole_table()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = _rotation_z_to_stack(n)
+    assert_valid(m)
+    r = m[:, 1:, 1:]
+    # R z = n, and R^T R = I
+    np.testing.assert_allclose(r @ Z_HAT, n, rtol=0.0, atol=1e-15)
+    assert np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max() <= 1e-15
+    # below _POLE the rotation is the exact identity at +z and the exact
+    # half turn about x at -z; the table reaches there only at 1e-300
+    pole = np.maximum(np.abs(n[:, 0]), np.abs(n[:, 1])) < _POLE
+    assert pole[-3:].all() and (np.abs(n[pole, 0]) < 1e-299).all()
+    want = np.where(n[pole, 2, None, None] > 0.0, np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert_same_bits(m[pole], want)
+    # elsewhere R fixes the unit axis of z x n, here normalised after
+    # scaling so that no square underflows
+    v = np.column_stack([-n[~pole, 1], n[~pole, 0], np.zeros((~pole).sum())])
+    v = unit_rows(v / np.abs(v).max(axis=1)[:, None])
+    np.testing.assert_allclose((r[~pole] @ v[:, :, None])[:, :, 0], v, rtol=0.0, atol=1e-15)
+
+
+@pytest.fixture
+def trig_calls(monkeypatch):
+    """The `math_rows` calls and the calls of math.atan2, math.hypot,
+    math.sin and math.cos since the fixture was set up, by name."""
+    calls = {}
+
+    def spy(name, f):
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args)
+        return counted
+
+    for name in ("atan2", "hypot", "sin", "cos"):
+        monkeypatch.setattr(math, name, spy(name, getattr(math, name)))
+    for module in (minkowski, induction):
+        monkeypatch.setattr(module, "math_rows", spy("math_rows", module.math_rows))
+    return calls
+
+
+def test_minimal_rotations_take_no_per_row_trigonometry(trig_calls):
+    rng = np.random.default_rng(44)
+    n = unit_rows(rng.normal(size=(1000, 3)))
+    _rotation_z_to_stack(n)
+    massless_standard_element(np.column_stack([np.ones(1000), n]))
+    assert trig_calls == {}
+    # the spies see the calls of a kernel that does take angles
+    _rotation_stack(n, np.ones(1000))
+    assert trig_calls == {"math_rows": 2, "sin": 1000, "cos": 1000}
 
 
 nulls = st.tuples(axes, st.floats(1e-3, 1e3)).map(lambda x: np.concatenate([[x[1]], x[1] * x[0]]))
