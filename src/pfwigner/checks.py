@@ -59,9 +59,10 @@ def _draws(rng, n: int, spec) -> np.ndarray:
 
 
 def _random_transforms(t: np.ndarray) -> LorentzTransform:
-    """The stack of transforms drawn as the "transform" columns t of `_draws`."""
-    return minkowski.compose(minkowski.boost_from_velocity(t[:, 4:]),
-                             minkowski.rotation_about(t[:, :3], t[:, 3]))
+    """The stack of transforms drawn as the "transform" columns t of `_draws`:
+    boost . rotation, the factors from the kernels and the product validated."""
+    return LorentzTransform(minkowski._boost_stack(four_velocity(t[:, 4:]))
+                            @ minkowski._rotation_stack(t[:, :3], t[:, 3]))
 
 
 def _phase(w: induction.WignerAngle) -> tuple[np.ndarray, float]:
@@ -184,9 +185,9 @@ def reduction_zero_theta(seed: int, n_draws: int, tol: float) -> CheckResult:
     rows = _draws(rng, n_draws, ("null", "direction", (-math.pi, math.pi), (-0.99, 0.99)))
     k, axes, angles, v = rows[:, :4], rows[:, 4:7], rows[:, 7], rows[:, 8]
     kh = unit_rows(k[:, 1:])
-    rot = minkowski.rotation_about(axes, angles)
-    kboost = minkowski.boost_from_velocity(kh * v[:, None])
-    choices = np.stack([rot.m, kboost.m, minkowski.compose(rot, kboost).m])
+    rot = minkowski._rotation_stack(axes, angles)
+    kboost = minkowski._boost_stack(four_velocity(kh * v[:, None]))
+    choices = np.stack([rot, kboost, rot @ kboost])
     L = LorentzTransform(choices[np.arange(len(k)) % 3, np.arange(len(k))])
     rest = np.tile([1.0, 0.0, 0.0, 0.0], (len(k), 1))
     diff = induction.phase_difference(PairStack(k, rest), L)

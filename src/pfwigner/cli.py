@@ -614,7 +614,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     report = []
     for name, result in checks.run_checks(CHECKS).items():
         tol = result.tol * cfg.tol_scale
-        report.append({"name": name, "value": result.value, "tol": tol,
+        # value / tol as IEEE division, silently: a tolerance that a small
+        # --tol-scale takes to 0 gives inf, or nan for a value of 0
+        with np.errstate(all="ignore"):
+            margin = float(np.float64(result.value) / tol)
+        report.append({"name": name, "value": result.value, "tol": tol, "margin": margin,
                        "passed": result.value <= tol})
     passed = sum(r["passed"] for r in report)
     if cfg.format == "json":

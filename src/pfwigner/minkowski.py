@@ -181,20 +181,50 @@ def _metric_error(b: np.ndarray) -> np.ndarray:
     return np.abs(b.transpose(0, 2, 1) @ (b * _METRIC_ROWS) - METRIC).max(axis=(1, 2))
 
 
+def _proper(b: np.ndarray) -> np.ndarray:
+    """Whether each matrix of an (N,4,4) stack that preserves the metric
+    has determinant +1, without an LU factorisation.
+
+    In the polar form m = B R, B a pure boost and R = diag(+-1, Q) with Q
+    orthogonal, det m = sign(m00) det Q, and Q = S - sign(m00) v t^T /
+    (1 + |m00|), with S = m[1:, 1:], v = m[1:, 0] and t = m[0, 1:]. The
+    entries of Q are O(1) while those of m grow like gamma, so the sign of
+    det Q, by 3x3 cofactors, stays right where |det m - 1| against a
+    tolerance in gamma^2 tests nothing; written so that NaN fails it.
+    """
+    m00 = b[:, 0, 0]
+    c = np.sign(m00) / (1.0 + np.abs(m00))
+    q = b[:, 1:, 1:] - (c[:, None] * b[:, 1:, 0])[:, :, None] * b[:, 0, None, 1:]
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q.transpose(1, 2, 0)
+    det = (q00 * (q11 * q22 - q12 * q21) - q01 * (q10 * q22 - q12 * q20)
+           + q02 * (q10 * q21 - q11 * q20))
+    return m00 * det > 0.0
+
+
+# the largest entry of a matrix that `LorentzTransform` validates. Rounding
+# moves the entries of Q in `_proper` by about gamma * 1e-16. Over 400
+# draws each of rotation.boost.rotation, boost.boost and
+# boost.rotation.boost and their parity flips (seed 5), the sign of det Q
+# was right on all 2 400 up to gamma 3e15 and wrong on 15 at 4e15; the
+# bound keeps the error near 1e-3, 300 times below that. Its square also
+# keeps the tolerances finite.
+MAX_ENTRY = 1e13
+
+
 def _matrix_tests(b: np.ndarray) -> list:
-    # an inf entry, or one whose square overflows, would make the
-    # tolerances inf, so those are caught first; each test is written
-    # `x <= tol` so that NaN fails it
+    # an inf entry, or one above MAX_ENTRY, is caught before the tests
+    # that it would defeat; each test is written `x <= tol` so that NaN
+    # fails it
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.abs(b).max(axis=(1, 2))
         tol = CONSTRUCTION_TOL * np.maximum(1.0, peak * peak)
         err = _metric_error(b)
-        det = np.linalg.det(b)
+        proper = _proper(b)
     return [
         (np.isfinite(peak), lambda i: "matrix has non-finite entries"),
-        (np.isfinite(tol), lambda i: "matrix entries are too large to validate"),
+        (peak <= MAX_ENTRY, lambda i: "matrix entries are too large to validate"),
         (err <= tol, lambda i: f"matrix does not preserve the metric (err={err[i]:.3e})"),
-        (np.abs(det - 1.0) <= tol, lambda i: "matrix is not proper (det != +1)"),
+        (proper, lambda i: "matrix is not proper (det != +1)"),
         (b[:, 0, 0] >= 1.0 - CONSTRUCTION_TOL,
          lambda i: "matrix is not orthochronous (m[0][0] < 1)"),
     ]
@@ -207,10 +237,12 @@ class LorentzTransform:
 
     Metric preservation is checked with a scale-aware tolerance
     (1e-12 for unit-scale entries, relaxed quadratically for large
-    boosts, whose entries grow like gamma). Each matrix gets the tests
-    and its own scale, every row at once, and the error names the first
-    failing row and its gamma, m[0][0]. The test arrays grow with the
-    stack: validating 16 384 random rows peaks at 6.3 MiB of tracemalloc.
+    boosts, whose entries grow like gamma), the determinant's sign by
+    `_proper`, and entries above MAX_ENTRY are refused. Each matrix gets
+    the tests and its own scale, every row at once, and the error names
+    the first failing row and its gamma, m[0][0]. The test arrays grow
+    with the stack: validating 16 384 random rows peaks at 6.3 MiB of
+    tracemalloc, most of it the metric test's.
     """
 
     m: np.ndarray

@@ -562,6 +562,9 @@ def test_missing_config_file_exits_2(tmp_path):
         ("malus", "--pol-angle", 1.7e308, "--delta-min", 1e308, "--delta-max", 1e308),
         ("malus", "--state-angle", -1e308, "--pol-angle", 1e308, "--delta-min", -1e308,
          "--delta-max", -1e308),
+        # two boosts of gamma 6.7e7 compose to gamma 9e15, above
+        # minkowski.MAX_ENTRY
+        ("wigner", *["--transform", "boost:x:0.9999999999999999"] * 2),
     ],
 )
 def test_invalid_values_exit_2(args):
@@ -790,8 +793,9 @@ def test_validate_writes_text_and_json_to_output(tmp_path):
     assert len(report) == len(lines) - 1 == 10
     assert lines[-1] == "10/10 checks passed"
     for check, line in zip(report, lines):
-        assert set(check) == {"name", "value", "tol", "passed"}
+        assert set(check) == {"name", "value", "tol", "margin", "passed"}
         assert check["passed"] is True
+        assert check["margin"] == check["value"] / check["tol"] <= 1.0
         assert line == (f"PASS {check['name']:32s} value={check['value']:.3e} "
                         f"tol={check['tol']:.3e}")
 

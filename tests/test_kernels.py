@@ -3,11 +3,14 @@
 Each transform builder runs its input tests, calls a kernel that returns
 the raw (N,4,4) array and validates the result. Inside `induction` the
 factors of a standard element and the matrices rebuilt only to measure a
-residual come from the kernels directly, so no construction-time check
-sees them. The tests here take that check over: every kernel's output
-passes `minkowski._matrix_tests` and its defining property over the
-input envelope, each kernel equals its builder bit for bit, and the
-number of validations a call makes is pinned.
+residual come from the kernels directly, and so do the factors that
+`checks` multiplies into the transforms it validates, so no
+construction-time check sees them. The tests here take that check over:
+every kernel's output passes `minkowski._matrix_tests` and its defining
+property over the input envelope, the output of every public builder
+passes it too and its proper test agrees with the sign of
+`np.linalg.det` up to gamma 1e6, each kernel equals its builder bit for
+bit, and the number of validations a call makes is pinned.
 """
 
 import math
@@ -43,6 +46,7 @@ from pfwigner.minkowski import (
     _POLE,
     _boost_stack,
     _matrix_tests,
+    _proper,
     _rotation_stack,
     _rotation_z_to_stack,
     unit_rows,
@@ -209,6 +213,35 @@ def test_euclidean_kernel_fixes_the_reference_momentum(rows):
     assert (np.abs(m @ Q - Q) <= 1e-12 * scale[:, None]).all()
 
 
+PARITY = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def assert_proper_as_det(m):
+    # the proper test of m and of its parity flip against the sign of a
+    # determinant by LU factorisation, which is reliable at these gammas
+    for x in (m, PARITY @ m):
+        assert _proper(x).tolist() == (np.linalg.det(x) > 0.0).tolist()
+
+
+@given(st.lists(st.tuples(axes, st.floats(1.0, 1e6), angles, directions), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_public_builders_give_valid_matrices_whose_proper_test_is_the_det_sign(rows):
+    # four-velocities and velocities from rest (gamma 1) up to gamma 1e6
+    d = np.array([row[0] for row in rows])
+    g = np.array([row[1] for row in rows])
+    delta = np.array([row[2] for row in rows])
+    n = np.array([row[3] for row in rows])
+    u = np.column_stack([g, np.sqrt(g * g - 1.0)[:, None] * d])
+    boosts = boost_to(u)
+    rotation = rotation_about(d[::-1], delta)
+    built = [boosts, boost_from_velocity(np.sqrt(1.0 - 1.0 / (g * g))[:, None] * d), rotation,
+             rotation_z_to(n), compose(boosts, rotation), compose(rotation, boosts),
+             inverse(compose(boosts, rotation))]
+    for L in built:
+        assert_valid(L.m)
+        assert_proper_as_det(L.m)
+
+
 # --- each kernel is its builder, bit for bit ---------------------------
 
 
@@ -283,13 +316,15 @@ def test_rotation_kernel_of_one_shared_axis_equals_the_axis_repeated(axis):
 
 @pytest.fixture
 def validations(monkeypatch):
-    """The number of LorentzTransform validations since the fixture was set up."""
-    count = [0]
+    """The number of LorentzTransform validations since the fixture was set
+    up, and the number of rows they validated."""
+    count = [0, 0]
     validate = LorentzTransform.__post_init__
 
     def counted(self):
         count[0] += 1
         validate(self)
+        count[1] += len(self.m)
 
     monkeypatch.setattr(LorentzTransform, "__post_init__", counted)
     return count
@@ -313,10 +348,13 @@ def test_one_standard_wigner_validates_no_matrix(validations):
     assert validations[0] == 0
 
 
-def test_validate_makes_34_validations(validations):
+def test_validate_makes_23_validations_of_15062_rows(validations):
+    # the random transforms of the composition laws and of the reduction
+    # check are validated as the products that enter the Wigner routes,
+    # not factor by factor
     results = checks.run_checks(cli.CHECKS)
     assert all(r.value <= r.tol for r in results.values())
-    assert validations[0] == 34
+    assert validations == [23, 15062]
 
 
 def test_default_boost_scan_runs_as_one_block(validations, monkeypatch, tmp_path):

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from pfwigner import (
     rotation_z_to,
     wrap_angle,
 )
-from pfwigner.minkowski import _metric_error, math_rows
+from pfwigner import minkowski
+from pfwigner.minkowski import MAX_ENTRY, _matrix_tests, _metric_error, math_rows, unit_rows
 
 from helpers import random_direction, random_transform
 
@@ -219,6 +222,99 @@ def test_rejects_improper():
 def test_rejects_non_orthochronous():
     with pytest.raises(ValueError, match="orthochronous"):
         LorentzTransform(np.diag([-1.0, -1.0, 1.0, 1.0]))
+
+
+# the parity flips of a pure boost: P and T are improper, PT is proper
+# but not orthochronous. Their metric error is that of the boost, so the
+# proper test alone tells P and T apart from the boost at any gamma
+FLIPS = {
+    "P": (np.diag([1.0, -1.0, -1.0, -1.0]), "matrix is not proper (det != +1)"),
+    "T": (np.diag([-1.0, 1.0, 1.0, 1.0]), "matrix is not proper (det != +1)"),
+    "PT": (-np.eye(4), "matrix is not orthochronous (m[0][0] < 1)"),
+}
+FLIP_GAMMAS = (1.0, 1.5e6, 1e7, 1e9, 1e12)
+
+
+def _boost_of_gamma(gamma, direction=(1.0, 0.0, 0.0)):
+    # the pure boost of Lorentz factor gamma along a unit direction; above
+    # gamma 6.7e7 no float speed below 1 reaches it
+    d = np.asarray(direction, dtype=float)
+    return boost_to(np.concatenate([[gamma], math.sqrt(gamma * gamma - 1.0) * d])[None]).m[0]
+
+
+@pytest.mark.parametrize("gamma", FLIP_GAMMAS)
+@pytest.mark.parametrize("flip", FLIPS)
+def test_parity_flip_of_a_large_boost_gets_its_low_gamma_message(flip, gamma):
+    # each flip keeps its message at rest (gamma 1) up to gamma 1e12, along
+    # x and along a generic direction; a determinant test with a tolerance
+    # in gamma^2 accepted every flip from gamma 1.4e6 on
+    f, reason = FLIPS[flip]
+    m = f @ _boost_of_gamma(gamma)
+    want = "^" + re.escape(f"row 0: {reason} (gamma={m[0, 0]:.10g})") + "$"
+    with pytest.raises(ValueError, match=want):
+        LorentzTransform(m)
+    with pytest.raises(ValueError, match=rf"^row 0: {re.escape(reason)} "):
+        LorentzTransform(f @ _boost_of_gamma(gamma, np.array([2.0, -6.0, 3.0]) / 7.0))
+
+
+@pytest.mark.parametrize("flip", FLIPS)
+def test_parity_flip_in_a_later_row_of_a_stack_is_named(flip):
+    # proper boosts of every gamma of FLIP_GAMMAS, then one flipped boost;
+    # with STACK_BLOCK at 3 the stack spans two blocks, and the error names
+    # the row of the whole stack
+    f, reason = FLIPS[flip]
+    boosts = [_boost_of_gamma(g) for g in FLIP_GAMMAS]
+    for gamma in FLIP_GAMMAS:
+        m = np.stack(boosts + [f @ _boost_of_gamma(gamma)])
+        with mock.patch.object(minkowski, "STACK_BLOCK", 3):
+            assert len(LorentzTransform(m[:-1])) == len(boosts)
+            with pytest.raises(ValueError, match=rf"^row {len(boosts)}: {re.escape(reason)} "):
+                LorentzTransform(m)
+
+
+@pytest.mark.parametrize("gamma", [1e4, 1e6, 1e7, 1e8, 1e9, 1e10, 1e12])
+def test_generic_proper_matrices_and_their_flips_up_to_gamma_1e12(gamma):
+    # 400 draws of rotation . boost . rotation are accepted (compose
+    # validates them), and the parity flip of each fails the proper test
+    # and only that one
+    rng = np.random.default_rng(5)
+    n = 400
+    d = unit_rows(rng.standard_normal((n, 3)))
+    u = np.column_stack([np.full(n, gamma), math.sqrt(gamma * gamma - 1.0) * d])
+    turns = [rotation_about(unit_rows(rng.standard_normal((n, 3))), rng.uniform(-math.pi, math.pi, n))
+             for _ in range(2)]
+    m = compose(turns[0], compose(boost_to(u), turns[1])).m
+    verdicts = [ok for ok, _ in _matrix_tests(FLIPS["P"][0] @ m)]
+    finite, small, metric, proper, orthochronous = verdicts
+    assert finite.all() and small.all() and metric.all() and orthochronous.all()
+    assert not proper.any()
+
+
+def test_entries_above_max_entry_are_too_large_to_validate():
+    # a boost at the bound passes; one of twice the bound, or of gamma 9e15
+    # as two collinear boosts of speed 1 - 2^-53 compose to, is refused
+    assert LorentzTransform(_boost_of_gamma(MAX_ENTRY)).m[0, 0, 0] == MAX_ENTRY
+    for gamma in (2.0 * MAX_ENTRY, 9e15):
+        want = f"row 0: matrix entries are too large to validate (gamma={gamma:.10g})"
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            LorentzTransform(_boost_of_gamma(gamma))
+    v = boost_from_velocity([0.9999999999999999, 0.0, 0.0])
+    with pytest.raises(ValueError, match="too large to validate"):
+        compose(v, v)
+
+
+@pytest.mark.parametrize("row,message", [
+    (np.diag([0.0, 1.0, 1.0, 1.0]), r"matrix does not preserve the metric \(err=1\.000e\+00\) "
+                                   r"\(gamma=0\)"),
+    (np.zeros((4, 4)), r"matrix does not preserve the metric \(err=1\.000e\+00\) \(gamma=0\)"),
+    (np.full((4, 4), np.nan), r"matrix has non-finite entries \(gamma=nan\)"),
+], ids=["zero_m00", "zero", "nan"])
+def test_degenerate_rows_keep_their_messages_without_warnings(row, message):
+    m = np.stack([np.eye(4), row])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^row 1: {message}$"):
+            LorentzTransform(m)
 
 
 def _identity_with_inf():
