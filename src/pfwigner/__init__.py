@@ -14,7 +14,6 @@ from .induction import (
     alignment_angle,
     bench_pair,
     direction_in_pf,
-    euclidean_element,
     massless_standard_element,
     pf_standard_element,
     pf_wigner,

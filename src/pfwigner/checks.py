@@ -73,7 +73,7 @@ def _phase(w: induction.WignerAngle) -> tuple[np.ndarray, float]:
 
 def _moved_element(pairs: PairStack, L: LorentzTransform) -> np.ndarray:
     """The stack of standard elements of the moved pairs (Lk, Lu)."""
-    return induction.pf_standard_element(induction.transform_pair(pairs, L)).m
+    return induction.pf_standard_element(induction.transform_pair(pairs, L))
 
 
 def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
@@ -84,7 +84,7 @@ def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
     th = np.repeat(theta_grid, len(chi_grid))
     chi = np.tile(chi_grid, len(theta_grid))
     pairs = induction.bench_pair(th, chi)
-    elements = induction.pf_standard_element(pairs).m
+    elements = induction.pf_standard_element(pairs)
     pair_of, transform_of = np.divmod(np.arange(len(pairs) * len(L)), len(L))
     phi, stab = [], 0.0
     for rows in row_blocks(len(pair_of)):
@@ -134,9 +134,9 @@ def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
     p = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
     a, b = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
     ab = minkowski.compose(b, a)
-    s = induction.pf_standard_element(p).m
+    s = induction.pf_standard_element(p)
     p1 = induction.transform_pair(p, a)
-    s1 = induction.pf_standard_element(p1).m
+    s1 = induction.pf_standard_element(p1)
     phi1, stab1 = _phase(induction.pf_wigner_from_elements(p, s, a, s1))
     phi2, stab2 = _phase(induction.pf_wigner_from_elements(p1, s1, b, _moved_element(p1, b)))
     phi12, stab12 = _phase(induction.pf_wigner_from_elements(p, s, ab, _moved_element(p, ab)))

@@ -13,9 +13,10 @@ Every transform builder takes N rows of input and returns the (N,4,4)
 stack, and every validation error is a `RowValueError` that names its
 row. A builder is its input tests, a private kernel (`_boost_stack`,
 `_rotation_stack`, `_rotation_z_to_stack`) that returns the raw (N,4,4)
-array, and the validation of that array. A matrix that never leaves the
-function that builds it, such as a factor of a standard element, comes
-from the kernel unchecked. Row-wise products use `row_dot`, which is
+array, and the validation of that array. A factor of a validated
+product and the standard elements of both Wigner routes come from the
+kernels unchecked: the stabiliser test of the Wigner element certifies
+the elements. Row-wise products use `row_dot`, which is
 bit-identical to `a @ b` on each row (a row-wise `np.linalg.norm` is
 not), and per-row angles use `math`, not the numpy ufuncs, so a row of
 a stack equals its one-row call bit for bit. `wrap_angle` is exact array
@@ -494,5 +495,9 @@ def compose(L2: LorentzTransform, L1: LorentzTransform) -> LorentzTransform:
 
 
 def inverse(L: LorentzTransform) -> LorentzTransform:
-    # eta-orthogonality gives the inverse without numerical inversion
-    return LorentzTransform(METRIC @ np.swapaxes(L.m, -1, -2) @ METRIC)
+    return LorentzTransform(_eta_inverse(L.m))
+
+
+def _eta_inverse(m: np.ndarray) -> np.ndarray:
+    """eta m^T eta: the inverse of each Lorentz matrix of a stack, without a solve."""
+    return METRIC @ np.swapaxes(m, -1, -2) @ METRIC

@@ -697,6 +697,18 @@ def test_numerical_domain_error_exits_3():
                           "u=(292173655.6, 292173655.6, 0, 0.1460540433))\n")
 
 
+def test_a_moved_frame_past_the_validation_bound_names_the_pair_and_transform():
+    # the moved frame's gamma passes MAX_ENTRY; its standard element is not
+    # validated, so the stabiliser test refuses it and names both
+    res = run_cli("wigner", "--pf-speed", 0.9999999999999999, "--chi", 0.3,
+                  "--transform", "boost:k:-0.9999999999999999")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    for part in ("pair moved by", "frame gamma=", "transform gamma="):
+        assert part in res.stderr
+
+
 def test_any_row_error_exits_3(monkeypatch):
     # a RowError that is neither a StabilityError nor a DomainError, such as
     # a row of the numerics failing validation, is a numerical failure too

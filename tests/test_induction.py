@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pfwigner import (
+    LorentzTransform,
     PairStack,
     StabilityError,
     alignment_angle,
@@ -14,7 +15,6 @@ from pfwigner import (
     boost_to,
     compose,
     direction_in_pf,
-    euclidean_element,
     four_velocity,
     pf_standard_element,
     pf_wigner,
@@ -26,6 +26,7 @@ from pfwigner import (
     transform_pair,
     wrap_angle,
 )
+from pfwigner.induction import _euclidean_stack
 from pfwigner.minkowski import STACK_BLOCK
 
 from helpers import (
@@ -100,14 +101,14 @@ def test_alignment_angle_trivial_configurations():
 
 def test_carrier_maps_standard_pair_identically():
     S = pf_standard_element(PairStack(Q_UNIT, U_REST))
-    np.testing.assert_allclose(S.m, [np.eye(4)], atol=1e-15)
+    np.testing.assert_allclose(S, [np.eye(4)], atol=1e-15)
 
 
 def test_carrier_maps_standard_pair_to_target():
     rng = np.random.default_rng(32)
     for _ in range(200):
         kin = random_pair(rng)
-        S = pf_standard_element(kin).m[0]
+        S = pf_standard_element(kin)[0]
         # the reference null vector at the pair's kappa
         q = kin.kappa[0] * Q_UNIT[0]
         np.testing.assert_allclose(S @ q, kin.k[0], atol=1e-10)
@@ -122,13 +123,13 @@ def test_standard_element_stack_is_its_factors_bit_exact():
     rng = np.random.default_rng(33)
     pairs = random_pair(rng, STACK_BLOCK + 1)
     stack = pf_standard_element(pairs)
-    assert stack.m.shape == (len(pairs), 4, 4)
-    for i, s in enumerate(stack.m):
+    assert stack.shape == (len(pairs), 4, 4)
+    for i, s in enumerate(stack):
         kin = pairs[i:i + 1]
         direct = (boost_to(kin.u).m[0] @ rotation_z_to(direction_in_pf(kin)[0]).m[0]
                   @ rotation_about(Z, alignment_angle(kin)[0]).m[0])
         np.testing.assert_array_equal(s, direct)
-        np.testing.assert_array_equal(pf_standard_element(kin).m, [direct])
+        np.testing.assert_array_equal(pf_standard_element(kin), [direct])
 
 
 def test_transform_pair_moves_both_members():
@@ -227,14 +228,14 @@ def test_rotation_angle_recovered_under_translation_parts():
     for _ in range(200):
         a, b = rng.normal(size=2) * 2.0
         phi = rng.uniform(-math.pi, math.pi)
-        elem = compose(euclidean_element(a, b), rotation_about(Z, phi))
+        elem = compose(LorentzTransform(_euclidean_stack(a, b)), rotation_about(Z, phi))
         w = standard_wigner(Q_UNIT, elem)
         assert wrap_angle(w.phi[0] - phi) == pytest.approx(0.0, abs=1e-10)
         assert w.residual[0] < 1e-9
 
 
 def test_euclidean_element_fixes_standard_momentum():
-    elem = euclidean_element(0.7, -1.2)
+    elem = LorentzTransform(_euclidean_stack(0.7, -1.2))
     np.testing.assert_allclose(elem.m[0] @ Q_UNIT[0], Q_UNIT[0], atol=1e-12)
 
 

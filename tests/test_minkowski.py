@@ -351,7 +351,7 @@ def _metric_stacks():
     pairs = PairStack(k, four_velocity(axes * rng.uniform(0.0, 0.99, (n, 1))))
     z_turns = rotation_about([0.0, 0.0, 1.0], np.array([0.0, math.pi, -0.0, -math.pi]))
     return [boosts.m, rotations.m, compose(boosts, rotations).m, compose(rotations, boosts).m,
-            pf_standard_element(pairs).m, z_turns.m]
+            pf_standard_element(pairs), z_turns.m]
 
 
 def test_metric_error_has_the_bits_of_the_two_product_form():

@@ -2,14 +2,17 @@
 
 Each row rebinds one library function to a wrong version of it, in the
 module that defines it and in every `pfwigner` module that imported it
-(the "gauge only" row rebinds it where `induction` reads it alone), then
-runs every check of `validate`. A mutant is killed when some check exceeds
+(the "in the gauge" row and the three kernel rows rebind it where
+`induction` reads it alone), then runs every check of `validate`. The
+kernel rows bend a factor of the pair standard element, which nothing
+validates as it is built: the stabiliser test and the checks of the
+angle must see it. A mutant is killed when some check exceeds
 its tolerance or the run raises a row error. A mutant that `validate` does
 not kill today is a strict xfail whose reason names the ROADMAP item meant
 to kill it, so a new check that kills it turns the row into an XPASS
 failure until its mark is lifted.
 
-Score at this commit: 5 killed of 11.
+Score at this commit: 8 killed of 14.
 """
 
 import dataclasses
@@ -68,6 +71,18 @@ def _one_seed(f):
     return mutant
 
 
+def _bent(index, scale=1.0, shift=0.0):
+    """A mutation of a kernel: the entries at `index` of each (N,4,4) array
+    it returns are scaled, then shifted."""
+    def mutate(f):
+        def mutant(*args):
+            m = f(*args)
+            m[index] = m[index] * scale + shift
+            return m
+        return mutant
+    return mutate
+
+
 def _survives(item):
     return pytest.mark.xfail(strict=True, raises=AssertionError,
                              reason=f"validate does not kill it yet: ROADMAP item {item}")
@@ -94,6 +109,18 @@ MUTANTS = [
     pytest.param(
         lambda mp: _rebind(mp, induction, "alignment_angle", lambda f: lambda p: 1.3 * f(p)),
         id="alignment_angle-scaled"),
+    pytest.param(
+        lambda mp: _rebind(mp, induction, "_rotation_z_to_stack",
+                           _bent(np.s_[:, 1, 2], scale=1.001), everywhere=False),
+        id="rotation_z_to-kernel-entry-scaled-in-induction"),
+    pytest.param(
+        lambda mp: _rebind(mp, induction, "_boost_stack",
+                           _bent(np.s_[:, 1:, 1:], scale=1.0 + 1e-4), everywhere=False),
+        id="boost-kernel-spatial-block-bent-in-induction"),
+    pytest.param(
+        lambda mp: _rebind(mp, induction, "_rotation_stack",
+                           _bent(np.s_[:, 1, 2], shift=1e-6), everywhere=False),
+        id="rotation-kernel-entry-shifted-in-induction"),
     pytest.param(
         lambda mp: _rebind(mp, induction, "pf_wigner_from_elements", _negated),
         id="pf_wigner-negated"),

@@ -246,8 +246,8 @@ def test_bench_elements_built_once_equal_pf_wigner(transforms):
     bench = bench_pair(np.repeat(THETA_GRID, len(CHI_GRID)), np.tile(CHI_GRID, len(THETA_GRID)))
     pair_of, transform_of = np.divmod(np.arange(len(bench) * len(transforms)), len(transforms))
     pairs, L = bench[pair_of], transforms[transform_of]
-    got = pf_wigner_from_elements(pairs, pf_standard_element(bench).m[pair_of], L,
-                                  pf_standard_element(transform_pair(pairs, L)).m)
+    got = pf_wigner_from_elements(pairs, pf_standard_element(bench)[pair_of], L,
+                                  pf_standard_element(transform_pair(pairs, L)))
     _assert_angle_bits_equal(got, pf_wigner(pairs, L))
     phi, stab, _, _ = checks._bench_wigner(THETA_GRID, CHI_GRID, transforms)
     assert phi.view(np.uint64).tobytes() == got.phi.view(np.uint64).tobytes()
@@ -265,13 +265,13 @@ def test_pair_composition_elements_built_once_equal_independent_calls(seed):
     kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
     l12 = compose(l2, l1)
     moved = transform_pair(kin, l1)
-    s, s1 = pf_standard_element(kin).m, pf_standard_element(moved).m
+    s, s1 = pf_standard_element(kin), pf_standard_element(moved)
     w1, w2, w12 = pf_wigner(kin, l1), pf_wigner(moved, l2), pf_wigner(kin, l12)
     _assert_angle_bits_equal(pf_wigner_from_elements(kin, s, l1, s1), w1)
     _assert_angle_bits_equal(pf_wigner_from_elements(
-        moved, s1, l2, pf_standard_element(transform_pair(moved, l2)).m), w2)
+        moved, s1, l2, pf_standard_element(transform_pair(moved, l2))), w2)
     _assert_angle_bits_equal(pf_wigner_from_elements(
-        kin, s, l12, pf_standard_element(transform_pair(kin, l12)).m), w12)
+        kin, s, l12, pf_standard_element(transform_pair(kin, l12))), w12)
     # the check gives what the independent calls give
     got = checks.composition_law_pair(seed, 40, 1e-9)
     stab = max(float(w.stabiliser.max()) for w in (w1, w2, w12))
@@ -301,8 +301,8 @@ def test_stability_error_of_given_elements_names_the_row_of_the_stack():
     # elements-given path: the hostile pair is row 4 of the given stacks
     pairs = bench_pair(np.array([0.1] * 4 + [0.999999999, 0.2]), np.array([1.0] * 4 + [0.5, 2.0]))
     L = LorentzTransform(np.tile(np.eye(4), (6, 1, 1)))
-    s1 = pf_standard_element(pairs).m
-    s2 = pf_standard_element(transform_pair(pairs, L)).m
+    s1 = pf_standard_element(pairs)
+    s2 = pf_standard_element(transform_pair(pairs, L))
     with pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
                                               r"u=\(22360.68009, .*, transform gamma=1\)$"):
         pf_wigner_from_elements(pairs, s1, L, s2)
@@ -314,8 +314,8 @@ def test_given_elements_reject_stacks_whose_rows_do_not_match(short):
     pairs = bench_pair(np.array([0.1, 0.2, 0.3]), 1.0)
     L = boost_from_velocity(along_z([0.1, 0.2, 0.3]))
     k = photon_momenta(pairs.k)
-    calls = [(pf_wigner_from_elements, [pairs, pf_standard_element(pairs).m, L,
-                                        pf_standard_element(transform_pair(pairs, L)).m]),
+    calls = [(pf_wigner_from_elements, [pairs, pf_standard_element(pairs), L,
+                                        pf_standard_element(transform_pair(pairs, L))]),
              (standard_wigner_from_elements, [k, massless_standard_element(k), L,
                                               massless_standard_element(apply(L, k))])]
     lengths = re.escape(str(tuple(2 if i == short else 3 for i in range(4))))
@@ -344,7 +344,7 @@ def test_pf_residual_is_that_of_each_block_and_of_the_eager_formula():
     blocks, eager = [], []
     for b in row_blocks(len(pairs)):
         p, l = pairs[b], L[b]
-        s1, s2 = pf_standard_element(p).m, pf_standard_element(transform_pair(p, l)).m
+        s1, s2 = pf_standard_element(p), pf_standard_element(transform_pair(p, l))
         blocks.append(pf_wigner_from_elements(p, s1, l, s2).residual)
         # written out: max |W - Rz(phi)|
         w = _conjugated(s1, l, s2)
