@@ -11,6 +11,12 @@ shared by every row, and floats alone are one row), and returns one value
 per row. `sin`, `cos`, `asin` and `atan2` run per row by `math`, so each
 row equals its one-row call bit for bit. A row outside
 a formula's domain raises a `DomainError` that names it.
+
+The arithmetic of `boost_phase` and `rotation_phase` past their angles
+lives in private helpers that take the cosine and sine of chi
+(`_boost_sine`, `_rotation_factors`, `_rotation_yx`). The gauge of the
+matrix route (`induction._gauge_stack`) calls the same helpers, so each
+formula has one code path, and builds its rotation with no angle.
 """
 
 from __future__ import annotations
@@ -40,13 +46,13 @@ def _delta_test(delta):
     return np.isfinite(delta), lambda i: f"delta={delta[i].item()!r} is not finite"
 
 
+_v_test = partial(_range_test, "v", lo=-1.0, hi=1.0, lo_open=True, hi_open=True)
 _theta_test = partial(_range_test, "theta_pf", lo=0.0, hi=1.0, hi_open=True)
 _chi_test = partial(_range_test, "chi", lo=0.0, hi=math.pi)
 
 
 def _boost_tests(v, theta_pf, chi):
-    return [_range_test("v", v, -1.0, 1.0, lo_open=True, hi_open=True),
-            _theta_test(theta_pf), _chi_test(chi)]
+    return [_v_test(v), _theta_test(theta_pf), _chi_test(chi)]
 
 
 def _rotation_tests(delta, theta_pf, chi):
@@ -63,34 +69,53 @@ def _checked_rows(tests, *fields) -> list[np.ndarray]:
     return rows
 
 
+def _cos_sin(chi):
+    return math_rows(math.cos, chi), math_rows(math.sin, chi)
+
+
 def boost_phase(v, theta_pf, chi) -> np.ndarray:
     """Polarisation phase for a boost of signed speed v along the photon,
     with frame speed theta_pf at angle chi to it, one per row."""
     v, th, chi = _checked_rows(_boost_tests, v, theta_pf, chi)
+    return math_rows(math.asin, _boost_sine(v, th, *_cos_sin(chi)))
+
+
+def _boost_sine(v, theta_pf, cos_chi, sin_chi):
+    """The sine of boost_phase, its arcsin argument, from the cosine and
+    sine of chi: DomainError names the first row past the analytic bound
+    |sine| <= 1 (by more than 1e-12), and the sines are clipped to it."""
     rv = np.sqrt(1.0 - v * v)
-    rt = np.sqrt(1.0 - th * th)
-    num = v * th * math_rows(math.sin, chi)
-    den = np.sqrt(2.0 * (1.0 + rv) * (1.0 + rt) * (v * th * math_rows(math.cos, chi) + rv * rt + 1.0))
+    rt = np.sqrt(1.0 - theta_pf * theta_pf)
+    num = v * theta_pf * sin_chi
+    den = np.sqrt(2.0 * (1.0 + rv) * (1.0 + rt) * (v * theta_pf * cos_chi + rv * rt + 1.0))
     arg = num / den
     _check_rows([(np.abs(arg) <= 1.0 + 1e-12,
                   lambda i: f"arcsin argument {arg[i].item()!r} violates the analytic bound")],
                 error=DomainError)
-    return math_rows(math.asin, np.clip(arg, -1.0, 1.0))
+    return np.clip(arg, -1.0, 1.0)
 
 
-def _rotation_factors(theta_pf, chi):
+def _rotation_factors(theta_pf, cos_chi, sin_chi):
     """The factors of the rotation formulas that depend on theta_pf and chi
-    only, for an (N,) array of chi: n, dd, a sin(chi) and theta_pf sin(chi)."""
+    only, from the cosine and sine of chi: n, dd, a sin(chi) and
+    theta_pf sin(chi)."""
     rt = np.sqrt(1.0 - theta_pf * theta_pf)
-    c, s = math_rows(math.cos, chi), math_rows(math.sin, chi)
-    a = (1.0 - rt) * c - theta_pf
-    return rt + a * c, 1.0 - theta_pf * c, a * s, theta_pf * s
+    a = (1.0 - rt) * cos_chi - theta_pf
+    return rt + a * cos_chi, 1.0 - theta_pf * cos_chi, a * sin_chi, theta_pf * sin_chi
+
+
+def _rotation_yx(n, dd, a_sin, sin_half, cos_half):
+    """The (y, x) pair whose atan2 is half of rotation_phase, from the
+    factors of _rotation_factors and the sine and cosine of delta/2. It is
+    homogeneous in (sin_half, cos_half): any multiple of them gives the
+    same direction, or the opposite one."""
+    return n * sin_half, dd * cos_half + a_sin * sin_half
 
 
 def _rotation_angle(n, dd, a_sin, sin_half, cos_half):
     """rotation_phase from the factors of _rotation_factors and the
     sine and cosine of delta/2."""
-    return 2.0 * math_rows(math.atan2, n * sin_half, dd * cos_half + a_sin * sin_half)
+    return 2.0 * math_rows(math.atan2, *_rotation_yx(n, dd, a_sin, sin_half, cos_half))
 
 
 def rotation_phase(delta, theta_pf, chi) -> np.ndarray:
@@ -103,7 +128,7 @@ def rotation_phase(delta, theta_pf, chi) -> np.ndarray:
     on [0, 2pi], with rotation_phase(2pi) = 2pi.
     """
     delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi)
-    n, dd, a_sin, _ = _rotation_factors(th, chi)
+    n, dd, a_sin, _ = _rotation_factors(th, *_cos_sin(chi))
     half = 0.5 * delta
     return _rotation_angle(n, dd, a_sin, math_rows(math.sin, half), math_rows(math.cos, half))
 
@@ -122,7 +147,7 @@ def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
     latter is defined, but stays regular at delta = pi.
     """
     delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi)
-    return _rotation_factors(th, chi)[3] * (1.0 - math_rows(math.cos, delta))
+    return _rotation_factors(th, *_cos_sin(chi))[3] * (1.0 - math_rows(math.cos, delta))
 
 
 def check_rotation_grid(deltas, theta_pf: float, chis) -> None:
@@ -158,7 +183,8 @@ def rotation_rows(deltas, theta_pf: float, chis) -> np.ndarray:
     # row i holds delta i // n_chi and chi i % n_chi
     chis = np.asarray(chis, dtype=float)
     n_chi, n_delta = len(chis), len(deltas)
-    n, dd, a_sin, th_sin = (np.tile(x, n_delta) for x in _rotation_factors(theta_pf, chis))
+    factors = _rotation_factors(theta_pf, *_cos_sin(chis))
+    n, dd, a_sin, th_sin = (np.tile(x, n_delta) for x in factors)
     d = np.array(deltas, dtype=float)
     half = 0.5 * d
     sin_half, cos_half, vers = (np.repeat(x, n_chi) for x in (

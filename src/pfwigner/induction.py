@@ -10,7 +10,10 @@ little-group element is a z-rotation and the phase is read off directly.
 The pair standard element is L_u R_n Rz(h): the boost taking the frame to
 rest, the minimal rotation aligning the photon direction seen from that
 frame, and an SO(2) alignment h(k, u) fixing the residual gauge of the
-pair bundle. See `alignment_angle` for how h is pinned.
+pair bundle. See `alignment_angle` for how h is pinned. `_gauge_stack`
+builds Rz(h) from the cosine and sine of each part of h, through the
+helpers the closed forms use themselves; like the kernels of the other
+two factors, it makes no per-row `math` call.
 
 Both constructions run over stacks: 1 or N pairs (a `PairStack`) or
 momenta against a `LorentzTransform` of 1 or N rows, and every result
@@ -23,7 +26,7 @@ products of kernels, which the stabiliser test of the Wigner element
 certifies. Every function here runs
 the rows it is given at once, so its working arrays grow with the stack:
 at 16 384 random rows (3.0 MiB of inputs) the tracemalloc peak of
-`pf_wigner` is 14.2 MiB and that of `standard_wigner` 10.6 MiB. A caller
+`pf_wigner` is 11.0 MiB and that of `standard_wigner` 8.8 MiB. A caller
 that makes a long sweep cuts it into `minkowski.STACK_BLOCK` rows where
 it makes the rows (`row_blocks`, with `rows_from` so that an error names
 the row of the sweep), as `cli.cmd_boost_scan` and
@@ -43,7 +46,14 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import DomainError, boost_phase, rotation_phase
+from .closed_form import (
+    DomainError,
+    _boost_sine,
+    _rotation_factors,
+    _rotation_yx,
+    _theta_test,
+    _v_test,
+)
 from .minkowski import (
     LorentzTransform,
     PairStack,
@@ -143,29 +153,6 @@ def direction_in_pf(pairs: PairStack) -> np.ndarray:
     return _direction_after(boost_to(pairs.u).m, pairs.k)
 
 
-def _pair_angles(pairs: PairStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, chi, alpha) of each pair: frame speed, polar angle of the
-    frame velocity from the photon direction, and its azimuth in the
-    transverse frame carried over from z-hat by the minimal rotation;
-    all three are 0 for a frame at rest.
-
-    chi comes from atan2 of cross and dot: arccos of a near-unit dot
-    turns 1e-16 of rounding into 1e-8 of angle, which the alignment would
-    then amplify.
-    """
-    th_vec = pairs.u[:, 1:] / pairs.u[:, :1]
-    th = np.sqrt(row_dot(th_vec, th_vec))
-    kh = unit_rows(pairs.k[:, 1:])
-    # np.cross's own products and differences, without its axis moves
-    (kx, ky, kz), (tx, ty, tz) = kh.T, th_vec.T
-    cross = np.stack([ky * tz - kz * ty, kz * tx - kx * tz, kx * ty - ky * tx], axis=-1)
-    chi = math_rows(math.atan2, np.sqrt(row_dot(cross, cross)), row_dot(kh, th_vec))
-    tv = (np.swapaxes(_rotation_z_to_stack(kh)[:, 1:, 1:], 1, 2) @ th_vec[:, :, None])[:, :, 0]
-    alpha = math_rows(math.atan2, tv[:, 1], tv[:, 0])
-    rest = th == 0.0
-    return th, np.where(rest, 0.0, chi), np.where(rest, 0.0, alpha)
-
-
 def alignment_angle(pairs: PairStack) -> np.ndarray:
     """SO(2) gauge h(k, u) of the pair standard element, one entry per row.
 
@@ -190,22 +177,84 @@ def alignment_angle(pairs: PairStack) -> np.ndarray:
     h vanishes whenever the frame velocity is zero or parallel to the
     photon, and the construction stays an exact cocycle for any h, so
     composition and stabiliser properties are unaffected by the choice.
+
+    h is one atan2 of the rotation `_gauge_stack` builds, 0 for a frame
+    at rest.
     """
-    th, chi, alpha = _pair_angles(pairs)
-    u_perp = pairs.u[:, 0] * th * math_rows(math.sin, chi)
+    return _z_angle(_gauge_stack(pairs))
+
+
+# the cosine and sine of chi = pi/2, where each orbit of boosts along the
+# photon is anchored, as boost_phase takes them at 0.5 * math.pi
+_APEX = (math.cos(0.5 * math.pi), math.sin(0.5 * math.pi))
+
+
+def _gauge_stack(pairs: PairStack) -> np.ndarray:
+    """The (N,4,4) stack of the gauge rotations Rz(h) of `alignment_angle`,
+    unchecked, built with no angle from the cosine and sine of each part
+    of h = h_b + alpha - phi:
+
+    * chi, from theta cos(chi) and theta sin(chi), the dot and cross
+      products of the photon direction and the frame velocity;
+    * alpha, from the transverse frame velocity t over its norm rho
+      (alpha = 0 where t = 0);
+    * h_b = -asin(a), a from `closed_form._boost_sine` at chi = pi/2, as
+      (sqrt(1 - a^2), -a);
+    * phi = 2 atan2(y, x), (y, x) from `closed_form._rotation_yx`, as
+      ((x - y)(x + y), 2xy)/(x^2 + y^2). (y, x) is homogeneous in the sine
+      and cosine of alpha/2, for which (t_y, rho + t_x) stands in where
+      t_x >= 0 and (rho - t_x, t_y) elsewhere, each well conditioned.
+
+    A row that fails a domain test of the closed forms, run on their
+    inputs as they run them, raises GaugeDomainError.
+    """
+    th_vec = pairs.u[:, 1:] / pairs.u[:, :1]
+    th = np.sqrt(row_dot(th_vec, th_vec))
+    kh = unit_rows(pairs.k[:, 1:])
+    # np.cross's own products and differences, without its axis moves
+    (kx, ky, kz), (vx, vy, vz) = kh.T, th_vec.T
+    cross = np.stack([ky * vz - kz * vy, kz * vx - kx * vz, kx * vy - ky * vx], axis=-1)
+    # sin(chi) from the cross product: from the dot alone, near chi = 0,
+    # 1e-16 of rounding would become 1e-8
+    th_cos, th_sin = row_dot(kh, th_vec), np.sqrt(row_dot(cross, cross))
+    # (0, 0) for a frame at rest, where every factor of h multiplies it by
+    # theta = 0
+    speed = np.where(th == 0.0, 1.0, th)
+    cos_chi, sin_chi = th_cos / speed, th_sin / speed
+    # t with its larger entry scaled to 1, so that no square underflows
+    t = np.column_stack([row_dot(col, th_vec)
+                         for col in _rotation_z_to_stack(kh)[:, 1:, 1:3].transpose(2, 0, 1)])
+    t[(t == 0.0).all(axis=1)] = (1.0, 0.0)
+    tx, ty = (t / np.abs(t).max(axis=1)[:, None]).T
+    rho = np.sqrt(tx * tx + ty * ty)
+    east = tx >= 0.0
+
+    # the frame speed at the apex of the orbit, where the boost along the
+    # photon has taken its velocity along it, theta cos(chi), to 0
+    u_perp = pairs.u[:, 0] * th_sin
     th_apex = u_perp / np.sqrt(1.0 + u_perp * u_perp)
-    v_star = th * math_rows(math.cos, chi)
-    # rotation_phase on [0, 2pi), shifted to the (-pi, pi] branch so that
-    # alpha -> phase(alpha) is continuous through alpha = 0
-    turned = alpha >= 0.0
     try:
-        h = -boost_phase(v_star, th_apex, 0.5 * math.pi)
-        phase = rotation_phase(np.where(turned, alpha, alpha + math.tau), th, chi)
+        _check_rows([_v_test(th_cos), _theta_test(th_apex)], error=DomainError)
+        a = _boost_sine(th_cos, th_apex, *_APEX)
+        _check_rows([_theta_test(th)], error=DomainError)
     except DomainError as exc:
         i = exc.row
         raise GaugeDomainError(i, f"{exc.reason} in the gauge of the pair "
                                   f"(k={format_row(pairs.k[i])}, u={format_row(pairs.u[i])})") from exc
-    return np.where(th == 0.0, 0.0, h + (alpha - np.where(turned, phase, phase - math.tau)))
+    n, dd, a_sin, _ = _rotation_factors(th, cos_chi, sin_chi)
+    y, x = _rotation_yx(n, dd, a_sin, np.where(east, ty, rho - tx), np.where(east, rho + tx, ty))
+    q = x * x + y * y
+    cos_phi, sin_phi = (x - y) * (x + y) / q, 2.0 * x * y / q
+    cos_a, sin_a = tx / rho, ty / rho
+    # alpha - phi, then h_b + alpha - phi
+    c1, s1 = cos_a * cos_phi + sin_a * sin_phi, sin_a * cos_phi - cos_a * sin_phi
+    cos_b = np.sqrt((1.0 - a) * (1.0 + a))
+    c, s = cos_b * c1 + a * s1, cos_b * s1 - a * c1
+    g = np.zeros((len(c), 4, 4))
+    g[:, 0, 0] = g[:, 3, 3] = 1.0
+    g[:, 1, 1] = g[:, 2, 2] = c
+    g[:, 2, 1], g[:, 1, 2] = s, -s
+    return g
 
 
 def bench_pair(theta_pf, chi) -> PairStack:
@@ -229,9 +278,11 @@ def pf_standard_element(pairs: PairStack) -> np.ndarray:
     Like `massless_standard_element`, the product of the kernels is
     returned unchecked: the stabiliser test of `pf_wigner_from_elements`
     checks the Wigner element made from it."""
+    # the gauge first, so that its working arrays and the other factors
+    # are not held at once
+    g = _gauge_stack(pairs)
     b = _boost_stack(pairs.u)
-    n = _direction_after(b, pairs.k)
-    return b @ _rotation_z_to_stack(n) @ _rotation_stack(Z_AXIS, alignment_angle(pairs))
+    return b @ _rotation_z_to_stack(_direction_after(b, pairs.k)) @ g
 
 
 def transform_pair(pairs: PairStack, L: LorentzTransform) -> PairStack:
@@ -282,17 +333,19 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
                             f"frame gamma={_row(pairs.u, i)[0]:.10g}, {_gamma(L, i)})")],
                 error=StabilityError)
 
-    return WignerAngle(_pf_angle(w), stab, partial(_pf_residual, w))
+    return WignerAngle(_z_angle(w), stab, partial(_pf_residual, w))
 
 
-def _pf_angle(w: np.ndarray) -> np.ndarray:
-    return math_rows(math.atan2, w[:, 2, 1], w[:, 1, 1])
+def _z_angle(m: np.ndarray) -> np.ndarray:
+    """The angle of each z-rotation of an (N,4,4) stack, from its (y,x) and
+    (x,x) entries."""
+    return math_rows(math.atan2, m[:, 2, 1], m[:, 1, 1])
 
 
 def _pf_residual(w: np.ndarray) -> np.ndarray:
     """max |W - Rz(phi)| of each row: the pair element's departure from
     the z-rotation of its angle."""
-    return np.abs(w - _rotation_stack(Z_AXIS, _pf_angle(w))).max(axis=(1, 2))
+    return np.abs(w - _rotation_stack(Z_AXIS, _z_angle(w))).max(axis=(1, 2))
 
 
 def massless_standard_element(k: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from pfwigner import (
     transform_pair,
     wrap_angle,
 )
-from pfwigner.induction import _euclidean_stack
+from pfwigner.induction import _euclidean_stack, _gauge_stack
 from pfwigner.minkowski import STACK_BLOCK
 
 from helpers import (
@@ -127,7 +127,7 @@ def test_standard_element_stack_is_its_factors_bit_exact():
     for i, s in enumerate(stack):
         kin = pairs[i:i + 1]
         direct = (boost_to(kin.u).m[0] @ rotation_z_to(direction_in_pf(kin)[0]).m[0]
-                  @ rotation_about(Z, alignment_angle(kin)[0]).m[0])
+                  @ _gauge_stack(kin)[0])
         np.testing.assert_array_equal(s, direct)
         np.testing.assert_array_equal(pf_standard_element(kin), [direct])
 

@@ -32,8 +32,10 @@ from pfwigner import (
     PairStack,
     bench_pair,
     boost_from_velocity,
+    boost_phase,
     boost_to,
     checks,
+    closed_form,
     cli,
     compose,
     four_velocity,
@@ -57,6 +59,8 @@ from pfwigner.minkowski import (
     _rotation_z_to_stack,
     unit_rows,
 )
+
+from helpers import random_pair
 
 Q = np.array([1.0, 0.0, 0.0, 1.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -167,7 +171,8 @@ def test_rotation_z_to_kernel_near_the_poles():
 @pytest.fixture
 def trig_calls(monkeypatch):
     """The `math_rows` calls and the calls of math.atan2, math.hypot,
-    math.sin and math.cos since the fixture was set up, by name."""
+    math.sin, math.cos and math.asin since the fixture was set up, by
+    name."""
     calls = {}
 
     def spy(name, f):
@@ -176,9 +181,9 @@ def trig_calls(monkeypatch):
             return f(*args)
         return counted
 
-    for name in ("atan2", "hypot", "sin", "cos"):
+    for name in ("atan2", "hypot", "sin", "cos", "asin"):
         monkeypatch.setattr(math, name, spy(name, getattr(math, name)))
-    for module in (minkowski, induction):
+    for module in (minkowski, induction, closed_form):
         monkeypatch.setattr(module, "math_rows", spy("math_rows", module.math_rows))
     return calls
 
@@ -186,12 +191,19 @@ def trig_calls(monkeypatch):
 def test_minimal_rotations_take_no_per_row_trigonometry(trig_calls):
     rng = np.random.default_rng(44)
     n = unit_rows(rng.normal(size=(1000, 3)))
+    pairs = random_pair(rng, 1000)
+    trig_calls.clear()
     _rotation_z_to_stack(n)
     massless_standard_element(np.column_stack([np.ones(1000), n]))
+    # the gauge factor too: the pair element takes no angle
+    pf_standard_element(pairs)
     assert trig_calls == {}
-    # the spies see the calls of a kernel that does take angles
+    # the spies see the calls of a kernel that does take angles, and of
+    # the closed forms
     _rotation_stack(n, np.ones(1000))
     assert trig_calls == {"math_rows": 2, "sin": 1000, "cos": 1000}
+    boost_phase(np.full(1000, 0.5), 0.3, np.ones(1000))
+    assert trig_calls == {"math_rows": 5, "sin": 2000, "cos": 2000, "asin": 1000}
 
 
 nulls = st.tuples(axes, st.floats(1e-3, 1e3)).map(lambda x: np.concatenate([[x[1]], x[1] * x[0]]))

@@ -2,8 +2,10 @@
 
 Each row rebinds one library function to a wrong version of it, in the
 module that defines it and in every `pfwigner` module that imported it
-(the "in the gauge" row and the three kernel rows rebind it where
-`induction` reads it alone), then runs every check of `validate`. The
+(the "in the gauge" row and two kernel rows rebind it where `induction`
+reads it alone), then runs every check of `validate`. The closed-form
+rows bend the private helper that the closed form and the gauge kernel
+of the matrix route share, where a bug in the formula would be. The
 kernel rows bend a factor of the pair standard element, which nothing
 validates as it is built: the stabiliser test and the checks of the
 angle must see it. A mutant is killed when some check exceeds
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from pfwigner import checks, cli, closed_form, induction, polarisation
-from pfwigner.minkowski import RowError, wrap_angle
+from pfwigner.minkowski import RowError, _rotation_stack, wrap_angle
 
 
 def _rebind(monkeypatch, module, name, mutate, everywhere=True):
@@ -36,26 +38,27 @@ def _rebind(monkeypatch, module, name, mutate, everywhere=True):
             monkeypatch.setattr(m, name, mutant)
 
 
-def _second_order_term(delta, theta_pf, chi):
-    # zero at theta_pf = 0 and at delta = 0 and 2pi, so the shift formula's
-    # error keeps its order, theta_pf^2
-    return 0.15 * np.square(theta_pf * np.sin(chi)) * np.sin(delta)
-
-
-def _rotation_second_order(monkeypatch):
-    _rebind(monkeypatch, closed_form, "rotation_phase", lambda f: lambda d, th, chi: (
-        f(d, th, chi) + _second_order_term(d, th, chi)))
-
-    def rows(f):
-        def mutant(deltas, theta_pf, chis):
-            t = f(deltas, theta_pf, chis).copy()
-            phi = closed_form.rotation_phase(t[:, 0], theta_pf, t[:, 1])
-            t[:, 2], t[:, 3] = wrap_angle(phi), wrap_angle(phi - t[:, 0])
-            t[:, 5] = np.abs(np.abs(t[:, 3]) - t[:, 4])
-            return t
+def _half_angles(bend):
+    """A mutation of closed_form._rotation_yx, the (y, x) pair whose atan2
+    is half of rotation_phase: half of the phase is moved by bend(phi, delta,
+    a_sin), from the phase phi, the angle delta and the factor a_sin. The
+    pair is homogeneous in the sine and cosine of delta/2, so phi and delta
+    are each known mod 2pi."""
+    def mutate(f):
+        def mutant(n, dd, a_sin, sin_half, cos_half):
+            half = np.arctan2(*f(n, dd, a_sin, sin_half, cos_half))
+            half = half + 0.5 * bend(2.0 * half, 2.0 * np.arctan2(sin_half, cos_half), a_sin)
+            return np.sin(half), np.cos(half)
         return mutant
+    return mutate
 
-    _rebind(monkeypatch, closed_form, "rotation_rows", rows)
+
+# the shift phi - delta scaled by 1.3
+_shift_scaled = _half_angles(lambda phi, delta, a_sin: 0.3 * wrap_angle(phi - delta))
+# a term zero at theta_pf = 0 and at delta = 0 and 2pi, second order in
+# a_sin = -theta_pf sin(chi) + O(theta_pf^2), so the shift formula's error
+# keeps its order, theta_pf^2
+_second_order = _half_angles(lambda phi, delta, a_sin: 0.15 * np.square(a_sin) * np.sin(delta))
 
 
 def _negated(f):
@@ -90,24 +93,27 @@ def _survives(item):
 
 MUTANTS = [
     pytest.param(
-        lambda mp: _rebind(mp, closed_form, "boost_phase", lambda f: lambda *a: 1.3 * f(*a)),
-        # the matrix route reads the phase through alignment_angle, which is
-        # built from boost_phase, so no check sees a wrong boost_phase
+        lambda mp: _rebind(mp, closed_form, "_boost_sine", lambda f: lambda *a: (
+            np.sin(1.3 * np.arcsin(f(*a))))),
+        # boost_phase scaled by 1.3 through its sine, which the gauge of
+        # the matrix route shares, so no check sees a wrong boost_phase
         id="boost_phase-scaled", marks=_survives("1 (a Thomas-Wigner oracle)")),
     pytest.param(
-        lambda mp: _rebind(mp, induction, "rotation_phase", lambda f: lambda d, th, chi: (
-            d + 1.3 * (f(d, th, chi) - d)), everywhere=False),
+        lambda mp: _rebind(mp, induction, "_rotation_yx", _shift_scaled, everywhere=False),
         id="rotation_phase-shift-scaled-in-the-gauge"),
     pytest.param(
-        _rotation_second_order,
+        lambda mp: _rebind(mp, closed_form, "_rotation_yx", _second_order),
         # rotation_phase is the paper's choice of section: no second route
         # checks it, and the shift formula's error keeps its order
         id="rotation_phase-second-order", marks=_survives("11 (an extended-precision reference)")),
+    # the gauge h = alignment_angle, bent in the kernel that builds Rz(h)
     pytest.param(
-        lambda mp: _rebind(mp, induction, "alignment_angle", lambda f: lambda p: np.zeros(len(p))),
+        lambda mp: _rebind(mp, induction, "_gauge_stack", lambda f: lambda p: (
+            _rotation_stack(induction.Z_AXIS, np.zeros(len(p))))),
         id="alignment_angle-zero"),
     pytest.param(
-        lambda mp: _rebind(mp, induction, "alignment_angle", lambda f: lambda p: 1.3 * f(p)),
+        lambda mp: _rebind(mp, induction, "_gauge_stack", lambda f: lambda p: (
+            _rotation_stack(induction.Z_AXIS, 1.3 * induction._z_angle(f(p))))),
         id="alignment_angle-scaled"),
     pytest.param(
         lambda mp: _rebind(mp, induction, "_rotation_z_to_stack",
@@ -118,8 +124,7 @@ MUTANTS = [
                            _bent(np.s_[:, 1:, 1:], scale=1.0 + 1e-4), everywhere=False),
         id="boost-kernel-spatial-block-bent-in-induction"),
     pytest.param(
-        lambda mp: _rebind(mp, induction, "_rotation_stack",
-                           _bent(np.s_[:, 1, 2], shift=1e-6), everywhere=False),
+        lambda mp: _rebind(mp, induction, "_gauge_stack", _bent(np.s_[:, 1, 2], shift=1e-6)),
         id="rotation-kernel-entry-shifted-in-induction"),
     pytest.param(
         lambda mp: _rebind(mp, induction, "pf_wigner_from_elements", _negated),
