@@ -35,11 +35,11 @@ from .minkowski import (
     boost_to,
     compose,
     four_velocity,
+    in_blocks,
     inverse,
     minkowski_dot,
     rotation_about,
     rotation_z_to,
-    rows_from,
     wrap_angle,
 )
 from .polarisation import (

@@ -15,8 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from . import closed_form, induction, minkowski, polarisation
-from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, row_blocks,
-                        rows_from, unit_rows, wrap_angle)
+from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, unit_rows,
+                        wrap_angle)
 
 V_GRID = tuple(round(-0.99 + 0.03 * i, 10) for i in range(67))
 THETA_GRID = (0.0, 1e-3, 0.1, 0.5)
@@ -86,15 +86,17 @@ def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
     pairs = induction.bench_pair(th, chi)
     elements = induction.pf_standard_element(pairs)
     pair_of, transform_of = np.divmod(np.arange(len(pairs) * len(L)), len(L))
-    phi, stab = [], 0.0
-    for rows in row_blocks(len(pair_of)):
+    stab = [0.0]
+
+    def block(rows: slice) -> np.ndarray:
         p, l = pairs[pair_of[rows]], L[transform_of[rows]]
-        with rows_from(rows.start):
-            block_phi, block_stab = _phase(induction.pf_wigner_from_elements(
-                p, elements[pair_of[rows]], l, _moved_element(p, l)))
-        phi.append(block_phi)
-        stab = max(stab, block_stab)
-    return np.concatenate(phi), stab, th[pair_of], chi[pair_of]
+        phi, block_stab = _phase(induction.pf_wigner_from_elements(
+            p, elements[pair_of[rows]], l, _moved_element(p, l)))
+        stab.append(block_stab)
+        return phi
+
+    phi = minkowski.in_blocks(len(pair_of), block)
+    return phi, max(stab), th[pair_of], chi[pair_of]
 
 
 def boost_oracle_equivalence(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:

@@ -42,9 +42,8 @@ from .minkowski import (
     along_z,
     boost_from_velocity,
     compose,
+    in_blocks,
     rotation_about,
-    row_blocks,
-    rows_from,
     unit_rows,
     wrap_angle,
 )
@@ -526,11 +525,8 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
     if grid[-1] >= 1.0:
         raise ConfigError(f"the v grid ends at V = {grid[-1]:.17g}, not below 1; "
                           "use a v-step that divides v-max - v-min")
-    phi_mx = []
-    for block in row_blocks(len(grid)):
-        with rows_from(block.start):
-            phi_mx.append(pf_wigner(pair, boost_from_velocity(along_z(grid[block]))).phi)
-    phi_mx = np.concatenate(phi_mx)
+    phi_mx = in_blocks(len(grid),
+                       lambda rows: pf_wigner(pair, boost_from_velocity(along_z(grid[rows]))).phi)
     phi_cf = boost_phase(grid, cfg.pf_speed, cfg.chi)
     _emit(cfg, ["V", "phi_cf", "phi_mx", "abs_diff"], [grid],
           np.column_stack([phi_cf, phi_mx, np.abs(phi_cf - phi_mx)]).__getitem__)

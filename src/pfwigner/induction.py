@@ -23,14 +23,14 @@ and read the angle given them (`pf_wigner_from_elements`,
 `standard_wigner_from_elements`), so a caller that needs several angles
 at the same pairs builds each element once. The elements are unchecked
 products of kernels, which the stabiliser test of the Wigner element
-certifies. Every function here runs
-the rows it is given at once, so its working arrays grow with the stack:
-at 16 384 random rows (3.0 MiB of inputs) the tracemalloc peak of
-`pf_wigner` is 11.0 MiB and that of `standard_wigner` 8.8 MiB. A caller
-that makes a long sweep cuts it into `minkowski.STACK_BLOCK` rows where
-it makes the rows (`row_blocks`, with `rows_from` so that an error names
-the row of the sweep), as `cli.cmd_boost_scan` and
-`polarisation.anomalous_malus_curve` do.
+certifies. Every function here runs the rows it is given at once, so its
+working arrays grow with the stack: at 16 384 random rows (3.0 MiB of
+inputs) the tracemalloc peak of `pf_wigner` is 11.0 MiB and that of
+`standard_wigner` 8.8 MiB. A caller that makes a long sweep makes its
+rows through `minkowski.in_blocks`, `minkowski.STACK_BLOCK` rows at a
+time, so that an error names the row of the sweep, as
+`cli.cmd_boost_scan`, `polarisation.anomalous_malus_curve` and the
+oracle checks do.
 
 The angle and the stabiliser test are computed at once. The reconstruction
 residual, a diagnostic, is computed on its first read, from the Wigner
@@ -58,6 +58,7 @@ from .minkowski import (
     LorentzTransform,
     PairStack,
     RowError,
+    RowValueError,
     _boost_stack,
     _check_rows,
     _eta_inverse,
@@ -145,6 +146,11 @@ def _row(x, i: int):
 
 def _gamma(L: LorentzTransform, i: int) -> str:
     return f"transform gamma={_row(L.m, i)[0, 0]:.10g}"
+
+
+def _pair_culprit(pairs: PairStack, L: LorentzTransform, i: int) -> str:
+    k, u = _row(pairs.k, i), _row(pairs.u, i)
+    return f"k={format_row(k)}, u={format_row(u)}, frame gamma={u[0]:.10g}, {_gamma(L, i)}"
 
 
 def direction_in_pf(pairs: PairStack) -> np.ndarray:
@@ -286,8 +292,13 @@ def pf_standard_element(pairs: PairStack) -> np.ndarray:
 
 
 def transform_pair(pairs: PairStack, L: LorentzTransform) -> PairStack:
-    """The pairs (Lk, Lu), validated, with a row per pair or per transform."""
-    return PairStack(apply(L, pairs.k), apply(L, pairs.u))
+    """The pairs (Lk, Lu), validated, with a row per pair or per transform;
+    the error for a moved pair names it, the given pair and both gammas."""
+    try:
+        return PairStack(apply(L, pairs.k), apply(L, pairs.u))
+    except RowValueError as exc:
+        raise RowValueError(exc.row, f"moved pair fails validation: {exc.reason}; given pair "
+                                     f"({_pair_culprit(pairs, L, exc.row)})") from exc
 
 
 def pf_wigner(pairs: PairStack, L: LorentzTransform) -> WignerAngle:
@@ -327,11 +338,8 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
     q = pairs.kappa[:, None] * _Q_UNIT
     stab = np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
                       np.abs(w @ _U_REST - _U_REST).max(axis=1))
-    _check_rows([(stab <= STABILISER_TOL,
-                  lambda i: f"pair moved by {stab[i]:.3e} (k={format_row(_row(pairs.k, i))}, "
-                            f"u={format_row(_row(pairs.u, i))}, "
-                            f"frame gamma={_row(pairs.u, i)[0]:.10g}, {_gamma(L, i)})")],
-                error=StabilityError)
+    _check_rows([(stab <= STABILISER_TOL, lambda i: f"pair moved by {stab[i]:.3e}")],
+                partial(_pair_culprit, pairs, L), StabilityError)
 
     return WignerAngle(_z_angle(w), stab, partial(_pf_residual, w))
 

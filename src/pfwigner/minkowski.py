@@ -37,14 +37,15 @@ _METRIC_ROWS = np.diag(METRIC)[:, None]
 # Construction-time validation.
 CONSTRUCTION_TOL = 1e-12
 
-# rows of a long sweep made at a time, by the callers that make its rows
-# (`cli.cmd_boost_scan`, `polarisation.anomalous_malus_curve` and the
-# oracle checks); every function of the matrix route runs the rows it is
-# given at once. The block bounds the working arrays of the sweep and
-# amortises numpy's fixed cost per call, which dominates at these sizes
-# (a block of the matrix route makes about 300 numpy calls on arrays of
-# at most STACK_BLOCK x 4 x 4). Measured by `benchmarks/run.py --seconds
-# 5`, one run each, in reference seconds:
+# rows of a long sweep made at a time by `in_blocks`, through which the
+# matrix-route sweeps (`cli.cmd_boost_scan`, `anomalous_malus_curve` and
+# the oracle checks) make their rows. The block bounds their working
+# arrays and amortises numpy's fixed cost per call, which dominates at
+# these sizes (a block of the matrix route makes about 300 numpy calls on
+# arrays of at most STACK_BLOCK x 4 x 4). Measured when the block was
+# chosen, before later speed-ups of the route (boost-scan now reads about
+# 0.003 s), by `benchmarks/run.py --seconds 5`, one run each, in reference
+# seconds:
 #   STACK_BLOCK  boost-scan wall_s  validate wall_s  validate peak_rss_mb
 #   256          0.0084             0.113            39.23
 #   512          0.0071             0.097            39.42
@@ -53,11 +54,6 @@ CONSTRUCTION_TOL = 1e-12
 # 1024 is the smallest block that runs the 607 rows of the default
 # boost-scan at once; 2048 gains nothing there and costs memory.
 STACK_BLOCK = 1024
-
-
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most STACK_BLOCK rows covering range(n)."""
-    return [slice(i, min(i + STACK_BLOCK, n)) for i in range(0, n, STACK_BLOCK)]
 
 
 def row_dot(a, b) -> np.ndarray:
@@ -107,20 +103,18 @@ class RowValueError(RowError, ValueError):
     """A row of a stack failed validation."""
 
 
-class rows_from:
-    """Context for a stack that is rows `first`, `first` + 1, ... of a
-    longer one: a RowError raised inside names the row of the longer one."""
-
-    def __init__(self, first: int):
-        self.first = first
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        if self.first and isinstance(exc, RowError):
-            exc.at_row(exc.row + self.first)
-        return False
+def in_blocks(n: int, rows) -> np.ndarray:
+    """rows(block) for consecutive slices of at most STACK_BLOCK rows
+    covering range(n), concatenated; an empty float array when n = 0.
+    A RowError raised for a block names the row of the whole range."""
+    out = []
+    for start in range(0, n, STACK_BLOCK):
+        try:
+            out.append(rows(slice(start, min(start + STACK_BLOCK, n))))
+        except RowError as exc:
+            exc.at_row(exc.row + start)
+            raise
+    return np.concatenate(out) if out else np.empty(0)
 
 
 def _check_rows(tests, culprit=None, error=RowValueError) -> None:

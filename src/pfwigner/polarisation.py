@@ -9,8 +9,7 @@ import math
 import numpy as np
 
 from .induction import pf_wigner
-from .minkowski import (PairStack, _check_rows, math_rows, rotation_about, row_blocks, rows_from,
-                        unit_rows)
+from .minkowski import PairStack, _check_rows, in_blocks, math_rows, rotation_about, unit_rows
 
 
 def _cos_squared(x) -> np.ndarray:
@@ -48,16 +47,14 @@ def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) 
     cos^2(Theta0 + delta - theta - phi). With a zero frame velocity
     phi = delta exactly and the curve is the constant classical value.
     `pair` is a PairStack of one row; any other raises ValueError. The
-    deltas go to `pf_wigner`, which runs the rows it is given at once,
-    STACK_BLOCK at a time: this loop bounds the working arrays of the
-    sweep.
+    deltas go to `pf_wigner` STACK_BLOCK at a time, through `in_blocks`,
+    which bounds the working arrays of the sweep; an error names the row
+    of the deltas.
     """
     if len(pair) != 1:
         raise ValueError(f"expected a pair of one row, got {len(pair)} rows")
     axis = unit_rows(pair.k[:, 1:])[0]
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
-    phi = np.empty(len(deltas))
-    for block in row_blocks(len(deltas)):
-        with rows_from(block.start):
-            phi[block] = pf_wigner(pair, rotation_about(axis, deltas[block])).phi
+    phi = in_blocks(len(deltas),
+                    lambda rows: pf_wigner(pair, rotation_about(axis, deltas[rows])).phi)
     return _cos_squared(Theta0 + deltas - theta - phi)

@@ -132,11 +132,11 @@ def test_fine_rotation_scan_holds_one_block_of_rows(fmt, tmp_path):
     assert peak < FINE_ROTATION_PEAK[fmt]
 
 
-# tracemalloc peaks, in bytes, of the two matrix-route sweeps: each cuts
-# its rows into STACK_BLOCK pieces where it makes them (cmd_boost_scan and
+# tracemalloc peaks, in bytes, of the two matrix-route sweeps: each makes
+# its rows STACK_BLOCK at a time through `in_blocks` (cmd_boost_scan and
 # anomalous_malus_curve), the only bound on their memory, since the route
 # runs the rows it is given at once. Measured 1.7 MB (8 333 speeds) and
-# 2.7 MB (9 601 deltas) with the loops; 8.1 MB and 9.2 MB without.
+# 2.7 MB (9 601 deltas) in blocks; 8.1 MB and 9.2 MB without.
 SWEEP_PEAK = {
     "boost-scan": (["boost-scan", "--v-step", "2.4e-4"], 4_000_000),
     "malus": (["malus", "--delta-step", "0.0006544984694978736", "--samples", "1"], 5_000_000),
@@ -707,6 +707,24 @@ def test_a_moved_frame_past_the_validation_bound_names_the_pair_and_transform():
     assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
     for part in ("pair moved by", "frame gamma=", "transform gamma="):
         assert part in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("boost-scan",),
+    ("wigner", "--transform", "boost:z:-0.9999"),
+])
+def test_a_moved_pair_that_fails_validation_names_the_pair_and_transform(args):
+    # the frame gamma rounds to 2^26 and the boost against it leaves a moved
+    # u that is no longer unit timelike; the message names the moved pair,
+    # the given one and both gammas
+    res = run_cli(*args, "--pf-speed", 0.9999999999999999, "--chi", 1e-300)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert res.stderr.startswith("internal numerical error: row 0: moved pair fails validation: "
+                                 "u is not unit timelike (k=(0.007071244595, ")
+    assert "; given pair (k=(1, 0, 0, 1), u=(67108864, " in res.stderr
+    assert res.stderr.endswith(", frame gamma=67108864, transform gamma=70.71244595)\n")
 
 
 def test_any_row_error_exits_3(monkeypatch):

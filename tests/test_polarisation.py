@@ -96,6 +96,10 @@ def test_curve_is_classical_when_frame_is_at_rest():
         assert p == pytest.approx(expected, abs=1e-12)
 
 
+def test_curve_of_no_deltas_is_empty():
+    assert anomalous_malus_curve(bench_pair(0.3, 1.0), 0.2, 1.3, np.array([])).shape == (0,)
+
+
 @pytest.mark.parametrize("deltas", [[0.5, 0.7], [0.5, 0.7, 0.9]])
 def test_curve_rejects_a_pair_of_more_than_one_row(deltas):
     # every delta would rotate about row 0's photon, and as many deltas as

@@ -54,7 +54,7 @@ from pfwigner import checks, cli, induction, minkowski
 from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID, _draws
 from pfwigner.induction import Z_AXIS, _euclidean_stack, _gauge_stack
 from pfwigner.minkowski import (METRIC, STACK_BLOCK, _photon_tests, _rotation_stack, along_z,
-                                row_blocks)
+                                in_blocks)
 
 from helpers import random_pair
 
@@ -232,6 +232,32 @@ def test_stacks_of_zero_rows_give_empty_results():
     assert phase_difference(pairs, L).shape == (0,)
 
 
+def test_in_blocks_of_no_rows_is_an_empty_float_array_and_makes_no_call():
+    calls = []
+    got = in_blocks(0, calls.append)
+    assert got.dtype == np.float64 and got.shape == (0,)
+    assert calls == []
+
+
+def test_in_blocks_concatenates_its_blocks_and_names_the_row_of_the_range():
+    # with STACK_BLOCK at 3, 8 rows are the blocks 0-2, 3-5 and 6-7; a
+    # RowValueError for row 1 of the third block names row 7
+    blocks = []
+
+    def rows(block, bad=None):
+        blocks.append((block.start, block.stop))
+        if block.start == bad:
+            raise minkowski.RowValueError(1, "speed must be < 1")
+        return np.arange(block.start, block.stop, dtype=float)
+
+    with mock.patch.object(minkowski, "STACK_BLOCK", 3):
+        assert in_blocks(8, rows).tolist() == list(range(8))
+        assert blocks == [(0, 3), (3, 6), (6, 8)]
+        with pytest.raises(minkowski.RowValueError, match=r"^row 7: speed must be < 1$") as exc:
+            in_blocks(8, lambda block: rows(block, bad=6))
+    assert exc.value.row == 7
+
+
 # --- elements built once and passed to each angle ----------------------------
 
 def _assert_angle_bits_equal(got, want):
@@ -330,6 +356,10 @@ def test_given_elements_reject_stacks_whose_rows_do_not_match(short):
 
 # --- the reconstruction residual, rebuilt when it is read ----------------------
 
+# the two blocks of STACK_BLOCK + 3 rows
+TWO_BLOCKS = (slice(0, STACK_BLOCK), slice(STACK_BLOCK, STACK_BLOCK + 3))
+
+
 def _longer_than_a_block(seed=11):
     # STACK_BLOCK + 3 random pairs and transforms: two blocks
     rows = _draws(np.random.default_rng(seed), STACK_BLOCK + 3, ("null", "velocity", "transform"))
@@ -345,7 +375,7 @@ def test_pf_residual_is_that_of_each_block_and_of_the_eager_formula():
     pairs, L = _longer_than_a_block()
     got = pf_wigner(pairs, L).residual
     blocks, eager = [], []
-    for b in row_blocks(len(pairs)):
+    for b in TWO_BLOCKS:
         p, l = pairs[b], L[b]
         s1, s2 = pf_standard_element(p), pf_standard_element(transform_pair(p, l))
         blocks.append(pf_wigner_from_elements(p, s1, l, s2).residual)
@@ -364,7 +394,7 @@ def test_standard_residual_is_that_of_each_block_and_of_the_eager_formula():
     k = photon_momenta(pairs.k)
     got = standard_wigner(k, L).residual
     blocks, eager = [], []
-    for b in row_blocks(len(k)):
+    for b in TWO_BLOCKS:
         kb, l = k[b], L[b]
         e1, e2 = massless_standard_element(kb), massless_standard_element(apply(l, kb))
         blocks.append(standard_wigner_from_elements(kb, e1, l, e2).residual)
