@@ -65,6 +65,7 @@ from .minkowski import (
     _photon_tests,
     _rotation_stack,
     _rotation_z_to_stack,
+    _row_abs_max,
     apply,
     boost_to,
     format_row,
@@ -231,7 +232,7 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
     t = np.column_stack([row_dot(col, th_vec)
                          for col in _rotation_z_to_stack(kh)[:, 1:, 1:3].transpose(2, 0, 1)])
     t[(t == 0.0).all(axis=1)] = (1.0, 0.0)
-    tx, ty = (t / np.abs(t).max(axis=1)[:, None]).T
+    tx, ty = (t / _row_abs_max(t)[:, None]).T
     rho = np.sqrt(tx * tx + ty * ty)
     east = tx >= 0.0
 
@@ -336,8 +337,8 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
     w = _eta_inverse(s2) @ L.m @ s1
 
     q = pairs.kappa[:, None] * _Q_UNIT
-    stab = np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
-                      np.abs(w @ _U_REST - _U_REST).max(axis=1))
+    stab = np.maximum(_row_abs_max((w @ q[:, :, None])[:, :, 0] - q),
+                      _row_abs_max(w @ _U_REST - _U_REST))
     _check_rows([(stab <= STABILISER_TOL, lambda i: f"pair moved by {stab[i]:.3e}")],
                 partial(_pair_culprit, pairs, L), StabilityError)
 
@@ -353,7 +354,7 @@ def _z_angle(m: np.ndarray) -> np.ndarray:
 def _pf_residual(w: np.ndarray) -> np.ndarray:
     """max |W - Rz(phi)| of each row: the pair element's departure from
     the z-rotation of its angle."""
-    return np.abs(w - _rotation_stack(Z_AXIS, _z_angle(w))).max(axis=(1, 2))
+    return _row_abs_max(w - _rotation_stack(Z_AXIS, _z_angle(w)))
 
 
 def massless_standard_element(k: np.ndarray) -> np.ndarray:
@@ -426,7 +427,7 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
     _stack_rows(len(k), len(e1), len(L), len(e2))
     e = _eta_inverse(e2) @ L.m @ e1
 
-    stab = np.abs(e @ _Q_UNIT - _Q_UNIT).max(axis=1)
+    stab = _row_abs_max(e @ _Q_UNIT - _Q_UNIT)
     _check_rows([(stab <= STABILISER_TOL,
                   lambda i: f"reference null vector moved by {stab[i]:.3e} "
                             f"(k={format_row(_row(k, i))}, {_gamma(L, i)})")],
@@ -446,7 +447,7 @@ def _standard_residual(e: np.ndarray) -> np.ndarray:
     phi = _standard_angle(e)
     t = e @ _rotation_stack(Z_AXIS, -phi)
     rebuilt = _euclidean_stack(t[:, 1, 0], t[:, 2, 0]) @ _rotation_stack(Z_AXIS, phi)
-    return np.abs(e - rebuilt).max(axis=(1, 2))
+    return _row_abs_max(e - rebuilt)
 
 
 def phase_difference(pairs: PairStack, L: LorentzTransform) -> np.ndarray:

@@ -64,6 +64,8 @@ MALUS_ARGS = ("malus", "--delta-max", math.pi, "--delta-step", 0.5 * math.pi,
               "--samples", 10000, "--seed", 7)
 WIGNER_ARGS = ("wigner", "--transform", "rotation:k:0.7853981633974483",
                "--transform", "boost:z:0.25")
+# the exact identity: phi_std is -0.0 and phi_pf -4.890303485836872e-40
+WIGNER_IDENTITY_ARGS = ("wigner", "--transform", "rotation:k:0")
 # a generic pair and transform, whose residuals are far from 0
 WIGNER_GENERIC_ARGS = ("wigner", "--pf-speed", 0.5, "--chi", 1.0, "--transform", "boost:x:0.99",
                        "--transform", "rotation:y:1.1", "--transform", "boost:k:-0.9")
@@ -76,9 +78,10 @@ WIGNER_GENERIC_ARGS = ("wigner", "--pf-speed", 0.5, "--chi", 1.0, "--transform",
         (ROTATION_ARGS, "rotation_scan.csv"),
         (MALUS_ARGS, "malus.csv"),
         (WIGNER_ARGS, "wigner.json"),
+        (WIGNER_IDENTITY_ARGS, "wigner_identity.json"),
         (WIGNER_GENERIC_ARGS, "wigner_generic.json"),
     ],
-    ids=["boost-scan", "rotation-scan", "malus", "wigner", "wigner-generic"],
+    ids=["boost-scan", "rotation-scan", "malus", "wigner", "wigner-identity", "wigner-generic"],
 )
 def test_golden_output(args, golden, tmp_path):
     out = tmp_path / golden

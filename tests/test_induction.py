@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pfwigner import (
+    IDENTITY,
     LorentzTransform,
     PairStack,
     StabilityError,
@@ -287,3 +288,65 @@ def test_phase_difference_tracks_approximation():
         got = phase_difference(kin, rotation_about(Z, d))[0]
         approx = TH_CMB * (1.0 - math.cos(d))
         assert got == pytest.approx(approx, abs=5.0 * TH_CMB * TH_CMB)
+
+
+# --- angles under exact transforms, to the sign of zero ---------------------
+
+# the pairs: bench pairs of speed 0, 0.3 and 0.9 at chi 0, pi/2 and pi, and
+# a photon along -z from a frame at rest and from one moving along x
+K_MINUS_Z = np.array([[1.0, 0.0, 0.0, -1.0]])
+SIGN_PAIRS = [bench_pair(th, chi) for th in (0.0, 0.3, 0.9) for chi in (0.0, math.pi / 2, math.pi)]
+SIGN_PAIRS += [PairStack(K_MINUS_Z, U_REST), PairStack(K_MINUS_Z, four_velocity([0.5, 0.0, 0.0]))]
+X, Y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+EXACT_TRANSFORMS = {
+    "identity": IDENTITY,
+    "rotation:z:0": rotation_about(Z, 0.0),
+    "rotation:x:0": rotation_about(X, 0.0),
+    "rotation:y:0": rotation_about(Y, 0.0),
+    "boost:z:0": boost_from_velocity([0.0, 0.0, 0.0]),
+    "rotation:z:pi": rotation_about(Z, math.pi),
+    "rotation:x:pi": rotation_about(X, math.pi),
+    "rotation:y:pi": rotation_about(Y, math.pi),
+    "boost:z:0.5": boost_from_velocity([0.0, 0.0, 0.5]),
+    "boost:x:0.5": boost_from_velocity([0.5, 0.0, 0.0]),
+}
+# the phi of pf_wigner at each of SIGN_PAIRS and of standard_wigner at k
+# along +z and -z, as the two-product inverse gave them; each transform by
+# 0 is the exact identity and gives the identity's angles
+_AT_IDENTITY = ([0.0, 0.0, 0.0, 0.0, -3.0321606835661907e-34, -2.3613976759443123e-51, 0.0,
+                 5.7686358901238614e-33, 3.528068985910851e-33, 0.0, 0.0], [-0.0, -0.0])
+SIGNED_PHI = {
+    "identity": _AT_IDENTITY,
+    "rotation:z:0": _AT_IDENTITY,
+    "rotation:x:0": _AT_IDENTITY,
+    "rotation:y:0": _AT_IDENTITY,
+    "boost:z:0": _AT_IDENTITY,
+    "rotation:z:pi": ([math.pi, math.pi, math.pi, math.pi, -2.5322073455589984, math.pi, math.pi,
+                       -0.9020536235925242, -math.pi, -math.pi, -2.0943951023931957],
+                      [math.pi, -math.pi]),
+    "rotation:x:pi": ([0.0, 0.0, 0.0, 0.0, -3.1415926535897922, -0.5203344602949408,
+                       -5.551115123125789e-16, -math.pi, -1.3130908167785345, 0.0, -math.pi],
+                      [-0.0, -0.0]),
+    "rotation:y:pi": ([0.0, 0.0, 0.0, 0.0, 9.641439510373247e-35, -2.3613976759443114e-51,
+                       8.862067098174736e-33, 3.303445561308201e-33, 1.5854020629989164e-32,
+                       math.pi, 1.0471975511965979], [-0.0, -math.pi]),
+    "boost:z:0.5": ([0.0, 0.0, 0.0, 0.0, 0.04111665993375892, 5.254340837819917e-18, 0.0,
+                     0.1663947392887511, 2.471917665534779e-17, 0.0, -0.07167378445268269],
+                    [-0.0, -0.0]),
+    "boost:x:0.5": ([0.029975583298746375, 0.029975583298746375, 0.029975583298746375,
+                     0.0448576336207654, 0.06521831716079143, 0.0038544378157036696,
+                     0.03830029991886813, 0.1872043669040145, -0.1421171067491286,
+                     -2.064419519094449, 2.1894579040664275], [-0.0, -math.pi]),
+}
+
+
+@pytest.mark.parametrize("name", SIGNED_PHI)
+def test_angles_under_exact_transforms_keep_their_bits_and_sign_of_zero(name):
+    # repr tells -0.0 from 0.0 and is exact for every float; the signbit is
+    # checked on its own as well
+    L = EXACT_TRANSFORMS[name]
+    got = ([float(pf_wigner(pair, L).phi[0]) for pair in SIGN_PAIRS]
+           + [float(standard_wigner(k, L).phi[0]) for k in (Q_UNIT, K_MINUS_Z)])
+    want = [*SIGNED_PHI[name][0], *SIGNED_PHI[name][1]]
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()

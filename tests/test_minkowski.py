@@ -1,7 +1,6 @@
 import math
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,14 +18,22 @@ from pfwigner import (
     compose,
     four_velocity,
     inverse,
+    massless_standard_element,
     minkowski_dot,
     pf_standard_element,
     rotation_about,
     rotation_z_to,
     wrap_angle,
 )
-from pfwigner import minkowski
-from pfwigner.minkowski import MAX_ENTRY, _matrix_tests, _metric_error, math_rows, unit_rows
+from pfwigner.minkowski import (
+    MAX_ENTRY,
+    _eta_inverse,
+    _matrix_tests,
+    _metric_error,
+    _row_abs_max,
+    math_rows,
+    unit_rows,
+)
 
 from helpers import random_direction, random_transform
 
@@ -259,17 +266,15 @@ def test_parity_flip_of_a_large_boost_gets_its_low_gamma_message(flip, gamma):
 
 @pytest.mark.parametrize("flip", FLIPS)
 def test_parity_flip_in_a_later_row_of_a_stack_is_named(flip):
-    # proper boosts of every gamma of FLIP_GAMMAS, then one flipped boost;
-    # with STACK_BLOCK at 3 the stack spans two blocks, and the error names
-    # the row of the whole stack
+    # proper boosts of every gamma of FLIP_GAMMAS, then one flipped boost:
+    # the error names the last row of the stack
     f, reason = FLIPS[flip]
     boosts = [_boost_of_gamma(g) for g in FLIP_GAMMAS]
     for gamma in FLIP_GAMMAS:
         m = np.stack(boosts + [f @ _boost_of_gamma(gamma)])
-        with mock.patch.object(minkowski, "STACK_BLOCK", 3):
-            assert len(LorentzTransform(m[:-1])) == len(boosts)
-            with pytest.raises(ValueError, match=rf"^row {len(boosts)}: {re.escape(reason)} "):
-                LorentzTransform(m)
+        assert len(LorentzTransform(m[:-1])) == len(boosts)
+        with pytest.raises(ValueError, match=rf"^row {len(boosts)}: {re.escape(reason)} "):
+            LorentzTransform(m)
 
 
 @pytest.mark.parametrize("gamma", [1e4, 1e6, 1e7, 1e8, 1e9, 1e10, 1e12])
@@ -359,6 +364,59 @@ def test_metric_error_has_the_bits_of_the_two_product_form():
     for b in _metric_stacks():
         want = np.abs(b.transpose(0, 2, 1) @ METRIC @ b - METRIC).max(axis=(1, 2))
         assert _bits(_metric_error(b)).tolist() == _bits(want).tolist()
+
+
+def _inverse_stacks():
+    # validated boost . rotation stacks from gamma 1 to 1e6, both standard
+    # elements of random pairs, stacks of one row and of none, and the
+    # stacks of the metric test
+    rng = np.random.default_rng(13)
+    n = 500
+    gamma = np.geomspace(1.0, 1e6, n)
+    u = np.column_stack([gamma, np.sqrt(gamma * gamma - 1.0)[:, None]
+                         * unit_rows(rng.normal(size=(n, 3)))])
+    turns = rotation_about(unit_rows(rng.normal(size=(n, 3))), rng.uniform(-math.pi, math.pi, n))
+    generic = compose(boost_to(u), turns).m
+    k = rng.normal(size=(n, 3))
+    k = rng.uniform(0.1, 10.0, (n, 1)) * np.column_stack([np.linalg.norm(k, axis=1), k])
+    pairs = PairStack(k, four_velocity(unit_rows(rng.normal(size=(n, 3)))
+                                       * rng.uniform(0.0, 0.99, (n, 1))))
+    return [generic, generic[:1], generic[:0], pf_standard_element(pairs),
+            massless_standard_element(k), IDENTITY.m] + _metric_stacks()
+
+
+def test_eta_inverse_equals_the_two_product_form():
+    # each entry is +-m_ji, to which the products only add zero terms; ==
+    # takes +0 and -0 as equal, the one difference the products may make
+    for m in _inverse_stacks():
+        got, want = _eta_inverse(m), METRIC @ np.swapaxes(m, 1, 2) @ METRIC
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+def _abs_max_stacks():
+    # random rows with a row of NaN, a row holding one NaN, one holding one
+    # +inf, a row of -inf, one holding inf beside NaN, a row of +0 and one
+    # of -0; each stack also cut to one row, to none and to the zero rows
+    rng = np.random.default_rng(17)
+    for shape in ((9, 4), (9, 4, 4)):
+        a = rng.normal(size=shape)
+        a[0] = np.nan
+        a[1].flat[2] = np.nan
+        a[2].flat[1] = np.inf
+        a[3] = -np.inf
+        a[4].flat[:2] = (np.inf, np.nan)
+        a[5] = 0.0
+        a[6] = -0.0
+        yield from (a, a[:1], a[:0], a[5:7])
+
+
+def test_row_abs_max_has_the_bits_of_abs_max():
+    for a in _abs_max_stacks():
+        want = np.abs(a).max(axis=tuple(range(1, a.ndim)))
+        got = _row_abs_max(a)
+        assert got.shape == want.shape
+        assert _bits(got).tolist() == _bits(want).tolist()
 
 
 def test_matrix_is_frozen_after_construction():
