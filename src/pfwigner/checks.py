@@ -71,11 +71,6 @@ def _phase(w: induction.WignerAngle) -> tuple[np.ndarray, float]:
     return w.phi, float(w.stabiliser.max())
 
 
-def _moved_element(pairs: PairStack, L: LorentzTransform) -> np.ndarray:
-    """The stack of standard elements of the moved pairs (Lk, Lu)."""
-    return induction.pf_standard_element(induction.transform_pair(pairs, L))
-
-
 def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
     """pf_wigner phases of every transform of L at every bench pair of the
     grids, their largest stabiliser residual, and the theta and chi of each
@@ -91,7 +86,8 @@ def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
     def block(rows: slice) -> np.ndarray:
         p, l = pairs[pair_of[rows]], L[transform_of[rows]]
         phi, block_stab = _phase(induction.pf_wigner_from_elements(
-            p, elements[pair_of[rows]], l, _moved_element(p, l)))
+            p, elements[pair_of[rows]], l,
+            induction.pf_standard_element(induction.transform_pair(p, l))))
         stab.append(block_stab)
         return phi
 
@@ -126,40 +122,43 @@ def _composition_defect(phi1, phi2, phi12) -> float:
     return float(np.abs(wrap_angle(phi12 - phi1 - phi2)).max())
 
 
-def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
-    """Largest defect of phi(L2 L1) = phi(L1) + phi(L2), random (k, u, L1, L2).
+def _composition_law(x, a: LorentzTransform, b: LorentzTransform, element, move,
+                     wigner) -> tuple[float, float]:
+    """Largest defect of phi(L2 L1) = phi(L1) + phi(L2) at x for L1 = a, L2 = b
+    on one route, and the largest stabiliser residual; the route's elements
+    of x, L1 x, L2 L1 x and (L2 L1) x are each built once."""
+    ab = minkowski.compose(b, a)
+    s = element(x)
+    x1 = move(x, a)
+    s1 = element(x1)
+    phi1, stab1 = _phase(wigner(x, s, a, s1))
+    phi2, stab2 = _phase(wigner(x1, s1, b, element(move(x1, b))))
+    phi12, stab12 = _phase(wigner(x, s, ab, element(move(x, ab))))
+    return _composition_defect(phi1, phi2, phi12), max(stab1, stab2, stab12)
 
-    The elements of the pairs p, L1 p, L2 L1 p and (L2 L1) p are each
-    built once."""
+
+def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
+    """Largest defect of phi(L2 L1) = phi(L1) + phi(L2), random (k, u, L1, L2)."""
     rng = np.random.default_rng(seed)
     rows = _draws(rng, n_draws, ("null", "velocity", "transform", "transform"))
     p = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
     a, b = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
-    ab = minkowski.compose(b, a)
-    s = induction.pf_standard_element(p)
-    p1 = induction.transform_pair(p, a)
-    s1 = induction.pf_standard_element(p1)
-    phi1, stab1 = _phase(induction.pf_wigner_from_elements(p, s, a, s1))
-    phi2, stab2 = _phase(induction.pf_wigner_from_elements(p1, s1, b, _moved_element(p1, b)))
-    phi12, stab12 = _phase(induction.pf_wigner_from_elements(p, s, ab, _moved_element(p, ab)))
-    return CheckResult(_composition_defect(phi1, phi2, phi12), tol, max(stab1, stab2, stab12))
+    defect, stab = _composition_law(p, a, b, induction.pf_standard_element,
+                                    induction.transform_pair, induction.pf_wigner_from_elements)
+    return CheckResult(defect, tol, stab)
 
 
 def composition_law_standard(seed: int, n_draws: int, tol: float) -> CheckResult:
-    """The composition law of the pairless route, random (k, L1, L2); the
-    elements of k and L1 k are each built once."""
+    """The composition law of the pairless route, random (k, L1, L2); each
+    moved k is validated, as `transform_pair` validates each moved pair."""
     rng = np.random.default_rng(seed)
     rows = _draws(rng, n_draws, ("null", "transform", "transform"))
     a, b = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
-    ab = minkowski.compose(b, a)
-    k = induction.photon_momenta(rows[:, :4])
-    k1 = induction.photon_momenta(apply(a, k))
-    element = induction.massless_standard_element
-    e, e1 = element(k), element(k1)
-    phi1 = induction.standard_wigner_from_elements(k, e, a, e1).phi
-    phi2 = induction.standard_wigner_from_elements(k1, e1, b, element(apply(b, k1))).phi
-    phi12 = induction.standard_wigner_from_elements(k, e, ab, element(apply(ab, k))).phi
-    return CheckResult(_composition_defect(phi1, phi2, phi12), tol)
+    defect, _ = _composition_law(induction.photon_momenta(rows[:, :4]), a, b,
+                                 induction.massless_standard_element,
+                                 lambda k, L: induction.photon_momenta(apply(L, k)),
+                                 induction.standard_wigner_from_elements)
+    return CheckResult(defect, tol)
 
 
 def stabiliser_residuals(earlier: Iterable[CheckResult], tol: float) -> CheckResult:

@@ -23,7 +23,8 @@ and read the angle given them (`pf_wigner_from_elements`,
 `standard_wigner_from_elements`), so a caller that needs several angles
 at the same pairs builds each element once. The elements are unchecked
 products of kernels, which the stabiliser test of the Wigner element
-certifies. Every function here runs the rows it is given at once, so its
+certifies; both routes form, test and read it in one core, `_wigner`.
+Every function here runs the rows it is given at once, so its
 working arrays grow with the stack: at 16 384 random rows (3.0 MiB of
 inputs) the tracemalloc peak of `pf_wigner` is 11.0 MiB and that of
 `standard_wigner` 8.8 MiB. A caller that makes a long sweep makes its
@@ -88,8 +89,8 @@ class StabilityError(RowError, RuntimeError):
     """The little-group element moved a vector it must fix.
 
     Signals a construction bug (or a numerically hostile transform),
-    not bad user input. The message names the row, the pair, the gamma
-    of the frame (paired route only) and the gamma of the transform.
+    not bad user input. The message names the row, the pair and its frame
+    gamma (k alone on the pairless route) and the transform gamma.
     """
 
 
@@ -325,24 +326,30 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
 
     s1 is the (1 or N, 4, 4) stack of `pf_standard_element(pairs)` and s2
     that of the moved pairs, `transform_pair(pairs, L)`; rows pair up as
-    in `pf_wigner`. The phase is the angle of the Wigner element
-    W = S(Lp)^-1 L S(p) = eta s2^T eta L s1. This runs the stabiliser test
-    and the angle extraction of `pf_wigner` on the rows it is given, at
-    once, and returns arrays of N (the residual is rebuilt from W when it
-    is read); its StabilityError names the row of the given stacks. A
+    in `pf_wigner`. The phase is the z-rotation angle of the Wigner
+    element, which must fix both q and the rest four-velocity (see
+    `_wigner`); its StabilityError names the row of the given stacks. A
     caller that needs several angles at the same pairs builds each
     element once and passes it to each call.
     """
-    _stack_rows(len(pairs), len(s1), len(L), len(s2))
+    return _wigner(len(pairs), s1, L, s2, (pairs.kappa[:, None] * _Q_UNIT, _U_REST[None]), "pair",
+                   partial(_pair_culprit, pairs, L), _z_angle, _pf_residual)
+
+
+def _wigner(rows: int, s1: np.ndarray, L: LorentzTransform, s2: np.ndarray, fixed, moved: str,
+            culprit: Callable[[int], str], angle, residual) -> WignerAngle:
+    """The Wigner element W = S(Lp)^-1 L S(p) = eta s2^T eta L s1 of the
+    `rows` given pairs or momenta, certified and read: the one body of both
+    routes. The stabiliser is the largest |W v - v| over the (1 or N, 4)
+    arrays v of `fixed`; a row above STABILISER_TOL raises StabilityError,
+    "<moved> moved by ..." with `culprit(row)`. The angle is angle(W), and
+    residual(W) runs on the first read of the residual."""
+    _stack_rows(rows, len(s1), len(L), len(s2))
     w = _eta_inverse(s2) @ L.m @ s1
-
-    q = pairs.kappa[:, None] * _Q_UNIT
-    stab = np.maximum(_row_abs_max((w @ q[:, :, None])[:, :, 0] - q),
-                      _row_abs_max(w @ _U_REST - _U_REST))
-    _check_rows([(stab <= STABILISER_TOL, lambda i: f"pair moved by {stab[i]:.3e}")],
-                partial(_pair_culprit, pairs, L), StabilityError)
-
-    return WignerAngle(_z_angle(w), stab, partial(_pf_residual, w))
+    stab = np.maximum.reduce([_row_abs_max((w @ v[:, :, None])[:, :, 0] - v) for v in fixed])
+    _check_rows([(stab <= STABILISER_TOL, lambda i: f"{moved} moved by {stab[i]:.3e}")],
+                culprit, StabilityError)
+    return WignerAngle(angle(w), stab, partial(residual, w))
 
 
 def _z_angle(m: np.ndarray) -> np.ndarray:
@@ -419,21 +426,14 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
 
     k is an (N,4) array from `photon_momenta`, e1 the (1 or N, 4, 4) stack
     of `massless_standard_element(k)` and e2 that of the moved momenta
-    `apply(L, k)`. Like `pf_wigner_from_elements`, this runs the
-    stabiliser test and the angle extraction on the rows it is given, at
-    once, and returns arrays of N, with the reconstruction residual
-    rebuilt from the element when it is read.
+    `apply(L, k)`. Like `pf_wigner_from_elements`, this runs the core
+    `_wigner` on the rows it is given, at once: the element must fix the
+    reference null vector q, and its StabilityError names k and the
+    transform gamma.
     """
-    _stack_rows(len(k), len(e1), len(L), len(e2))
-    e = _eta_inverse(e2) @ L.m @ e1
-
-    stab = _row_abs_max(e @ _Q_UNIT - _Q_UNIT)
-    _check_rows([(stab <= STABILISER_TOL,
-                  lambda i: f"reference null vector moved by {stab[i]:.3e} "
-                            f"(k={format_row(_row(k, i))}, {_gamma(L, i)})")],
-                error=StabilityError)
-
-    return WignerAngle(_standard_angle(e), stab, partial(_standard_residual, e))
+    return _wigner(len(k), e1, L, e2, (_Q_UNIT[None],), "reference null vector",
+                   lambda i: f"k={format_row(_row(k, i))}, {_gamma(L, i)}",
+                   _standard_angle, _standard_residual)
 
 
 def _standard_angle(e: np.ndarray) -> np.ndarray:

@@ -325,6 +325,19 @@ def test_standard_composition_elements_built_once_equal_independent_calls(seed):
     assert got == checks.CheckResult(checks._composition_defect(w1.phi, w2.phi, w12.phi), 1e-9)
 
 
+@pytest.mark.parametrize("check,validator,seed", [
+    (checks.composition_law_pair, "transform_pair", 2024),
+    (checks.composition_law_standard, "photon_momenta", 2025)], ids=["pair", "standard"])
+def test_composition_checks_validate_every_moved_input(monkeypatch, check, validator, seed):
+    # L1 x, L2 L1 x and (L2 L1) x each pass the route's validation once (the
+    # pairless route also validates the drawn k)
+    calls = []
+    original = getattr(induction, validator)
+    monkeypatch.setattr(induction, validator, lambda *args: calls.append(1) or original(*args))
+    check(seed, 40, 1e-9)
+    assert len(calls) == (3 if validator == "transform_pair" else 4)
+
+
 def test_stability_error_of_given_elements_names_the_row_of_the_stack():
     # as test_stability_error_names_the_row_of_the_stack, through the
     # elements-given path: the hostile pair is row 4 of the given stacks
@@ -335,6 +348,20 @@ def test_stability_error_of_given_elements_names_the_row_of_the_stack():
     with pytest.raises(StabilityError, match=r"^row 4: pair moved by .* \(k=\(1, 0, 0, 1\), "
                                               r"u=\(22360.68009, .*, transform gamma=1\)$"):
         pf_wigner_from_elements(pairs, s1, L, s2)
+
+
+def test_pairless_stability_error_names_the_row_k_and_the_transform_gamma():
+    # the one hostile transform is row 4, a boost along x of gamma 7e5;
+    # both routes raise through one core, and this is the pairless text
+    k = photon_momenta(np.tile(Q, (6, 1)))
+    L = boost_from_velocity([[v, 0.0, 0.0] for v in (0.1, 0.2, 0.3, 0.4, 1.0 - 1e-12, 0.5)])
+    text = (r"^row 4: reference null vector moved by 1\.443e-05 "
+            r"\(k=\(1, 0, 0, 1\), transform gamma=707114\.6025\)$")
+    with pytest.raises(StabilityError, match=text):
+        standard_wigner(k, L)
+    with pytest.raises(StabilityError, match=text):
+        standard_wigner_from_elements(k, massless_standard_element(k), L,
+                                      massless_standard_element(apply(L, k)))
 
 
 @pytest.mark.parametrize("short", range(4))
@@ -373,8 +400,9 @@ def _conjugated(e1, L, e2):
 
 def test_pf_residual_is_that_of_each_block_and_of_the_eager_formula():
     pairs, L = _longer_than_a_block()
-    got = pf_wigner(pairs, L).residual
-    blocks, eager = [], []
+    w_all = pf_wigner(pairs, L)
+    got = w_all.residual
+    blocks, eager, eager_stab = [], [], []
     for b in TWO_BLOCKS:
         p, l = pairs[b], L[b]
         s1, s2 = pf_standard_element(p), pf_standard_element(transform_pair(p, l))
@@ -383,17 +411,24 @@ def test_pf_residual_is_that_of_each_block_and_of_the_eager_formula():
         w = _conjugated(s1, l, s2)
         phi = np.array([math.atan2(y, x) for y, x in zip(w[:, 2, 1], w[:, 1, 1])])
         eager.append(np.abs(w - _rotation_stack(Z_AXIS, phi)).max(axis=(1, 2)))
+        # and max(|W q - q|, |W u_rest - u_rest|), q = kappa (1, 0, 0, 1)
+        q = p.kappa[:, None] * np.array(Q)
+        eager_stab.append(np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
+                                     np.abs(w @ np.array(U_REST) - U_REST).max(axis=1)))
     assert got.shape == (STACK_BLOCK + 3,)
     assert _bits(got).tolist() == _bits(np.concatenate(blocks)).tolist()
     assert _bits(got).tolist() == _bits(np.concatenate(eager)).tolist()
     assert 0.0 < got.max() < 1e-9
+    assert _bits(w_all.stabiliser).tolist() == _bits(np.concatenate(eager_stab)).tolist()
+    assert 0.0 < w_all.stabiliser.max() < 1e-9
 
 
 def test_standard_residual_is_that_of_each_block_and_of_the_eager_formula():
     pairs, L = _longer_than_a_block(12)
     k = photon_momenta(pairs.k)
-    got = standard_wigner(k, L).residual
-    blocks, eager = [], []
+    w_all = standard_wigner(k, L)
+    got = w_all.residual
+    blocks, eager, eager_stab = [], [], []
     for b in TWO_BLOCKS:
         kb, l = k[b], L[b]
         e1, e2 = massless_standard_element(kb), massless_standard_element(apply(l, kb))
@@ -407,10 +442,14 @@ def test_standard_residual_is_that_of_each_block_and_of_the_eager_formula():
         t = e @ _rotation_stack(Z_AXIS, -phi)
         rebuilt = _euclidean_stack(t[:, 1, 0], t[:, 2, 0]) @ _rotation_stack(Z_AXIS, phi)
         eager.append(np.abs(e - rebuilt).max(axis=(1, 2)))
+        # and |E q - q|, q = (1, 0, 0, 1)
+        eager_stab.append(np.abs(e @ np.array(Q) - Q).max(axis=1))
     assert got.shape == (STACK_BLOCK + 3,)
     assert _bits(got).tolist() == _bits(np.concatenate(blocks)).tolist()
     assert _bits(got).tolist() == _bits(np.concatenate(eager)).tolist()
     assert 0.0 < got.max() < 1e-9
+    assert _bits(w_all.stabiliser).tolist() == _bits(np.concatenate(eager_stab)).tolist()
+    assert 0.0 < w_all.stabiliser.max() < 1e-9
 
 
 @pytest.fixture
