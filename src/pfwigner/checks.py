@@ -1,5 +1,6 @@
 """The validation suite. Each check takes what it sweeps (grid tuples,
-or a seed and a draw count) and its tolerance, and returns a `CheckResult`.
+or a seed and a draw count) and its tolerance, and returns a `CheckResult`;
+`CHECKS` binds each to what `validate` runs it with.
 
 Library functions are looked up on their modules at call time, so that a
 profiler or a test that rebinds a module's function sees these calls.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Iterable
 
@@ -17,12 +19,6 @@ import numpy as np
 from . import closed_form, induction, minkowski, polarisation
 from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_velocity, unit_rows,
                         wrap_angle)
-
-V_GRID = tuple(round(-0.99 + 0.03 * i, 10) for i in range(67))
-THETA_GRID = (0.0, 1e-3, 0.1, 0.5)
-CHI_GRID = tuple(i * math.pi / 6.0 for i in range(7))
-DELTA_GRID = tuple(i * math.pi / 24.0 for i in range(1, 48))
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -237,3 +233,25 @@ def run_checks(table) -> dict[str, CheckResult]:
         else:
             results[name] = check()
     return results
+
+
+V_GRID = tuple(round(-0.99 + 0.03 * i, 10) for i in range(67))
+THETA_GRID = (0.0, 1e-3, 0.1, 0.5)
+CHI_GRID = tuple(i * math.pi / 6.0 for i in range(7))
+DELTA_GRID = tuple(i * math.pi / 24.0 for i in range(1, 48))
+
+# each check of `validate`, bound to the grids, seeds and tolerance it runs with
+CHECKS = tuple((check.func.__name__, check) for check in (
+    partial(boost_oracle_equivalence, V_GRID, THETA_GRID, CHI_GRID, 1e-9),
+    partial(rotation_oracle_equivalence, DELTA_GRID, THETA_GRID, CHI_GRID, 1e-9),
+    partial(composition_law_pair, 2024, 1000, 1e-9),
+    partial(composition_law_standard, 2025, 1000, 1e-9),
+    partial(stabiliser_residuals, tol=1e-9),
+    partial(standard_anchors, 2026, 100, 1e-10),
+    partial(reduction_zero_theta, 2027, 500, 1e-9),
+    partial(approximation_order, (1e-2, 1e-3, 1e-4), DELTA_GRID,
+            tuple(i * math.pi / 12.0 for i in range(13)), 0.1),
+    partial(chi_extremum, tuple(v for v in V_GRID if v != 0.0), (1e-3, 0.1, 0.5),
+            CHI_GRID, 1e-12),
+    partial(malus_monte_carlo, 2028, 3000, 20, 1_000_000, 1.0),
+))

@@ -23,14 +23,13 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import checks
-from .checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
+from .checks import CHECKS, run_checks
 from .closed_form import boost_phase, check_rotation_grid, rotation_rows
 from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
@@ -69,7 +68,7 @@ class RunConfig:
     --pf-speed and the config-file key pf_speed or pf-speed, read in the
     type of its default (str for a default of None); the default holds
     where neither gives a value. A field's metadata holds the other
-    arguments of its flag: its help, or the choices of --format."""
+    arguments of its flag: its help and, for --format, its choices."""
 
     pf_speed: float = field(default=CMB_DIPOLE_SPEED, metadata={
         "help": f"frame speed in units of c (default {CMB_DIPOLE_SPEED})"})
@@ -89,7 +88,10 @@ class RunConfig:
     pol_angle: float = field(default=0.25 * math.pi, metadata={
         "help": "polariser transmission axis angle, radians"})
     output: str | None = None
-    format: str = field(default="csv", metadata={"choices": ("csv", "json")})
+    format: str = field(default="csv", metadata={
+        "choices": ("csv", "json"),
+        "help": "csv or json for the sweeps; csv is the text report of validate; "
+                "wigner always writes json"})
     tol_scale: float = field(default=1.0, metadata={
         "help": "multiply validation tolerances (diagnostic)"})
 
@@ -519,7 +521,7 @@ def _parse_transform(specs: list[str] | None, pair: PairStack) -> LorentzTransfo
     return L
 
 
-def cmd_boost_scan(cfg: RunConfig) -> int:
+def cmd_boost_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     pair = bench_pair(cfg.pf_speed, cfg.chi)
     grid = _grid(cfg.v_min, cfg.v_max, cfg.v_step)
     if grid[-1] >= 1.0:
@@ -533,7 +535,7 @@ def cmd_boost_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_rotation_scan(cfg: RunConfig) -> int:
+def cmd_rotation_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     deltas = _grid(cfg.delta_min, cfg.delta_max, cfg.delta_step)
     if len(deltas) * (cfg.chi_steps + 1) > MAX_ROWS:
         raise ConfigError(f"scan exceeds {MAX_ROWS} rows; use a larger delta-step "
@@ -546,9 +548,9 @@ def cmd_rotation_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
+def cmd_wigner(cfg: RunConfig, args: argparse.Namespace) -> int:
     pair = bench_pair(cfg.pf_speed, cfg.chi)
-    L = _parse_transform(transform_specs, pair)
+    L = _parse_transform(args.transform, pair)
     w_pf = pf_wigner(pair, L)
     w_std = standard_wigner(pair.k, L)
     report = {
@@ -566,7 +568,7 @@ def cmd_wigner(cfg: RunConfig, transform_specs: list[str] | None) -> int:
     return 0
 
 
-def cmd_malus(cfg: RunConfig) -> int:
+def cmd_malus(cfg: RunConfig, args: argparse.Namespace) -> int:
     pair = bench_pair(cfg.pf_speed, cfg.chi)
     deltas = _grid(cfg.delta_min, cfg.delta_max, cfg.delta_step)
     if len(deltas) * cfg.samples > MAX_DRAWS:
@@ -589,26 +591,9 @@ def cmd_malus(cfg: RunConfig) -> int:
 
 # --- validation suite -------------------------------------------------
 
-# each check of `validate`, bound to the grids, seeds and tolerance it runs with
-CHECKS = tuple((check.func.__name__, check) for check in (
-    partial(checks.boost_oracle_equivalence, V_GRID, THETA_GRID, CHI_GRID, 1e-9),
-    partial(checks.rotation_oracle_equivalence, DELTA_GRID, THETA_GRID, CHI_GRID, 1e-9),
-    partial(checks.composition_law_pair, 2024, 1000, 1e-9),
-    partial(checks.composition_law_standard, 2025, 1000, 1e-9),
-    partial(checks.stabiliser_residuals, tol=1e-9),
-    partial(checks.standard_anchors, 2026, 100, 1e-10),
-    partial(checks.reduction_zero_theta, 2027, 500, 1e-9),
-    partial(checks.approximation_order, (1e-2, 1e-3, 1e-4), DELTA_GRID,
-            tuple(i * math.pi / 12.0 for i in range(13)), 0.1),
-    partial(checks.chi_extremum, tuple(v for v in V_GRID if v != 0.0), (1e-3, 0.1, 0.5),
-            CHI_GRID, 1e-12),
-    partial(checks.malus_monte_carlo, 2028, 3000, 20, 1_000_000, 1.0),
-))
-
-
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = []
-    for name, result in checks.run_checks(CHECKS).items():
+    for name, result in run_checks(CHECKS).items():
         tol = result.tol * cfg.tol_scale
         # value / tol as IEEE division, silently: a tolerance that a small
         # --tol-scale takes to 0 gives inf, or nan for a value of 0
@@ -630,6 +615,19 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 # --- entry point ------------------------------------------------------
+
+# each subcommand, in the order --help lists them: its help and the
+# function that runs it on the run's settings and parsed arguments and
+# returns the exit code
+COMMANDS = {
+    "boost-scan": ("sweep boost speed along the photon, emit both phase routes",
+                   cmd_boost_scan),
+    "rotation-scan": ("sweep rotation angle and chi, emit exact and approximate shifts",
+                      cmd_rotation_scan),
+    "malus": ("Malus transmission under apparatus rotation, with Monte Carlo", cmd_malus),
+    "validate": ("run the full invariant suite and report per-check residuals", cmd_validate),
+    "wigner": ("single transformation: both angles and residuals", cmd_wigner),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -657,18 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
                             **setting.metadata)
     common.add_argument("--config", type=str, help="key=value config file; flags win")
 
-    for name, help_text in (
-        ("boost-scan", "sweep boost speed along the photon, emit both phase routes"),
-        ("rotation-scan", "sweep rotation angle and chi, emit exact and approximate shifts"),
-        ("malus", "Malus transmission under apparatus rotation, with Monte Carlo"),
-        ("validate", "run the full invariant suite and report per-check residuals"),
-    ):
-        sub.add_parser(name, help=help_text, parents=[common])
-
-    wig = sub.add_parser("wigner", help="single transformation: both angles and residuals",
-                         parents=[common])
-    wig.add_argument("--transform", action="append", metavar="KIND:AXIS:VALUE",
-                     help="boost:z:0.5 or rotation:k:0.785; repeatable, applied in order")
+    for name, (help_text, run) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, parents=[common])
+        if run is cmd_wigner:
+            command.add_argument("--transform", action="append", metavar="KIND:AXIS:VALUE",
+                                 help="boost:z:0.5 or rotation:k:0.785; repeatable, applied "
+                                      "in order")
     return parser
 
 
@@ -683,18 +675,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "boost-scan":
-            return cmd_boost_scan(cfg)
-        if args.command == "rotation-scan":
-            return cmd_rotation_scan(cfg)
-        if args.command == "wigner":
-            return cmd_wigner(cfg, args.transform)
-        if args.command == "malus":
-            return cmd_malus(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        _, run = COMMANDS[args.command]
+        return run(_resolve_config(args), args)
     except BrokenPipeError:
         # the reader has gone: end silently, with the status of a process
         # killed by SIGPIPE

@@ -134,7 +134,10 @@ def rotation_phase(delta, theta_pf, chi) -> np.ndarray:
 
 
 def rotation_phase_shift(delta, theta_pf, chi) -> np.ndarray:
-    """delta - rotation_phase, wrapped to (-pi, pi], one per row."""
+    """delta - rotation_phase, wrapped to (-pi, pi], one per row: the
+    negative of dphi_ex of `rotation_table` (rotation_phase - delta), so
+    positive where the polarisation lags the apparatus; a zero may differ
+    from dphi_ex's in its sign."""
     return wrap_angle(np.asarray(delta, dtype=float) - rotation_phase(delta, theta_pf, chi))
 
 

@@ -94,12 +94,6 @@ class StabilityError(RowError, RuntimeError):
     """
 
 
-class GaugeDomainError(DomainError):
-    """A pair whose gauge (`alignment_angle`) puts a closed form outside its
-    domain, as when a frame speed rounds to 1. The message names the row,
-    the closed form's input and the pair."""
-
-
 # the vectors the little-group elements must fix: the reference null
 # vector q at kappa = 1, which scales with the kappa of each pair, and the
 # rest four-velocity
@@ -214,7 +208,7 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
       t_x >= 0 and (rho - t_x, t_y) elsewhere, each well conditioned.
 
     A row that fails a domain test of the closed forms, run on their
-    inputs as they run them, raises GaugeDomainError.
+    inputs as they run them, raises a DomainError that names the pair.
     """
     th_vec = pairs.u[:, 1:] / pairs.u[:, :1]
     th = np.sqrt(row_dot(th_vec, th_vec))
@@ -247,8 +241,8 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
         _check_rows([_theta_test(th)], error=DomainError)
     except DomainError as exc:
         i = exc.row
-        raise GaugeDomainError(i, f"{exc.reason} in the gauge of the pair "
-                                  f"(k={format_row(pairs.k[i])}, u={format_row(pairs.u[i])})") from exc
+        raise DomainError(i, f"{exc.reason} in the gauge of the pair "
+                             f"(k={format_row(pairs.k[i])}, u={format_row(pairs.u[i])})") from exc
     n, dd, a_sin, _ = _rotation_factors(th, cos_chi, sin_chi)
     y, x = _rotation_yx(n, dd, a_sin, np.where(east, ty, rho - tx), np.where(east, rho + tx, ty))
     q = x * x + y * y

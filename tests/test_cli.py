@@ -80,8 +80,12 @@ WIGNER_GENERIC_ARGS = ("wigner", "--pf-speed", 0.5, "--chi", 1.0, "--transform",
         (WIGNER_ARGS, "wigner.json"),
         (WIGNER_IDENTITY_ARGS, "wigner_identity.json"),
         (WIGNER_GENERIC_ARGS, "wigner_generic.json"),
+        # wigner writes JSON whatever --format says
+        (WIGNER_ARGS + ("--format", "csv"), "wigner.json"),
+        (WIGNER_ARGS + ("--format", "json"), "wigner.json"),
     ],
-    ids=["boost-scan", "rotation-scan", "malus", "wigner", "wigner-identity", "wigner-generic"],
+    ids=["boost-scan", "rotation-scan", "malus", "wigner", "wigner-identity", "wigner-generic",
+         "wigner-format-csv", "wigner-format-json"],
 )
 def test_golden_output(args, golden, tmp_path):
     out = tmp_path / golden
@@ -633,6 +637,13 @@ def test_unknown_subcommand_exits_2():
     assert run_process("frobnicate").returncode == 2
 
 
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_subcommand_shows_its_help(name):
+    res = run_cli(name, "--help")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith(f"usage: pfwigner {name} [-h]")
+
+
 # the environment of a process whose stdout is buffered, as where
 # PYTHONUNBUFFERED is not set: what a failed write leaves in the buffer is
 # flushed again at exit
@@ -804,9 +815,10 @@ def test_validate_values_are_bit_exact():
 
 
 def test_validate_sweeps_the_grids_of_the_acceptance_criteria():
-    from pfwigner import cli
+    from pfwigner import checks
     from test_acceptance import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
 
+    assert cli.CHECKS is checks.CHECKS
     table = {name: check.args for name, check in cli.CHECKS}
     assert table["boost_oracle_equivalence"][:3] == (V_GRID, THETA_GRID, CHI_GRID)
     assert table["rotation_oracle_equivalence"][:3] == (DELTA_GRID, THETA_GRID, CHI_GRID)
@@ -823,8 +835,8 @@ def test_validate_writes_text_and_json_to_output(tmp_path):
     assert res.returncode == 0 and res.stdout == ""
     report = json.loads(json_out.read_text())["checks"]
     lines = text_out.read_text().splitlines()
-    assert len(report) == len(lines) - 1 == 10
-    assert lines[-1] == "10/10 checks passed"
+    assert len(report) == len(lines) - 1 == len(cli.CHECKS)
+    assert lines[-1] == f"{len(cli.CHECKS)}/{len(cli.CHECKS)} checks passed"
     for check, line in zip(report, lines):
         assert set(check) == {"name", "value", "tol", "margin", "passed"}
         assert check["passed"] is True

@@ -211,6 +211,16 @@ def test_shift_matches_approx_to_second_order():
             assert err < 10.0 * th * th
 
 
+@pytest.mark.parametrize("theta_pf", [0.0, TH_CMB, 0.1, 0.5, 0.9])
+def test_shift_is_the_negative_of_the_table_shift(theta_pf):
+    # delta - phase against the table's dphi_ex, phase - delta: equal as
+    # numbers, so a zero may differ in its sign
+    deltas, chis = np.linspace(-7.0, 9.0, 161), [i * math.pi / 6.0 for i in range(7)]
+    table = rotation_table(deltas, theta_pf, chis)
+    shift = rotation_phase_shift(table[:, 0], theta_pf, table[:, 1])
+    assert (shift == -table[:, 3]).all()
+
+
 @given(st.lists(st.floats(-100.0, 100.0), max_size=6), st.floats(0.0, 1.0, exclude_max=True),
        st.lists(st.floats(0.0, math.pi), max_size=4))
 @settings(max_examples=200, deadline=None)
