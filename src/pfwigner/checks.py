@@ -1,6 +1,6 @@
 """The validation suite. Each check takes what it sweeps (grid tuples,
-or a seed and a draw count) and its tolerance, and returns a `CheckResult`;
-`CHECKS` binds each to what `validate` runs it with.
+or a seed and a draw count) and its tolerance, and returns a `CheckResult`,
+which holds the verdict; `CHECKS` binds each to what `validate` runs it with.
 
 Library functions are looked up on their modules at call time, so that a
 profiler or a test that rebinds a module's function sees these calls.
@@ -22,43 +22,47 @@ from .minkowski import (LorentzTransform, PairStack, along_z, apply, four_veloci
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Passes when value <= tol; `stabiliser` is the largest stabiliser
-    residual of the paired route the check saw (0 if it runs none)."""
+    """What a check measured and its tolerance; `stabiliser` is the largest
+    stabiliser residual of the paired route the check saw (0 if it runs none)."""
 
     value: float
     tol: float
     stabiliser: float = 0.0
 
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tol
 
-def _draws(rng, n: int, spec) -> np.ndarray:
-    """n rows of random inputs, the columns of each item of `spec` in turn:
-    a unit "direction", a "null" momentum of energy in [0.2, 5), a "velocity"
-    of speed below 0.99, a "transform" (see `_random_transforms`), or for
-    (lo, hi) a number in [lo, hi). Each direction and number is one generator
-    call for all n rows, made in the order the items name them."""
-    def columns(item) -> list:
-        if item == "direction":
-            return [unit_rows(rng.standard_normal((n, 3)))]
-        if item == "null":
-            d, e = columns("direction") + columns((0.2, 5.0))
-            return [e, e * d]
-        if item == "velocity":
-            d, s = columns("direction") + columns((0.0, 0.99))
-            return [d * s]
-        if item == "transform":
-            return columns("direction") + columns((-math.pi, math.pi)) + columns("velocity")
-        if isinstance(item, str):
-            raise ValueError(f"unknown draw item {item!r}")
-        return [rng.uniform(*item, (n, 1))]
-
-    return np.concatenate([column for item in spec for column in columns(item)], axis=1)
+    @property
+    def margin(self) -> float:
+        """value / tol as silent IEEE division: inf over a tol of 0, nan for 0 / 0."""
+        with np.errstate(all="ignore"):
+            return float(np.float64(self.value) / self.tol)
 
 
-def _random_transforms(t: np.ndarray) -> LorentzTransform:
-    """The stack of transforms drawn as the "transform" columns t of `_draws`:
-    boost . rotation, the factors from the kernels and the product validated."""
-    return LorentzTransform(minkowski._boost_stack(four_velocity(t[:, 4:]))
-                            @ minkowski._rotation_stack(t[:, :3], t[:, 3]))
+def _directions(rng, n: int) -> np.ndarray:
+    """n unit rows. Each draw function makes one generator call for all n
+    rows per direction or number, in the order its docstring names them."""
+    return unit_rows(rng.standard_normal((n, 3)))
+
+
+def _null_momenta(rng, n: int) -> np.ndarray:
+    """n null momenta (e; e d): a direction d, then an energy e in [0.2, 5)."""
+    d, e = _directions(rng, n), rng.uniform(0.2, 5.0, (n, 1))
+    return np.concatenate([e, e * d], axis=1)
+
+
+def _velocities(rng, n: int) -> np.ndarray:
+    """n velocities: a direction, then a speed in [0, 0.99)."""
+    return _directions(rng, n) * rng.uniform(0.0, 0.99, (n, 1))
+
+
+def _transforms(rng, n: int) -> LorentzTransform:
+    """n transforms boost . rotation: the rotation's axis, its angle in
+    [-pi, pi), then the boost's velocity; the factors from the kernels and
+    the product validated."""
+    rotations = minkowski._rotation_stack(_directions(rng, n), rng.uniform(-math.pi, math.pi, n))
+    return LorentzTransform(minkowski._boost_stack(four_velocity(_velocities(rng, n))) @ rotations)
 
 
 def _phase(w: induction.WignerAngle) -> tuple[np.ndarray, float]:
@@ -136,9 +140,8 @@ def _composition_law(x, a: LorentzTransform, b: LorentzTransform, element, move,
 def composition_law_pair(seed: int, n_draws: int, tol: float) -> CheckResult:
     """Largest defect of phi(L2 L1) = phi(L1) + phi(L2), random (k, u, L1, L2)."""
     rng = np.random.default_rng(seed)
-    rows = _draws(rng, n_draws, ("null", "velocity", "transform", "transform"))
-    p = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
-    a, b = _random_transforms(rows[:, 7:14]), _random_transforms(rows[:, 14:])
+    p = PairStack(_null_momenta(rng, n_draws), four_velocity(_velocities(rng, n_draws)))
+    a, b = _transforms(rng, n_draws), _transforms(rng, n_draws)
     defect, stab = _composition_law(p, a, b, induction.pf_standard_element,
                                     induction.transform_pair, induction.pf_wigner_from_elements)
     return CheckResult(defect, tol, stab)
@@ -148,10 +151,9 @@ def composition_law_standard(seed: int, n_draws: int, tol: float) -> CheckResult
     """The composition law of the pairless route, random (k, L1, L2); each
     moved k is validated, as `transform_pair` validates each moved pair."""
     rng = np.random.default_rng(seed)
-    rows = _draws(rng, n_draws, ("null", "transform", "transform"))
-    a, b = _random_transforms(rows[:, 4:11]), _random_transforms(rows[:, 11:])
-    defect, _ = _composition_law(induction.photon_momenta(rows[:, :4]), a, b,
-                                 induction.massless_standard_element,
+    k = induction.photon_momenta(_null_momenta(rng, n_draws))
+    a, b = _transforms(rng, n_draws), _transforms(rng, n_draws)
+    defect, _ = _composition_law(k, a, b, induction.massless_standard_element,
                                  lambda k, L: induction.photon_momenta(apply(L, k)),
                                  induction.standard_wigner_from_elements)
     return CheckResult(defect, tol)
@@ -165,8 +167,8 @@ def stabiliser_residuals(earlier: Iterable[CheckResult], tol: float) -> CheckRes
 def standard_anchors(seed: int, n_draws: int, tol: float) -> CheckResult:
     """Pairless route: a boost along k gives 0, a rotation by d about k gives d."""
     rng = np.random.default_rng(seed)
-    rows = _draws(rng, n_draws, ("null", (-0.99, 0.99), (-math.pi, math.pi)))
-    k, v, d = rows[:, :4], rows[:, 4], rows[:, 5]
+    k = _null_momenta(rng, n_draws)
+    v, d = rng.uniform(-0.99, 0.99, n_draws), rng.uniform(-math.pi, math.pi, n_draws)
     kh = unit_rows(k[:, 1:])
     boosted = induction.standard_wigner(k, minkowski.boost_from_velocity(kh * v[:, None])).phi
     rotated = induction.standard_wigner(k, minkowski.rotation_about(kh, d)).phi
@@ -179,8 +181,9 @@ def reduction_zero_theta(seed: int, n_draws: int, tol: float) -> CheckResult:
     classes where both conventions agree (row i takes class i mod 3):
     rotations about any axis, boosts along k, and their products."""
     rng = np.random.default_rng(seed)
-    rows = _draws(rng, n_draws, ("null", "direction", (-math.pi, math.pi), (-0.99, 0.99)))
-    k, axes, angles, v = rows[:, :4], rows[:, 4:7], rows[:, 7], rows[:, 8]
+    k = _null_momenta(rng, n_draws)
+    axes = _directions(rng, n_draws)
+    angles, v = rng.uniform(-math.pi, math.pi, n_draws), rng.uniform(-0.99, 0.99, n_draws)
     kh = unit_rows(k[:, 1:])
     rot = minkowski._rotation_stack(axes, angles)
     kboost = minkowski._boost_stack(four_velocity(kh * v[:, None]))

@@ -22,7 +22,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, replace
 from functools import cache
 from itertools import product
 from typing import Callable, Iterator, Sequence, TextIO
@@ -592,26 +592,21 @@ def cmd_malus(cfg: RunConfig, args: argparse.Namespace) -> int:
 # --- validation suite -------------------------------------------------
 
 def cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    report = []
-    for name, result in run_checks(CHECKS).items():
-        tol = result.tol * cfg.tol_scale
-        # value / tol as IEEE division, silently: a tolerance that a small
-        # --tol-scale takes to 0 gives inf, or nan for a value of 0
-        with np.errstate(all="ignore"):
-            margin = float(np.float64(result.value) / tol)
-        report.append({"name": name, "value": result.value, "tol": tol, "margin": margin,
-                       "passed": result.value <= tol})
-    passed = sum(r["passed"] for r in report)
+    results = {name: replace(result, tol=result.tol * cfg.tol_scale)
+               for name, result in run_checks(CHECKS).items()}
+    passed = sum(r.passed for r in results.values())
     if cfg.format == "json":
+        report = [{"name": name, "value": r.value, "tol": r.tol, "margin": r.margin,
+                   "passed": r.passed} for name, r in results.items()]
         text = json.dumps({"checks": report}, indent=2) + "\n"
     else:
-        lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']:32s} "
-                 f"value={r['value']:.3e} tol={r['tol']:.3e}" for r in report]
-        lines.append(f"{passed}/{len(report)} checks passed")
+        lines = [f"{'PASS' if r.passed else 'FAIL'} {name:32s} "
+                 f"value={r.value:.3e} tol={r.tol:.3e}" for name, r in results.items()]
+        lines.append(f"{passed}/{len(results)} checks passed")
         text = "\n".join(lines) + "\n"
     with _sink(cfg) as out:
         out.write(text)
-    return 0 if passed == len(report) else 1
+    return 0 if passed == len(results) else 1
 
 
 # --- entry point ------------------------------------------------------

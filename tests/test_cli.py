@@ -845,6 +845,43 @@ def test_validate_writes_text_and_json_to_output(tmp_path):
                         f"tol={check['tol']:.3e}")
 
 
+def test_benchmark_reference_names_checks_of_the_suite():
+    # the benchmark counts a `validate` operation as failed unless the
+    # check each name of its reference prints PASS; make_reference.py
+    # writes the names, unpacking each entry of cli.CHECKS as (name, check)
+    names = [name for name, _ in cli.CHECKS]
+    reference = Path(__file__).parents[1] / "benchmarks" / "reference" / "validate.txt"
+    assert set(reference.read_text(encoding="utf-8").split()) <= set(names)
+
+
+def test_a_result_passes_when_its_value_is_within_its_tolerance():
+    from pfwigner.checks import CheckResult
+
+    assert CheckResult(1.0, 1.0).passed and not CheckResult(1.5, 1.0).passed
+    # a NaN value fails, and a zero tolerance gives an IEEE margin
+    assert not CheckResult(math.nan, 1.0).passed
+    assert CheckResult(0.0, 0.0).passed and math.isnan(CheckResult(0.0, 0.0).margin)
+    assert CheckResult(1e-15, 0.0).margin == math.inf
+    assert CheckResult(3.0, 2.0).margin == 1.5
+
+
+def test_validate_verdict_where_the_tolerance_underflows():
+    # --tol-scale 1e-320 takes each tolerance to 0 or a subnormal: each
+    # check with a nonzero value fails with margin inf, and no warning is
+    # raised on the way
+    res = subprocess.run(
+        [sys.executable, "-m", "pfwigner.cli", "validate", "--format", "json",
+         "--tol-scale", "1e-320"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONWARNINGS": "error"})
+    assert res.returncode == 1 and res.stderr == ""
+    report = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    assert list(report) == [name for name, _ in cli.CHECKS]
+    chi, malus = report.pop("chi_extremum"), report.pop("malus_monte_carlo")
+    assert chi["passed"] is True and chi["tol"] == 0.0 and math.isnan(chi["margin"])
+    assert malus["passed"] is True and malus["tol"] == 1e-320 and malus["margin"] == 0.0
+    assert all(c["passed"] is False and c["margin"] == math.inf for c in report.values())
+
+
 def test_validate_detects_tampered_tolerances():
     # shrinking every tolerance by 1e9 must trip the suite; guards that
     # the checks compare real residuals rather than printing PASS

@@ -12,7 +12,6 @@ from pfwigner import (
     apply,
     bench_pair,
     boost_from_velocity,
-    boost_phase,
     boost_to,
     compose,
     direction_in_pf,

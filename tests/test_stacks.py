@@ -51,7 +51,7 @@ from pfwigner import (
     wrap_angle,
 )
 from pfwigner import checks, cli, induction, minkowski
-from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID, _draws
+from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
 from pfwigner.induction import Z_AXIS, _euclidean_stack, _gauge_stack
 from pfwigner.minkowski import (METRIC, STACK_BLOCK, _photon_tests, _rotation_stack, along_z,
                                 in_blocks)
@@ -283,15 +283,18 @@ def test_bench_elements_built_once_equal_pf_wigner(transforms):
     assert stab == got.stabiliser.max()
 
 
-def _composition_draws(seed, spec, n=40):
-    rows = _draws(np.random.default_rng(seed), n, spec)
-    return rows, checks._random_transforms(rows[:, -14:-7]), checks._random_transforms(rows[:, -7:])
+def _composition_draws(seed, pair, n=40):
+    # x, L1 and L2 as the pair (pair=True) or pairless composition check
+    # draws them: x is a PairStack, or the momenta k
+    rng = np.random.default_rng(seed)
+    k = checks._null_momenta(rng, n)
+    x = PairStack(k, four_velocity(checks._velocities(rng, n))) if pair else photon_momenta(k)
+    return x, checks._transforms(rng, n), checks._transforms(rng, n)
 
 
 @pytest.mark.parametrize("seed", [2024, 7])
 def test_pair_composition_elements_built_once_equal_independent_calls(seed):
-    rows, l1, l2 = _composition_draws(seed, ("null", "velocity", "transform", "transform"))
-    kin = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
+    kin, l1, l2 = _composition_draws(seed, pair=True)
     l12 = compose(l2, l1)
     moved = transform_pair(kin, l1)
     s, s1 = pf_standard_element(kin), pf_standard_element(moved)
@@ -310,8 +313,7 @@ def test_pair_composition_elements_built_once_equal_independent_calls(seed):
 
 @pytest.mark.parametrize("seed", [2025, 7])
 def test_standard_composition_elements_built_once_equal_independent_calls(seed):
-    rows, l1, l2 = _composition_draws(seed, ("null", "transform", "transform"))
-    k = photon_momenta(rows[:, :4])
+    k, l1, l2 = _composition_draws(seed, pair=False)
     l12 = compose(l2, l1)
     k1 = apply(l1, k)
     e, e1 = massless_standard_element(k), massless_standard_element(k1)
@@ -389,9 +391,9 @@ TWO_BLOCKS = (slice(0, STACK_BLOCK), slice(STACK_BLOCK, STACK_BLOCK + 3))
 
 def _longer_than_a_block(seed=11):
     # STACK_BLOCK + 3 random pairs and transforms: two blocks
-    rows = _draws(np.random.default_rng(seed), STACK_BLOCK + 3, ("null", "velocity", "transform"))
-    pairs = PairStack(rows[:, :4], four_velocity(rows[:, 4:7]))
-    return pairs, checks._random_transforms(rows[:, 7:])
+    rng, n = np.random.default_rng(seed), STACK_BLOCK + 3
+    pairs = PairStack(checks._null_momenta(rng, n), four_velocity(checks._velocities(rng, n)))
+    return pairs, checks._transforms(rng, n)
 
 
 def _conjugated(e1, L, e2):
@@ -482,7 +484,7 @@ def test_an_angle_rebuilds_its_residual_once_on_first_read(rebuilds):
 ], ids=["checks", "boost-scan", "malus", "wigner"])
 def test_only_wigner_reads_a_residual(rebuilds, args, per_route, tmp_path):
     if args is None:
-        assert all(r.value <= r.tol for r in checks.run_checks(cli.CHECKS).values())
+        assert all(r.passed for r in checks.run_checks(cli.CHECKS).values())
     else:
         assert cli.main(args + ["--output", str(tmp_path / "out")]) == 0
     assert rebuilds == {"pf": per_route, "standard": per_route}
@@ -744,77 +746,18 @@ def test_alignment_edge_pairs_cover_both_branches():
     np.testing.assert_array_equal(_gauge_stack(EDGE_PAIRS[0]), [np.eye(4)])
 
 
-# the spec of each check of `validate` that draws its inputs, in the order
-# of cli.CHECKS, and the columns of each item of a spec
-DRAW_SPECS = {
-    "composition_law_pair": ("null", "velocity", "transform", "transform"),
-    "composition_law_standard": ("null", "transform", "transform"),
-    "standard_anchors": ("null", (-0.99, 0.99), (-math.pi, math.pi)),
-    "reduction_zero_theta": ("null", "direction", (-math.pi, math.pi), (-0.99, 0.99)),
+# the random checks of `validate`, each called as (seed, n_draws, tol)
+RANDOM_CHECKS = {
+    "pair": checks.composition_law_pair,
+    "standard": checks.composition_law_standard,
+    "anchors": checks.standard_anchors,
+    "reduction": checks.reduction_zero_theta,
 }
-ITEM_WIDTHS = {"direction": 3, "null": 4, "velocity": 3, "transform": 7}
 
 
-def test_draw_specs_are_those_of_the_checks(monkeypatch):
-    specs, draws = [], checks._draws
-
-    def spy(rng, n, spec):
-        specs.append(spec)
-        return draws(rng, n, spec)
-
-    monkeypatch.setattr(checks, "_draws", spy)
-    checks.run_checks(cli.CHECKS)
-    assert specs == list(DRAW_SPECS.values())
-
-
-def _assert_unit(rows):
-    assert (np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-15).all()
-
-
-def _assert_in(x, lo, hi):
-    assert ((lo <= x) & (x < hi)).all()
-
-
-@pytest.mark.parametrize("n", [1, 300])
-@pytest.mark.parametrize("spec", DRAW_SPECS.values(),
-                         ids=["pair", "standard", "anchors", "reduction"])
-def test_draws_keep_their_promises(spec, n):
-    rows = _draws(np.random.default_rng(2024), n, spec)
-    widths = [ITEM_WIDTHS.get(item, 1) for item in spec]
-    assert rows.shape == (n, sum(widths))
-    for item, x in zip(spec, np.split(rows, np.cumsum(widths)[:-1], axis=1)):
-        if item == "direction":
-            _assert_unit(x)
-        elif item == "null":
-            _assert_in(x[:, 0], 0.2, 5.0)
-            _assert_unit(x[:, 1:] / x[:, :1])
-            assert all(ok.all() for ok, _ in _photon_tests(x))
-        elif item == "velocity":
-            _assert_in(np.linalg.norm(x, axis=1), 0.0, 0.99)
-        elif item == "transform":
-            _assert_unit(x[:, :3])
-            _assert_in(x[:, 3], -math.pi, math.pi)
-            _assert_in(np.linalg.norm(x[:, 4:], axis=1), 0.0, 0.99)
-        else:
-            _assert_in(x, *item)
-
-
-@pytest.mark.parametrize("n", [1, 300])
-@pytest.mark.parametrize("seed", [2024, 7])
-def test_draws_are_one_array_call_per_draw_in_spec_order(seed, n):
-    rng = np.random.default_rng(seed)
-    d = minkowski.unit_rows(rng.standard_normal((n, 3)))
-    e = rng.uniform(0.2, 5.0, (n, 1))
-    want = np.concatenate([e, e * d, rng.uniform(-1.0, 1.0, (n, 1))], axis=1)
-    drawn = np.random.default_rng(seed)
-    got = _draws(drawn, n, ("null", (-1.0, 1.0)))
-    assert got.shape == want.shape
-    assert (got.view(np.uint64) == want.view(np.uint64)).all()
-    assert drawn.bit_generator.state == rng.bit_generator.state
-
-
-# the rows of each draw item built by hand: one array call per direction or
-# number for all n rows, each direction scaled row by row
+# each draw function of `checks` built by hand: one array call per
+# direction or number for all n rows, each direction scaled row by row,
+# each transform from the public builders
 def _random_direction(rng, n):
     return np.array([d / np.linalg.norm(d) for d in rng.standard_normal((n, 3))])
 
@@ -830,30 +773,109 @@ def _random_velocity(rng, n):
 
 
 def _random_transform(rng, n):
-    axis = _random_direction(rng, n)
-    return np.concatenate((axis, rng.uniform(-math.pi, math.pi, (n, 1)), _random_velocity(rng, n)),
-                          axis=1)
+    rotation = rotation_about(_random_direction(rng, n), rng.uniform(-math.pi, math.pi, n))
+    return compose(boost_from_velocity(_random_velocity(rng, n)), rotation)
 
 
-PER_ROW_DRAWS = [
-    lambda r, n: (_random_null(r, n), _random_velocity(r, n), _random_transform(r, n),
-                  _random_transform(r, n)),
-    lambda r, n: (_random_null(r, n), _random_transform(r, n), _random_transform(r, n)),
-    lambda r, n: (_random_null(r, n), r.uniform(-0.99, 0.99, (n, 1)), r.uniform(-math.pi, math.pi, (n, 1))),
-    lambda r, n: (_random_null(r, n), _random_direction(r, n), r.uniform(-math.pi, math.pi, (n, 1)),
-                  r.uniform(-0.99, 0.99, (n, 1))),
-]
+PER_ROW_DRAWS = {
+    "_directions": _random_direction,
+    "_null_momenta": _random_null,
+    "_velocities": _random_velocity,
+    "_transforms": _random_transform,
+}
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Each call of a draw function of `checks`, nested ones too: its name,
+    n, the generator state before and after it, and what it returned."""
+    calls = []
+    for name in PER_ROW_DRAWS:
+        def spy(rng, n, _name=name, _draw=getattr(checks, name)):
+            before = rng.bit_generator.state
+            got = _draw(rng, n)
+            calls.append((_name, n, before, rng.bit_generator.state, got))
+            return got
+        monkeypatch.setattr(checks, name, spy)
+    return calls
+
+
+def _assert_unit(rows):
+    assert (np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-15).all()
+
+
+def _assert_in(x, lo, hi):
+    assert ((lo <= x) & (x < hi)).all()
+
+
+def _assert_null(k):
+    _assert_in(k[:, 0], 0.2, 5.0)
+    _assert_unit(k[:, 1:] / k[:, :1])
+    assert all(ok.all() for ok, _ in _photon_tests(k))
+
+
+def _assert_speeds(v):
+    _assert_in(np.linalg.norm(v, axis=1), 0.0, 0.99)
+
+
+def _assert_transforms(L):
+    # a LorentzTransform is validated when it is built
+    assert isinstance(L, LorentzTransform)
+
+
+# what each draw function promises of its rows
+PROMISES = {
+    "_directions": _assert_unit,
+    "_null_momenta": _assert_null,
+    "_velocities": _assert_speeds,
+    "_transforms": _assert_transforms,
+}
+
+
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("check", RANDOM_CHECKS.values(), ids=RANDOM_CHECKS.keys())
+def test_draws_keep_their_promises(draws, monkeypatch, check, n):
+    # every draw the check makes keeps its function's promise, and every
+    # rotation it makes, of a drawn transform or its own, is by an angle
+    # in [-pi, pi)
+    angles, rotate = [], minkowski._rotation_stack
+    monkeypatch.setattr(minkowski, "_rotation_stack",
+                        lambda axes, delta: angles.append(delta) or rotate(axes, delta))
+    check(2024, n, 1.0)
+    assert draws and angles
+    for name, size, _, _, got in draws:
+        assert size == len(got) == n
+        PROMISES[name](got)
+    _assert_in(np.concatenate(angles), -math.pi, math.pi)
+
+
+def _assert_as_the_per_row_draw(name, n, before, after, got):
+    # the bits of the per-row helper run from the same generator state, and
+    # the state it leaves
+    rng = np.random.default_rng()
+    rng.bit_generator.state = before
+    want = PER_ROW_DRAWS[name](rng, n)
+    assert getattr(got, "m", got).tobytes() == getattr(want, "m", want).tobytes()
+    assert rng.bit_generator.state == after
+
+
+@pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_draws_are_one_array_call_per_draw_in_spec_order(draws, seed, n):
+    rng = np.random.default_rng(seed)
+    for name in PER_ROW_DRAWS:
+        getattr(checks, name)(rng, n)
+    # each function, and each draw function it calls
+    assert len(draws) == 9
+    for call in draws:
+        _assert_as_the_per_row_draw(*call)
 
 
 @pytest.mark.parametrize("seed", [2024, 2025, 7])
-@pytest.mark.parametrize("spec,draw_rows", zip(DRAW_SPECS.values(), PER_ROW_DRAWS),
-                         ids=["pair", "standard", "anchors", "reduction"])
-def test_draws_equal_the_per_row_helpers(seed, spec, draw_rows):
-    want = np.concatenate(draw_rows(np.random.default_rng(seed), 300), axis=1)
-    got = _draws(np.random.default_rng(seed), 300, spec)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_draws_refuse_an_unknown_item():
-    with pytest.raises(ValueError, match="unknown draw item 'nul'"):
-        _draws(np.random.default_rng(0), 3, ("null", "nul"))
+@pytest.mark.parametrize("check", RANDOM_CHECKS.values(), ids=RANDOM_CHECKS.keys())
+def test_draws_equal_the_per_row_helpers(draws, check, seed):
+    # each draw a check makes, at the generator state it makes it in
+    check(seed, 300, 1.0)
+    assert draws
+    for call in draws:
+        _assert_as_the_per_row_draw(*call)
