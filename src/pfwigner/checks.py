@@ -1,6 +1,8 @@
 """The validation suite. Each check takes what it sweeps (grid tuples,
 or a seed and a draw count) and its tolerance, and returns a `CheckResult`,
 which holds the verdict; `CHECKS` binds each to what `validate` runs it with.
+Both oracle checks run `_bench_oracle` and pass it only their transforms and
+their closed form.
 
 Library functions are looked up on their modules at call time, so that a
 profiler or a test that rebinds a module's function sees these calls.
@@ -71,15 +73,18 @@ def _phase(w: induction.WignerAngle) -> tuple[np.ndarray, float]:
     return w.phi, float(w.stabiliser.max())
 
 
-def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
-    """pf_wigner phases of every transform of L at every bench pair of the
-    grids, their largest stabiliser residual, and the theta and chi of each
-    row: the rows of a pair follow each other, theta-major. The element of
-    each bench pair is built once, and its rows gathered a block at a time."""
+def _bench_oracle(theta_grid, chi_grid, x_grid, transforms, closed):
+    """The pf_wigner phases of transforms(x) at every bench pair of the
+    grids, closed(x, theta, chi) of the same rows in one stacked call, and
+    the largest stabiliser residual: the rows of a pair follow each other,
+    theta-major, one per x. The element of each bench pair is built once,
+    and its rows gathered a block at a time."""
     th = np.repeat(theta_grid, len(chi_grid))
     chi = np.tile(chi_grid, len(theta_grid))
     pairs = induction.bench_pair(th, chi)
     elements = induction.pf_standard_element(pairs)
+    x = np.array(x_grid, dtype=float)
+    L = transforms(x)
     pair_of, transform_of = np.divmod(np.arange(len(pairs) * len(L)), len(L))
     stab = [0.0]
 
@@ -92,27 +97,23 @@ def _bench_wigner(theta_grid, chi_grid, L: LorentzTransform):
         return phi
 
     phi = minkowski.in_blocks(len(pair_of), block)
-    return phi, max(stab), th[pair_of], chi[pair_of]
+    return phi, closed(x[transform_of], th[pair_of], chi[pair_of]), max(stab)
 
 
 def boost_oracle_equivalence(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     """Largest |matrix - closed-form phase| of bench-pair boosts along z."""
-    phi, stab, th, chi = _bench_wigner(theta_grid, chi_grid,
-                                       minkowski.boost_from_velocity(along_z(v_grid)))
-    v = np.tile(v_grid, len(theta_grid) * len(chi_grid))
-    want = closed_form.boost_phase(v, th, chi)
+    phi, want, stab = _bench_oracle(
+        theta_grid, chi_grid, v_grid, lambda v: minkowski.boost_from_velocity(along_z(v)),
+        closed_form.boost_phase)
     return CheckResult(float(np.abs(phi - want).max()), tol, stab)
 
 
 def rotation_oracle_equivalence(delta_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     """Largest ||matrix| - |closed-form phase|| of bench-pair rotations
-    about z; inf if a sign disagrees."""
-    phi, stab, _, _ = _bench_wigner(theta_grid, chi_grid, minkowski.rotation_about(
-        np.array([0.0, 0.0, 1.0]), np.array(delta_grid)))
-    # phi_ex of one table per theta, its delta-major rows put chi-major
-    want = np.concatenate([
-        closed_form.rotation_table(delta_grid, th, chi_grid)[:, 2]
-        .reshape(len(delta_grid), len(chi_grid)).T.ravel() for th in theta_grid])
+    about z; inf if a sign disagrees where |closed form| > 1e-12."""
+    phi, want, stab = _bench_oracle(
+        theta_grid, chi_grid, delta_grid, lambda d: minkowski.rotation_about(induction.Z_AXIS, d),
+        lambda d, th, chi: wrap_angle(closed_form.rotation_phase(d, th, chi)))
     sign_ok = not ((phi * want < 0.0) & (np.abs(want) > 1e-12)).any()
     worst = float(np.abs(np.abs(phi) - np.abs(want)).max())
     return CheckResult(worst if sign_ok else math.inf, tol, stab)

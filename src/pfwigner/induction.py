@@ -68,7 +68,6 @@ from .minkowski import (
     _rotation_z_to_stack,
     _row_abs_max,
     apply,
-    boost_to,
     format_row,
     four_velocity,
     math_rows,
@@ -152,7 +151,7 @@ def _pair_culprit(pairs: PairStack, L: LorentzTransform, i: int) -> str:
 def direction_in_pf(pairs: PairStack) -> np.ndarray:
     """The (N,3) unit photon directions seen from the distinguished
     frame's rest coordinates."""
-    return _direction_after(boost_to(pairs.u).m, pairs.k)
+    return _direction_after(_boost_stack(pairs.u), pairs.k)
 
 
 def alignment_angle(pairs: PairStack) -> np.ndarray:

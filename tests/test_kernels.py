@@ -386,6 +386,17 @@ def test_one_wigner_call_validates_no_matrix(validations, route):
     assert validations[0] == 0
 
 
+def test_direction_in_pf_validates_no_matrix(validations):
+    # its pairs were validated where they entered, so the boost to each
+    # frame comes from the kernel, with the bits of the validated builder
+    kin = random_pair(np.random.default_rng(5), 300)
+    want = induction._direction_after(boost_to(kin.u).m, kin.k)
+    validations[0] = 0
+    got = induction.direction_in_pf(kin)
+    assert validations[0] == 0
+    assert_same_bits(got, want)
+
+
 def test_validate_makes_11_validations_of_6814_rows(validations):
     # the random transforms of the composition laws and of the reduction
     # check are validated as the products that enter the Wigner routes,

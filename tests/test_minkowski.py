@@ -116,6 +116,17 @@ def test_wrap_angle_of_an_infinity_raises_without_a_warning(angles):
             wrap_angle(np.array(angles))
 
 
+def test_a_deprecation_warning_of_the_package_fails_the_suite():
+    # pyproject's filterwarnings: a DeprecationWarning raised in a pfwigner
+    # module (one of numpy's, say, for a call the package makes) is an
+    # error, and one raised elsewhere stays a warning
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("probe", DeprecationWarning, "minkowski.py", 1,
+                               module="pfwigner.minkowski")
+    with pytest.warns(DeprecationWarning):
+        warnings.warn_explicit("probe", DeprecationWarning, "other.py", 1, module="other")
+
+
 # --- math_rows of a value shared by every row -------------------------
 
 

@@ -44,13 +44,14 @@ from pfwigner import (
     rotation_phase,
     rotation_phase_shift,
     rotation_shift_approx,
+    rotation_table,
     rotation_z_to,
     standard_wigner,
     standard_wigner_from_elements,
     transform_pair,
     wrap_angle,
 )
-from pfwigner import checks, cli, induction, minkowski
+from pfwigner import checks, cli, closed_form, induction, minkowski
 from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
 from pfwigner.induction import Z_AXIS, _euclidean_stack, _gauge_stack
 from pfwigner.minkowski import (METRIC, STACK_BLOCK, _photon_tests, _rotation_stack, along_z,
@@ -266,21 +267,80 @@ def _assert_angle_bits_equal(got, want):
                 == np.asarray(getattr(want, field)).view(np.uint64).tobytes()), field
 
 
-@pytest.mark.parametrize("transforms", [
-    boost_from_velocity(along_z(V_GRID)), rotation_about([0.0, 0.0, 1.0], np.array(DELTA_GRID))],
-    ids=["boosts", "rotations"])
-def test_bench_elements_built_once_equal_pf_wigner(transforms):
+_ORACLES = {
+    "boosts": (V_GRID, lambda v: boost_from_velocity(along_z(v)), boost_phase),
+    "rotations": (DELTA_GRID, lambda d: rotation_about(Z_AXIS, d),
+                  lambda d, th, chi: wrap_angle(rotation_phase(d, th, chi))),
+}
+
+
+@pytest.mark.parametrize("oracle", _ORACLES.values(), ids=_ORACLES.keys())
+def test_bench_elements_built_once_equal_pf_wigner(oracle):
     # the oracle grid: each of the 28 bench elements built once and gathered
     # over the rows of its pair
-    bench = bench_pair(np.repeat(THETA_GRID, len(CHI_GRID)), np.tile(CHI_GRID, len(THETA_GRID)))
-    pair_of, transform_of = np.divmod(np.arange(len(bench) * len(transforms)), len(transforms))
-    pairs, L = bench[pair_of], transforms[transform_of]
+    x_grid, transforms, closed = oracle
+    x = np.array(x_grid)
+    th, chi = np.repeat(THETA_GRID, len(CHI_GRID)), np.tile(CHI_GRID, len(THETA_GRID))
+    bench, all_l = bench_pair(th, chi), transforms(x)
+    pair_of, transform_of = np.divmod(np.arange(len(bench) * len(all_l)), len(all_l))
+    pairs, L = bench[pair_of], all_l[transform_of]
     got = pf_wigner_from_elements(pairs, pf_standard_element(bench)[pair_of], L,
                                   pf_standard_element(transform_pair(pairs, L)))
     _assert_angle_bits_equal(got, pf_wigner(pairs, L))
-    phi, stab, _, _ = checks._bench_wigner(THETA_GRID, CHI_GRID, transforms)
+    phi, want, stab = checks._bench_oracle(THETA_GRID, CHI_GRID, x_grid, transforms, closed)
     assert phi.view(np.uint64).tobytes() == got.phi.view(np.uint64).tobytes()
     assert stab == got.stabiliser.max()
+    # each row's reference is the one-row closed form at its (x, theta, chi)
+    one_row = [closed(x[i], th[j], chi[j]) for j, i in zip(pair_of, transform_of)]
+    assert want.view(np.uint64).tobytes() == np.concatenate(one_row).view(np.uint64).tobytes()
+
+
+def test_rotation_oracle_reference_is_that_of_the_rotation_tables(monkeypatch):
+    # phi_ex of one `rotation_table` per theta, its delta-major rows put
+    # chi-major: the reference the rotation oracle read before its rows
+    # came from `_bench_oracle`
+    tables = np.concatenate([
+        rotation_table(DELTA_GRID, th, CHI_GRID)[:, 2]
+        .reshape(len(DELTA_GRID), len(CHI_GRID)).T.ravel() for th in THETA_GRID])
+    seen = []
+    oracle = checks._bench_oracle
+
+    def kept(*args):
+        seen.append(oracle(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(checks, "_bench_oracle", kept)
+    assert checks.rotation_oracle_equivalence(DELTA_GRID, THETA_GRID, CHI_GRID, 1e-9).passed
+    assert seen[0][1].view(np.uint64).tobytes() == tables.view(np.uint64).tobytes()
+
+
+def _rotation_oracle_negated_where(monkeypatch, delta_grid, rows):
+    # the rotation oracle's value with `rotation_phase` negated on the rows
+    # (delta, theta, chi) where rows(delta, theta, chi) holds
+    phase = closed_form.rotation_phase
+    monkeypatch.setattr(closed_form, "rotation_phase", lambda d, th, chi: np.where(
+        rows(d, th, chi), -1.0, 1.0) * phase(d, th, chi))
+    return checks.rotation_oracle_equivalence(delta_grid, THETA_GRID, CHI_GRID, 1e-9).value
+
+
+def test_rotation_oracle_fails_a_sign_flip_where_the_phase_is_not_zero(monkeypatch):
+    # one row of the validate grids, its reference more than 0.5 from 0
+    value = _rotation_oracle_negated_where(
+        monkeypatch, DELTA_GRID, lambda d, th, chi: (d == DELTA_GRID[3]) & (th == 0.5)
+        & (chi == CHI_GRID[2]))
+    assert abs(rotation_phase(DELTA_GRID[3], 0.5, CHI_GRID[2])[0]) > 0.5
+    assert value == math.inf
+
+
+def test_rotation_oracle_compares_no_sign_where_the_phase_is_zero(monkeypatch):
+    # at delta 1e-13 each reference is within 1e-12 of 0, and negating it
+    # changes no |.| the check compares
+    deltas = (1e-13, math.pi / 3)
+    th, chi = np.repeat(THETA_GRID, len(CHI_GRID)), np.tile(CHI_GRID, len(THETA_GRID))
+    assert (np.abs(rotation_phase(deltas[0], th, chi)) <= 1e-12).all()
+    clean = checks.rotation_oracle_equivalence(deltas, THETA_GRID, CHI_GRID, 1e-9).value
+    value = _rotation_oracle_negated_where(monkeypatch, deltas, lambda d, th, chi: d == deltas[0])
+    assert math.isfinite(value) and value == clean
 
 
 def _composition_draws(seed, pair, n=40):
