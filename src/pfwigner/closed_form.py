@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .minkowski import RowValueError, _check_rows, math_rows, wrap_angle
+from .minkowski import RowValueError, _check_rows, _finite_test, math_rows, wrap_angle
 
 
 class DomainError(RowValueError):
@@ -41,11 +41,7 @@ def _range_test(name, value, lo, hi, lo_open=False, hi_open=False):
     return ok, lambda i: f"{name}={value[i].item()!r} outside {ends}"
 
 
-def _delta_test(delta):
-    """The (ok, message) test that each entry of an (N,) array is finite."""
-    return np.isfinite(delta), lambda i: f"delta={delta[i].item()!r} is not finite"
-
-
+_delta_test = partial(_finite_test, "delta")
 _v_test = partial(_range_test, "v", lo=-1.0, hi=1.0, lo_open=True, hi_open=True)
 _theta_test = partial(_range_test, "theta_pf", lo=0.0, hi=1.0, hi_open=True)
 _chi_test = partial(_range_test, "chi", lo=0.0, hi=math.pi)
@@ -92,7 +88,7 @@ def _boost_sine(v, theta_pf, cos_chi, sin_chi):
     _check_rows([(np.abs(arg) <= 1.0 + 1e-12,
                   lambda i: f"arcsin argument {arg[i].item()!r} violates the analytic bound")],
                 error=DomainError)
-    return np.clip(arg, -1.0, 1.0)
+    return np.minimum(np.maximum(arg, -1.0), 1.0)
 
 
 def _rotation_factors(theta_pf, cos_chi, sin_chi):

@@ -12,7 +12,8 @@ rest, the minimal rotation aligning the photon direction seen from that
 frame, and an SO(2) alignment h(k, u) fixing the residual gauge of the
 pair bundle. See `alignment_angle` for how h is pinned. `_gauge_stack`
 builds Rz(h) from the cosine and sine of each part of h, through the
-helpers the closed forms use themselves; like the kernels of the other
+helpers the closed forms use themselves, and reads the transverse frame
+of the photon from `minkowski._z_frame`; like the kernels of the other
 two factors, it makes no per-row `math` call.
 
 Both constructions run over stacks: 1 or N pairs (a `PairStack`) or
@@ -63,10 +64,12 @@ from .minkowski import (
     _boost_stack,
     _check_rows,
     _eta_inverse,
+    _finite_test,
     _photon_tests,
     _rotation_stack,
     _rotation_z_to_stack,
     _row_abs_max,
+    _z_frame,
     apply,
     format_row,
     four_velocity,
@@ -198,7 +201,8 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
     * chi, from theta cos(chi) and theta sin(chi), the dot and cross
       products of the photon direction and the frame velocity;
     * alpha, from the transverse frame velocity t over its norm rho
-      (alpha = 0 where t = 0);
+      (alpha = 0 where t = 0), t read in the frame of the images of x-hat
+      and y-hat under the lab's minimal rotation z-hat -> k-hat;
     * h_b = -asin(a), a from `closed_form._boost_sine` at chi = pi/2, as
       (sqrt(1 - a^2), -a);
     * phi = 2 atan2(y, x), (y, x) from `closed_form._rotation_yx`, as
@@ -214,7 +218,10 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
     kh = unit_rows(pairs.k[:, 1:])
     # np.cross's own products and differences, without its axis moves
     (kx, ky, kz), (vx, vy, vz) = kh.T, th_vec.T
-    cross = np.stack([ky * vz - kz * vy, kz * vx - kx * vz, kx * vy - ky * vx], axis=-1)
+    cross = np.empty_like(kh)
+    cross[:, 0] = ky * vz - kz * vy
+    cross[:, 1] = kz * vx - kx * vz
+    cross[:, 2] = kx * vy - ky * vx
     # sin(chi) from the cross product: from the dot alone, near chi = 0,
     # 1e-16 of rounding would become 1e-8
     th_cos, th_sin = row_dot(kh, th_vec), np.sqrt(row_dot(cross, cross))
@@ -222,9 +229,11 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
     # theta = 0
     speed = np.where(th == 0.0, 1.0, th)
     cos_chi, sin_chi = th_cos / speed, th_sin / speed
-    # t with its larger entry scaled to 1, so that no square underflows
-    t = np.column_stack([row_dot(col, th_vec)
-                         for col in _rotation_z_to_stack(kh)[:, 1:, 1:3].transpose(2, 0, 1)])
+    # t = (e1 . theta, e2 . theta), e1 and e2 the images of x-hat and
+    # y-hat, with its larger entry scaled to 1, so that no square underflows
+    frame = _z_frame(kh)
+    t = np.empty((len(kh), 2))
+    t[:, 0], t[:, 1] = row_dot(frame[:, 0], th_vec), row_dot(frame[:, 1], th_vec)
     t[(t == 0.0).all(axis=1)] = (1.0, 0.0)
     tx, ty = (t / _row_abs_max(t)[:, None]).T
     rho = np.sqrt(tx * tx + ty * ty)
@@ -262,9 +271,11 @@ def bench_pair(theta_pf, chi) -> PairStack:
     """The bench configurations: unit photon along z-hat, frame velocity of
     speed theta_pf at angle chi to it, in the x-z plane; floats give one
     row, (N,) arrays (floats among them shared) N rows. A row with
-    theta_pf = 0 has the frame exactly at rest, u = (1, 0, 0, 0)."""
+    theta_pf = 0 has the frame exactly at rest, u = (1, 0, 0, 0). chi must
+    be finite, and theta_pf a speed below 1."""
     theta_pf, chi = np.broadcast_arrays(np.asarray(theta_pf, dtype=float).reshape(-1),
                                         np.asarray(chi, dtype=float).reshape(-1))
+    _check_rows([_finite_test("chi", chi)])
     v = np.zeros((len(chi), 3))
     v[:, 0] = theta_pf * math_rows(math.sin, chi)
     v[:, 2] = theta_pf * math_rows(math.cos, chi)
@@ -366,7 +377,8 @@ def massless_standard_element(k: np.ndarray) -> np.ndarray:
     r = k[:, 0]
     c = 0.5 * (r + 1.0 / r)
     s = 0.5 * (r - 1.0 / r)
-    bz = np.tile(np.eye(4), (len(k), 1, 1))
+    bz = np.zeros((len(k), 4, 4))
+    bz[:, 1, 1] = bz[:, 2, 2] = 1.0
     bz[:, 0, 0] = bz[:, 3, 3] = c
     bz[:, 0, 3] = bz[:, 3, 0] = s
     return _rotation_z_to_stack(unit_rows(k[:, 1:])) @ bz

@@ -13,10 +13,13 @@ Every transform builder takes N rows of input and returns the (N,4,4)
 stack, and every validation error is a `RowValueError` that names its
 row. A builder is its input tests, a private kernel (`_boost_stack`,
 `_rotation_stack`, `_rotation_z_to_stack`) that returns the raw (N,4,4)
-array, and the validation of that array. A factor of a validated
-product and the standard elements of both Wigner routes come from the
-kernels unchecked: the stabiliser test of the Wigner element certifies
-the elements. Row-wise products use `row_dot`, which is
+array, and the validation of that array, except `boost_from_velocity`,
+whose input test makes its output valid (see there). The minimal
+rotation z-hat -> n is written once, in `_z_frame`, from which
+`_rotation_z_to_stack` and the gauge of `induction` read it. A factor
+of a validated product and the standard elements of both Wigner routes
+come from the kernels unchecked: the stabiliser test of the Wigner
+element certifies the elements. Row-wise products use `row_dot`, which is
 bit-identical to `a @ b` on each row (a row-wise `np.linalg.norm` is
 not), and the largest |entry| of each row uses `_row_abs_max`, the bits
 of `np.abs(a).max` over every axis but the first in one contiguous
@@ -37,6 +40,8 @@ METRIC.setflags(write=False)
 _METRIC_ROWS = np.diag(METRIC)[:, None]
 # eta_i eta_j: eta m^T eta is m^T with entry (i, j) times this sign
 _METRIC_SIGNS = _METRIC_ROWS * np.diag(METRIC)
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 # Construction-time validation.
 CONSTRUCTION_TOL = 1e-12
@@ -145,6 +150,12 @@ def _check_rows(tests, culprit=None, error=RowValueError) -> None:
     i = int(np.argmin(np.logical_and.reduce([passed for passed, _ in tests])))
     message = next(message(i) for passed, message in tests if not passed[i])
     raise error(i, message + ("" if culprit is None else f" ({culprit(i)})"))
+
+
+def _finite_test(name: str, x: np.ndarray):
+    """The (ok, message) test that each entry of an (N,) array, `name`, is
+    finite."""
+    return np.isfinite(x), lambda i: f"{name}={x[i].item()!r} is not finite"
 
 
 def wrap_angle(angle) -> np.ndarray:
@@ -399,16 +410,23 @@ def _boost_stack(u: np.ndarray) -> np.ndarray:
     m[:, 0, 0] = g
     m[:, 0, 1:] = w
     m[:, 1:, 0] = w
-    m[:, 1:, 1:] = np.eye(3) + w[:, :, None] * w[:, None, :] / (1.0 + g)[:, None, None]
+    m[:, 1:, 1:] = _EYE3 + w[:, :, None] * w[:, None, :] / (1.0 + g)[:, None, None]
     return m
 
 
 def boost_from_velocity(v) -> LorentzTransform:
     """The stack of pure boosts to the velocities of an (N,3) array, or of
-    one row for a velocity (3,)."""
-    # the four-velocity of a speed below 1 passes the tests of boost_to, so
-    # only the boost itself is validated
-    return LorentzTransform(_boost_stack(four_velocity(v)))
+    one row for a velocity (3,), trusted without validation.
+
+    Its input test is `four_velocity`'s: a finite speed below 1. So
+    1 - v^2 >= 2^-53 and gamma <= 2^26.5 (about 9.5e7), far below
+    MAX_ENTRY. The four-velocity is off its shell by the rounding of v^2
+    over 1 - v^2, about gamma^2 3e-16, and the kernel's metric error is of
+    that order, against a tolerance of 1e-12 gamma^2: each boost passes
+    `_matrix_tests` with a margin of about 10^3, which
+    tests/test_kernels.py measures over the whole input domain.
+    """
+    return _trusted(LorentzTransform, m=_boost_stack(four_velocity(v)))
 
 
 def rotation_about(axis, delta) -> LorentzTransform:
@@ -416,9 +434,12 @@ def rotation_about(axis, delta) -> LorentzTransform:
 
     An (N,3) array of axes or an (N,) array of angles, the other one
     shared or also of N rows, gives the (N,4,4) stack of rotations; a
-    single axis and angle give one row.
+    single axis and angle give one row. An angle must be finite.
     """
-    return LorentzTransform(_rotation_stack(_checked_unit_rows(axis, "axis"), delta))
+    axes = _checked_unit_rows(axis, "axis")
+    angles = np.asarray(delta, dtype=float).reshape(-1)
+    _check_rows([_finite_test("angle", angles)])
+    return LorentzTransform(_rotation_stack(axes, angles))
 
 
 def _rotation_stack(axes, delta) -> np.ndarray:
@@ -437,7 +458,7 @@ def _rotation_stack(axes, delta) -> np.ndarray:
     kx[:, 2, 1] = axes[:, 0]
     sin = math_rows(math.sin, angles)[:, None, None]
     versin = (1.0 - math_rows(math.cos, angles))[:, None, None]
-    spatial = np.eye(3) + sin * kx + versin * (kx @ kx)
+    spatial = _EYE3 + sin * kx + versin * (kx @ kx)
     m = np.zeros((len(spatial), 4, 4))
     m[:, 0, 0] = 1.0
     m[:, 1:, 1:] = spatial
@@ -448,6 +469,8 @@ def _rotation_stack(axes, delta) -> np.ndarray:
 # to be +z or -z: the rotation there is the exact identity at +z and the
 # exact half turn about x-hat, diag(1, -1, -1), at -z
 _POLE = 1e-300
+_HALF_TURN_X = np.diag([1.0, -1.0, -1.0])
+_HALF_TURN_X.setflags(write=False)
 
 
 def rotation_z_to(n) -> LorentzTransform:
@@ -467,6 +490,17 @@ def rotation_z_to(n) -> LorentzTransform:
 def _rotation_z_to_stack(rows: np.ndarray) -> np.ndarray:
     """The (N,4,4) array of `rotation_z_to` of an (N,3) array of unit
     vectors, unchecked in and out."""
+    out = np.zeros((len(rows), 4, 4))
+    out[:, 0, 0] = 1.0
+    out[:, 1:, 1:] = _z_frame(rows).transpose(0, 2, 1)
+    return out
+
+
+def _z_frame(rows: np.ndarray) -> np.ndarray:
+    """The (N,3,3) array whose rows are the images of x-hat, y-hat and
+    z-hat under the minimal rotation taking z-hat to each unit vector n of
+    an (N,3) array: the transpose of the spatial block of `rotation_z_to`,
+    with n its last row; unchecked in and out."""
     x, y, c = rows.T
     # the x-y block is I - g (p, q)(p, q)^T, with (p, q) = (x, y)/m and m the
     # larger of |x| and |y|, so that no square of a tiny x or y underflows:
@@ -475,21 +509,24 @@ def _rotation_z_to_stack(rows: np.ndarray) -> np.ndarray:
     # scaled by _POLE instead, which keeps it finite, and overwritten
     ax, ay = np.abs(x), np.abs(y)
     m = np.maximum(ax, ay)
+    pole, south = m < _POLE, c < 0.0
+    if pole.all():
+        # every row is overwritten, as every bench photon's is
+        return np.where(south[:, None, None], _HALF_TURN_X, _EYE3)
     scale = np.maximum(m, _POLE)
     p, q, r = x / scale, y / scale, np.minimum(ax, ay) / scale
     t = 1.0 + np.abs(c)  # 1 + c in the north, 1 - c in the south
-    g = np.where(c < 0.0, t / (1.0 + r * r), m * m / t)
+    g = np.where(south, t / (1.0 + r * r), m * m / t)
     gp = g * p
-    out = np.zeros((len(rows), 4, 4))
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0 - gp * p
-    out[:, 1, 2] = out[:, 2, 1] = -(gp * q)
-    out[:, 2, 2] = 1.0 - g * q * q
-    out[:, 1:, 3] = rows
-    out[:, 3, 1:3] = -rows[:, :2]
-    pole = m < _POLE
+    out = np.empty((len(rows), 3, 3))
+    out[:, 0, 0] = 1.0 - gp * p
+    out[:, 0, 1] = out[:, 1, 0] = -(gp * q)
+    out[:, 1, 1] = 1.0 - g * q * q
+    out[:, :2, 2] = -rows[:, :2]
+    out[:, 2] = rows
     if pole.any():
-        out[pole, 1:, 1:] = np.where(c[pole, None, None] < 0.0, np.diag([1.0, -1.0, -1.0]), np.eye(3))
+        out[pole & ~south] = _EYE3
+        out[pole & south] = _HALF_TURN_X
     return out
 
 

@@ -176,6 +176,24 @@ def test_pf_wigner_rotation_matches_closed_form():
             assert w.phi[0] == pytest.approx(want, abs=1e-12)
 
 
+def test_pf_wigner_rotation_off_the_bench_plane_follows_the_azimuth():
+    # the bench pair turned about the photon by an azimuth a: a rotation by
+    # delta about it advances a by delta, so the phase is rho(a + delta) -
+    # rho(a), rho = rotation_phase at (theta, chi), not rho(delta). Here the
+    # gauge reads the transverse frame velocity at every azimuth, not only
+    # along +-x
+    rng = np.random.default_rng(3)
+    n = 400
+    th, chi = rng.uniform(0.0, 0.9, n), rng.uniform(0.0, math.pi, n)
+    a, d = rng.uniform(-math.pi, math.pi, (2, n))
+    turned = transform_pair(bench_pair(th, chi), rotation_about(Z, a))
+    phi = pf_wigner(turned, rotation_about(Z, d)).phi
+    want = wrap_angle(rotation_phase(a + d, th, chi) - rotation_phase(a, th, chi))
+    assert np.abs(wrap_angle(phi - want)).max() <= 1e-12
+    # the azimuth matters: the bench-plane law misses these rows by up to pi
+    assert np.abs(wrap_angle(phi - rotation_phase(d, th, chi))).max() > 3.0
+
+
 def test_pf_wigner_composition_sample():
     rng = np.random.default_rng(35)
     for _ in range(300):

@@ -13,6 +13,7 @@ from pfwigner import (
     LorentzTransform,
     PairStack,
     apply,
+    bench_pair,
     boost_from_velocity,
     boost_to,
     compose,
@@ -349,7 +350,11 @@ def _identity_with_inf():
      r"row 0: u is not unit timelike \(k=\(1, 0, 0, 1\), u=\(nan, 0, 0, 0\)\)"),
     (lambda: one_pair([np.nan, 0.0, 0.0, 1.0], U_REST),
      r"row 0: k is not null \(k=\(nan, 0, 0, 1\), u=\(1, 0, 0, 0\)\)"),
-], ids=["nan_matrix", "inf_entry", "nan_velocity", "nan_four_velocity", "nan_momentum"])
+    (lambda: rotation_about([0.0, 0.0, 1.0], [0.1, np.inf]), r"row 1: angle=inf is not finite"),
+    (lambda: rotation_about([0.0, 0.0, 1.0], np.nan), r"row 0: angle=nan is not finite"),
+    (lambda: bench_pair(0.1, np.inf), r"row 0: chi=inf is not finite"),
+], ids=["nan_matrix", "inf_entry", "nan_velocity", "nan_four_velocity", "nan_momentum",
+        "inf_angle", "nan_angle", "inf_chi"])
 def test_non_finite_input_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
