@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from pfwigner import (
     malus_probability,
     monte_carlo_malus,
 )
-from pfwigner.minkowski import RowValueError
+from pfwigner.minkowski import STACK_BLOCK, RowValueError
+from pfwigner.polarisation import _pcg64_states
 
 TH_CMB = 1.2336e-3
 
@@ -71,8 +73,66 @@ def test_monte_carlo_counts_are_binomial(n):
 
 
 def test_monte_carlo_rejects_empty_sample():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_samples must be >= 1$"):
         monte_carlo_malus(1.0, 0, seed=1)
+
+
+@pytest.mark.parametrize("n", [10.5, 10.0, np.float64(10.0), True, "10", None])
+def test_monte_carlo_rejects_a_sample_count_that_is_not_an_integer(n):
+    # binomial would draw from int(n) trials and the count be divided by n
+    with pytest.raises(ValueError, match=r"^n_samples must be an integer, got "):
+        monte_carlo_malus(0.5, n, seed=1)
+
+
+def test_monte_carlo_takes_a_numpy_integer_sample_count():
+    assert monte_carlo_malus(0.3, np.int64(1000), seed=5).tolist() == \
+        monte_carlo_malus(0.3, 1000, seed=5).tolist()
+
+
+# --- the seeding, pinned to numpy's ---------------------------------------------------
+
+
+def _numpy_states(seeds):
+    return [tuple(np.random.PCG64(s).state["state"][k] for k in ("state", "inc")) for s in seeds]
+
+
+@pytest.mark.parametrize("first", [0, 1, 2**32 - 5, 2**64 - 5, 2**96 - 5, 2**128 - 5,
+                                   2**160 - 5, 2**32 * 7 - 3])
+def test_seed_hash_matches_numpy_across_word_boundaries(first):
+    # each range crosses from one count of 32-bit words to the next, or
+    # from one high word to the next, inside the call
+    assert _pcg64_states(first, 12) == _numpy_states(range(first, first + 12))
+
+
+def test_seed_hash_matches_numpy_at_random_bit_lengths():
+    draw = random.Random(2024)
+    for _ in range(200):
+        bits = draw.randint(1, 140)
+        first = draw.getrandbits(bits) | 1 << (bits - 1)
+        assert _pcg64_states(first, 3) == _numpy_states(range(first, first + 3)), first
+
+
+@pytest.mark.parametrize("n", [1, 7, 10**6])
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 20, 2**128 - 20])
+def test_monte_carlo_is_the_per_row_default_rng_draw(n, seed):
+    p = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 37), [0.5, 1e-9, 1.0 - 1e-9]])
+    want = [np.random.default_rng(seed + i).binomial(n, q) / n for i, q in enumerate(p.tolist())]
+    assert monte_carlo_malus(p, n, seed).tolist() == want
+
+
+def test_monte_carlo_rows_past_one_block_keep_their_seeds():
+    # the rows go STACK_BLOCK at a time; row i stays seeded seed + i
+    p = np.linspace(0.0, 1.0, STACK_BLOCK + 3)
+    seed = 2**32 - STACK_BLOCK
+    want = [np.random.default_rng(seed + i).binomial(1000, q) / 1000
+            for i, q in enumerate(p.tolist())]
+    assert monte_carlo_malus(p, 1000, seed).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_monte_carlo_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0"):
+        monte_carlo_malus([0.5, 0.5], 1000, seed)
 
 
 @pytest.mark.parametrize("p", [math.nan, -1e-3, 1.0 + 1e-12])
@@ -81,6 +141,19 @@ def test_monte_carlo_rejects_probability_outside_unit_interval(p):
         monte_carlo_malus(p, 1000, seed=1)
     with pytest.raises(RowValueError, match=rf"^row 2: p={p!r} outside \[0, 1\]$"):
         monte_carlo_malus([0.0, 1.0, p, 0.5], 1000, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call,row", [
+    (lambda x: malus_probability(np.array([0.0, x]), 0.0), "row 1: theta"),
+    (lambda x: malus_probability(0.0, [0.1, 0.2, x]), "row 2: Theta"),
+    (lambda x: anomalous_malus_curve(bench_pair(0.1, 0.5), x, 0.3, [0.1]), "row 0: theta"),
+    (lambda x: anomalous_malus_curve(bench_pair(0.1, 0.5), 0.3, x, [0.1]), "row 0: Theta0"),
+], ids=["probability-theta", "probability-Theta", "curve-theta", "curve-Theta0"])
+def test_an_angle_that_is_not_finite_names_its_row(call, row, bad):
+    # cos of an infinite angle was a bare 'math domain error'
+    with pytest.raises(RowValueError, match=rf"^{row}={bad!r} is not finite$"):
+        call(bad)
 
 
 # --- the co-rotation experiment -------------------------------------------------------
