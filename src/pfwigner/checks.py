@@ -69,7 +69,7 @@ def _transforms(rng, n: int) -> LorentzTransform:
 
 def _phase(w: induction.WignerAngle) -> tuple[np.ndarray, float]:
     """The angle of each row and the largest stabiliser residual of w:
-    what a check reads, without the Wigner elements w holds."""
+    what a check reads."""
     return w.phi, float(w.stabiliser.max())
 
 

@@ -557,8 +557,6 @@ def cmd_wigner(cfg: RunConfig, args: argparse.Namespace) -> int:
         "phi_pf": w_pf.phi,
         "phi_std": w_std.phi,
         "delta_phi": wrap_angle(w_pf.phi - w_std.phi),
-        "residual_pf": w_pf.residual,
-        "residual_std": w_std.residual,
         "stabiliser_pf": w_pf.stabiliser,
         "stabiliser_std": w_std.stabiliser,
     }
@@ -621,7 +619,7 @@ COMMANDS = {
                       cmd_rotation_scan),
     "malus": ("Malus transmission under apparatus rotation, with Monte Carlo", cmd_malus),
     "validate": ("run the full invariant suite and report per-check residuals", cmd_validate),
-    "wigner": ("single transformation: both angles and residuals", cmd_wigner),
+    "wigner": ("single transformation: both angles and stabilisers", cmd_wigner),
 }
 
 

@@ -33,17 +33,13 @@ rows through `minkowski.in_blocks`, `minkowski.STACK_BLOCK` rows at a
 time, so that an error names the row of the sweep, as
 `cli.cmd_boost_scan`, `polarisation.anomalous_malus_curve` and the
 oracle checks do.
-
-The angle and the stabiliser test are computed at once. The reconstruction
-residual, a diagnostic, is computed on its first read, from the Wigner
-element, which the angle holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -66,7 +62,6 @@ from .minkowski import (
     _eta_inverse,
     _finite_test,
     _photon_tests,
-    _rotation_stack,
     _rotation_z_to_stack,
     _row_abs_max,
     _z_frame,
@@ -108,21 +103,14 @@ class WignerAngle:
     """Extracted little-group angle: arrays with one entry per row.
 
     stabiliser: max deviation of the element on the vectors it must fix.
-    residual: max deviation of the element from the exact form implied
-    by the angle (a z-rotation for the pair construction, a null
-    translation times a z-rotation for the standard one). It is computed
-    on its first read and kept. The angle holds the Wigner element it
-    was computed from, bound into the `_rebuild` call that gives the
-    residual.
+    A Lorentz element that fixes q and the rest four-velocity is exactly
+    a z-rotation, and one that fixes q exactly a null translation times
+    a z-rotation (Weinberg vol. 1 section 2.5), so the stabiliser test is
+    what certifies the form that phi is read from.
     """
 
     phi: np.ndarray
     stabiliser: np.ndarray
-    _rebuild: Callable[[], np.ndarray] = field(repr=False)
-
-    @cached_property
-    def residual(self) -> np.ndarray:
-        return self._rebuild()
 
 
 def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -337,35 +325,28 @@ def pf_wigner_from_elements(pairs: PairStack, s1: np.ndarray, L: LorentzTransfor
     element once and passes it to each call.
     """
     return _wigner(len(pairs), s1, L, s2, (pairs.kappa[:, None] * _Q_UNIT, _U_REST[None]), "pair",
-                   partial(_pair_culprit, pairs, L), _z_angle, _pf_residual)
+                   partial(_pair_culprit, pairs, L), _z_angle)
 
 
 def _wigner(rows: int, s1: np.ndarray, L: LorentzTransform, s2: np.ndarray, fixed, moved: str,
-            culprit: Callable[[int], str], angle, residual) -> WignerAngle:
+            culprit: Callable[[int], str], angle) -> WignerAngle:
     """The Wigner element W = S(Lp)^-1 L S(p) = eta s2^T eta L s1 of the
     `rows` given pairs or momenta, certified and read: the one body of both
     routes. The stabiliser is the largest |W v - v| over the (1 or N, 4)
     arrays v of `fixed`; a row above STABILISER_TOL raises StabilityError,
-    "<moved> moved by ..." with `culprit(row)`. The angle is angle(W), and
-    residual(W) runs on the first read of the residual."""
+    "<moved> moved by ..." with `culprit(row)`. The angle is angle(W)."""
     _stack_rows(rows, len(s1), len(L), len(s2))
     w = _eta_inverse(s2) @ L.m @ s1
     stab = np.maximum.reduce([_row_abs_max((w @ v[:, :, None])[:, :, 0] - v) for v in fixed])
     _check_rows([(stab <= STABILISER_TOL, lambda i: f"{moved} moved by {stab[i]:.3e}")],
                 culprit, StabilityError)
-    return WignerAngle(angle(w), stab, partial(residual, w))
+    return WignerAngle(angle(w), stab)
 
 
 def _z_angle(m: np.ndarray) -> np.ndarray:
     """The angle of each z-rotation of an (N,4,4) stack, from its (y,x) and
     (x,x) entries."""
     return math_rows(math.atan2, m[:, 2, 1], m[:, 1, 1])
-
-
-def _pf_residual(w: np.ndarray) -> np.ndarray:
-    """max |W - Rz(phi)| of each row: the pair element's departure from
-    the z-rotation of its angle."""
-    return _row_abs_max(w - _rotation_stack(Z_AXIS, _z_angle(w)))
 
 
 def massless_standard_element(k: np.ndarray) -> np.ndarray:
@@ -382,20 +363,6 @@ def massless_standard_element(k: np.ndarray) -> np.ndarray:
     bz[:, 0, 0] = bz[:, 3, 3] = c
     bz[:, 0, 3] = bz[:, 3, 0] = s
     return _rotation_z_to_stack(unit_rows(k[:, 1:])) @ bz
-
-
-def _euclidean_stack(alpha, beta) -> np.ndarray:
-    """The (N,4,4) array of the null translations T(alpha, beta), the E(2) part
-    that is not a rotation, of (1 or N) alphas and betas, unchecked."""
-    a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float).reshape(-1),
-                               np.asarray(beta, dtype=float).reshape(-1))
-    z = 0.5 * (a * a + b * b)
-    m = np.tile(np.eye(4), (len(z), 1, 1))
-    m[:, 0] = np.stack([1.0 + z, a, b, -z], axis=1)
-    m[:, 1, 0], m[:, 1, 3] = a, -a
-    m[:, 2, 0], m[:, 2, 3] = b, -b
-    m[:, 3] = np.stack([z, a, b, 1.0 - z], axis=1)
-    return m
 
 
 def photon_momenta(k) -> np.ndarray:
@@ -438,21 +405,12 @@ def standard_wigner_from_elements(k: np.ndarray, e1: np.ndarray, L: LorentzTrans
     """
     return _wigner(len(k), e1, L, e2, (_Q_UNIT[None],), "reference null vector",
                    lambda i: f"k={format_row(_row(k, i))}, {_gamma(L, i)}",
-                   _standard_angle, _standard_residual)
+                   _standard_angle)
 
 
 def _standard_angle(e: np.ndarray) -> np.ndarray:
     eex = e @ _E_X
     return math_rows(math.atan2, -minkowski_dot(eex, _E_Y), -minkowski_dot(eex, _E_X))
-
-
-def _standard_residual(e: np.ndarray) -> np.ndarray:
-    """max |E - T(alpha, beta) Rz(phi)| of each row: the pairless element's
-    departure from the null translation and z-rotation it is read as."""
-    phi = _standard_angle(e)
-    t = e @ _rotation_stack(Z_AXIS, -phi)
-    rebuilt = _euclidean_stack(t[:, 1, 0], t[:, 2, 0]) @ _rotation_stack(Z_AXIS, phi)
-    return _row_abs_max(e - rebuilt)
 
 
 def phase_difference(pairs: PairStack, L: LorentzTransform) -> np.ndarray:

@@ -98,10 +98,14 @@ def _pcg64_states(seed: int, n: int) -> list[tuple[int, int]]:
     return states
 
 
-def _cos_squared(x) -> np.ndarray:
+def _cos_squared(name: str, x: np.ndarray) -> np.ndarray:
+    """cos^2 of each entry of the (N,) array x, the argument `name` of the
+    Malus law; an entry that is not finite, as where a difference of finite
+    angles overflows, raises a RowValueError naming its row."""
+    _check_rows([_finite_test(name, x)])
     # per row with math: numpy's a ** 2 is a * a but Python's float ** 2 is
     # libm pow, and the two differ in the last bit for some angles
-    return math_rows(lambda a: math.cos(a) ** 2, np.asarray(x, dtype=float).reshape(-1))
+    return math_rows(lambda a: math.cos(a) ** 2, x)
 
 
 def _finite_angles(**angles) -> list[np.ndarray]:
@@ -116,9 +120,12 @@ def _finite_angles(**angles) -> list[np.ndarray]:
 def malus_probability(theta, Theta) -> np.ndarray:
     """cos^2(Theta - theta) of each row of theta and Theta, (N,) arrays
     (floats among them shared); an angle that is not finite raises a
-    RowValueError naming its row."""
+    RowValueError naming its row, and so does a difference of them that
+    overflows."""
     theta, Theta = _finite_angles(theta=theta, Theta=Theta)
-    return _cos_squared(Theta - theta)
+    with np.errstate(over="ignore"):
+        x = Theta - theta
+    return _cos_squared("Theta - theta", x)
 
 
 def monte_carlo_malus(p, n_samples: int, seed: int) -> np.ndarray:
@@ -179,7 +186,8 @@ def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) 
     deltas go to `pf_wigner` STACK_BLOCK at a time, through `in_blocks`,
     which bounds the working arrays of the sweep; an error names the row
     of the deltas. A theta or Theta0 that is not finite raises a
-    RowValueError of row 0.
+    RowValueError of row 0, and an argument of the cosine that overflows
+    one naming its row.
     """
     if len(pair) != 1:
         raise ValueError(f"expected a pair of one row, got {len(pair)} rows")
@@ -188,4 +196,6 @@ def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) 
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     phi = in_blocks(len(deltas),
                     lambda rows: pf_wigner(pair, rotation_about(axis, deltas[rows])).phi)
-    return _cos_squared(Theta0 + deltas - theta - phi)
+    with np.errstate(over="ignore"):
+        x = Theta0 + deltas - theta - phi
+    return _cos_squared("Theta0 + delta - theta - phi", x)

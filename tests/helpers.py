@@ -54,6 +54,17 @@ def photon_direction(k):
     return k[0, 1:] / np.linalg.norm(k[0, 1:])
 
 
+def null_translation(a, b):
+    """The (1,4,4) array of the null translation T(a, b): the part of an
+    E(2) element that is not a rotation, which fixes (1, 0, 0, 1) and
+    shifts e_x and e_y by a and b times it."""
+    z = 0.5 * (a * a + b * b)
+    return np.array([[[1.0 + z, a, b, -z],
+                      [a, 1.0, 0.0, -a],
+                      [b, 0.0, 1.0, -b],
+                      [z, a, b, 1.0 - z]]])
+
+
 def random_aligned_transform(rng, k):
     """Rotation about any axis, boost along the photon, or their product.
 

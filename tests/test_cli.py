@@ -66,7 +66,7 @@ WIGNER_ARGS = ("wigner", "--transform", "rotation:k:0.7853981633974483",
                "--transform", "boost:z:0.25")
 # the exact identity: phi_std is -0.0 and phi_pf -4.890303485836872e-40
 WIGNER_IDENTITY_ARGS = ("wigner", "--transform", "rotation:k:0")
-# a generic pair and transform, whose residuals are far from 0
+# a generic pair and transform, whose stabilisers are far from 0
 WIGNER_GENERIC_ARGS = ("wigner", "--pf-speed", 0.5, "--chi", 1.0, "--transform", "boost:x:0.99",
                        "--transform", "rotation:y:1.1", "--transform", "boost:k:-0.9")
 
@@ -464,11 +464,10 @@ def test_a_negative_value_in_exponent_form_may_be_a_separate_argument():
 def test_wigner_report_is_consistent():
     res = run_cli(*WIGNER_ARGS)
     doc = json.loads(res.stdout)
-    assert set(doc) == {"phi_pf", "phi_std", "delta_phi", "residual_pf",
-                        "residual_std", "stabiliser_pf", "stabiliser_std"}
+    assert set(doc) == {"phi_pf", "phi_std", "delta_phi", "stabiliser_pf", "stabiliser_std"}
     assert doc["delta_phi"] == pytest.approx(
         math.remainder(doc["phi_pf"] - doc["phi_std"], math.tau), abs=1e-15)
-    assert doc["residual_pf"] < 1e-9 and doc["residual_std"] < 1e-9
+    assert doc["stabiliser_pf"] < 1e-9 and doc["stabiliser_std"] < 1e-9
 
 
 # --- configuration handling ---------------------------------------------

@@ -4,14 +4,13 @@ Each transform builder runs its input tests, calls a kernel that returns
 the raw (N,4,4) array and validates the result, except
 `boost_from_velocity`, whose input test makes the result valid, as a
 hypothesis test over its whole input domain checks. Inside `induction` the
-standard elements of both routes, their factors and the matrices rebuilt
-only to measure a residual come from the kernels directly, and so do the
-factors that `checks` multiplies into the transforms it validates, so no
-construction-time check sees them; at run time the stabiliser test of
-the Wigner element certifies the standard elements. The tests here take
-the construction check over: every kernel's output passes
-`minkowski._matrix_tests` and its defining property over the input
-envelope, so do both standard elements of random valid input (the pair
+standard elements of both routes and their factors come from the kernels
+directly, and so do the factors that `checks` multiplies into the
+transforms it validates, so no construction-time check sees them; at run
+time the stabiliser test of the Wigner element certifies the standard
+elements. The tests here take the construction check over: every
+kernel's output passes `minkowski._matrix_tests` and its defining
+property over the input envelope, so do both standard elements of random valid input (the pair
 element up to frame gamma 1e2 and at photon directions on and near
 +-z, where the minimal rotation takes its pole branches), the output of
 every public builder passes the tests too and its proper test agrees
@@ -51,7 +50,6 @@ from pfwigner import (
     rotation_z_to,
     standard_wigner,
 )
-from pfwigner.induction import _euclidean_stack
 from pfwigner.minkowski import (
     _POLE,
     _boost_stack,
@@ -250,16 +248,6 @@ def test_pair_element_carries_the_standard_pair_to_its_pair(rows):
     assert (np.abs(m @ np.array([1.0, 0.0, 0.0, 0.0]) - u) <= 1e-12 * g[:, None]).all()
 
 
-@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=4))
-@settings(max_examples=300, deadline=None)
-def test_euclidean_kernel_fixes_the_reference_momentum(rows):
-    a, b = np.array(rows).T
-    m = _euclidean_stack(a, b)
-    assert_valid(m)
-    scale = 1.0 + a * a + b * b
-    assert (np.abs(m @ Q - Q) <= 1e-12 * scale[:, None]).all()
-
-
 PARITY = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
@@ -353,11 +341,6 @@ def test_kernels_equal_their_builders_bit_for_bit():
     assert_rows_of([rotation_z_to(row) for row in n], aligned)
     # at +z the kernel gives the identity exactly
     assert_same_bits(aligned.m[:1], IDENTITY.m)
-
-    a, b = rng.normal(size=(2, 6))
-    translations = LorentzTransform(_euclidean_stack(a, b))
-    assert_same_bits(_euclidean_stack(a[0], b), _euclidean_stack(np.full(6, a[0]), b))
-    assert_rows_of([LorentzTransform(_euclidean_stack(x, y)) for x, y in zip(a, b)], translations)
 
     # a product, an inverse and the rows of a stack are one-row stacks too
     assert_rows_of([compose(boosts[i], rotations[i]) for i in range(6)], compose(boosts, rotations))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ def test_an_angle_that_is_not_finite_names_its_row(call, row, bad):
     # cos of an infinite angle was a bare 'math domain error'
     with pytest.raises(RowValueError, match=rf"^{row}={bad!r} is not finite$"):
         call(bad)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: malus_probability([0.0, -1e308], [0.1, 1e308]), "row 1: Theta - theta=inf"),
+    (lambda: anomalous_malus_curve(bench_pair(0.1, 0.5), 1e308, -1e308, [0.1, 0.2]),
+     "row 0: Theta0 + delta - theta - phi=-inf"),
+], ids=["probability", "curve"])
+def test_an_argument_that_overflows_names_its_row(call, message):
+    # finite angles pass the input tests, but their difference overflows:
+    # the cosine's argument itself is tested, with no overflow warning
+    with pytest.raises(RowValueError, match=rf"^{re.escape(message)} is not finite$"):
+        call()
 
 
 # --- the co-rotation experiment -------------------------------------------------------

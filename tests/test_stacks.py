@@ -51,9 +51,9 @@ from pfwigner import (
     transform_pair,
     wrap_angle,
 )
-from pfwigner import checks, cli, closed_form, induction, minkowski
+from pfwigner import checks, closed_form, induction, minkowski
 from pfwigner.checks import CHI_GRID, DELTA_GRID, THETA_GRID, V_GRID
-from pfwigner.induction import Z_AXIS, _euclidean_stack, _gauge_stack
+from pfwigner.induction import Z_AXIS, _gauge_stack
 from pfwigner.minkowski import (METRIC, STACK_BLOCK, _photon_tests, _rotation_stack, along_z,
                                 in_blocks)
 
@@ -114,7 +114,7 @@ def _stack(ts):
 
 def _assert_rows_equal(stacked, singles):
     # row i of the stacked call against the one entry of call i
-    for field in ("phi", "residual", "stabiliser"):
+    for field in ("phi", "stabiliser"):
         got = getattr(stacked, field)
         assert isinstance(got, np.ndarray) and got.shape == (len(singles),)
         assert all(getattr(w, field).shape == (1,) for w in singles)
@@ -229,7 +229,7 @@ def test_stacks_of_zero_rows_give_empty_results():
               # a pair of one row is shared by the no rows of a transform stack
               pf_wigner(bench_pair(0.3, 1.0), rotation_about([0.0, 0.0, 1.0], np.array([])))]
     for w in angles:
-        assert all(getattr(w, f).shape == (0,) for f in ("phi", "stabiliser", "residual"))
+        assert all(getattr(w, f).shape == (0,) for f in ("phi", "stabiliser"))
     assert phase_difference(pairs, L).shape == (0,)
 
 
@@ -262,7 +262,7 @@ def test_in_blocks_concatenates_its_blocks_and_names_the_row_of_the_range():
 # --- elements built once and passed to each angle ----------------------------
 
 def _assert_angle_bits_equal(got, want):
-    for field in ("phi", "residual", "stabiliser"):
+    for field in ("phi", "stabiliser"):
         assert (np.asarray(getattr(got, field)).view(np.uint64).tobytes()
                 == np.asarray(getattr(want, field)).view(np.uint64).tobytes()), field
 
@@ -443,7 +443,7 @@ def test_given_elements_reject_stacks_whose_rows_do_not_match(short):
             f(*args)
 
 
-# --- the reconstruction residual, rebuilt when it is read ----------------------
+# --- the stabiliser over blocks and its written-out formula ------------------
 
 # the two blocks of STACK_BLOCK + 3 rows
 TWO_BLOCKS = (slice(0, STACK_BLOCK), slice(STACK_BLOCK, STACK_BLOCK + 3))
@@ -460,94 +460,41 @@ def _conjugated(e1, L, e2):
     return METRIC @ np.swapaxes(e2, 1, 2) @ METRIC @ L.m @ e1
 
 
-def test_pf_residual_is_that_of_each_block_and_of_the_eager_formula():
+def test_pf_stabiliser_is_that_of_each_block_and_of_the_eager_formula():
     pairs, L = _longer_than_a_block()
-    w_all = pf_wigner(pairs, L)
-    got = w_all.residual
-    blocks, eager, eager_stab = [], [], []
+    got = pf_wigner(pairs, L).stabiliser
+    blocks, eager = [], []
     for b in TWO_BLOCKS:
         p, l = pairs[b], L[b]
         s1, s2 = pf_standard_element(p), pf_standard_element(transform_pair(p, l))
-        blocks.append(pf_wigner_from_elements(p, s1, l, s2).residual)
-        # written out: max |W - Rz(phi)|
+        blocks.append(pf_wigner_from_elements(p, s1, l, s2).stabiliser)
+        # written out: max(|W q - q|, |W u_rest - u_rest|), q = kappa (1, 0, 0, 1)
         w = _conjugated(s1, l, s2)
-        phi = np.array([math.atan2(y, x) for y, x in zip(w[:, 2, 1], w[:, 1, 1])])
-        eager.append(np.abs(w - _rotation_stack(Z_AXIS, phi)).max(axis=(1, 2)))
-        # and max(|W q - q|, |W u_rest - u_rest|), q = kappa (1, 0, 0, 1)
         q = p.kappa[:, None] * np.array(Q)
-        eager_stab.append(np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
-                                     np.abs(w @ np.array(U_REST) - U_REST).max(axis=1)))
+        eager.append(np.maximum(np.abs((w @ q[:, :, None])[:, :, 0] - q).max(axis=1),
+                                np.abs(w @ np.array(U_REST) - U_REST).max(axis=1)))
     assert got.shape == (STACK_BLOCK + 3,)
     assert _bits(got).tolist() == _bits(np.concatenate(blocks)).tolist()
     assert _bits(got).tolist() == _bits(np.concatenate(eager)).tolist()
     assert 0.0 < got.max() < 1e-9
-    assert _bits(w_all.stabiliser).tolist() == _bits(np.concatenate(eager_stab)).tolist()
-    assert 0.0 < w_all.stabiliser.max() < 1e-9
 
 
-def test_standard_residual_is_that_of_each_block_and_of_the_eager_formula():
+def test_standard_stabiliser_is_that_of_each_block_and_of_the_eager_formula():
     pairs, L = _longer_than_a_block(12)
     k = photon_momenta(pairs.k)
-    w_all = standard_wigner(k, L)
-    got = w_all.residual
-    blocks, eager, eager_stab = [], [], []
+    got = standard_wigner(k, L).stabiliser
+    blocks, eager = [], []
     for b in TWO_BLOCKS:
         kb, l = k[b], L[b]
         e1, e2 = massless_standard_element(kb), massless_standard_element(apply(l, kb))
-        blocks.append(standard_wigner_from_elements(kb, e1, l, e2).residual)
-        # written out: max |E - T(alpha, beta) Rz(phi)|
+        blocks.append(standard_wigner_from_elements(kb, e1, l, e2).stabiliser)
+        # written out: |E q - q|, q = (1, 0, 0, 1)
         e = _conjugated(e1, l, e2)
-        e_x, e_y = np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
-        eex = e @ e_x
-        phi = np.array([math.atan2(y, x) for y, x in zip(-minkowski.minkowski_dot(eex, e_y),
-                                                         -minkowski.minkowski_dot(eex, e_x))])
-        t = e @ _rotation_stack(Z_AXIS, -phi)
-        rebuilt = _euclidean_stack(t[:, 1, 0], t[:, 2, 0]) @ _rotation_stack(Z_AXIS, phi)
-        eager.append(np.abs(e - rebuilt).max(axis=(1, 2)))
-        # and |E q - q|, q = (1, 0, 0, 1)
-        eager_stab.append(np.abs(e @ np.array(Q) - Q).max(axis=1))
+        eager.append(np.abs(e @ np.array(Q) - Q).max(axis=1))
     assert got.shape == (STACK_BLOCK + 3,)
     assert _bits(got).tolist() == _bits(np.concatenate(blocks)).tolist()
     assert _bits(got).tolist() == _bits(np.concatenate(eager)).tolist()
     assert 0.0 < got.max() < 1e-9
-    assert _bits(w_all.stabiliser).tolist() == _bits(np.concatenate(eager_stab)).tolist()
-    assert 0.0 < w_all.stabiliser.max() < 1e-9
-
-
-@pytest.fixture
-def rebuilds(monkeypatch):
-    """The number of residual rebuilds, one per angle whose residual is
-    read, by route."""
-    counts = {"pf": 0, "standard": 0}
-    for route, name in (("pf", "_pf_residual"), ("standard", "_standard_residual")):
-        def spy(element, _route=route, _rebuild=getattr(induction, name)):
-            counts[_route] += 1
-            return _rebuild(element)
-        monkeypatch.setattr(induction, name, spy)
-    return counts
-
-
-def test_an_angle_rebuilds_its_residual_once_on_first_read(rebuilds):
-    pairs, L = _longer_than_a_block()
-    w = pf_wigner(pairs, L)
-    assert rebuilds == {"pf": 0, "standard": 0}
-    first = w.residual
-    assert rebuilds == {"pf": 1, "standard": 0}
-    assert w.residual is first and rebuilds["pf"] == 1
-
-
-@pytest.mark.parametrize("args,per_route", [
-    (None, 0),
-    (["boost-scan"], 0),
-    (["malus"], 0),
-    (["wigner", "--transform", "boost:x:0.5"], 1),
-], ids=["checks", "boost-scan", "malus", "wigner"])
-def test_only_wigner_reads_a_residual(rebuilds, args, per_route, tmp_path):
-    if args is None:
-        assert all(r.passed for r in checks.run_checks(cli.CHECKS).values())
-    else:
-        assert cli.main(args + ["--output", str(tmp_path / "out")]) == 0
-    assert rebuilds == {"pf": per_route, "standard": per_route}
 
 
 def test_an_angle_is_compared_and_hashed_as_an_object():
