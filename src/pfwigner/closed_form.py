@@ -6,11 +6,21 @@ rotation by delta about it) then produces the polarisation phases below.
 These are the analytic route; the matrix route lives in `induction`, and
 the two are cross-checked against each other by the validation suite.
 
-Every formula takes (N,) float arrays, one entry per row (a float is
-shared by every row, and floats alone are one row), and returns one value
-per row. `sin`, `cos`, `asin` and `atan2` run per row by `math`, so each
-row equals its one-row call bit for bit. A row outside
-a formula's domain raises a `DomainError` that names it.
+The formulas are the case a = 0 of the frame's azimuth a about the
+photon, measured from lab x: the bench plane, x-z. For a pair turned
+about the photon by a, with rho(a) = rotation_phase(a, theta_pf, chi),
+the matrix route gives rho(a + delta) - rho(a) for a rotation by delta,
+and boost_phase(V, theta_pf, chi) + rho(a; theta', chi') -
+rho(a; theta_pf, chi) for a boost V along the photon, (theta', chi') the
+boosted frame's speed and angle. The Thomas-Wigner angle of that boost,
+about the transverse axis turned with the pair, is
+-2 boost_phase(V, theta_pf, chi) at every a.
+
+Every formula reads its fields by `minkowski._checked_rows`, one entry
+per row (a float is shared by every row, and floats alone are one row),
+and returns one value per row. `sin`, `cos`, `asin` and `atan2` run per
+row by `math`, so each row equals its one-row call bit for bit. A row
+outside a formula's domain raises a `DomainError` that names it.
 
 The arithmetic of `boost_phase` and `rotation_phase` past their angles
 lives in private helpers that take the cosine and sine of chi
@@ -26,7 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from .minkowski import RowValueError, _check_rows, _finite_test, math_rows, wrap_angle
+from .minkowski import (RowValueError, _check_rows, _checked_rows, _finite_test, math_rows,
+                        wrap_angle)
 
 
 class DomainError(RowValueError):
@@ -55,16 +66,6 @@ def _rotation_tests(delta, theta_pf, chi):
     return [_delta_test(delta), _theta_test(theta_pf), _chi_test(chi)]
 
 
-def _checked_rows(tests, *fields) -> list[np.ndarray]:
-    """The fields of a formula as (N,) float arrays, a float being shared
-    by every row and floats alone giving one row, once no row fails
-    `tests` of them: DomainError names the first row that does, with the
-    first field it fails, in argument order."""
-    rows = np.broadcast_arrays(*[np.array(x, dtype=float, ndmin=1) for x in fields])
-    _check_rows(tests(*rows), error=DomainError)
-    return rows
-
-
 def _cos_sin(chi):
     return math_rows(math.cos, chi), math_rows(math.sin, chi)
 
@@ -72,7 +73,7 @@ def _cos_sin(chi):
 def boost_phase(v, theta_pf, chi) -> np.ndarray:
     """Polarisation phase for a boost of signed speed v along the photon,
     with frame speed theta_pf at angle chi to it, one per row."""
-    v, th, chi = _checked_rows(_boost_tests, v, theta_pf, chi)
+    v, th, chi = _checked_rows(_boost_tests, v, theta_pf, chi, error=DomainError)
     return math_rows(math.asin, _boost_sine(v, th, *_cos_sin(chi)))
 
 
@@ -123,7 +124,7 @@ def rotation_phase(delta, theta_pf, chi) -> np.ndarray:
     delta = 0 and delta = pi regular. Continuous and increasing in delta
     on [0, 2pi], with rotation_phase(2pi) = 2pi.
     """
-    delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi)
+    delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi, error=DomainError)
     n, dd, a_sin, _ = _rotation_factors(th, *_cos_sin(chi))
     half = 0.5 * delta
     return _rotation_angle(n, dd, a_sin, math_rows(math.sin, half), math_rows(math.cos, half))
@@ -134,7 +135,8 @@ def rotation_phase_shift(delta, theta_pf, chi) -> np.ndarray:
     negative of dphi_ex of `rotation_table` (rotation_phase - delta), so
     positive where the polarisation lags the apparatus; a zero may differ
     from dphi_ex's in its sign."""
-    return wrap_angle(np.asarray(delta, dtype=float) - rotation_phase(delta, theta_pf, chi))
+    return wrap_angle(np.asarray(delta, dtype=float).reshape(-1)
+                      - rotation_phase(delta, theta_pf, chi))
 
 
 def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
@@ -145,7 +147,7 @@ def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
     2*theta_pf*sin(chi)*tan^2(delta/2)/(1+tan^2(delta/2)) where the
     latter is defined, but stays regular at delta = pi.
     """
-    delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi)
+    delta, th, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi, error=DomainError)
     return _rotation_factors(th, *_cos_sin(chi))[3] * (1.0 - math_rows(math.cos, delta))
 
 

@@ -59,11 +59,13 @@ from .minkowski import (
     RowValueError,
     _boost_stack,
     _check_rows,
+    _checked_rows,
     _eta_inverse,
     _finite_test,
     _photon_tests,
     _rotation_z_to_stack,
     _row_abs_max,
+    _stack_rows,
     _z_frame,
     apply,
     format_row,
@@ -115,15 +117,6 @@ class WignerAngle:
 
 def _direction_after(boost: np.ndarray, k: np.ndarray) -> np.ndarray:
     return unit_rows((_eta_inverse(boost) @ k[:, :, None])[:, 1:, 0])
-
-
-def _stack_rows(*lengths: int) -> int:
-    """The rows of stacks of these lengths, each 1 or N, as numpy broadcasts
-    them: a stack of one row is shared, also by a stack of none."""
-    n = max((m for m in lengths if m != 1), default=1)
-    if any(m not in (1, n) for m in lengths):
-        raise ValueError(f"stacks of {lengths} rows do not match")
-    return n
 
 
 def _row(x, i: int):
@@ -260,10 +253,9 @@ def bench_pair(theta_pf, chi) -> PairStack:
     speed theta_pf at angle chi to it, in the x-z plane; floats give one
     row, (N,) arrays (floats among them shared) N rows. A row with
     theta_pf = 0 has the frame exactly at rest, u = (1, 0, 0, 0). chi must
-    be finite, and theta_pf a speed below 1."""
-    theta_pf, chi = np.broadcast_arrays(np.asarray(theta_pf, dtype=float).reshape(-1),
-                                        np.asarray(chi, dtype=float).reshape(-1))
-    _check_rows([_finite_test("chi", chi)])
+    be finite, and theta_pf in [0, 1), as the closed forms test it."""
+    theta_pf, chi = _checked_rows(lambda th, c: [_theta_test(th), _finite_test("chi", c)],
+                                  theta_pf, chi)
     v = np.zeros((len(chi), 3))
     v[:, 0] = theta_pf * math_rows(math.sin, chi)
     v[:, 2] = theta_pf * math_rows(math.cos, chi)
@@ -369,6 +361,8 @@ def photon_momenta(k) -> np.ndarray:
     """An (N,4) array of momenta, each row tested as a photon momentum:
     null, with positive energy. A failing row is named with its k."""
     k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[1] != 4:
+        raise ValueError(f"expected an (N,4) array of photon momenta, got shape {k.shape}")
     _check_rows(_photon_tests(k), lambda i: f"k={format_row(k[i])}")
     return k
 

@@ -158,6 +158,28 @@ def _finite_test(name: str, x: np.ndarray):
     return np.isfinite(x), lambda i: f"{name}={x[i].item()!r} is not finite"
 
 
+def _stack_rows(*lengths: int) -> int:
+    """The rows of stacks of these lengths, each 1 or N, as numpy broadcasts
+    them: a stack of one row is shared, also by a stack of none."""
+    n = max((m for m in lengths if m != 1), default=1)
+    if any(m not in (1, n) for m in lengths):
+        raise ValueError(f"stacks of {lengths} rows do not match")
+    return n
+
+
+def _checked_rows(tests, *fields, error=RowValueError) -> list[np.ndarray]:
+    """The per-row fields as (N,) float arrays, each flattened: a float is
+    one row shared by every row, as a stride-0 view, and a (1, N) or (N, 1)
+    array N rows. Counts other than 1 and N raise `_stack_rows`'s
+    ValueError, and `error` names the first row failing `tests`, at its
+    first failing field."""
+    rows = [np.asarray(x, dtype=float).reshape(-1) for x in fields]
+    _stack_rows(*map(len, rows))
+    rows = np.broadcast_arrays(*rows)
+    _check_rows(tests(*rows), error=error)
+    return rows
+
+
 def wrap_angle(angle) -> np.ndarray:
     """Each angle of an (N,) array wrapped to (-pi, pi]; a float is one row.
 
@@ -438,6 +460,7 @@ def rotation_about(axis, delta) -> LorentzTransform:
     """
     axes = _checked_unit_rows(axis, "axis")
     angles = np.asarray(delta, dtype=float).reshape(-1)
+    _stack_rows(len(axes), len(angles))
     _check_rows([_finite_test("angle", angles)])
     return LorentzTransform(_rotation_stack(axes, angles))
 
@@ -537,6 +560,8 @@ def apply(L: LorentzTransform, v) -> np.ndarray:
 
 
 def compose(L2: LorentzTransform, L1: LorentzTransform) -> LorentzTransform:
+    """L2 L1 of each row: stacks of 1 or N rows, as `_stack_rows` pairs them."""
+    _stack_rows(len(L2), len(L1))
     return LorentzTransform(L2.m @ L1.m)
 
 

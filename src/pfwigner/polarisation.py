@@ -13,6 +13,7 @@ from .induction import pf_wigner
 from .minkowski import (
     PairStack,
     _check_rows,
+    _checked_rows,
     _finite_test,
     in_blocks,
     math_rows,
@@ -108,21 +109,13 @@ def _cos_squared(name: str, x: np.ndarray) -> np.ndarray:
     return math_rows(lambda a: math.cos(a) ** 2, x)
 
 
-def _finite_angles(**angles) -> list[np.ndarray]:
-    """The named angles broadcast to (N,) float arrays; an entry that is
-    not finite raises a RowValueError naming its row and its name."""
-    rows = np.broadcast_arrays(*[np.asarray(a, dtype=float).reshape(-1)
-                                 for a in angles.values()])
-    _check_rows([_finite_test(name, x) for name, x in zip(angles, rows)])
-    return rows
-
-
 def malus_probability(theta, Theta) -> np.ndarray:
     """cos^2(Theta - theta) of each row of theta and Theta, (N,) arrays
     (floats among them shared); an angle that is not finite raises a
     RowValueError naming its row, and so does a difference of them that
     overflows."""
-    theta, Theta = _finite_angles(theta=theta, Theta=Theta)
+    theta, Theta = _checked_rows(lambda t, T: [_finite_test("theta", t), _finite_test("Theta", T)],
+                                 theta, Theta)
     with np.errstate(over="ignore"):
         x = Theta - theta
     return _cos_squared("Theta - theta", x)
@@ -191,7 +184,8 @@ def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) 
     """
     if len(pair) != 1:
         raise ValueError(f"expected a pair of one row, got {len(pair)} rows")
-    _finite_angles(theta=theta, Theta0=Theta0)
+    _checked_rows(lambda t, T: [_finite_test("theta", t), _finite_test("Theta0", T)],
+                  theta, Theta0)
     axis = unit_rows(pair.k[:, 1:])[0]
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     phi = in_blocks(len(deltas),

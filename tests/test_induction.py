@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pfwigner import (
     IDENTITY,
+    DomainError,
     LorentzTransform,
     PairStack,
     StabilityError,
@@ -17,6 +19,7 @@ from pfwigner import (
     compose,
     direction_in_pf,
     four_velocity,
+    inverse,
     pf_standard_element,
     pf_wigner,
     phase_difference,
@@ -28,7 +31,7 @@ from pfwigner import (
     wrap_angle,
 )
 from pfwigner.induction import _gauge_stack
-from pfwigner.minkowski import STACK_BLOCK, along_z
+from pfwigner.minkowski import STACK_BLOCK, RowValueError, along_z
 
 from helpers import (
     null_translation,
@@ -77,6 +80,19 @@ def test_bench_pair_geometry():
     ang = math.atan2(math.hypot(tv[0], tv[1]), tv[2])
     assert ang == pytest.approx(chi, rel=1e-14)
     assert tv[1] == 0.0 and tv[0] >= 0.0
+
+
+@pytest.mark.parametrize("theta_pf,reason", [
+    (-0.5, "theta_pf=-0.5 outside [0.0, 1.0)"),
+    (math.nan, "theta_pf=nan outside [0.0, 1.0)"),
+    (1.0, "theta_pf=1.0 outside [0.0, 1.0)"),
+])
+def test_bench_pair_tests_its_frame_speed_as_the_closed_forms_do(theta_pf, reason):
+    # a negative speed would move the frame against the direction chi names
+    with pytest.raises(RowValueError, match=f"^row 1: {re.escape(reason)}$"):
+        bench_pair(np.array([0.3, theta_pf]), 0.5)
+    with pytest.raises(DomainError, match=f"^row 0: {re.escape(reason)}$"):
+        boost_phase(0.1, theta_pf, 0.5)
 
 
 def test_bench_pair_at_rest():
@@ -219,6 +235,27 @@ def test_pf_wigner_boost_off_the_bench_plane_follows_the_azimuth():
     assert np.abs(wrap_angle(phi - boost_phase(v, th, chi))).max() > 2.0
 
 
+def test_thomas_angle_off_the_bench_plane_does_not_follow_the_azimuth():
+    # the Thomas-Wigner rotation W = B(Bu)^-1 Bz(V) B(u) of the bench frame
+    # turned about the photon by a, read about the transverse axis turned
+    # with it: its angle is -2 boost_phase(V, theta, chi) at every a. The
+    # rotation is physical and does not depend on a; the section's phase does
+    rng = np.random.default_rng(6)
+    n = 500
+    th, chi = rng.uniform(0.0, 0.9, n), rng.uniform(0.0, math.pi, n)
+    a, v = rng.uniform(-math.pi, math.pi, n), rng.uniform(-0.999, 0.999, n)
+    turn = rotation_about(Z, a)
+    u = apply(turn, bench_pair(th, chi).u)
+    boost = boost_from_velocity(along_z(v))
+    w = compose(inverse(boost_to(apply(boost, u))), compose(boost, boost_to(u)))
+    turned_back = compose(inverse(turn), compose(w, turn)).m
+    omega = np.arctan2(turned_back[:, 1, 3], turned_back[:, 3, 3])
+    assert np.abs(-0.5 * omega - boost_phase(v, th, chi)).max() <= 1e-12
+    # read about lab y instead, the angle misses these rows by over 0.9
+    assert np.abs(-0.5 * np.arctan2(w.m[:, 1, 3], w.m[:, 3, 3])
+                  - boost_phase(v, th, chi)).max() > 0.9
+
+
 def test_pf_wigner_composition_sample():
     rng = np.random.default_rng(35)
     for _ in range(300):
@@ -262,6 +299,14 @@ def test_standard_wigner_rotation_about_photon_is_delta():
 def test_standard_wigner_requires_null_momentum():
     with pytest.raises(ValueError, match=r"^row 0: k is not null \(k=\(1, 0, 0, 0\.5\)\)$"):
         standard_wigner(np.array([[1.0, 0.0, 0.0, 0.5]]), rotation_about(Z, 0.3))
+
+
+@pytest.mark.parametrize("k", [Q_UNIT[0], Q_UNIT[:, :3], Q_UNIT[None]], ids=["1d", "3-wide", "3d"])
+def test_standard_wigner_requires_an_n_by_4_array_of_momenta(k):
+    # as boost_to and PairStack do, a wrong shape is named before any row
+    message = re.escape(f"expected an (N,4) array of photon momenta, got shape {k.shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        standard_wigner(k, IDENTITY)
 
 
 def test_rotation_angle_recovered_under_translation_parts():

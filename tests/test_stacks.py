@@ -681,6 +681,75 @@ def test_stacked_scenario_with_a_bad_shared_field_names_the_first_row():
         rotation_phase(np.array([0.1, math.nan]), 0.2, 0.5)
 
 
+# --- the one reader of per-row fields -------------------------------------------
+
+# each function that reads two or more per-row fields, with three valid rows
+# of each field
+ROW_READERS = [
+    (boost_phase, [0.1, -0.2, 0.9], [0.3, 0.0, 0.5], [1.0, 0.0, math.pi]),
+    (rotation_phase, [0.1, -2.0, 7.0], [0.3, 0.0, 0.99], [1.0, 2.0, 0.0]),
+    (rotation_phase_shift, [0.1, -2.0, 3.0 * math.pi], [0.3, 0.0, 0.99], [1.0, 2.0, 0.5]),
+    (rotation_shift_approx, [0.1, -2.0, math.pi], [0.3, 0.0, 0.99], [1.0, 2.0, 0.5]),
+    (malus_probability, [0.1, -0.0, 0.3], [4.521248355076138, 0.0, 1.9]),
+    (bench_pair, [0.0, 0.3, 0.9], [1.0, 2.0, 0.0]),
+]
+_READER_IDS = [f.__name__ for f, *_ in ROW_READERS]
+
+
+def _result_bits(x):
+    # the bits of a result: an (N,) array, or the k and u of a PairStack
+    rows = [x.k, x.u] if isinstance(x, PairStack) else [x]
+    return [_bits(r).tolist() for r in rows]
+
+
+@pytest.mark.parametrize("f,fields", [(f, fields) for f, *fields in ROW_READERS],
+                         ids=_READER_IDS)
+def test_a_field_of_shape_1_by_n_or_n_by_1_reads_as_n_rows(f, fields):
+    want = _result_bits(f(*map(np.array, fields)))
+    for j in range(len(fields)):
+        for shape in ((1, -1), (-1, 1)):
+            args = list(map(np.array, fields))
+            args[j] = args[j].reshape(shape)
+            assert _result_bits(f(*args)) == want
+    # and a (1, 1) field is one row shared by every row
+    args = [np.array([[x[0]]]) for x in fields[:1]] + list(map(np.array, fields[1:]))
+    shared = [x[0] for x in fields[:1]] + fields[1:]
+    assert _result_bits(f(*args)) == _result_bits(f(*shared))
+
+
+@pytest.mark.parametrize("f,fields", [(f, fields) for f, *fields in ROW_READERS],
+                         ids=_READER_IDS)
+def test_fields_whose_rows_do_not_match_raise_one_error(f, fields):
+    # 3 rows against 2, the other fields shared
+    args = [np.array(fields[0]), np.array(fields[1][:2])] + [x[0] for x in fields[2:]]
+    lengths = (3, 2) + (1,) * (len(fields) - 2)
+    with pytest.raises(ValueError) as exc:
+        f(*args)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"stacks of {lengths} rows do not match"
+
+
+def test_transform_stacks_whose_rows_do_not_match_raise_the_same_error():
+    z = [0.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match=r"^stacks of \(3, 2\) rows do not match$"):
+        rotation_about(np.tile(z, (3, 1)), [0.1, 0.2])
+    with pytest.raises(ValueError, match=r"^stacks of \(3, 2\) rows do not match$"):
+        compose(rotation_about(z, [0.1, 0.2, 0.3]), rotation_about(z, [0.1, 0.2]))
+
+
+def test_a_shared_field_reaches_math_rows_as_a_stride_0_view(monkeypatch):
+    # the shared chi of a grid of speeds: math_rows calls cos and sin once
+    seen = []
+
+    def spy(f, *xs):
+        seen.append((f, [x.strides for x in xs]))
+        return minkowski.math_rows(f, *xs)
+
+    monkeypatch.setattr(closed_form, "math_rows", spy)
+    boost_phase(np.linspace(-0.9, 0.9, 7), 0.1, 1.0)
+    assert seen == [(math.cos, [(0,)]), (math.sin, [(0,)]), (math.asin, [(8,)])]
+
+
 def _pair_angles(kin):
     # (theta, chi, alpha) of a one-row pair as floats: the frame speed,
     # the polar angle of the frame velocity from the photon direction by
