@@ -250,7 +250,7 @@ CHECKS = tuple((check.func.__name__, check) for check in (
     partial(rotation_oracle_equivalence, DELTA_GRID, THETA_GRID, CHI_GRID, 1e-9),
     partial(composition_law_pair, 2024, 1000, 1e-9),
     partial(composition_law_standard, 2025, 1000, 1e-9),
-    partial(stabiliser_residuals, tol=1e-9),
+    partial(stabiliser_residuals, tol=induction.STABILISER_TOL),
     partial(standard_anchors, 2026, 100, 1e-10),
     partial(reduction_zero_theta, 2027, 500, 1e-9),
     partial(approximation_order, (1e-2, 1e-3, 1e-4), DELTA_GRID,

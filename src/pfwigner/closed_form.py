@@ -135,8 +135,8 @@ def rotation_phase_shift(delta, theta_pf, chi) -> np.ndarray:
     negative of dphi_ex of `rotation_table` (rotation_phase - delta), so
     positive where the polarisation lags the apparatus; a zero may differ
     from dphi_ex's in its sign."""
-    return wrap_angle(np.asarray(delta, dtype=float).reshape(-1)
-                      - rotation_phase(delta, theta_pf, chi))
+    delta, theta_pf, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi, error=DomainError)
+    return wrap_angle(delta - rotation_phase(delta, theta_pf, chi))
 
 
 def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
@@ -151,15 +151,19 @@ def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
     return _rotation_factors(th, *_cos_sin(chi))[3] * (1.0 - math_rows(math.cos, delta))
 
 
-def check_rotation_grid(deltas, theta_pf: float, chis) -> None:
-    """Raise DomainError, with the reason rotation_phase gives, unless
-    theta_pf, each chi and then each delta is in range; once this passes,
-    no row of rotation_rows(deltas, theta_pf, chis) can fail. Each axis is
-    checked as one array, and the row named is the index within it."""
-    for test in (_theta_test(np.array([theta_pf], dtype=float)),
-                 _chi_test(np.asarray(chis, dtype=float)),
-                 _delta_test(np.asarray(deltas, dtype=float))):
-        _check_rows([test], error=DomainError)
+def check_rotation_grid(deltas, theta_pf: float, chis) -> tuple[np.ndarray, float, np.ndarray]:
+    """The grid as (deltas, theta_pf, chis), each axis flattened to an (N,)
+    array and theta_pf a float, once theta_pf, each chi and then each delta
+    is in range: else DomainError, with the reason rotation_phase gives.
+    Once this passes, no row of rotation_rows of the grid can fail. Each
+    axis is checked as one array, and the row named is the index within
+    it; a theta_pf of more than one value raises ValueError."""
+    if np.size(theta_pf) != 1:
+        raise ValueError(f"theta_pf must be one value, got shape {np.shape(theta_pf)}")
+    theta_pf, chis, deltas = (
+        _checked_rows(lambda x: [test(x)], axis, error=DomainError)[0]
+        for test, axis in ((_theta_test, theta_pf), (_chi_test, chis), (_delta_test, deltas)))
+    return deltas, theta_pf.item(), chis
 
 
 def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
@@ -168,29 +172,26 @@ def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
 
     phi_ex is rotation_phase wrapped to (-pi, pi], dphi_ex is
     rotation_phase - delta wrapped, dphi_ap is rotation_shift_approx and
-    abs_err is ||dphi_ex| - dphi_ap|. The grid is validated first by
-    check_rotation_grid, then the rows are those of `rotation_rows`.
+    abs_err is ||dphi_ex| - dphi_ap|. The grid is read and validated first
+    by check_rotation_grid, then the rows are those of `rotation_rows`.
     """
-    check_rotation_grid(deltas, theta_pf, chis)
-    return rotation_rows(deltas, theta_pf, chis)
+    return rotation_rows(*check_rotation_grid(deltas, theta_pf, chis))
 
 
 def rotation_rows(deltas, theta_pf: float, chis) -> np.ndarray:
     """`rotation_table` of a grid that check_rotation_grid has passed,
-    unchecked: a caller that validated a whole grid once asks for the rows
-    of its parts. The factors of the chis and of each delta are computed
-    once, and every value equals the one the one-row calls give, bit for
-    bit."""
+    unchecked: (N,) axes and a float theta_pf, as it returns them. A caller
+    that validated a whole grid once asks for the rows of its parts. The
+    factors of the chis and of each delta are computed once, and every
+    value equals the one the one-row calls give, bit for bit."""
     # row i holds delta i // n_chi and chi i % n_chi
-    chis = np.asarray(chis, dtype=float)
     n_chi, n_delta = len(chis), len(deltas)
     factors = _rotation_factors(theta_pf, *_cos_sin(chis))
     n, dd, a_sin, th_sin = (np.tile(x, n_delta) for x in factors)
-    d = np.array(deltas, dtype=float)
-    half = 0.5 * d
+    half = 0.5 * deltas
     sin_half, cos_half, vers = (np.repeat(x, n_chi) for x in (
-        math_rows(math.sin, half), math_rows(math.cos, half), 1.0 - math_rows(math.cos, d)))
-    d = np.repeat(d, n_chi)
+        math_rows(math.sin, half), math_rows(math.cos, half), 1.0 - math_rows(math.cos, deltas)))
+    d = np.repeat(deltas, n_chi)
     phi = _rotation_angle(n, dd, a_sin, sin_half, cos_half)
     approx = th_sin * vers
     shift = wrap_angle(phi - d)

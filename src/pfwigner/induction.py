@@ -57,6 +57,7 @@ from .minkowski import (
     PairStack,
     RowError,
     RowValueError,
+    _array_rows,
     _boost_stack,
     _check_rows,
     _checked_rows,
@@ -360,9 +361,7 @@ def massless_standard_element(k: np.ndarray) -> np.ndarray:
 def photon_momenta(k) -> np.ndarray:
     """An (N,4) array of momenta, each row tested as a photon momentum:
     null, with positive energy. A failing row is named with its k."""
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[1] != 4:
-        raise ValueError(f"expected an (N,4) array of photon momenta, got shape {k.shape}")
+    k = _array_rows(k, (4,), "photon momenta", False)
     _check_rows(_photon_tests(k), lambda i: f"k={format_row(k[i])}")
     return k
 

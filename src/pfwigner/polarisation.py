@@ -149,8 +149,8 @@ def monte_carlo_malus(p, n_samples: int, seed: int) -> np.ndarray:
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    p = np.asarray(p, dtype=float).reshape(-1)
-    _check_rows([((p >= 0.0) & (p <= 1.0), lambda i: f"p={float(p[i])!r} outside [0, 1]")])
+    (p,) = _checked_rows(lambda p: [((p >= 0.0) & (p <= 1.0),
+                                     lambda i: f"p={float(p[i])!r} outside [0, 1]")], p)
     bits = np.random.PCG64(0)  # any seed: each row sets its own state
     rng = np.random.Generator(bits)
 
@@ -166,9 +166,9 @@ def monte_carlo_malus(p, n_samples: int, seed: int) -> np.ndarray:
     return in_blocks(len(p), draw) / n_samples
 
 
-def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) -> np.ndarray:
+def anomalous_malus_curve(pair: PairStack, theta, Theta0, deltas) -> np.ndarray:
     """Predicted transmission when the polariser is rotated about the beam,
-    one entry per delta of the (N,) array deltas.
+    one entry per row of theta, Theta0 and deltas.
 
     For each delta the polariser axis angle advances by delta while the
     state's polarisation angle advances by the pair Wigner angle of that
@@ -178,16 +178,18 @@ def anomalous_malus_curve(pair: PairStack, theta: float, Theta0: float, deltas) 
     `pair` is a PairStack of one row; any other raises ValueError. The
     deltas go to `pf_wigner` STACK_BLOCK at a time, through `in_blocks`,
     which bounds the working arrays of the sweep; an error names the row
-    of the deltas. A theta or Theta0 that is not finite raises a
-    RowValueError of row 0, and an argument of the cosine that overflows
-    one naming its row.
+    of the deltas. theta, Theta0 and deltas are per-row fields, read
+    together by `_checked_rows`: a float is shared by every row, and row
+    counts other than 1 and N raise its ValueError. A theta or Theta0 that
+    is not finite raises a RowValueError naming its row, and so does an
+    argument of the cosine that overflows.
     """
     if len(pair) != 1:
         raise ValueError(f"expected a pair of one row, got {len(pair)} rows")
-    _checked_rows(lambda t, T: [_finite_test("theta", t), _finite_test("Theta0", T)],
-                  theta, Theta0)
+    theta, Theta0, deltas = _checked_rows(
+        lambda t, T, d: [_finite_test("theta", t), _finite_test("Theta0", T)],
+        theta, Theta0, deltas)
     axis = unit_rows(pair.k[:, 1:])[0]
-    deltas = np.asarray(deltas, dtype=float).reshape(-1)
     phi = in_blocks(len(deltas),
                     lambda rows: pf_wigner(pair, rotation_about(axis, deltas[rows])).phi)
     with np.errstate(over="ignore"):

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfwigner import cli, closed_form
+from pfwigner import cli, closed_form, minkowski
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -208,15 +208,16 @@ def test_rotation_scan_checks_its_grid_once(monkeypatch, tmp_path):
 
 def test_rotation_scan_checks_each_grid_axis_as_one_array(monkeypatch, tmp_path):
     # one row check for theta_pf, one for the 31 chis and one for the 961
-    # deltas, each a single test over the whole axis
+    # deltas, each a single test over the whole axis, all read through
+    # minkowski._checked_rows
     calls = []
-    check = closed_form._check_rows
+    check = minkowski._check_rows
 
     def counted(tests, *args, **kwargs):
         calls.append([np.shape(ok) for ok, _ in tests])
         return check(tests, *args, **kwargs)
 
-    monkeypatch.setattr(closed_form, "_check_rows", counted)
+    monkeypatch.setattr(minkowski, "_check_rows", counted)
     assert cli.main(["rotation-scan", "--delta-step", repr(math.pi / 480), "--chi-steps", "30",
                      "--output", str(tmp_path / "fine.csv")]) == 0
     assert calls == [[(1,)], [(31,)], [(961,)]]

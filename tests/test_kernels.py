@@ -2,8 +2,8 @@
 
 Each transform builder runs its input tests, calls a kernel that returns
 the raw (N,4,4) array and validates the result, except
-`boost_from_velocity`, whose input test makes the result valid, as a
-hypothesis test over its whole input domain checks. Inside `induction` the
+`boost_from_velocity` and `rotation_z_to`, whose input tests make the
+result valid, as a hypothesis test over their whole input domains checks. Inside `induction` the
 standard elements of both routes and their factors come from the kernels
 directly, and so do the factors that `checks` multiplies into the
 transforms it validates, so no construction-time check sees them; at run
@@ -267,18 +267,27 @@ velocities = st.tuples(axes, st.one_of(top_speeds, st.floats(0.0, 1.0, exclude_m
     lambda x: x[1] * x[0]).filter(lambda v: v @ v < 1.0)
 
 
+# scale errors of a unit vector about the bound of the unit test, UNIT_TOL,
+# and up to 2e-12; a rotation fails its matrix tests from 1.3e-13
+unit_errors = st.one_of(st.sampled_from([1e-13, -1e-13, 1.3e-13, 5.1e-13, -9.9e-13]),
+                        st.floats(-2e-12, 2e-12))
+
+
 @given(st.lists(st.tuples(axes, st.floats(1.0, 1e6), angles, directions), min_size=1, max_size=4),
-       st.lists(velocities, min_size=1, max_size=4))
+       st.lists(velocities, min_size=1, max_size=4), unit_errors)
 @example([((1.0, 0.0, 0.0), 1.0, 0.0, (0.0, 0.0, 1.0))],
          [(1.0 - 2.0 ** -53, 0.0, 0.0), (0.0, 0.0, -5e-324),
-          tuple(_unit([1.0, 1.0, 1.0]) * (1.0 - 2.0 ** -53))])
+          tuple(_unit([1.0, 1.0, 1.0]) * (1.0 - 2.0 ** -53))], 1e-13)
 @settings(max_examples=300, deadline=None)
-def test_public_builders_give_valid_matrices_whose_proper_test_is_the_det_sign(rows, velocities):
+def test_public_builders_give_valid_matrices_whose_proper_test_is_the_det_sign(rows, velocities,
+                                                                              unit_error):
     # four-velocities and velocities from rest (gamma 1) up to gamma 1e6;
     # `boost_from_velocity` is not validated at run time, so its whole input
     # domain is tested here (past gamma 1e6, where the LU determinant is no
     # reference), and its metric error stays 100 times below the tolerance
-    # (measured: 1 500 times, over 2e5 draws near speed 1)
+    # (measured: 1 500 times, over 2e5 draws near speed 1). Neither is
+    # `rotation_z_to`, whose unit test admits only directions it builds to
+    # within a quarter of the tolerance
     trusted = boost_from_velocity(np.array(velocities)).m
     assert_valid(trusted)
     peak = np.abs(trusted).max(axis=(1, 2))
@@ -296,6 +305,19 @@ def test_public_builders_give_valid_matrices_whose_proper_test_is_the_det_sign(r
     for L in built:
         assert_valid(L.m)
         assert_proper_as_det(L.m)
+    # axes and directions off the unit sphere are refused by their unit
+    # test, not by the matrix tests, and the directions admitted build
+    # rotations within a quarter of the tolerance
+    scale = 1.0 + unit_error
+    for build, x, bound in ((lambda axis: rotation_about(axis, delta), d * scale, 1.0),
+                            (rotation_z_to, n * scale, 0.25)):
+        try:
+            m = build(x).m
+        except minkowski.RowValueError as exc:
+            assert exc.reason.endswith("must be a unit vector")
+            continue
+        assert_valid(m)
+        assert (minkowski._metric_error(m) <= bound * minkowski.CONSTRUCTION_TOL).all()
 
 
 # --- each kernel is its builder, bit for bit ---------------------------
@@ -396,12 +418,13 @@ def test_one_wigner_call_validates_no_matrix(validations, route):
     (lambda: boost_from_velocity([[0.3, 0.0, 0.4], [0.0, 0.0, -0.9]]), 0),
     (lambda: boost_to(four_velocity([0.3, 0.0, 0.4])), 1),
     (lambda: rotation_about(Z_HAT, [0.3, 1.0]), 1),
-    (lambda: rotation_z_to(_unit([1.0, 2.0, 3.0])), 1),
+    (lambda: rotation_z_to(_unit([1.0, 2.0, 3.0])), 0),
     (lambda: compose(IDENTITY, IDENTITY), 1),
     (lambda: inverse(IDENTITY), 1),
 ], ids=["boost_from_velocity", "boost_to", "rotation_about", "rotation_z_to", "compose",
         "inverse"])
 def test_only_the_velocity_boost_is_trusted_without_validation(validations, build, count):
+    # and the minimal rotation, whose unit test makes its output valid
     validations[0] = 0
     build()
     assert validations[0] == count

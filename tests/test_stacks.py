@@ -343,6 +343,13 @@ def test_rotation_oracle_compares_no_sign_where_the_phase_is_zero(monkeypatch):
     assert math.isfinite(value) and value == clean
 
 
+def test_chi_extremum_is_inf_where_the_phase_on_the_axis_is_not_zero(monkeypatch):
+    phase = closed_form.boost_phase
+    monkeypatch.setattr(closed_form, "boost_phase", lambda v, th, chi: phase(v, th, chi) + 1e-3)
+    result = checks.chi_extremum((0.5,), (0.1,), CHI_GRID, 1e-12)
+    assert result.value == math.inf and not result.passed
+
+
 def _composition_draws(seed, pair, n=40):
     # x, L1 and L2 as the pair (pair=True) or pairless composition check
     # draws them: x is a PairStack, or the momenta k
@@ -735,6 +742,116 @@ def test_transform_stacks_whose_rows_do_not_match_raise_the_same_error():
         rotation_about(np.tile(z, (3, 1)), [0.1, 0.2])
     with pytest.raises(ValueError, match=r"^stacks of \(3, 2\) rows do not match$"):
         compose(rotation_about(z, [0.1, 0.2, 0.3]), rotation_about(z, [0.1, 0.2]))
+
+
+# --- the one reader of row shapes -------------------------------------------
+
+_X, _Y, _Z = np.eye(3)
+# each builder of 3-vector rows, what its shape error calls them, and the size
+# of a valid row
+VECTOR_READERS = [
+    (four_velocity, "velocities", 0.1),
+    (boost_from_velocity, "velocities", 0.1),
+    (lambda axis: rotation_about(axis, 0.3), "axes", 1.0),
+    (rotation_z_to, "directions", 1.0),
+]
+_VECTOR_IDS = ["four_velocity", "boost_from_velocity", "rotation_about", "rotation_z_to"]
+
+
+def _rows_bits(x):
+    return _bits(x.m if isinstance(x, LorentzTransform) else x).tolist()
+
+
+@pytest.mark.parametrize("f,what,size", VECTOR_READERS, ids=_VECTOR_IDS)
+def test_a_3_vector_builder_takes_n_rows_or_one_and_names_any_other_shape(f, what, size):
+    rows = size * np.array([_Z, _Y, _X, -_Z])
+    # one (3,) vector is the (1, 3) stack
+    assert _rows_bits(f(rows[0])) == _rows_bits(f(rows[:1]))
+    # two vectors end to end, a (2, 2, 3) stack, and two vectors as columns
+    for x in (rows[:2].reshape(-1), rows.reshape(2, 2, 3), rows[:2].T):
+        with pytest.raises(ValueError) as exc:
+            f(x)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"expected an (N,3) array of {what}, got shape {x.shape}"
+
+
+def test_a_transform_stack_takes_n_matrices_or_one_and_names_any_other_shape():
+    assert _rows_bits(LorentzTransform(np.eye(4))) == _rows_bits(LorentzTransform(np.eye(4)[None]))
+    for shape in ((2, 2, 4, 4), (4,), (4, 3), (2, 4, 3)):
+        with pytest.raises(ValueError) as exc:
+            LorentzTransform(np.zeros(shape))
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == ("expected an (N,4,4) array of Lorentz matrices, "
+                                  f"got shape {shape}")
+
+
+def test_a_pair_stack_takes_two_n_by_4_arrays_of_equal_rows():
+    k, u = np.array([Q, Q]), np.array([U_REST, U_REST])
+    for k_shape, u_shape in (((4,), (2, 4)), ((2, 3), (2, 4)), ((2, 4), (2, 4, 1))):
+        with pytest.raises(ValueError) as exc:
+            PairStack(np.resize(k, k_shape), np.resize(u, u_shape))
+        assert type(exc.value) is ValueError
+        what, shape = (("photon momenta", k_shape) if k_shape != (2, 4)
+                       else ("four-velocities", u_shape))
+        assert str(exc.value) == f"expected an (N,4) array of {what}, got shape {shape}"
+    # a pair is not shared: unequal row counts do not match
+    for k_rows, u_rows in ((k, u[:1]), (k[:1], u), (k, np.tile(u, (2, 1)))):
+        with pytest.raises(ValueError) as exc:
+            PairStack(k_rows, u_rows)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"stacks of {(len(k_rows), len(u_rows))} rows do not match"
+
+
+def test_boost_to_takes_an_n_by_4_array_of_four_velocities():
+    for u in (np.array(U_REST), np.array([U_REST])[:, :3], np.array([[U_REST]])):
+        with pytest.raises(ValueError) as exc:
+            minkowski.boost_to(u)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"expected an (N,4) array of four-velocities, got shape {u.shape}"
+
+
+def test_malus_curve_reads_theta_and_theta0_as_rows_of_the_deltas():
+    pair = bench_pair(0.3, 1.1)
+    thetas, deltas = [0.2, -1.4], [0.5, 2.5]
+    want = np.concatenate([anomalous_malus_curve(pair, t, 1.3, d) for t, d in zip(thetas, deltas)])
+    _assert_bits_equal(anomalous_malus_curve(pair, thetas, 1.3, deltas), want)
+    _assert_bits_equal(anomalous_malus_curve(pair, thetas, 1.3, np.array(deltas)[:, None]), want)
+    # one delta is shared by the thetas
+    _assert_bits_equal(anomalous_malus_curve(pair, thetas, 1.3, 0.5),
+                       np.concatenate([anomalous_malus_curve(pair, t, 1.3, 0.5) for t in thetas]))
+    # a float angle keeps its bits, shared by every delta, as a (1,) or an
+    # (N,) array of it does
+    deltas = np.linspace(-3.0, 3.0, 7)
+    want = anomalous_malus_curve(pair, 0.2, 1.3, deltas)
+    _assert_bits_equal(anomalous_malus_curve(pair, [0.2], np.array([[1.3]]), deltas), want)
+    _assert_bits_equal(anomalous_malus_curve(pair, np.full(7, 0.2), 1.3, deltas), want)
+    with pytest.raises(ValueError) as exc:
+        anomalous_malus_curve(pair, thetas, 1.3, [0.5, 1.5, 2.5])
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "stacks of (2, 1, 3) rows do not match"
+    with pytest.raises(minkowski.RowValueError, match=r"^row 1: theta=inf is not finite$"):
+        anomalous_malus_curve(pair, [0.2, math.inf], 1.3, deltas[:2])
+
+
+def test_monte_carlo_malus_reads_its_probabilities_as_rows():
+    p = np.array([0.1, 0.5, 0.9])
+    want = monte_carlo_malus(p, 1000, 7)
+    _assert_bits_equal(monte_carlo_malus(p[:, None], 1000, 7), want)
+    _assert_bits_equal(monte_carlo_malus(p[None], 1000, 7), want)
+    with pytest.raises(minkowski.RowValueError, match=r"^row 1: p=1\.5 outside \[0, 1\]$"):
+        monte_carlo_malus([[0.1], [1.5]], 1000, 7)
+
+
+def test_rotation_table_reads_each_axis_as_rows():
+    deltas, chis = np.linspace(-3.0, 3.0, 5), np.linspace(0.0, math.pi, 4)
+    want = rotation_table(deltas, 0.1, chis)
+    for args in ((deltas[:, None], 0.1, chis), (deltas, np.array([0.1]), chis[None]),
+                 (deltas[None], [[0.1]], chis[:, None])):
+        assert _bits(rotation_table(*args)).tolist() == _bits(want).tolist()
+    with pytest.raises(ValueError) as exc:
+        rotation_table(deltas, [0.1, 0.2], chis)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "theta_pf must be one value, got shape (2,)"
 
 
 def test_a_shared_field_reaches_math_rows_as_a_stride_0_view(monkeypatch):
