@@ -216,13 +216,14 @@ def chi_extremum(v_grid, theta_grid, chi_grid, tol: float) -> CheckResult:
     return CheckResult(max((abs(chi_grid[i] - 0.5 * math.pi) for i in peaks), default=0.0), tol)
 
 
-def malus_monte_carlo(seed: int, first_seed: int, n_settings: int, n_samples: int,
+def malus_monte_carlo(seed: int, draw_seed: int, n_settings: int, n_samples: int,
                       tol: float) -> CheckResult:
-    """Random (theta, Theta) settings whose frequency (setting i seeded
-    first_seed + i) misses cos^2 by more than four standard errors."""
+    """Random (theta, Theta) settings whose frequency misses cos^2 by more
+    than four standard errors; one stream, seeded draw_seed, draws every
+    setting's count in turn."""
     theta, big = np.random.default_rng(seed).uniform(0.0, math.pi, size=(n_settings, 2)).T
     p = polarisation.malus_probability(theta, big)
-    freq = polarisation.monte_carlo_malus(p, n_samples, seed=first_seed)
+    freq = polarisation.monte_carlo_malus(p, n_samples, seed=draw_seed)
     sigma = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / n_samples)
     return CheckResult(float(np.count_nonzero(np.abs(freq - p) > 4.0 * sigma)), tol)
 

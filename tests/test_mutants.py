@@ -68,6 +68,8 @@ def _negated(f):
     return mutant
 
 
+# each row a call of its own at the same seed, so every row redraws the
+# first value of default_rng(seed) instead of the next value of one stream
 def _one_seed(f):
     def mutant(p, n_samples, seed):
         return np.concatenate([f([q], n_samples, seed) for q in np.asarray(p).reshape(-1)])

@@ -600,14 +600,15 @@ def test_malus_probability_of_arrays_equals_one_row_calls(rows):
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20), st.integers(1, 10**6),
-       st.integers(0, 2**32))
+       st.integers(0, 2**32), st.data())
 @settings(max_examples=50, deadline=None)
-def test_monte_carlo_malus_of_an_array_equals_one_row_calls(ps, n_samples, seed):
-    # row i of one call is the one-row call seeded seed + i
+def test_monte_carlo_malus_of_a_prefix_is_the_prefix_of_the_call(ps, n_samples, seed, data):
+    # one stream per call: row i depends on the seed and rows 0..i only
     ps = ps + [0.0, 1.0]
-    _assert_bits_equal(monte_carlo_malus(np.array(ps), n_samples, seed),
-                       _one_row_calls(lambda i, p: monte_carlo_malus(p, n_samples, seed + i),
-                                      list(enumerate(ps))))
+    k = data.draw(st.integers(0, len(ps)), label="k")
+    p = np.array(ps)
+    _assert_bits_equal(monte_carlo_malus(p[:k], n_samples, seed),
+                       monte_carlo_malus(p, n_samples, seed)[:k])
 
 
 def _curve_of_one_row_calls(pair, theta, Theta0, deltas):
