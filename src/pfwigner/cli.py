@@ -7,7 +7,8 @@ config and seed give byte-identical files. A CSV field is the text of
 `_format_17g`, which hands the values it cannot certify (nan, inf,
 magnitudes beyond 1e-200 and 1e200, near-ties), those it does not lay
 out (10 <= |v| < 1e17, 17 digits ending in 0000) and arrays of fewer
-than `_ARRAY_MIN` values to "%" itself. Exit codes: 0 success,
+than `_ARRAY_MIN` values to "%" itself; a block of fewer than
+`_ARRAY_MIN` fields in all is one "%" over its table. Exit codes: 0 success,
 1 validation failure, 2 usage or config error or an output that cannot
 be written, 3 internal numerical error, 141 (128 + SIGPIPE) a standard
 output whose reader has gone.
@@ -262,11 +263,16 @@ def _four_digits() -> tuple[np.ndarray, np.ndarray]:
 
 _DIGITS, _TRIMMED = _four_digits()
 
-# arrays of fewer values are formatted one by one by "%": below about 80
-# values that is faster than the array route, whose fixed cost is about
-# 40 us, and up to the 196 fields of the default malus the array route
-# saves under 60 us a run while its numpy calls raise malus's
-# peak_rss_mb by 0.25 MiB (measured with _ARRAY_MIN at 64)
+# arrays of fewer values are formatted by "%": below about 80 values that
+# is faster than the array route, whose fixed cost is about 40 us, and up
+# to 196 values the array route saves under 60 us a run while its numpy
+# calls raise malus's peak_rss_mb by 0.25 MiB (measured with _ARRAY_MIN at
+# 64). A CSV block of fewer fields in all, axes included, such as the 245
+# of the default malus, takes no slots: it is one "%" over its table.
+# _ARRAY_MIN at 128, which sends that table through the array route, read
+# malus wall_s 1.502-1.516 ms against 1.410-1.433 ms at 256
+# (`benchmarks/run.py --seconds 3`, seeds 1-4, alternating, 2 vCPUs) and
+# raised its peak_rss_mb by 0.1-0.4 MiB
 _ARRAY_MIN = 256
 
 
@@ -372,9 +378,11 @@ def _array_format_17g(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 # compute block changes. On the fine rotation-scan (29 791 rows, 6
 # fields of FIELD bytes each) the tracemalloc peak is 0.65 MB at 1024,
 # 1.25 MB at 2048 and 2.48 MB at 4096, against a bound of 3 MB in the
-# tests; wall_s (benchmarks/run.py) is 0.026-0.029 s at 1024, as each
-# block has a fixed cost, 0.022-0.023 s at 2048 and 0.020-0.021 s at
-# 4096, whose peak sits close to that bound
+# tests; wall_s (benchmarks/run.py) was 0.026-0.029 s at 1024, as each
+# block has a fixed cost. At 2048 and 4096, re-measured with
+# `run.py --seconds 3`, seeds 1-3, the two alternating, on 2 vCPUs, it
+# read 0.0226-0.0228 s at 2048 and 0.0243-0.0245 s at 4096, with
+# peak_rss_mb 0.6-0.9 MiB higher: 4096 gains nothing
 EMIT_BLOCK = 2048
 
 
@@ -445,15 +453,26 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
     blocks = _grid_blocks([len(axis) for axis in axes], EMIT_BLOCK)
     with _sink(cfg) as out:
         if cfg.format == "csv":
-            # a block's fields are the FIELD-byte slots of one buffer, row
-            # by row: each axis value of the block is formatted once and
-            # copied to the rows it belongs to, the computed fields are
-            # formatted at once, and the NULs of the slots are deleted
             out.write(",".join(columns) + "\n")
+            row_format = ",".join(["%.17g"] * len(columns)) + "\n"
             for block in blocks:
                 parts = [axis[part] for axis, part in zip(axes, block)]
                 shape = [len(part) for part in parts]
-                text = bytearray(math.prod(shape) * len(columns) * FIELD)
+                rows = math.prod(shape)
+                if rows * len(columns) < _ARRAY_MIN:
+                    # a small block is one "%" over its row-major table
+                    table = np.empty((*shape, len(columns)))
+                    for i, part in enumerate(parts):
+                        table[..., i] = part.reshape([-1 if d == i else 1
+                                                      for d in range(len(parts))])
+                    table[..., len(axes):] = values(block).reshape(*shape, -1)
+                    out.write(row_format * rows % tuple(table.ravel().tolist()))
+                    continue
+                # a block's fields are the FIELD-byte slots of one buffer, row
+                # by row: each axis value of the block is formatted once and
+                # copied to the rows it belongs to, the computed fields are
+                # formatted at once, and the NULs of the slots are deleted
+                text = bytearray(rows * len(columns) * FIELD)
                 slots = np.frombuffer(text, np.uint8).reshape(*shape, len(columns), FIELD)
                 for i, part in enumerate(parts):
                     slots[..., i, :] = _format_17g(part).reshape(

@@ -48,8 +48,8 @@ def _range_test(name, value, lo, hi, lo_open=False, hi_open=False):
     """The (ok, message) test of lo <= value <= hi on each entry of an (N,)
     array, each end open if flagged (NaN fails)."""
     ok = (value > lo if lo_open else value >= lo) & (value < hi if hi_open else value <= hi)
-    ends = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
-    return ok, lambda i: f"{name}={value[i].item()!r} outside {ends}"
+    return ok, lambda i: (f"{name}={value[i].item()!r} outside "
+                          f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
 
 
 _delta_test = partial(_finite_test, "delta")

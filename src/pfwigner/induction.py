@@ -362,7 +362,9 @@ def photon_momenta(k) -> np.ndarray:
     """An (N,4) array of momenta, each row tested as a photon momentum:
     null, with positive energy. A failing row is named with its k."""
     k = _array_rows(k, (4,), "photon momenta", False)
-    _check_rows(_photon_tests(k), lambda i: f"k={format_row(k[i])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tests = _photon_tests(k)
+    _check_rows(tests, lambda i: f"k={format_row(k[i])}")
     return k
 
 

@@ -17,8 +17,12 @@ row. A builder is its input tests, a private kernel (`_boost_stack`,
 `_rotation_stack`, `_rotation_z_to_stack`) that returns the raw (N,4,4)
 array, and the validation of that array, except `boost_from_velocity`
 and `rotation_z_to`, whose input tests make their output valid (see
-there). The minimal rotation z-hat -> n is written once, in `_z_frame`,
-from which `_rotation_z_to_stack` and the gauge of `induction` read it. A factor
+there). The input tests of `rotation_about` are `_rotation_inputs`,
+which `polarisation.anomalous_malus_curve` runs before it builds its
+rotations about a validated photon direction with the kernel,
+unvalidated. The minimal rotation z-hat -> n is written once, in
+`_z_frame`, from which `_rotation_z_to_stack` and the gauge of
+`induction` read it. A factor
 of a validated product and the standard elements of both Wigner routes
 come from the kernels unchecked: the stabiliser test of the Wigner
 element certifies the elements. Row-wise products use `row_dot`, which is
@@ -155,9 +159,15 @@ def _check_rows(tests, culprit=None, error=RowValueError) -> None:
     row giving the message, which also says, through `culprit(row)`,
     what the row holds.
     """
-    if all(passed.all() for passed, _ in tests):
+    if not tests:
         return
-    i = int(np.argmin(np.logical_and.reduce([passed for passed, _ in tests])))
+    # the masks ANDed once: row i passes every test where ok[i]
+    ok = tests[0][0]
+    for passed, _ in tests[1:]:
+        ok = ok & passed
+    if np.count_nonzero(ok) == ok.size:
+        return
+    i = int(np.argmin(ok))
     message = next(message(i) for passed, message in tests if not passed[i])
     raise error(i, message + ("" if culprit is None else f" ({culprit(i)})"))
 
@@ -184,8 +194,9 @@ def _checked_rows(tests, *fields, error=RowValueError) -> list[np.ndarray]:
     ValueError, and `error` names the first row failing `tests`, at its
     first failing field."""
     rows = [np.asarray(x, dtype=float).reshape(-1) for x in fields]
-    _stack_rows(*map(len, rows))
-    rows = np.broadcast_arrays(*rows)
+    n = _stack_rows(*map(len, rows))
+    if any(len(x) != n for x in rows):
+        rows = np.broadcast_arrays(*rows)
     _check_rows(tests(*rows), error=error)
     return rows
 
@@ -233,8 +244,7 @@ def _on_shell(off, t):
     # |off| <= tol * max(1, t^2): the departure `off` of a Minkowski square
     # from its shell, against a tolerance that grows with the energy t;
     # written so that NaN fails it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(off) <= CONSTRUCTION_TOL * np.maximum(1.0, t * t)
+    return np.abs(off) <= CONSTRUCTION_TOL * np.maximum(1.0, t * t)
 
 
 def _metric_error(b: np.ndarray) -> np.ndarray:
@@ -356,8 +366,9 @@ class PairStack:
         u = _array_rows(self.u, (4,), "four-velocities", False)
         if len(k) != len(u):
             raise ValueError(f"stacks of {(len(k), len(u))} rows do not match")
-        _check_rows(_frame_tests(u) + _pair_tests(k, u),
-                    lambda i: f"k={format_row(k[i])}, u={format_row(u[i])}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            tests = _frame_tests(u) + _pair_tests(k, u)
+        _check_rows(tests, lambda i: f"k={format_row(k[i])}, u={format_row(u[i])}")
         k.setflags(write=False)
         u.setflags(write=False)
         object.__setattr__(self, "k", k)
@@ -378,31 +389,28 @@ class PairStack:
 
 # The validation rules of a frame velocity, a photon momentum and a pair,
 # as (ok, message) tests on each row of (N,4) arrays, run by PairStack,
-# boost_to and `induction.photon_momenta`.
+# boost_to and `induction.photon_momenta`, each under one np.errstate that
+# ignores overflow and invalid operations: an inf or NaN entry fails a test
+# instead of warning.
 
 def _frame_tests(u: np.ndarray) -> list:
-    with np.errstate(over="ignore", invalid="ignore"):
-        timelike = _on_shell(minkowski_dot(u, u) - 1.0, u[:, 0])
     return [
-        (timelike, lambda i: "u is not unit timelike"),
+        (_on_shell(minkowski_dot(u, u) - 1.0, u[:, 0]), lambda i: "u is not unit timelike"),
         (u[:, 0] >= 1.0 - CONSTRUCTION_TOL, lambda i: "u is not future-pointing (u.t < 1)"),
     ]
 
 
 def _photon_tests(k: np.ndarray) -> list:
-    with np.errstate(over="ignore", invalid="ignore"):
-        null = _on_shell(minkowski_dot(k, k), k[:, 0])
     return [
-        (null, lambda i: "k is not null"),
+        (_on_shell(minkowski_dot(k, k), k[:, 0]), lambda i: "k is not null"),
         (k[:, 0] > 0.0, lambda i: "k must have positive energy"),
     ]
 
 
 def _pair_tests(k: np.ndarray, u: np.ndarray) -> list:
     # the photon tests and a positive kappa; u is tested by _frame_tests
-    with np.errstate(over="ignore", invalid="ignore"):
-        kappa = minkowski_dot(u, k)
-    return _photon_tests(k) + [(kappa > 0.0, lambda i: "kappa = eta(u, k) must be positive")]
+    return _photon_tests(k) + [(minkowski_dot(u, k) > 0.0,
+                                lambda i: "kappa = eta(u, k) must be positive")]
 
 
 def _checked_unit_rows(n, name: str, what: str) -> np.ndarray:
@@ -434,7 +442,9 @@ def boost_to(u) -> LorentzTransform:
     each row of an (N,4) array of four-velocities, each row validated as
     the u of a PairStack."""
     u = _array_rows(u, (4,), "four-velocities", False)
-    _check_rows(_frame_tests(u), lambda i: f"u={format_row(u[i])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tests = _frame_tests(u)
+    _check_rows(tests, lambda i: f"u={format_row(u[i])}")
     return LorentzTransform(_boost_stack(u))
 
 
@@ -473,10 +483,18 @@ def rotation_about(axis, delta) -> LorentzTransform:
     shared or also of N rows, gives the (N,4,4) stack of rotations; a
     single axis and angle give one row. An angle must be finite.
     """
+    return LorentzTransform(_rotation_stack(*_rotation_inputs(axis, delta)))
+
+
+def _rotation_inputs(axis, delta) -> tuple[np.ndarray, np.ndarray]:
+    """The input tests of `rotation_about`: its axes as an (N,3) array of
+    unit vectors (within UNIT_TOL) and its angles as an (N,) array of
+    finite ones, of 1 or N rows each; the RowValueError of a failing row
+    names it."""
     axes = _checked_unit_rows(axis, "axis", "axes")
     (angles,) = _checked_rows(lambda d: [_finite_test("angle", d)], delta)
     _stack_rows(len(axes), len(angles))
-    return LorentzTransform(_rotation_stack(axes, angles))
+    return axes, angles
 
 
 def _rotation_stack(axes, delta) -> np.ndarray:

@@ -11,13 +11,16 @@ import numpy as np
 
 from .induction import pf_wigner
 from .minkowski import (
+    LorentzTransform,
     PairStack,
     _check_rows,
     _checked_rows,
     _finite_test,
+    _rotation_inputs,
+    _rotation_stack,
+    _trusted,
     in_blocks,
     math_rows,
-    rotation_about,
     unit_rows,
 )
 
@@ -92,6 +95,15 @@ def anomalous_malus_curve(pair: PairStack, theta, Theta0, deltas) -> np.ndarray:
     counts other than 1 and N raise its ValueError. A theta or Theta0 that
     is not finite raises a RowValueError naming its row, and so does an
     argument of the cosine that overflows.
+
+    The rotations about the photon are checked once, on input, by the
+    input tests of `rotation_about` (a delta that is not finite raises
+    `row i: angle=inf is not finite`, i its row of the deltas), and their
+    kernel matrices go to `pf_wigner` unvalidated: the axis is the
+    `unit_rows` direction of a validated photon, about 1e-16 from the
+    sphere against UNIT_TOL = 1e-13, where each rotation passes
+    `minkowski._matrix_tests` within 1e-2 of the tolerance, as
+    tests/test_kernels.py checks over such axes and every finite angle.
     """
     if len(pair) != 1:
         raise ValueError(f"expected a pair of one row, got {len(pair)} rows")
@@ -99,8 +111,12 @@ def anomalous_malus_curve(pair: PairStack, theta, Theta0, deltas) -> np.ndarray:
         lambda t, T, d: [_finite_test("theta", t), _finite_test("Theta0", T)],
         theta, Theta0, deltas)
     axis = unit_rows(pair.k[:, 1:])[0]
-    phi = in_blocks(len(deltas),
-                    lambda rows: pf_wigner(pair, rotation_about(axis, deltas[rows])).phi)
+
+    def phases(rows: slice) -> np.ndarray:
+        rotations = _rotation_stack(*_rotation_inputs(axis, deltas[rows]))
+        return pf_wigner(pair, _trusted(LorentzTransform, m=rotations)).phi
+
+    phi = in_blocks(len(deltas), phases)
     with np.errstate(over="ignore"):
         x = Theta0 + deltas - theta - phi
     return _cos_squared("Theta0 + delta - theta - phi", x)

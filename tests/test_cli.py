@@ -22,6 +22,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -326,6 +327,76 @@ def test_emit_writes_the_bytes_of_format_17g(capsys, monkeypatch):
             assert len(asked) == n_blocks
             assert [p for b in asked for p in itertools.product(*(range(2)[s] for s in b))] == grid
             assert capsys.readouterr().out == want[fmt]
+
+
+# values at the edges of the CSV writer's routes and of %g's fixed form
+CSV_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-5, 1e16,
+                9.999999999999999e16]
+csv_fields = st.floats() | st.sampled_from(CSV_SPECIALS)
+
+
+def _emitted_csv(axes, values) -> tuple[str, str, int]:
+    """The CSV text `cli._emit` writes for a grid of `axes` whose rows of
+    computed columns are `values`, of shape (*lengths, k); the text of
+    "%.17g" of each field; and the number of `_format_17g` calls made."""
+    columns = [f"c{j}" for j in range(len(axes) + values.shape[-1])]
+    rows = [list(point) + row for point, row in
+            zip(itertools.product(*axes), values.reshape(-1, values.shape[-1]).tolist())]
+    want = "".join([",".join(columns) + "\n"]
+                   + [",".join(format(v, ".17g") for v in row) + "\n" for row in rows])
+    calls = []
+    format_17g = cli._format_17g
+
+    def counted(*args):
+        calls.append(args)
+        return format_17g(*args)
+
+    out = io.StringIO()
+    with mock.patch.object(cli, "_format_17g", counted), contextlib.redirect_stdout(out):
+        cli._emit(cli.RunConfig(), columns, axes,
+                  lambda block: values[block].reshape(-1, values.shape[-1]))
+    return out.getvalue(), want, len(calls)
+
+
+@st.composite
+def small_tables(draw):
+    """The axes (one or two) and computed rows of a grid of fewer than
+    _ARRAY_MIN fields in all, axes included."""
+    n_axes, n_computed = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    budget = (cli._ARRAY_MIN - 1) // (n_axes + n_computed)
+    lengths = [draw(st.integers(1, budget))]
+    if n_axes == 2:
+        lengths.append(draw(st.integers(1, budget // lengths[0])))
+    axes = [draw(st.lists(csv_fields, min_size=m, max_size=m)) for m in lengths]
+    size = math.prod(lengths) * n_computed
+    values = draw(st.lists(csv_fields, min_size=size, max_size=size))
+    return axes, np.array(values, dtype=float).reshape(*lengths, n_computed)
+
+
+@given(small_tables())
+@settings(max_examples=200, deadline=None)
+def test_a_table_below_array_min_fields_is_the_text_of_format_17g(table):
+    # written by one "%" over the table, with no slot of _format_17g
+    axes, values = table
+    got, want, format_calls = _emitted_csv(axes, values)
+    assert got == want
+    assert format_calls == 0
+
+
+def test_a_table_of_array_min_fields_takes_the_slot_route():
+    # 64 rows of an axis and 3 computed columns: 256 fields, the smallest
+    # table that the slot route writes, with the specials among them
+    assert cli._ARRAY_MIN == 256
+    rng = np.random.default_rng(43)
+    axis = np.concatenate([CSV_SPECIALS, rng.uniform(-20.0, 20.0, 64 - len(CSV_SPECIALS))])
+    values = rng.uniform(-1.0, 1.0, (64, 3)) * 10.0 ** rng.integers(-8, 20, (64, 3))
+    values[:len(CSV_SPECIALS), 0] = CSV_SPECIALS
+    got, want, format_calls = _emitted_csv([axis.tolist()], values)
+    assert got == want
+    assert format_calls == 2
+    # one row fewer is a small table again
+    got, want, format_calls = _emitted_csv([axis[:63].tolist()], values[:63])
+    assert (got, format_calls) == (want, 0)
 
 
 def test_rotation_scan_writes_the_bytes_of_format_17g_of_every_field():

@@ -3,7 +3,9 @@
 Each transform builder runs its input tests, calls a kernel that returns
 the raw (N,4,4) array and validates the result, except
 `boost_from_velocity` and `rotation_z_to`, whose input tests make the
-result valid, as a hypothesis test over their whole input domains checks. Inside `induction` the
+result valid, as a hypothesis test over their whole input domains checks;
+so do the input tests of `rotation_about` for the rotations about a
+validated photon direction of `anomalous_malus_curve`. Inside `induction` the
 standard elements of both routes and their factors come from the kernels
 directly, and so do the factors that `checks` multiplies into the
 transforms it validates, so no construction-time check sees them; at run
@@ -31,6 +33,7 @@ from pfwigner import (
     IDENTITY,
     LorentzTransform,
     PairStack,
+    anomalous_malus_curve,
     bench_pair,
     boost_from_velocity,
     boost_phase,
@@ -55,6 +58,7 @@ from pfwigner.minkowski import (
     _boost_stack,
     _matrix_tests,
     _proper,
+    _rotation_inputs,
     _rotation_stack,
     _rotation_z_to_stack,
     unit_rows,
@@ -320,6 +324,29 @@ def test_public_builders_give_valid_matrices_whose_proper_test_is_the_det_sign(r
         assert (minkowski._metric_error(m) <= bound * minkowski.CONSTRUCTION_TOL).all()
 
 
+# any finite angle, the largest ones included
+finite_angles = st.one_of(angles, st.sampled_from([1e300, -1e300, 1.7976931348623157e308]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(pair_rows, finite_angles), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_rotations_about_a_validated_photon_pass_the_matrix_tests_by_a_margin(rows):
+    # the rotations of `anomalous_malus_curve`, which go to pf_wigner
+    # unvalidated: about the unit direction of the photon of a validated
+    # pair, on and near +-z too, by any finite angle. Their metric error
+    # stays below 1e-2 of the tolerance (measured: 2.2e-3 at most over 10^6
+    # random rows, seed 1)
+    e = np.array([row[1] for row, _ in rows])
+    g = np.array([row[3] for row, _ in rows])
+    k = e[:, None] * np.column_stack([np.ones(len(rows)), [row[0] for row, _ in rows]])
+    u = np.column_stack([g, np.sqrt(g * g - 1.0)[:, None] * np.array([row[2] for row, _ in rows])])
+    axis = unit_rows(PairStack(k, u).k[:, 1:])
+    m = _rotation_stack(*_rotation_inputs(axis, np.array([delta for _, delta in rows])))
+    assert_valid(m)
+    assert (minkowski._metric_error(m) <= 1e-2 * minkowski.CONSTRUCTION_TOL).all()
+
+
 # --- each kernel is its builder, bit for bit ---------------------------
 
 
@@ -451,6 +478,14 @@ def test_direction_in_pf_validates_no_matrix(validations):
     got = induction.direction_in_pf(kin)
     assert validations[0] == 0
     assert_same_bits(got, want)
+
+
+def test_malus_curve_validates_no_rotation(validations):
+    # its rotations pass the input tests of rotation_about once, and their
+    # matrices go to pf_wigner without a validation
+    validations[0] = 0
+    anomalous_malus_curve(bench_pair(0.3, 1.1), 0.2, 1.3, np.linspace(0.0, math.tau, 49))
+    assert validations[0] == 0
 
 
 def test_validate_makes_9_validations_of_6647_rows(validations):

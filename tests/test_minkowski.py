@@ -28,13 +28,21 @@ from pfwigner import (
 )
 from pfwigner.minkowski import (
     MAX_ENTRY,
+    RowError,
+    RowValueError,
+    _check_rows,
+    _checked_rows,
     _eta_inverse,
+    _finite_test,
     _matrix_tests,
     _metric_error,
     _row_abs_max,
+    _stack_rows,
     math_rows,
     unit_rows,
 )
+from pfwigner.closed_form import DomainError
+from pfwigner.induction import StabilityError
 
 from helpers import random_direction, random_transform
 
@@ -620,3 +628,120 @@ def test_pair_validation():
     with pytest.raises(ValueError, match=r"^row 0: kappa = eta\(u, k\) must be positive \(k="
                                          r"\(1, 0, 0, 1\), u=\(100000000, 0, 0, 100000000\)\)$"):
         one_pair(Q, [1e8, 0.0, 0.0, 1e8])
+
+
+# --- the row checks against their reference ------------------------------
+
+
+def _check_rows_reference(tests, culprit=None, error=RowValueError):
+    # the row check as first written: each mask tested by .all(), and a
+    # failure ANDs them all again to find its row
+    if all(passed.all() for passed, _ in tests):
+        return
+    i = int(np.argmin(np.logical_and.reduce([passed for passed, _ in tests])))
+    message = next(message(i) for passed, message in tests if not passed[i])
+    raise error(i, message + ("" if culprit is None else f" ({culprit(i)})"))
+
+
+def _checked_rows_reference(tests, *fields, error=RowValueError):
+    # the field reader as first written: every field broadcast
+    rows = [np.asarray(x, dtype=float).reshape(-1) for x in fields]
+    _stack_rows(*map(len, rows))
+    rows = np.broadcast_arrays(*rows)
+    _check_rows_reference(tests(*rows), error=error)
+    return rows
+
+
+def _outcome(call):
+    """(class, row, message) of the RowError or ValueError call raises, or
+    None when it returns."""
+    try:
+        call()
+    except RowError as exc:
+        return type(exc), exc.row, str(exc)
+    except ValueError as exc:
+        return type(exc), None, str(exc)
+    return None
+
+
+@st.composite
+def row_masks(draw):
+    """0 to 5 boolean masks of 1 to 60 rows: all passing, all failing, one
+    row failing, random, or born of a comparison with NaN entries."""
+    n = draw(st.integers(1, 60))
+    masks = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["pass", "fail", "one", "random", "nan"]))
+        if kind in ("pass", "fail", "one"):
+            mask = np.full(n, kind != "fail")
+            if kind == "one":
+                mask[draw(st.integers(0, n - 1))] = False
+        elif kind == "random":
+            mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            x = np.array(draw(st.lists(st.floats(-2.0, 2.0) | st.just(math.nan),
+                                       min_size=n, max_size=n)))
+            mask = np.abs(x) <= 1.0
+        masks.append(mask)
+    return masks
+
+
+@given(row_masks(), st.booleans(), st.sampled_from([RowValueError, DomainError, StabilityError]))
+@settings(max_examples=300, deadline=None)
+def test_check_rows_names_the_row_and_test_its_reference_names(masks, with_culprit, error):
+    # the first failing row, the first failing test at that row, the
+    # culprit and the error class, or no error; the masks are not written
+    tests = [(mask, lambda i, j=j: f"test {j} fails") for j, mask in enumerate(masks)]
+    culprit = (lambda i: f"row {i} holds this") if with_culprit else None
+    copies = [mask.copy() for mask in masks]
+    want = _outcome(lambda: _check_rows_reference(tests, culprit, error))
+    assert _outcome(lambda: _check_rows(tests, culprit, error)) == want
+    assert all((mask == copy).all() for mask, copy in zip(masks, copies))
+    if want is not None:
+        assert want[0] is error
+
+
+# a per-row field: a float, a 0-d array, or an array of 0, 1 or n rows
+# laid out as (m,), (1, m) or (m, 1), some of its entries not finite
+field_values = st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def row_fields(draw):
+    n = draw(st.integers(0, 8))
+    fields = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "0-d", "(m,)", "(1, m)", "(m, 1)"]))
+        if kind == "float":
+            fields.append(draw(field_values))
+        elif kind == "0-d":
+            fields.append(np.array(draw(field_values)))
+        else:
+            m = draw(st.sampled_from([1, n, n, 3]))
+            x = np.array(draw(st.lists(field_values, min_size=m, max_size=m)), dtype=float)
+            fields.append({"(m,)": x, "(1, m)": x[None], "(m, 1)": x[:, None]}[kind])
+    return fields
+
+
+@given(row_fields())
+@settings(max_examples=300, deadline=None)
+def test_checked_rows_returns_the_rows_and_errors_of_its_reference(fields):
+    # the same values, shapes and strides, or the same error: the row
+    # mismatch, or the first row and field that is not finite
+    def tests(*rows):
+        return [_finite_test(f"x{j}", x) for j, x in enumerate(rows)]
+
+    got, want = [], []
+    outcome = _outcome(lambda: got.extend(_checked_rows(tests, *fields)))
+    assert outcome == _outcome(lambda: want.extend(_checked_rows_reference(tests, *fields)))
+    if outcome is not None:
+        return
+    assert [x.shape for x in got] == [x.shape for x in want]
+    assert [x.strides for x in got] == [x.strides for x in want]
+    assert [x.view(np.uint64).tolist() for x in got] == [x.view(np.uint64).tolist() for x in want]
+    # a field of one row shared by more or fewer rows is a stride-0 view
+    n = len(got[0])
+    for field, x in zip(fields, got):
+        if np.size(field) == 1 and n != 1:
+            assert x.strides == (0,)
+

@@ -136,6 +136,29 @@ def test_an_angle_that_is_not_finite_names_its_row(call, row, bad):
         call(bad)
 
 
+def _deltas_with(n, row, bad):
+    deltas = np.linspace(0.0, 1.0, n)
+    deltas[row] = bad
+    return deltas
+
+
+@pytest.mark.parametrize("deltas,row", [
+    ([0.1, 0.2, math.inf], 2),
+    (_deltas_with(STACK_BLOCK + 5, STACK_BLOCK + 3, math.inf), STACK_BLOCK + 3),
+    (_deltas_with(2 * STACK_BLOCK + 1, STACK_BLOCK, -math.inf), STACK_BLOCK),
+], ids=["one-block", "past-a-block", "first-of-a-block"])
+def test_a_delta_that_is_not_finite_names_its_row_of_the_sweep(deltas, row):
+    # the input test of the curve's rotations, that of rotation_about
+    bad = np.asarray(deltas)[row].item()
+    with pytest.raises(RowValueError, match=rf"^row {row}: angle={bad!r} is not finite$"):
+        anomalous_malus_curve(bench_pair(0.1, 0.5), 0.2, 1.3, deltas)
+    # theta and Theta0 are tested first, over every row
+    theta = np.full(len(deltas), 0.2)
+    theta[1] = math.nan
+    with pytest.raises(RowValueError, match=r"^row 1: theta=nan is not finite$"):
+        anomalous_malus_curve(bench_pair(0.1, 0.5), theta, 1.3, deltas)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: malus_probability([0.0, -1e308], [0.1, 1e308]), "row 1: Theta - theta=inf"),
     (lambda: anomalous_malus_curve(bench_pair(0.1, 0.5), 1e308, -1e308, [0.1, 0.2]),
