@@ -563,7 +563,7 @@ def cmd_rotation_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     chis = np.minimum(np.arange(cfg.chi_steps + 1) * math.pi / cfg.chi_steps, math.pi)
     check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
-          lambda block: rotation_rows(deltas[block[0]], cfg.pf_speed, chis[block[1]])[:, 2:])
+          lambda block: rotation_rows(deltas[block[0]], cfg.pf_speed, chis[block[1]]))
     return 0
 
 

@@ -18,9 +18,10 @@ about the transverse axis turned with the pair, is
 
 Every formula reads its fields by `minkowski._checked_rows`, one entry
 per row (a float is shared by every row, and floats alone are one row),
-and returns one value per row. `sin`, `cos`, `asin` and `atan2` run per
-row by `math`, so each row equals its one-row call bit for bit. A row
-outside a formula's domain raises a `DomainError` that names it.
+and returns one value per row. `sin`, `cos` and `atan2` run on whole
+arrays and `asin` per row, all by `minkowski.math_rows` with the bits of
+`math`, so each row equals its one-row call bit for bit. A row outside a
+formula's domain raises a `DomainError` that names it.
 
 The arithmetic of `boost_phase` and `rotation_phase` past their angles
 lives in private helpers that take the cosine and sine of chi
@@ -111,8 +112,10 @@ def _rotation_yx(n, dd, a_sin, sin_half, cos_half):
 
 def _rotation_angle(n, dd, a_sin, sin_half, cos_half):
     """rotation_phase from the factors of _rotation_factors and the
-    sine and cosine of delta/2."""
-    return 2.0 * math_rows(math.atan2, *_rotation_yx(n, dd, a_sin, sin_half, cos_half))
+    sine and cosine of delta/2, flattened: factors of the chis against
+    (n_delta, 1) sines and cosines give the delta-major rows of the grid."""
+    y, x = _rotation_yx(n, dd, a_sin, sin_half, cos_half)
+    return 2.0 * math_rows(math.atan2, y.reshape(-1), x.reshape(-1))
 
 
 def rotation_phase(delta, theta_pf, chi) -> np.ndarray:
@@ -173,27 +176,31 @@ def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
     phi_ex is rotation_phase wrapped to (-pi, pi], dphi_ex is
     rotation_phase - delta wrapped, dphi_ap is rotation_shift_approx and
     abs_err is ||dphi_ex| - dphi_ap|. The grid is read and validated first
-    by check_rotation_grid, then the rows are those of `rotation_rows`.
+    by check_rotation_grid; the grid columns are put in front of the rows
+    of `rotation_rows`.
     """
-    return rotation_rows(*check_rotation_grid(deltas, theta_pf, chis))
+    deltas, theta_pf, chis = check_rotation_grid(deltas, theta_pf, chis)
+    return np.column_stack([np.repeat(deltas, len(chis)), np.tile(chis, len(deltas)),
+                            rotation_rows(deltas, theta_pf, chis)])
 
 
 def rotation_rows(deltas, theta_pf: float, chis) -> np.ndarray:
-    """`rotation_table` of a grid that check_rotation_grid has passed,
-    unchecked: (N,) axes and a float theta_pf, as it returns them. A caller
-    that validated a whole grid once asks for the rows of its parts. The
-    factors of the chis and of each delta are computed once, and every
-    value equals the one the one-row calls give, bit for bit."""
-    # row i holds delta i // n_chi and chi i % n_chi
-    n_chi, n_delta = len(chis), len(deltas)
-    factors = _rotation_factors(theta_pf, *_cos_sin(chis))
-    n, dd, a_sin, th_sin = (np.tile(x, n_delta) for x in factors)
+    """The (N, 4) array of the computed columns (phi_ex, dphi_ex, dphi_ap,
+    abs_err) of `rotation_table`, for a grid that check_rotation_grid has
+    passed, unchecked: (N,) axes and a float theta_pf, as it returns them.
+    A caller that validated a whole grid once asks for the rows of its
+    parts. The factors of the chis and of each delta are computed once and
+    broadcast over the grid, and every value equals the one the one-row
+    calls give, bit for bit."""
+    # grid entry [i, j] holds delta i and chi j, and is row i * n_chi + j
+    n_delta, n_chi = len(deltas), len(chis)
+    n, dd, a_sin, th_sin = _rotation_factors(theta_pf, *_cos_sin(chis))
     half = 0.5 * deltas
-    sin_half, cos_half, vers = (np.repeat(x, n_chi) for x in (
-        math_rows(math.sin, half), math_rows(math.cos, half), 1.0 - math_rows(math.cos, deltas)))
-    d = np.repeat(deltas, n_chi)
-    phi = _rotation_angle(n, dd, a_sin, sin_half, cos_half)
-    approx = th_sin * vers
-    shift = wrap_angle(phi - d)
-    chi = np.tile(chis, n_delta)
-    return np.column_stack([d, chi, wrap_angle(phi), shift, approx, np.abs(np.abs(shift) - approx)])
+    phi = _rotation_angle(n, dd, a_sin, math_rows(math.sin, half)[:, None],
+                          math_rows(math.cos, half)[:, None]).reshape(n_delta, n_chi)
+    out = np.empty((n_delta, n_chi, 4))
+    out[..., 0] = wrap_angle(phi).reshape(phi.shape)
+    out[..., 1] = shift = wrap_angle(phi - deltas[:, None]).reshape(phi.shape)
+    out[..., 2] = approx = th_sin * (1.0 - math_rows(math.cos, deltas))[:, None]
+    out[..., 3] = np.abs(np.abs(shift) - approx)
+    return out.reshape(-1, 4)

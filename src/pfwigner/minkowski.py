@@ -29,9 +29,13 @@ element certifies the elements. Row-wise products use `row_dot`, which is
 bit-identical to `a @ b` on each row (a row-wise `np.linalg.norm` is
 not), and the largest |entry| of each row uses `_row_abs_max`, the bits
 of `np.abs(a).max` over every axis but the first in one contiguous
-pass. Per-row angles use `math`, not the numpy ufuncs, so a row of
-a stack equals its one-row call bit for bit. `wrap_angle` is exact array
-arithmetic with the bits of `math.remainder` on each row.
+pass. Angles have the bits of `math` on each row, not those of numpy's
+arctan2 or arcsin, so a row of a stack equals its one-row call bit for
+bit: `math_rows` takes `math.sin`, `math.cos` and `math.atan2` of a whole
+array by numpy's float64 sin and cos and its complex log, which reach the
+C library's sin, cos and atan2, and calls any other function, such as
+`math.asin`, per row. `wrap_angle` is exact array arithmetic with the bits
+of `math.remainder` on each row.
 """
 
 from __future__ import annotations
@@ -97,14 +101,75 @@ def _row_abs_max(a) -> np.ndarray:
 
 
 def math_rows(f, *xs) -> np.ndarray:
-    """f(xs[0][i], xs[1][i], ...) for each i, by a `math` function f:
-    numpy's sin, cos, arcsin and arctan2 can differ from `math` in the last bit.
-    When every input is a broadcast view of one value (stride 0), as a float
-    shared by every row is, f is called once and its value fills the rows."""
+    """f(xs[0][i], xs[1][i], ...) for each i, bit for bit, by a `math`
+    function f. `math.sin`, `math.cos` and `math.atan2` take the whole array
+    at once, by the route `_ARRAY_ROUTES` holds for each; any other f, such
+    as `math.asin`, is called on each row. When every input is a broadcast
+    view of one value (stride 0), as a float shared by every row is, f is
+    called once and its value fills the rows."""
     n = len(xs[0])
     if n and all(x.strides == (0,) for x in xs):
         return np.full(n, f(*[x[0].item() for x in xs]), dtype=float)
-    return np.fromiter(map(f, *[x.tolist() for x in xs]), float, n)
+    route = _ARRAY_ROUTES.get(f)
+    if route is not None:
+        return route(*xs)
+    return _per_row(f, *xs)
+
+
+def _per_row(f, *xs) -> np.ndarray:
+    return np.fromiter(map(f, *[x.tolist() for x in xs]), float, len(xs[0]))
+
+
+def _refuse_inf(x: np.ndarray) -> None:
+    # the ValueError of math.sin, math.cos and math.remainder at an infinite
+    # argument, where numpy's ufuncs give NaN and warn
+    if np.count_nonzero(np.isinf(x)):
+        raise ValueError("math domain error")
+
+
+def _sin_cos_route(ufunc):
+    # numpy's float64 sin and cos call the C library's, as math does
+    def rows(x: np.ndarray) -> np.ndarray:
+        _refuse_inf(x)
+        return ufunc(x)
+    return rows
+
+
+# atan2(y, x) is the imaginary part of the complex log of z = x + iy: glibc's
+# clog sets it with atan2(y, x), as C99 Annex G defines carg, and numpy's
+# complex log is the C library's clog. z is scaled by _ATAN2_SCALE first,
+# which is exact below 2^424 and keeps |z| >= 2 unless |x| and |y| are both
+# below 2^-599: for 0.5 <= |z| < 2 clog takes a slow extended-precision path
+# for log|z|, which costs more than a call per row. Rows with |x| or
+# |y| >= _ATAN2_MAX, NaN rows and (+-0, +-0) rows, whose log would warn,
+# run per row.
+_ATAN2_SCALE = 2.0 ** 600
+_ATAN2_MAX = 2.0 ** 400
+
+
+def _atan2_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    n = len(x)
+    z = np.empty(n, complex)
+    z.real, z.imag = x, y
+    w = z.view(float).reshape(n, 2)
+    small = np.abs(w) < _ATAN2_MAX
+    if np.count_nonzero(small) == 2 * n and np.count_nonzero(z) == n:
+        w *= _ATAN2_SCALE
+        return np.log(z, out=z).imag
+    rest = ~(small[:, 0] & small[:, 1]) | (z == 0)
+    w[rest] = 1.0
+    w *= _ATAN2_SCALE
+    out = np.log(z, out=z).imag
+    out[rest] = _per_row(math.atan2, y[rest], x[rest])
+    return out
+
+
+# the one place that says which `math` function has an array route
+_ARRAY_ROUTES = {
+    math.sin: _sin_cos_route(np.sin),
+    math.cos: _sin_cos_route(np.cos),
+    math.atan2: _atan2_rows,
+}
 
 
 def unit_rows(x) -> np.ndarray:
@@ -221,8 +286,7 @@ def wrap_angle(angle) -> np.ndarray:
     NaN (a signalling one comes out quiet).
     """
     angle = np.asarray(angle, dtype=float).reshape(-1)
-    if np.isinf(angle).any():
-        raise ValueError("math domain error")
+    _refuse_inf(angle)
     with np.errstate(invalid="ignore"):
         r = np.fmod(angle, math.tau)
     np.subtract(r, math.tau, out=r, where=r > math.pi)

@@ -50,6 +50,7 @@ from pfwigner import (
     pf_standard_element,
     pf_wigner,
     rotation_about,
+    rotation_phase,
     rotation_z_to,
     standard_wigner,
 )
@@ -175,8 +176,12 @@ def test_rotation_z_to_kernel_near_the_poles():
 @pytest.fixture
 def trig_calls(monkeypatch):
     """The `math_rows` calls and the calls of math.atan2, math.hypot,
-    math.sin, math.cos and math.asin since the fixture was set up, by
-    name."""
+    math.sin, math.cos and math.asin since the fixture was set up, by name,
+    and the calls of the array routes of math_rows as "sin[]", "cos[]" and
+    "atan2[]". Each spy of a function with an array route takes that
+    route's place in `minkowski._ARRAY_ROUTES` too, counted: math_rows
+    takes the same route for the spy as for the function, and a spy that
+    lost its route would count each row."""
     calls = {}
 
     def spy(name, f):
@@ -185,8 +190,13 @@ def trig_calls(monkeypatch):
             return f(*args)
         return counted
 
+    routes = minkowski._ARRAY_ROUTES
     for name in ("atan2", "hypot", "sin", "cos", "asin"):
-        monkeypatch.setattr(math, name, spy(name, getattr(math, name)))
+        f = getattr(math, name)
+        counted = spy(name, f)
+        monkeypatch.setattr(math, name, counted)
+        if f in routes:
+            monkeypatch.setitem(routes, counted, spy(name + "[]", routes[f]))
     for module in (minkowski, induction, closed_form):
         monkeypatch.setattr(module, "math_rows", spy("math_rows", module.math_rows))
     return calls
@@ -202,12 +212,14 @@ def test_minimal_rotations_take_no_per_row_trigonometry(trig_calls):
     # the gauge factor too: the pair element takes no angle
     pf_standard_element(pairs)
     assert trig_calls == {}
-    # the spies see the calls of a kernel that does take angles, and of
-    # the closed forms
+    # a kernel that takes angles, and the closed forms, take sin, cos and
+    # atan2 of the whole stack at once and only asin per row
     _rotation_stack(n, np.ones(1000))
-    assert trig_calls == {"math_rows": 2, "sin": 1000, "cos": 1000}
+    assert trig_calls == {"math_rows": 2, "sin[]": 1, "cos[]": 1}
     boost_phase(np.full(1000, 0.5), 0.3, np.ones(1000))
-    assert trig_calls == {"math_rows": 5, "sin": 2000, "cos": 2000, "asin": 1000}
+    assert trig_calls == {"math_rows": 5, "sin[]": 2, "cos[]": 2, "asin": 1000}
+    rotation_phase(np.ones(1000), 0.3, np.ones(1000))
+    assert trig_calls == {"math_rows": 10, "sin[]": 4, "cos[]": 4, "atan2[]": 1, "asin": 1000}
 
 
 nulls = st.tuples(axes, st.floats(1e-3, 1e3)).map(lambda x: np.concatenate([[x[1]], x[1] * x[0]]))

@@ -26,6 +26,7 @@ from pfwigner import (
     rotation_z_to,
     wrap_angle,
 )
+from pfwigner import minkowski
 from pfwigner.minkowski import (
     MAX_ENTRY,
     RowError,
@@ -150,8 +151,8 @@ def _counted(f):
 
 
 def _per_row(f, *xs):
-    # math_rows by the per-row path: contiguous copies have no zero stride
-    return math_rows(f, *[np.array(x) for x in xs])
+    # f called on each row, as math_rows defines it
+    return np.array([f(*row) for row in zip(*[np.asarray(x).tolist() for x in xs])], dtype=float)
 
 
 @pytest.mark.parametrize("f,args", [
@@ -194,6 +195,85 @@ def test_math_rows_of_a_shared_value_outside_the_domain_raises_as_each_row():
         _per_row(math.asin, np.broadcast_to(2.0, (3,)))
     with pytest.raises(ValueError, match=r"^math domain error$"):
         math_rows(math.asin, np.broadcast_to(2.0, (3,)))
+
+
+# --- the array routes of math_rows -----------------------------------
+# math_rows takes math.sin, math.cos and math.atan2 of a whole array, by
+# numpy's float64 sin and cos and by the imaginary part of numpy's complex
+# log of (x + iy) 2^600. Those give the bits of `math` only where numpy's
+# float64 sin, cos and complex log reach the C library's sin, cos and clog,
+# and that clog sets its imaginary part by atan2 (glibc's does; measured with
+# numpy 2.4.6 on glibc 2.36). These tests guard that platform assumption: on
+# a platform where it fails they fail here, not in a golden.
+
+
+def _same_bits(got, want):
+    nan = np.isnan(want)
+    return np.isnan(got).tolist() == nan.tolist() and (
+        _bits(got[~nan]).tolist() == _bits(want[~nan]).tolist())
+
+
+# signed zeros, subnormals, the normal bounds, the route's bound 2^400 and its
+# neighbours, the scaling's overflow bound 2^424 and the infinities
+SPECIALS = [0.0, 5e-324, 2.0 ** -1022, 2.0 ** -600, 2.0 ** -599, 1.0, math.pi,
+            np.nextafter(2.0 ** 400, 0.0), 2.0 ** 400, 2.0 ** 424, 1e308, math.inf]
+SPECIALS = SPECIALS + [-x for x in SPECIALS] + [math.nan]
+
+
+def _route_sample(n=50_000, seed=20):
+    """A fixed sample of arguments: n with random signs and decimal
+    exponents from -323 to 307, and n of order 1."""
+    rng = np.random.default_rng(seed)
+    wide = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-323.0, 307.0, n)
+    return wide, rng.uniform(-10.0, 10.0, n)
+
+
+def test_array_routes_are_those_of_sin_cos_and_atan2():
+    # asin and the Malus cos^2 (a power by libm's pow) stay per row: numpy's
+    # arcsin differs from math.asin on about 8% of rows here
+    assert set(minkowski._ARRAY_ROUTES) == {math.sin, math.cos, math.atan2}
+
+
+@pytest.mark.parametrize("f", [math.sin, math.cos], ids=["sin", "cos"])
+def test_sin_and_cos_of_a_stack_have_the_bits_of_math(f):
+    wide, small = _route_sample()
+    x = np.concatenate([wide, small, [v for v in SPECIALS if not math.isinf(v)]])
+    got = math_rows(f, x)
+    assert _same_bits(got, _per_row(f, x))
+    rows = np.concatenate([math_rows(f, x[i:i + 1]) for i in range(0, len(x), 997)])
+    assert _same_bits(rows, got[::997])
+
+
+def test_atan2_of_a_stack_has_the_bits_of_math():
+    wide, small = _route_sample()
+    rng = np.random.default_rng(21)
+    # independent wide magnitudes, some past 2^400; a band about the unit
+    # circle, 0.5 <= |z| < 2 unscaled; every pair of special values
+    t = rng.uniform(-math.pi, math.pi, len(small))
+    r = rng.uniform(0.5, 2.0, len(small))
+    special = np.array([(y, x) for y in SPECIALS for x in SPECIALS])
+    y = np.concatenate([wide, r * np.sin(t), special[:, 0], small])
+    x = np.concatenate([rng.permutation(wide), r * np.cos(t), special[:, 1],
+                        rng.permutation(wide)])
+    got = math_rows(math.atan2, y, x)
+    assert _same_bits(got, _per_row(math.atan2, y, x))
+    rows = np.concatenate([math_rows(math.atan2, y[i:i + 1], x[i:i + 1])
+                           for i in range(0, len(x), 997)])
+    assert _same_bits(rows, got[::997])
+    # a stack of rows within the route's bound, none of them per row
+    within = np.maximum(np.abs(y), np.abs(x)) < 2.0 ** 400
+    assert _same_bits(math_rows(math.atan2, y[within], x[within]), got[within])
+
+
+@pytest.mark.parametrize("f", [math.sin, math.cos], ids=["sin", "cos"])
+@pytest.mark.parametrize("angles", [[math.inf], [1.0, -math.inf], [math.nan, math.inf]])
+def test_sin_and_cos_of_an_infinite_angle_raise_as_math_does(f, angles):
+    with pytest.raises(ValueError, match=r"^math domain error$"):
+        f(angles[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^math domain error$"):
+            math_rows(f, np.array(angles))
 
 
 # --- the dot product ---------------------------------------------------
