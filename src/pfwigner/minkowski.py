@@ -104,12 +104,7 @@ def math_rows(f, *xs) -> np.ndarray:
     """f(xs[0][i], xs[1][i], ...) for each i, bit for bit, by a `math`
     function f. `math.sin`, `math.cos` and `math.atan2` take the whole array
     at once, by the route `_ARRAY_ROUTES` holds for each; any other f, such
-    as `math.asin`, is called on each row. When every input is a broadcast
-    view of one value (stride 0), as a float shared by every row is, f is
-    called once and its value fills the rows."""
-    n = len(xs[0])
-    if n and all(x.strides == (0,) for x in xs):
-        return np.full(n, f(*[x[0].item() for x in xs]), dtype=float)
+    as `math.asin`, is called on each row."""
     route = _ARRAY_ROUTES.get(f)
     if route is not None:
         return route(*xs)

@@ -58,9 +58,10 @@ def monte_carlo_malus(p, n_samples: int, seed: int) -> np.ndarray:
     after it: the first k rows of a call equal the call on p[:k]. The
     counts thus rest on numpy's default_rng seeding and its
     Generator.binomial stream. n_samples is an int of at least 1 (a float
-    or a bool raises ValueError), seed an int of at least 0 (a negative one
-    raises ValueError), and a p outside [0, 1] raises a RowValueError
-    naming its row.
+    or a bool raises ValueError) that fits an int64, numpy's binomial count
+    (2^63 raises numpy's OverflowError), seed an int of at least 0 (a
+    negative one raises ValueError), and a p outside [0, 1] raises a
+    RowValueError naming its row.
     """
     if isinstance(n_samples, (bool, np.bool_)):
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")

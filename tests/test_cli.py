@@ -627,8 +627,10 @@ def test_missing_config_file_exits_2(tmp_path):
         ("validate", "--tol-scale", "nan"),
         ("malus", "--pol-angle", "nan"),
         ("boost-scan", "--v-step", 1e-12),
-        ("malus", "--samples", 100_000_001),
-        ("malus", "--samples", 30_000_000),
+        # numpy's binomial counts are int64: a count past 2^63 - 1, which
+        # would end in its OverflowError, and one past uint64 too
+        ("malus", "--samples", 2 ** 63),
+        ("malus", "--samples", 2 ** 64),
         ("boost-scan", "--v-step", 0.1),
         ("boost-scan", "--output", "no-such-directory/x.csv"),
         ("rotation-scan", "--output", "."),
@@ -651,6 +653,35 @@ def test_invalid_values_exit_2(args):
     assert res.stdout == ""
     assert res.stderr.startswith("error:")
     assert "Traceback" not in res.stderr
+
+
+def test_samples_past_int64_exit_2_as_a_flag_and_as_a_config_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"samples = {2 ** 63}\n")
+    for args in (["--samples", 2 ** 63], ["--config", cfg]):
+        res = run_cli("malus", *args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert res.stderr == "error: samples must lie in [1, 2^63)\n"
+
+
+def _malus_columns(stdout: str) -> dict[str, tuple[str, ...]]:
+    # the fields of a malus CSV by column name
+    header, *rows = stdout.splitlines()
+    return dict(zip(header.split(","), zip(*[row.split(",") for row in rows])))
+
+
+@pytest.mark.parametrize("samples", [30_000_000, 2 ** 63 - 1])
+def test_malus_of_any_int64_samples_is_the_one_stream_draw(samples):
+    # a run is bounded by its rows, whatever its draws: 49 rows of 3e7 or
+    # of 2^63 - 1 samples, numpy's largest binomial count
+    res = run_cli("malus", "--seed", 3, "--samples", samples)
+    assert res.returncode == 0 and res.stderr == ""
+    columns = _malus_columns(res.stdout)
+    assert len(columns["mc_freq"]) == 49
+    p_pf = np.array([float(x) for x in columns["p_pf"]])
+    want = np.random.default_rng(3).binomial(samples, p_pf) / samples
+    assert list(columns["mc_freq"]) == ["%.17g" % x for x in want]
 
 
 @pytest.mark.parametrize("command", ["rotation-scan", "malus"])

@@ -162,17 +162,23 @@ def _per_row(f, *xs):
     (math.atan2, lambda n: np.broadcast_arrays(np.array([3.0]), np.array(-7.0), np.zeros(n))[:2]),
 ], ids=["sin-broadcast_to", "sin-broadcast_arrays", "atan2-broadcast_to",
         "atan2-broadcast_arrays"])
-def test_math_rows_of_a_shared_value_calls_f_once(f, args):
+def test_math_rows_of_a_shared_value_is_f_of_each_row(f, args):
     xs = args(5)
     assert all(x.strides == (0,) for x in xs)
+    # a spy has no array route: it is called on each row
     spy, calls = _counted(f)
     got = math_rows(spy, *xs)
-    assert len(calls) == 1
+    assert len(calls) == 5
     want = _per_row(f, *xs)
     assert got.shape == want.shape == (5,)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert got.flags.writeable and got.flags.owndata
     assert not any(np.shares_memory(got, x) for x in xs)
+    # f's own array route reads the stride-0 view as it reads any other
+    routed = math_rows(f, *xs)
+    assert routed.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert routed.flags.writeable
+    assert not any(np.shares_memory(routed, x) for x in xs)
 
 
 def test_math_rows_of_an_empty_broadcast_is_empty():

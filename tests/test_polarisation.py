@@ -90,13 +90,19 @@ def test_monte_carlo_takes_a_numpy_integer_sample_count():
 # --- the draw, pinned to numpy's ---------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 7, 10**6])
+@pytest.mark.parametrize("n", [1, 7, 10**6, 2**63 - 1])
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 20, 2**128 - 20, 2**130])
 def test_monte_carlo_is_the_per_row_default_rng_draw(n, seed):
     # every row is drawn, in order, from the one generator default_rng(seed)
     p = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 37), [0.5, 1e-9, 1.0 - 1e-9]])
     want = np.random.default_rng(seed).binomial(n, p) / n
     assert monte_carlo_malus(p, n, seed).tolist() == want.tolist()
+
+
+def test_monte_carlo_of_a_sample_count_past_int64_raises_numpy_s_overflow():
+    # numpy's binomial count is an int64
+    with pytest.raises(OverflowError):
+        monte_carlo_malus(0.5, 2**63, 1)
 
 
 def test_monte_carlo_rows_past_one_block_are_a_prefix():
