@@ -299,8 +299,9 @@ def _format_17g(x, out: np.ndarray | None = None) -> np.ndarray:
     if x.size < _ARRAY_MIN:
         out[...] = _percent_17g(x).reshape(out.shape)
     else:
-        rest = np.nonzero(~_array_format_17g(x, out))
-        if len(rest[0]):
+        ok = _array_format_17g(x, out)
+        if not ok.all():
+            rest = np.nonzero(~ok)
             out[rest] = _percent_17g(x[rest])
     return out
 
@@ -445,7 +446,10 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
     lie in axes[0][block[0]], axes[1][block[1]], ... It is called for
     blocks of about EMIT_BLOCK rows (see `_grid_blocks`), and each block is
     formatted and written before the next is asked for, so no row may fail
-    once the first is written.
+    once the first is written. As CSV, an axis of at most EMIT_BLOCK values
+    is formatted once per sweep and its fields are copied into each block,
+    and a longer one a block's part at a time, so that the writer holds
+    the fields of at most EMIT_BLOCK values of each axis.
     """
     axes = [np.asarray(axis, dtype=float) for axis in axes]
     blocks = _grid_blocks([len(axis) for axis in axes], EMIT_BLOCK)
@@ -453,6 +457,9 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
         if cfg.format == "csv":
             out.write(",".join(columns) + "\n")
             row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+            # the slots of each axis of at most EMIT_BLOCK values, formatted
+            # whole by the first block that takes slots
+            axis_slots = [None] * len(axes)
             for block in blocks:
                 parts = [axis[part] for axis, part in zip(axes, block)]
                 shape = [len(part) for part in parts]
@@ -467,13 +474,19 @@ def _emit(cfg: RunConfig, columns: list[str], axes: list[Sequence[float]],
                     out.write(row_format * rows % tuple(table.ravel().tolist()))
                     continue
                 # a block's fields are the FIELD-byte slots of one buffer, row
-                # by row: each axis value of the block is formatted once and
+                # by row: each axis value is formatted once per sweep and
                 # copied to the rows it belongs to, the computed fields are
                 # formatted at once, and the NULs of the slots are deleted
                 text = bytearray(rows * len(columns) * FIELD)
                 slots = np.frombuffer(text, np.uint8).reshape(*shape, len(columns), FIELD)
-                for i, part in enumerate(parts):
-                    slots[..., i, :] = _format_17g(part).reshape(
+                for i, (axis, part) in enumerate(zip(axes, block)):
+                    if len(axis) > EMIT_BLOCK:
+                        part_slots = _format_17g(axis[part])
+                    else:
+                        if axis_slots[i] is None:
+                            axis_slots[i] = _format_17g(axis)
+                        part_slots = axis_slots[i][part]
+                    slots[..., i, :] = part_slots.reshape(
                         [-1 if d == i else 1 for d in range(len(parts))] + [FIELD])
                 _format_17g(values(block).reshape(*shape, -1), slots[..., len(axes):, :])
                 slots[..., -1] = ord(",")
@@ -561,7 +574,7 @@ def cmd_rotation_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
     chis = np.minimum(np.arange(cfg.chi_steps + 1) * math.pi / cfg.chi_steps, math.pi)
     check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
-          lambda block: rotation_rows(deltas[block[0]], cfg.pf_speed, chis[block[1]]))
+          rotation_rows(deltas, cfg.pf_speed, chis))
     return 0
 
 

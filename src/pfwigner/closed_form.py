@@ -33,7 +33,8 @@ formula has one code path, and builds its rotation with no angle.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -181,26 +182,35 @@ def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
     """
     deltas, theta_pf, chis = check_rotation_grid(deltas, theta_pf, chis)
     return np.column_stack([np.repeat(deltas, len(chis)), np.tile(chis, len(deltas)),
-                            rotation_rows(deltas, theta_pf, chis)])
+                            rotation_rows(deltas, theta_pf, chis)()])
 
 
-def rotation_rows(deltas, theta_pf: float, chis) -> np.ndarray:
-    """The (N, 4) array of the computed columns (phi_ex, dphi_ex, dphi_ap,
-    abs_err) of `rotation_table`, for a grid that check_rotation_grid has
-    passed, unchecked: (N,) axes and a float theta_pf, as it returns them.
-    A caller that validated a whole grid once asks for the rows of its
-    parts. The factors of the chis and of each delta are computed once and
-    broadcast over the grid, and every value equals the one the one-row
-    calls give, bit for bit."""
-    # grid entry [i, j] holds delta i and chi j, and is row i * n_chi + j
-    n_delta, n_chi = len(deltas), len(chis)
-    n, dd, a_sin, th_sin = _rotation_factors(theta_pf, *_cos_sin(chis))
-    half = 0.5 * deltas
-    phi = _rotation_angle(n, dd, a_sin, math_rows(math.sin, half)[:, None],
-                          math_rows(math.cos, half)[:, None]).reshape(n_delta, n_chi)
-    out = np.empty((n_delta, n_chi, 4))
-    out[..., 0] = wrap_angle(phi).reshape(phi.shape)
-    out[..., 1] = shift = wrap_angle(phi - deltas[:, None]).reshape(phi.shape)
-    out[..., 2] = approx = th_sin * (1.0 - math_rows(math.cos, deltas))[:, None]
-    out[..., 3] = np.abs(np.abs(shift) - approx)
-    return out.reshape(-1, 4)
+def rotation_rows(deltas, theta_pf: float, chis) -> Callable[..., np.ndarray]:
+    """The rows of the computed columns (phi_ex, dphi_ex, dphi_ap, abs_err)
+    of `rotation_table`, for a grid that check_rotation_grid has passed,
+    unchecked: (N,) axes and a float theta_pf, as it returns them.
+
+    rows(block) is the (n, 4) array of the points of a block, a slice of
+    the deltas and one of the chis (the whole grid by default), each delta
+    with every chi in turn. The chis' factors are kept for their last
+    slice only, so blocks of whole chi rows share one computation of them;
+    each delta's factors are computed with its block. Every value equals
+    the one the one-row calls give, bit for bit."""
+    @lru_cache(maxsize=1)
+    def chi_factors(*part):
+        return _rotation_factors(theta_pf, *_cos_sin(chis[slice(*part)]))
+
+    def rows(block: tuple[slice, slice] = (slice(None), slice(None))) -> np.ndarray:
+        # grid entry [i, j] holds delta i and chi j, and is row i * n_chi + j
+        n, dd, a_sin, th_sin = chi_factors(*block[1].indices(len(chis)))
+        part = deltas[block[0]]
+        half = 0.5 * part
+        phi = _rotation_angle(n, dd, a_sin, math_rows(math.sin, half)[:, None],
+                              math_rows(math.cos, half)[:, None]).reshape(len(part), len(n))
+        out = np.empty(phi.shape + (4,))
+        out[..., 0] = wrap_angle(phi).reshape(phi.shape)
+        out[..., 1] = shift = wrap_angle(phi - part[:, None]).reshape(phi.shape)
+        out[..., 2] = approx = th_sin * (1.0 - math_rows(math.cos, part))[:, None]
+        out[..., 3] = np.abs(np.abs(shift) - approx)
+        return out.reshape(-1, 4)
+    return rows

@@ -148,14 +148,16 @@ def _atan2_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     z.real, z.imag = x, y
     w = z.view(float).reshape(n, 2)
     small = np.abs(w) < _ATAN2_MAX
-    if np.count_nonzero(small) == 2 * n and np.count_nonzero(z) == n:
-        w *= _ATAN2_SCALE
-        return np.log(z, out=z).imag
-    rest = ~(small[:, 0] & small[:, 1]) | (z == 0)
-    w[rest] = 1.0
+    rest = None
+    if np.count_nonzero(small) < 2 * n or np.count_nonzero(z) < n:
+        rest = ~(small[:, 0] & small[:, 1]) | (z == 0)
+        w[rest] = 1.0
     w *= _ATAN2_SCALE
-    out = np.log(z, out=z).imag
-    out[rest] = _per_row(math.atan2, y[rest], x[rest])
+    # the imaginary part copied out: a view of it would keep the complex
+    # buffer, twice its size, alive
+    out = np.log(z, out=z).imag.copy()
+    if rest is not None:
+        out[rest] = _per_row(math.atan2, y[rest], x[rest])
     return out
 
 

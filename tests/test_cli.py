@@ -207,6 +207,26 @@ def test_rotation_scan_checks_its_grid_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("args,chi_calls", [
+    # the fine scan: 15 blocks of whole chi rows share one computation
+    (["--delta-step", repr(math.pi / 480), "--chi-steps", "30"], [31]),
+    # one delta whose 5 000 chis are cut into 3 blocks
+    (["--delta-step", "13", "--chi-steps", "4999"], [2048, 2048, 904]),
+], ids=["fine", "one-delta"])
+def test_rotation_scan_computes_each_chi_factor_once(monkeypatch, tmp_path, args, chi_calls):
+    # the factors of each chi are computed once per sweep, not once per
+    # block, unless one delta has more chis than a block
+    calls = []
+    rotation_factors = closed_form._rotation_factors
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return rotation_factors(*args)
+    monkeypatch.setattr(closed_form, "_rotation_factors", counted)
+    assert cli.main(["rotation-scan", *args, "--output", str(tmp_path / "scan.csv")]) == 0
+    assert calls == chi_calls
+
+
 def test_rotation_scan_checks_each_grid_axis_as_one_array(monkeypatch, tmp_path):
     # one row check for theta_pf, one for the 31 chis and one for the 961
     # deltas, each a single test over the whole axis, all read through
@@ -335,10 +355,11 @@ CSV_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-5, 1e16,
 csv_fields = st.floats() | st.sampled_from(CSV_SPECIALS)
 
 
-def _emitted_csv(axes, values) -> tuple[str, str, int]:
+def _emitted_csv(axes, values) -> tuple[str, str, list[tuple[int, ...]]]:
     """The CSV text `cli._emit` writes for a grid of `axes` whose rows of
     computed columns are `values`, of shape (*lengths, k); the text of
-    "%.17g" of each field; and the number of `_format_17g` calls made."""
+    "%.17g" of each field; and the shape of the array of each
+    `_format_17g` call made, in order."""
     columns = [f"c{j}" for j in range(len(axes) + values.shape[-1])]
     rows = [list(point) + row for point, row in
             zip(itertools.product(*axes), values.reshape(-1, values.shape[-1]).tolist())]
@@ -347,15 +368,15 @@ def _emitted_csv(axes, values) -> tuple[str, str, int]:
     calls = []
     format_17g = cli._format_17g
 
-    def counted(*args):
-        calls.append(args)
-        return format_17g(*args)
+    def counted(x, *args):
+        calls.append(np.shape(x))
+        return format_17g(x, *args)
 
     out = io.StringIO()
     with mock.patch.object(cli, "_format_17g", counted), contextlib.redirect_stdout(out):
         cli._emit(cli.RunConfig(), columns, axes,
                   lambda block: values[block].reshape(-1, values.shape[-1]))
-    return out.getvalue(), want, len(calls)
+    return out.getvalue(), want, calls
 
 
 @st.composite
@@ -380,7 +401,7 @@ def test_a_table_below_array_min_fields_is_the_text_of_format_17g(table):
     axes, values = table
     got, want, format_calls = _emitted_csv(axes, values)
     assert got == want
-    assert format_calls == 0
+    assert format_calls == []
 
 
 def test_a_table_of_array_min_fields_takes_the_slot_route():
@@ -393,10 +414,48 @@ def test_a_table_of_array_min_fields_takes_the_slot_route():
     values[:len(CSV_SPECIALS), 0] = CSV_SPECIALS
     got, want, format_calls = _emitted_csv([axis.tolist()], values)
     assert got == want
-    assert format_calls == 2
+    assert format_calls == [(64,), (64, 3)]
     # one row fewer is a small table again
     got, want, format_calls = _emitted_csv([axis[:63].tolist()], values[:63])
-    assert (got, format_calls) == (want, 0)
+    assert (got, format_calls) == (want, [])
+
+
+def _special_grid(lengths, n_computed, seed):
+    """Axes of the given lengths and (*lengths, n_computed) computed values,
+    random magnitudes with as many of CSV_SPECIALS as fit spread among each."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-8, 20, shape)
+        flat, k = x.reshape(-1), min(x.size, len(CSV_SPECIALS))
+        flat[rng.choice(flat.size, k, replace=False)] = CSV_SPECIALS[:k]
+        return x
+    return [draw(n).tolist() for n in lengths], draw(*lengths, n_computed)
+
+
+def test_emit_formats_each_axis_value_once_per_sweep(monkeypatch):
+    # blocks of 8 of 20 outer values by 8 inner ones: two blocks of 384
+    # fields take slots, the last, of 192, is one "%" over its table. Each
+    # axis is formatted whole once, before the first block's computed
+    # fields, and its slots are copied across the blocks
+    monkeypatch.setattr(cli, "EMIT_BLOCK", 64)
+    axes, values = _special_grid([20, 8], 4, seed=44)
+    got, want, format_calls = _emitted_csv(axes, values)
+    assert got == want
+    assert format_calls == [(20,), (8,), (8, 8, 4), (8, 8, 4)]
+
+
+def test_emit_formats_an_axis_longer_than_a_block_a_block_at_a_time(monkeypatch):
+    # 3 outer values by 150 inner ones in blocks of 64: the inner axis has
+    # more values than a block, so each block formats its own part of it,
+    # 64 values, and the writer holds no slots of the whole axis; the
+    # outer axis is formatted once. The last 22 inner values of each outer
+    # value are a table of 88 fields, written by one "%"
+    monkeypatch.setattr(cli, "EMIT_BLOCK", 64)
+    axes, values = _special_grid([3, 150], 2, seed=45)
+    got, want, format_calls = _emitted_csv(axes, values)
+    assert got == want
+    assert format_calls == [(3,)] + [(64,), (1, 64, 2)] * 6
 
 
 def test_rotation_scan_writes_the_bytes_of_format_17g_of_every_field():

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from pfwigner import (
     DomainError,
     boost_phase,
+    cli,
     rotation_phase,
     rotation_phase_shift,
     rotation_shift_approx,
     rotation_table,
     wrap_angle,
 )
-from pfwigner.closed_form import check_rotation_grid
+from pfwigner.closed_form import check_rotation_grid, rotation_rows
 
 # speed of the distinguished frame used throughout the frozen examples
 # (solar-system speed relative to the microwave background, in units of c)
@@ -241,3 +242,25 @@ def test_rotation_table_rows_equal_single_calls(deltas, theta_pf, chis):
         assert table.shape == (len(want), 6)
         # the bits, so that -0.0 differs from 0.0
         assert table.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("size", [1, 3, 7, 12, 40])
+def test_rotation_rows_of_each_block_are_those_of_the_table(size):
+    # the blocks the writer asks for: several deltas with all their chis,
+    # or one delta with a part of its chis, so that the inner axis is cut;
+    # one rows() serves them all from the chi factors it keeps for the last
+    # slice of the chis, in row order and again backwards, then blocks that share their
+    # first delta and chi but not their last, each block bit for bit the
+    # rows of the table that holds it
+    deltas, th, chis = check_rotation_grid(np.linspace(-7.0, 9.0, 5), 0.3,
+                                           [i * math.pi / 6.0 for i in range(7)])
+    table = rotation_table(deltas, th, chis)[:, 2:]
+    index = np.arange(table.shape[0]).reshape(len(deltas), len(chis))
+    rows = rotation_rows(deltas, th, chis)
+    blocks = cli._grid_blocks([len(deltas), len(chis)], size)
+    assert (size < len(chis)) == (len(blocks) > len(deltas))
+    nested = [(slice(0, 2), slice(0, 3)), (slice(0, 4), slice(0, 6)), (slice(None), slice(None))]
+    for block in blocks + blocks[::-1] + nested:
+        got = rows(block)
+        assert got.view(np.uint64).tolist() == table[index[block].reshape(-1)].view(
+            np.uint64).tolist()

@@ -160,8 +160,9 @@ def _per_row(f, *xs):
     (math.sin, lambda n: np.broadcast_arrays(np.array([1.0]), np.zeros(n))[:1]),
     (math.atan2, lambda n: [np.broadcast_to(-0.0, (n,)), np.broadcast_to(-1.0, (n,))]),
     (math.atan2, lambda n: np.broadcast_arrays(np.array([3.0]), np.array(-7.0), np.zeros(n))[:2]),
+    (math.atan2, lambda n: [np.broadcast_to(0.0, (n,)), np.broadcast_to(-0.0, (n,))]),
 ], ids=["sin-broadcast_to", "sin-broadcast_arrays", "atan2-broadcast_to",
-        "atan2-broadcast_arrays"])
+        "atan2-broadcast_arrays", "atan2-zeros"])
 def test_math_rows_of_a_shared_value_is_f_of_each_row(f, args):
     xs = args(5)
     assert all(x.strides == (0,) for x in xs)
@@ -177,7 +178,9 @@ def test_math_rows_of_a_shared_value_is_f_of_each_row(f, args):
     # f's own array route reads the stride-0 view as it reads any other
     routed = math_rows(f, *xs)
     assert routed.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    assert routed.flags.writeable
+    # an array of its own, holding no larger buffer alive
+    assert routed.flags.writeable and routed.flags.owndata and routed.flags.c_contiguous
+    assert routed.base is None and routed.nbytes == 5 * 8
     assert not any(np.shares_memory(routed, x) for x in xs)
 
 
@@ -269,6 +272,11 @@ def test_atan2_of_a_stack_has_the_bits_of_math():
     # a stack of rows within the route's bound, none of them per row
     within = np.maximum(np.abs(y), np.abs(x)) < 2.0 ** 400
     assert _same_bits(math_rows(math.atan2, y[within], x[within]), got[within])
+    # with rows per row or none (the band), an array of its own, not a view
+    # of the complex log's buffer
+    band = math_rows(math.atan2, r * np.sin(t), r * np.cos(t))
+    for out in (got, band):
+        assert out.flags.owndata and out.flags.c_contiguous and out.strides == (8,)
 
 
 @pytest.mark.parametrize("f", [math.sin, math.cos], ids=["sin", "cos"])
