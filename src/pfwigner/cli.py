@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .checks import CHECKS, run_checks
-from .closed_form import boost_phase, check_rotation_grid, rotation_rows
+from .closed_form import boost_phase, rotation_rows
 from .induction import bench_pair, pf_wigner, standard_wigner
 from .minkowski import (
     IDENTITY,
@@ -572,7 +572,6 @@ def cmd_rotation_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
                           "or fewer chi-steps")
     # i*pi/n can round one ulp above pi, as at n = 13
     chis = np.minimum(np.arange(cfg.chi_steps + 1) * math.pi / cfg.chi_steps, math.pi)
-    check_rotation_grid(deltas, cfg.pf_speed, chis)
     _emit(cfg, ["delta", "chi", "phi_ex", "dphi_ex", "dphi_ap", "abs_err"], [deltas, chis],
           rotation_rows(deltas, cfg.pf_speed, chis))
     return 0

@@ -21,7 +21,10 @@ per row (a float is shared by every row, and floats alone are one row),
 and returns one value per row. `sin`, `cos` and `atan2` run on whole
 arrays and `asin` per row, all by `minkowski.math_rows` with the bits of
 `math`, so each row equals its one-row call bit for bit. A row outside a
-formula's domain raises a `DomainError` that names it.
+formula's domain raises a `DomainError` that names it. Each public
+function tests its angles once, where they enter (`rotation_rows` its
+whole grid, one axis at a time), so no infinity or NaN reaches the sin
+and cos of `math_rows`, which do not test again.
 
 The arithmetic of `boost_phase` and `rotation_phase` past their angles
 lives in private helpers that take the cosine and sine of chi
@@ -139,8 +142,8 @@ def rotation_phase_shift(delta, theta_pf, chi) -> np.ndarray:
     negative of dphi_ex of `rotation_table` (rotation_phase - delta), so
     positive where the polarisation lags the apparatus; a zero may differ
     from dphi_ex's in its sign."""
-    delta, theta_pf, chi = _checked_rows(_rotation_tests, delta, theta_pf, chi, error=DomainError)
-    return wrap_angle(delta - rotation_phase(delta, theta_pf, chi))
+    phase = rotation_phase(delta, theta_pf, chi)
+    return wrap_angle(np.asarray(delta, dtype=float).reshape(-1) - phase)
 
 
 def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
@@ -155,40 +158,27 @@ def rotation_shift_approx(delta, theta_pf, chi) -> np.ndarray:
     return _rotation_factors(th, *_cos_sin(chi))[3] * (1.0 - math_rows(math.cos, delta))
 
 
-def check_rotation_grid(deltas, theta_pf: float, chis) -> tuple[np.ndarray, float, np.ndarray]:
-    """The grid as (deltas, theta_pf, chis), each axis flattened to an (N,)
-    array and theta_pf a float, once theta_pf, each chi and then each delta
-    is in range: else DomainError, with the reason rotation_phase gives.
-    Once this passes, no row of rotation_rows of the grid can fail. Each
-    axis is checked as one array, and the row named is the index within
-    it; a theta_pf of more than one value raises ValueError."""
-    if np.size(theta_pf) != 1:
-        raise ValueError(f"theta_pf must be one value, got shape {np.shape(theta_pf)}")
-    theta_pf, chis, deltas = (
-        _checked_rows(lambda x: [test(x)], axis, error=DomainError)[0]
-        for test, axis in ((_theta_test, theta_pf), (_chi_test, chis), (_delta_test, deltas)))
-    return deltas, theta_pf.item(), chis
-
-
 def rotation_table(deltas, theta_pf: float, chis) -> np.ndarray:
     """The (N, 6) array of the rows (delta, chi, phi_ex, dphi_ex, dphi_ap,
     abs_err) of a rotation sweep, each delta with every chi in turn.
 
     phi_ex is rotation_phase wrapped to (-pi, pi], dphi_ex is
     rotation_phase - delta wrapped, dphi_ap is rotation_shift_approx and
-    abs_err is ||dphi_ex| - dphi_ap|. The grid is read and validated first
-    by check_rotation_grid; the grid columns are put in front of the rows
-    of `rotation_rows`.
+    abs_err is ||dphi_ex| - dphi_ap|. The grid is validated by
+    `rotation_rows`, whose rows follow the grid columns.
     """
-    deltas, theta_pf, chis = check_rotation_grid(deltas, theta_pf, chis)
-    return np.column_stack([np.repeat(deltas, len(chis)), np.tile(chis, len(deltas)),
-                            rotation_rows(deltas, theta_pf, chis)()])
+    rows = rotation_rows(deltas, theta_pf, chis)()
+    deltas, chis = (np.asarray(axis, dtype=float).reshape(-1) for axis in (deltas, chis))
+    return np.column_stack([np.repeat(deltas, len(chis)), np.tile(chis, len(deltas)), rows])
 
 
 def rotation_rows(deltas, theta_pf: float, chis) -> Callable[..., np.ndarray]:
     """The rows of the computed columns (phi_ex, dphi_ex, dphi_ap, abs_err)
-    of `rotation_table`, for a grid that check_rotation_grid has passed,
-    unchecked: (N,) axes and a float theta_pf, as it returns them.
+    of `rotation_table`, once theta_pf, each chi and then each delta is in
+    range: else DomainError, with the reason rotation_phase gives, and no
+    row of the grid can fail after it. Each axis is read flat and checked
+    as one array, and the row named is the index within it; a theta_pf of
+    more than one value raises ValueError.
 
     rows(block) is the (n, 4) array of the points of a block, a slice of
     the deltas and one of the chis (the whole grid by default), each delta
@@ -196,6 +186,13 @@ def rotation_rows(deltas, theta_pf: float, chis) -> Callable[..., np.ndarray]:
     slice only, so blocks of whole chi rows share one computation of them;
     each delta's factors are computed with its block. Every value equals
     the one the one-row calls give, bit for bit."""
+    if np.size(theta_pf) != 1:
+        raise ValueError(f"theta_pf must be one value, got shape {np.shape(theta_pf)}")
+    theta_pf, chis, deltas = (
+        _checked_rows(lambda x: [test(x)], axis, error=DomainError)[0]
+        for test, axis in ((_theta_test, theta_pf), (_chi_test, chis), (_delta_test, deltas)))
+    theta_pf = theta_pf.item()
+
     @lru_cache(maxsize=1)
     def chi_factors(*part):
         return _rotation_factors(theta_pf, *_cos_sin(chis[slice(*part)]))

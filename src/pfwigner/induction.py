@@ -193,7 +193,8 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
       t_x >= 0 and (rho - t_x, t_y) elsewhere, each well conditioned.
 
     A row that fails a domain test of the closed forms, run on their
-    inputs as they run them, raises a DomainError that names the pair.
+    inputs as they run them, raises a DomainError that names the pair; the
+    tests run in one call, so of several failing rows the first is named.
     """
     th_vec = pairs.u[:, 1:] / pairs.u[:, :1]
     th = np.sqrt(row_dot(th_vec, th_vec))
@@ -226,9 +227,8 @@ def _gauge_stack(pairs: PairStack) -> np.ndarray:
     u_perp = pairs.u[:, 0] * th_sin
     th_apex = u_perp / np.sqrt(1.0 + u_perp * u_perp)
     try:
-        _check_rows([_v_test(th_cos), _theta_test(th_apex)], error=DomainError)
+        _check_rows([_v_test(th_cos), _theta_test(th_apex), _theta_test(th)], error=DomainError)
         a = _boost_sine(th_cos, th_apex, *_APEX)
-        _check_rows([_theta_test(th)], error=DomainError)
     except DomainError as exc:
         i = exc.row
         raise DomainError(i, f"{exc.reason} in the gauge of the pair "

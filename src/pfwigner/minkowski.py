@@ -34,8 +34,9 @@ arctan2 or arcsin, so a row of a stack equals its one-row call bit for
 bit: `math_rows` takes `math.sin`, `math.cos` and `math.atan2` of a whole
 array by numpy's float64 sin and cos and its complex log, which reach the
 C library's sin, cos and atan2, and calls any other function, such as
-`math.asin`, per row. `wrap_angle` is exact array arithmetic with the bits
-of `math.remainder` on each row.
+`math.asin`, per row. Its sin and cos test nothing: each public function
+refuses an angle that is not finite where it enters. `wrap_angle` is
+exact array arithmetic with the bits of `math.remainder` on each row.
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ def math_rows(f, *xs) -> np.ndarray:
     """f(xs[0][i], xs[1][i], ...) for each i, bit for bit, by a `math`
     function f. `math.sin`, `math.cos` and `math.atan2` take the whole array
     at once, by the route `_ARRAY_ROUTES` holds for each; any other f, such
-    as `math.asin`, is called on each row."""
+    as `math.asin`, is called on each row. sin and cos have the bits of
+    `math` for finite angles; each public function refuses an infinite
+    angle where it enters."""
     route = _ARRAY_ROUTES.get(f)
     if route is not None:
         return route(*xs)
@@ -113,21 +116,6 @@ def math_rows(f, *xs) -> np.ndarray:
 
 def _per_row(f, *xs) -> np.ndarray:
     return np.fromiter(map(f, *[x.tolist() for x in xs]), float, len(xs[0]))
-
-
-def _refuse_inf(x: np.ndarray) -> None:
-    # the ValueError of math.sin, math.cos and math.remainder at an infinite
-    # argument, where numpy's ufuncs give NaN and warn
-    if np.count_nonzero(np.isinf(x)):
-        raise ValueError("math domain error")
-
-
-def _sin_cos_route(ufunc):
-    # numpy's float64 sin and cos call the C library's, as math does
-    def rows(x: np.ndarray) -> np.ndarray:
-        _refuse_inf(x)
-        return ufunc(x)
-    return rows
 
 
 # atan2(y, x) is the imaginary part of the complex log of z = x + iy: glibc's
@@ -161,10 +149,11 @@ def _atan2_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# the one place that says which `math` function has an array route
+# the one place that says which `math` function has an array route; numpy's
+# float64 sin and cos call the C library's, as math does
 _ARRAY_ROUTES = {
-    math.sin: _sin_cos_route(np.sin),
-    math.cos: _sin_cos_route(np.cos),
+    math.sin: np.sin,
+    math.cos: np.cos,
     math.atan2: _atan2_rows,
 }
 
@@ -283,7 +272,9 @@ def wrap_angle(angle) -> np.ndarray:
     NaN (a signalling one comes out quiet).
     """
     angle = np.asarray(angle, dtype=float).reshape(-1)
-    _refuse_inf(angle)
+    # the ValueError of math.remainder, where numpy's fmod gives NaN and warns
+    if np.count_nonzero(np.isinf(angle)):
+        raise ValueError("math domain error")
     with np.errstate(invalid="ignore"):
         r = np.fmod(angle, math.tau)
     np.subtract(r, math.tau, out=r, where=r > math.pi)

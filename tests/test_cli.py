@@ -191,20 +191,21 @@ def test_one_delta_scan_holds_one_block_of_chis(fmt, tmp_path):
 
 
 def test_rotation_scan_checks_its_grid_once(monkeypatch, tmp_path):
-    # the scan validates the whole grid before the first row; the blocks
-    # that _emit asks for are not validated again
-    calls = []
-    check = closed_form.check_rotation_grid
+    # the scan's grid is read and validated once, by rotation_rows, before
+    # _emit opens the output; the blocks that _emit asks for are not
+    # validated again (see the test below)
+    out = tmp_path / "fine.csv"
+    written = []
+    rows = closed_form.rotation_rows
 
-    def counted(*args):
-        calls.append(args)
-        check(*args)
+    def recorded(*args):
+        written.append(out.exists())
+        return rows(*args)
 
-    monkeypatch.setattr(closed_form, "check_rotation_grid", counted)
-    monkeypatch.setattr(cli, "check_rotation_grid", counted)
+    monkeypatch.setattr(cli, "rotation_rows", recorded)
     assert cli.main(["rotation-scan", "--delta-step", repr(math.pi / 480), "--chi-steps", "30",
-                     "--output", str(tmp_path / "fine.csv")]) == 0
-    assert len(calls) == 1
+                     "--output", str(out)]) == 0
+    assert written == [False]
 
 
 @pytest.mark.parametrize("args,chi_calls", [

@@ -15,7 +15,7 @@ from pfwigner import (
     rotation_table,
     wrap_angle,
 )
-from pfwigner.closed_form import check_rotation_grid, rotation_rows
+from pfwigner.closed_form import rotation_rows
 
 # speed of the distinguished frame used throughout the frozen examples
 # (solar-system speed relative to the microwave background, in units of c)
@@ -144,9 +144,20 @@ def test_rotation_table_rejects_what_the_scenario_rejects(deltas, theta_pf, chis
     ],
 )
 def test_rotation_grid_names_its_first_value_out_of_range(deltas, chis, reason, row):
-    with pytest.raises(DomainError) as got:
-        check_rotation_grid(deltas, 0.1, chis)
-    assert str(got.value) == f"row {row}: {reason}"
+    # rotation_rows refuses the grid when it is called, before any block,
+    # and rotation_table through it
+    for grid in (rotation_rows, rotation_table):
+        with pytest.raises(DomainError) as got:
+            grid(deltas, 0.1, chis)
+        assert str(got.value) == f"row {row}: {reason}"
+
+
+def test_rotation_rows_takes_one_theta_pf():
+    # tested before the axes, which here are out of range too
+    with pytest.raises(ValueError) as got:
+        rotation_rows([math.inf], [0.1, 0.2], [-1.0])
+    assert type(got.value) is ValueError
+    assert str(got.value) == "theta_pf must be one value, got shape (2,)"
 
 
 # --- structural properties -------------------------------------------------
@@ -252,8 +263,7 @@ def test_rotation_rows_of_each_block_are_those_of_the_table(size):
     # slice of the chis, in row order and again backwards, then blocks that share their
     # first delta and chi but not their last, each block bit for bit the
     # rows of the table that holds it
-    deltas, th, chis = check_rotation_grid(np.linspace(-7.0, 9.0, 5), 0.3,
-                                           [i * math.pi / 6.0 for i in range(7)])
+    deltas, th, chis = np.linspace(-7.0, 9.0, 5), 0.3, np.arange(7) * math.pi / 6.0
     table = rotation_table(deltas, th, chis)[:, 2:]
     index = np.arange(table.shape[0]).reshape(len(deltas), len(chis))
     rows = rotation_rows(deltas, th, chis)

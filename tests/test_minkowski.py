@@ -12,21 +12,29 @@ from pfwigner import (
     METRIC,
     LorentzTransform,
     PairStack,
+    anomalous_malus_curve,
     apply,
     bench_pair,
     boost_from_velocity,
+    boost_phase,
     boost_to,
     compose,
     four_velocity,
     inverse,
+    malus_probability,
     massless_standard_element,
     minkowski_dot,
     pf_standard_element,
     rotation_about,
+    rotation_phase,
+    rotation_phase_shift,
+    rotation_shift_approx,
+    rotation_table,
     rotation_z_to,
     wrap_angle,
 )
 from pfwigner import minkowski
+from pfwigner.closed_form import rotation_rows
 from pfwigner.minkowski import (
     MAX_ENTRY,
     RowError,
@@ -279,15 +287,46 @@ def test_atan2_of_a_stack_has_the_bits_of_math():
         assert out.flags.owndata and out.flags.c_contiguous and out.strides == (8,)
 
 
-@pytest.mark.parametrize("f", [math.sin, math.cos], ids=["sin", "cos"])
-@pytest.mark.parametrize("angles", [[math.inf], [1.0, -math.inf], [math.nan, math.inf]])
-def test_sin_and_cos_of_an_infinite_angle_raise_as_math_does(f, angles):
-    with pytest.raises(ValueError, match=r"^math domain error$"):
-        f(angles[-1])
+# each public function that an angle enters, called with the angle
+# stack [1.0, x] in one argument: the sin and cos of math_rows do not test
+# for infinities, so each entry refuses x itself and names its row
+_ANGLE_ENTRIES = {
+    "boost_phase-chi": lambda x: boost_phase(0.5, 0.1, x),
+    "rotation_phase-delta": lambda x: rotation_phase(x, 0.1, 1.0),
+    "rotation_phase-chi": lambda x: rotation_phase(1.0, 0.1, x),
+    "rotation_phase_shift-delta": lambda x: rotation_phase_shift(x, 0.1, 1.0),
+    "rotation_phase_shift-chi": lambda x: rotation_phase_shift(1.0, 0.1, x),
+    "rotation_shift_approx-delta": lambda x: rotation_shift_approx(x, 0.1, 1.0),
+    "rotation_shift_approx-chi": lambda x: rotation_shift_approx(1.0, 0.1, x),
+    "rotation_rows-delta": lambda x: rotation_rows(x, 0.1, [1.0])(),
+    "rotation_rows-chi": lambda x: rotation_rows([1.0], 0.1, x)(),
+    "rotation_table-delta": lambda x: rotation_table(x, 0.1, [1.0]),
+    "rotation_table-chi": lambda x: rotation_table([1.0], 0.1, x),
+    "bench_pair-chi": lambda x: bench_pair(0.1, x),
+    "rotation_about-angle": lambda x: rotation_about([0.0, 0.0, 1.0], x),
+    "anomalous_malus_curve-theta":
+        lambda x: anomalous_malus_curve(bench_pair(0.1, 1.0), x, 0.0, 1.0),
+    "anomalous_malus_curve-Theta0":
+        lambda x: anomalous_malus_curve(bench_pair(0.1, 1.0), 0.0, x, 1.0),
+    "anomalous_malus_curve-delta":
+        lambda x: anomalous_malus_curve(bench_pair(0.1, 1.0), 0.0, 0.0, x),
+    "malus_probability-theta": lambda x: malus_probability(x, 0.0),
+    "malus_probability-Theta": lambda x: malus_probability(0.0, x),
+    # any angle goes in, and a NaN stays NaN
+    "wrap_angle": wrap_angle,
+}
+
+
+@pytest.mark.parametrize("entry,x", [
+    pytest.param(entry, x, id=f"{entry}-{x}")
+    for entry in _ANGLE_ENTRIES for x in (math.inf, -math.inf, math.nan)
+    if not (entry == "wrap_angle" and math.isnan(x))])
+def test_every_angle_entry_refuses_a_non_finite_angle_before_numpy_can_warn(entry, x):
+    message = r"^math domain error$" if entry == "wrap_angle" else rf"^row 1: \w+={x!r} "
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^math domain error$"):
-            math_rows(f, np.array(angles))
+        with pytest.raises(ValueError, match=message):
+            _ANGLE_ENTRIES[entry](np.array([1.0, x]))
 
 
 # --- the dot product ---------------------------------------------------

@@ -204,6 +204,24 @@ def test_gauge_domain_error_names_the_row_of_the_stack():
                               "0.1460540433))")
 
 
+def test_gauge_domain_error_names_the_first_failing_row_whichever_test_it_fails():
+    # the moved pair of the test above fails the test of theta_pf itself;
+    # a frame of gamma 3e8 across the photon fails that of the apex speed
+    # instead. All three tests run in one call, so the first of the two
+    # rows is named, in either order
+    ok = bench_pair(0.9, 1.5)
+    moved = transform_pair(ok, boost_from_velocity([0.9999999999999999, 0.0, 0.0]))
+    across = PairStack([Q], [[math.sqrt(1.0 + 9e16), 3e8, 0.0, 0.0]])
+    for rows, culprit in (
+            ([ok, moved, ok, across], "k=(67108864, 67108864, 0, 1), u=(292173655.6, "
+                                      "292173655.6, 0, 0.1460540433)"),
+            ([ok, across, ok, moved], "k=(1, 0, 0, 1), u=(300000000, 300000000, 0, 0)")):
+        with pytest.raises(DomainError) as exc:
+            pf_standard_element(_joined(rows))
+        assert str(exc.value) == ("row 1: theta_pf=1.0 outside [0.0, 1.0) in the gauge of the "
+                                  f"pair ({culprit})")
+
+
 def test_single_calls_name_row_0():
     # a single input is one row, so its message names row 0
     with pytest.raises(ValueError, match=r"^row 0: speed must be < 1$"):
